@@ -18,7 +18,7 @@ from btzeta import (
     gen_apartment_torus,
     log_derivative_series,
     primitive_counts,
-    ratio,
+    ratio_of,
     torus_trace_counts,
     zeta_chamber,
     zeta_edge,
@@ -33,7 +33,7 @@ z1 = zeta_edge(torus)
 z2 = zeta_chamber(torus)
 print("  edge zeta     Z1(u) =", z1)
 print("  chamber zeta  Z2(u) =", z2)
-print("  ratio Z2(-u)/Z1(u^2) =", ratio(torus))
+print("  ratio Z2(-u)/Z1(u^2) =", ratio_of(z1, z2))
 
 print()
 print("Three independent routes to the closed-path counts (m = 1..12):")

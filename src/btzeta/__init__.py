@@ -44,11 +44,10 @@ from .generators import (
 )
 from .geodesics import (
     ClassWeight,
-    CountTable,
     GeodesicClass,
     assemble_S_series,
+    closed_paths,
     count_closed_paths,
-    count_table,
     enumerate_primitive_classes,
     primitive_counts,
     primitive_product,
@@ -63,10 +62,8 @@ from .operators import (
     build_edge_operator,
     directed_edges,
     edge_successors,
-    gallery_step,
     gallery_successors,
     pointed_chambers,
-    positive_step,
 )
 from .polynomials import (
     IntPolynomial,
@@ -77,27 +74,27 @@ from .polynomials import (
     series_exp_neg_integral,
 )
 from .rh import RHReport, classify_ramanujan, polynomial_roots
-from .zeta import ratio, zeta_chamber, zeta_edge
+from .zeta import ratio, ratio_of, zeta_chamber, zeta_edge
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ApartmentSpec", "BallSpec", "CharacterData", "ClassWeight",
-    "ComplexFormatError", "ConeClosedForm", "ConeDecomposition", "CountTable",
+    "ComplexFormatError", "ConeClosedForm", "ConeDecomposition",
     "DirectedEdge", "GenerationError", "GeodesicClass", "IntPolynomial",
     "LatticeCone", "PointedChamber", "PowerSeriesPrefix", "RHReport",
     "RationalFn", "SimplexCounts", "SparseIntMatrix", "TypedComplex",
     "ValidationReport", "assemble_S_series", "assemble_multivariable_S",
     "build_chamber_operator", "build_edge_operator", "char_poly_reverse",
-    "classify_ramanujan", "cone_generators", "cone_series_closed_form",
-    "count_closed_paths", "count_table", "decompose", "directed_edges",
-    "dumps_complex", "edge_successors", "enumerate_primitive_classes",
-    "euler_characteristic", "evaluate_partial_sum", "fundamental_domain",
-    "gallery_step", "gallery_successors", "gen_apartment_torus",
-    "gen_building_ball", "gen_cycle_complex", "load_complex", "loads_complex",
-    "log_derivative_series", "pointed_chambers", "polynomial_roots",
-    "positive_step", "primitive_counts", "primitive_product", "ratio",
-    "save_complex", "series_exp_neg_integral", "simplex_counts",
-    "torus_primitive_counts", "torus_trace_counts", "validate_complex",
-    "zeta_chamber", "zeta_edge",
+    "classify_ramanujan", "closed_paths", "cone_generators",
+    "cone_series_closed_form", "count_closed_paths", "decompose",
+    "directed_edges", "dumps_complex", "edge_successors",
+    "enumerate_primitive_classes", "euler_characteristic",
+    "evaluate_partial_sum", "fundamental_domain", "gallery_successors",
+    "gen_apartment_torus", "gen_building_ball", "gen_cycle_complex",
+    "load_complex", "loads_complex", "log_derivative_series",
+    "pointed_chambers", "polynomial_roots", "primitive_counts",
+    "primitive_product", "ratio", "ratio_of", "save_complex",
+    "series_exp_neg_integral", "simplex_counts", "torus_primitive_counts",
+    "torus_trace_counts", "validate_complex", "zeta_chamber", "zeta_edge",
 ]

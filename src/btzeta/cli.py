@@ -35,7 +35,6 @@ from .cones import (
     LatticeCone,
     cone_generators,
     cone_series_closed_form,
-    decompose,
     evaluate_partial_sum,
     fundamental_domain,
 )
@@ -51,8 +50,7 @@ from .geodesics import (
     DEFAULT_ORDER,
     ORDER_CAP,
     assemble_S_series,
-    count_closed_paths,
-    enumerate_primitive_classes,
+    closed_paths,
     primitive_counts,
     primitive_product,
     torus_trace_counts,
@@ -68,7 +66,7 @@ from .polynomials import (
 )
 from .rh import DEFAULT_TOL, classify_ramanujan
 from .zeta import ratio as zeta_ratio
-from .zeta import zeta_chamber, zeta_edge
+from .zeta import ratio_of, zeta_chamber, zeta_edge
 
 SCHEMA_VERSION = 1
 
@@ -91,24 +89,23 @@ def _die(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _load(path: str) -> TypedComplex:
+def _load(path: str, validate: bool = True) -> TypedComplex:
+    """Parse a complex file and, unless told not to, check its invariants."""
     try:
-        return load_complex(path)
+        cx = load_complex(path)
     except FileNotFoundError:
         _die(EXIT_INPUT_ERROR, f"no such file: {path}")
     except ComplexFormatError as exc:
         _die(EXIT_INPUT_ERROR, f"cannot parse {path}: {exc}")
+    if validate:
+        report = validate_complex(cx)
+        if not report.ok:
+            _die(EXIT_INPUT_ERROR, f"invalid complex {path}: {'; '.join(report.violations)}")
+    return cx
 
 
-def _poly_strings(p: IntPolynomial) -> list[str]:
+def _poly_strings(p: IntPolynomial | PowerSeriesPrefix) -> list[str]:
     return [str(c) for c in p.coeffs]
-
-
-def _series_values(series) -> list:
-    out = []
-    for c in series.coeffs:
-        out.append(str(c) if isinstance(c, int) else str(c))
-    return out
 
 
 @click.group(context_settings={"auto_envvar_prefix": "BTZ"})
@@ -130,7 +127,7 @@ def main() -> None:
 @click.argument("file", type=click.Path())
 def validate(file: str) -> None:
     """Check all structural invariants of a complex file."""
-    cx = _load(file)
+    cx = _load(file, validate=False)
     report = validate_complex(cx)
     _emit({"schema_version": SCHEMA_VERSION, "ok": report.ok,
            "violations": list(report.violations)})
@@ -281,9 +278,9 @@ def zeta_cmd(file: str, order: int, which: str | None, sign: str) -> None:
     try:
         z1 = zeta_edge(cx)
         z2 = zeta_chamber(cx)
-        rat = zeta_ratio(cx, negate_u=(sign == "neg"))
     except ValueError as exc:
         _die(EXIT_INPUT_ERROR, str(exc))
+    rat = ratio_of(z1, z2, negate_u=(sign == "neg"))
     doc: dict = {"schema_version": SCHEMA_VERSION}
     if which in (None, "edge"):
         doc["Z1"] = _poly_strings(z1)
@@ -292,7 +289,7 @@ def zeta_cmd(file: str, order: int, which: str | None, sign: str) -> None:
     if which in (None, "ratio"):
         doc["ratio"] = {"num": _poly_strings(rat.num), "den": _poly_strings(rat.den)}
     target = {None: rat, "ratio": rat, "edge": z1, "chamber": z2}[which]
-    doc["log_deriv"] = _series_values(log_derivative_series(target, order))
+    doc["log_deriv"] = _poly_strings(log_derivative_series(target, order))
     _emit(doc)
     _info(f"deg Z1 = {z1.degree}, deg Z2 = {z2.degree}")
 
@@ -311,9 +308,8 @@ def count(file: str, max_length: int, kind: str, allow_large_order: bool) -> Non
         _die(EXIT_RESOURCE_LIMIT,
              f"order {max_length} beyond cap {ORDER_CAP}; use --allow-large-order")
     try:
-        n_counts = count_closed_paths(cx, max_length, kind, allow_large=allow_large_order)
-        classes = enumerate_primitive_classes(cx, max_length, kind,
-                                              allow_large=allow_large_order)
+        n_counts, classes = closed_paths(cx, max_length, kind,
+                                         allow_large=allow_large_order)
     except ValueError as exc:
         _die(EXIT_INPUT_ERROR, str(exc))
     _emit({
@@ -405,13 +401,18 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
 # ---------------------------------------------------------------------------
 
 
-def _ratio_from_json(doc: dict) -> tuple[IntPolynomial, IntPolynomial]:
-    if "ratio" in doc:
+def _ratio_from_json(doc) -> tuple[IntPolynomial, IntPolynomial]:
+    if isinstance(doc, dict) and "ratio" in doc:
         doc = doc["ratio"]
-    if "num" not in doc or "den" not in doc:
+    num, den = (doc.get(k) if isinstance(doc, dict) else None for k in ("num", "den"))
+    if not (isinstance(num, list) and isinstance(den, list)):
         raise ComplexFormatError("ratio JSON needs 'num' and 'den' arrays", "ratio")
-    num = IntPolynomial(int(c) for c in doc["num"])
-    den = IntPolynomial(int(c) for c in doc["den"])
+    if not all(type(c) in (int, str) for c in num + den):
+        raise ComplexFormatError("ratio coefficients must be integers or integer strings",
+                                 "ratio")
+    num, den = IntPolynomial(map(int, num)), IntPolynomial(map(int, den))
+    if num.is_zero() or den.is_zero():
+        raise ComplexFormatError("ratio numerator and denominator must be nonzero", "ratio")
     return num, den
 
 
@@ -472,19 +473,26 @@ def run_verify(path: str, max_order: int = DEFAULT_ORDER,
     of the negated integrated length series must reproduce the primitive
     product.  Sign-convention comparisons and the Ramanujan classification
     are recorded but never affect the exit code.
+
+    ``report["timings"]`` lists ``[stage, seconds]`` pairs in pipeline order,
+    each with that stage's own duration.
     """
     report: dict = {"schema_version": SCHEMA_VERSION, "input": Path(path).name}
-    timings: dict[str, float] = {}
-    t_start = time.perf_counter()
+    timings: list[list] = []
+    t_last = time.perf_counter()
 
     def clock(stage: str) -> None:
-        timings[stage] = round(time.perf_counter() - t_start, 6)
+        nonlocal t_last
+        now = time.perf_counter()
+        timings.append([stage, round(now - t_last, 6)])
+        t_last = now
 
     try:
         cx = load_complex(path)
     except (FileNotFoundError, ComplexFormatError) as exc:
         report["error"] = {"stage": "load", "message": str(exc)}
         return report, EXIT_INPUT_ERROR
+    clock("load")
 
     vr = validate_complex(cx)
     if not vr.ok:
@@ -504,10 +512,10 @@ def run_verify(path: str, max_order: int = DEFAULT_ORDER,
     try:
         z1 = zeta_edge(cx)
         z2 = zeta_chamber(cx)
-        rat = zeta_ratio(cx, negate_u=True)
     except ValueError as exc:
         report["error"] = {"stage": "operators", "message": str(exc)}
         return report, EXIT_INPUT_ERROR
+    rat = ratio_of(z1, z2, negate_u=True)
     report["zeta"] = {
         "Z1": _poly_strings(z1),
         "Z2": _poly_strings(z2),
@@ -522,8 +530,7 @@ def run_verify(path: str, max_order: int = DEFAULT_ORDER,
     series_by_kind = {}
     for kind, poly in (("edge", z1), ("gallery", z2)):
         log_deriv = log_derivative_series(poly, max_order)
-        brute = count_closed_paths(cx, max_order, kind)
-        classes = enumerate_primitive_classes(cx, max_order, kind)
+        brute, classes = closed_paths(cx, max_order, kind)
         prims = primitive_counts(classes, max_order)
         duality_ok = all(log_deriv[m] == brute[m] for m in range(1, max_order + 1))
         structure_ok = all(
@@ -538,8 +545,7 @@ def run_verify(path: str, max_order: int = DEFAULT_ORDER,
         checks[f"primitive_structure_{kind}"] = {"passed": structure_ok}
         checks[f"exp_identity_{kind}"] = {"passed": exp_ok}
         mandatory_pass &= duality_ok and structure_ok and exp_ok
-        series_by_kind[kind] = {"N": brute, "P": prims, "classes": classes,
-                                "product": prim_prod}
+        series_by_kind[kind] = {"N": brute, "P": prims, "product": prim_prod}
     report["counts"] = {
         kind: {"N": data["N"], "P": data["P"]}
         for kind, data in series_by_kind.items()

@@ -208,6 +208,17 @@ def _require(cond: bool, message: str, location: str) -> None:
         raise ComplexFormatError(message, location)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true``/``false`` are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _array(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    _require(isinstance(value, list), f"'{key}' must be an array", key)
+    return value
+
+
 def loads_complex(text: str) -> TypedComplex:
     try:
         doc = json.loads(text)
@@ -215,38 +226,38 @@ def loads_complex(text: str) -> TypedComplex:
         raise ComplexFormatError(f"not valid JSON: {exc.msg}", f"line {exc.lineno}") from exc
     _require(isinstance(doc, dict), "top level must be an object", "document")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise ComplexFormatError(
             f"unsupported format version {version!r} (expected {FORMAT_VERSION})", "version")
     _require("vertices" in doc, "missing field 'vertices'", "vertices")
     vertices = []
-    for i, entry in enumerate(doc["vertices"]):
+    for i, entry in enumerate(_array(doc, "vertices")):
         _require(isinstance(entry, dict) and "id" in entry and "type" in entry,
                  "vertex entries need 'id' and 'type'", f"vertices[{i}]")
-        _require(isinstance(entry["id"], int) and isinstance(entry["type"], int),
+        _require(_is_int(entry["id"]) and _is_int(entry["type"]),
                  "vertex id and type must be integers", f"vertices[{i}]")
         vertices.append((entry["id"], entry["type"]))
     ids = [v for v, _ in vertices]
     _require(len(set(ids)) == len(ids), "duplicate vertex ids", "vertices")
     edges = []
-    for i, e in enumerate(doc.get("edges", [])):
-        _require(isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e),
+    for i, e in enumerate(_array(doc, "edges")):
+        _require(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)),
                  "edges must be pairs of integers", f"edges[{i}]")
         edges.append(tuple(e))
     _require(len({tuple(sorted(e)) for e in edges}) == len(edges),
              "duplicate edges", "edges")
     chambers = []
-    for i, t in enumerate(doc.get("chambers", [])):
-        _require(isinstance(t, list) and len(t) == 3 and all(isinstance(x, int) for x in t),
+    for i, t in enumerate(_array(doc, "chambers")):
+        _require(isinstance(t, list) and len(t) == 3 and all(map(_is_int, t)),
                  "chambers must be triples of integers", f"chambers[{i}]")
         chambers.append(tuple(t))
     _require(len({tuple(sorted(t)) for t in chambers}) == len(chambers),
              "duplicate chambers", "chambers")
     q = doc.get("q")
-    _require(q is None or (isinstance(q, int) and q >= 1),
+    _require(q is None or (_is_int(q) and q >= 1),
              "q must be a positive integer", "q")
-    boundary = doc.get("boundary", [])
-    _require(isinstance(boundary, list) and all(isinstance(v, int) for v in boundary),
+    boundary = _array(doc, "boundary")
+    _require(all(map(_is_int, boundary)),
              "boundary must be a list of vertex ids", "boundary")
     return TypedComplex(vertices, edges, chambers, q=q, boundary=boundary)
 

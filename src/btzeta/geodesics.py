@@ -4,7 +4,9 @@ This module is the independent oracle for the linear-algebra layer: it walks
 the local transition relations directly (depth-first, no matrices) to count
 based closed paths, decomposes them into rotation classes with primitive
 lengths and powers, and assembles the weighted length series and the product
-over primitive classes.
+over primitive classes.  ``closed_paths`` does the counting and the class
+collection in one walk; ``count_closed_paths`` is the count-only walk, kept
+as the plain oracle.
 
 Enumeration cost grows exponentially with the order, so the order defaults
 to 12 and is capped at 20 unless explicitly overridden.
@@ -30,11 +32,10 @@ from .polynomials import IntPolynomial, PowerSeriesPrefix
 __all__ = [
     "GeodesicClass",
     "ClassWeight",
-    "CountTable",
     "DEFAULT_ORDER",
     "ORDER_CAP",
+    "closed_paths",
     "count_closed_paths",
-    "count_table",
     "enumerate_primitive_classes",
     "primitive_counts",
     "primitive_product",
@@ -75,14 +76,6 @@ class GeodesicClass:
             raise ValueError("length must equal power * primitive_length")
         if self.weight is None:
             object.__setattr__(self, "weight", ClassWeight(lam=self.primitive_length))
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """N[m] based closed paths and P[m] primitive classes, index = length."""
-
-    N: tuple[int, ...]
-    P: tuple[int, ...]
 
 
 def _check_order(max_length: int, allow_large: bool) -> None:
@@ -144,23 +137,26 @@ def _min_period(seq: tuple) -> int:
     return n
 
 
-def enumerate_primitive_classes(c: TypedComplex, max_length: int, kind: str = "edge",
-                                allow_large: bool = False) -> list[GeodesicClass]:
-    """All rotation classes of closed paths up to max_length, with primitive data.
+def closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
+                 allow_large: bool = False) -> tuple[list[int], list[GeodesicClass]]:
+    """(N, classes) from one depth-first walk, for lengths 1..max_length.
 
-    One representative per rotation-equivalence class; each is annotated with
-    its minimal period (primitive length) and the power it is of the
-    underlying primitive class.  Default weights model the regular case.
+    N is indexed by length like ``count_closed_paths``; classes holds one
+    representative per rotation-equivalence class, annotated with its minimal
+    period (primitive length) and the power it is of the underlying primitive
+    class.  Default weights model the regular case.
     """
     _check_order(max_length, allow_large)
     if c.boundary:
-        raise ValueError("class enumeration is defined for closed complexes only")
+        raise ValueError("closed-path enumeration is defined for closed complexes only")
     nodes, succ = _transition_system(c, kind)
+    counts = [0] * (max_length + 1)
     seen: set[tuple] = set()
 
     def walk(start, v, depth, trail):
         for w in succ[v]:
             if w == start:
+                counts[depth + 1] += 1
                 seen.add(_min_rotation(tuple(trail)))
             if depth + 1 < max_length:
                 trail.append(w)
@@ -175,7 +171,13 @@ def enumerate_primitive_classes(c: TypedComplex, max_length: int, kind: str = "e
         classes.append(GeodesicClass(
             length=len(rep), primitive_length=d, power=len(rep) // d,
             representative=rep))
-    return classes
+    return counts, classes
+
+
+def enumerate_primitive_classes(c: TypedComplex, max_length: int, kind: str = "edge",
+                                allow_large: bool = False) -> list[GeodesicClass]:
+    """The rotation classes of ``closed_paths``."""
+    return closed_paths(c, max_length, kind, allow_large)[1]
 
 
 def primitive_counts(classes, max_length: int) -> list[int]:
@@ -185,14 +187,6 @@ def primitive_counts(classes, max_length: int) -> list[int]:
         if g.power == 1 and g.length <= max_length:
             P[g.length] += 1
     return P
-
-
-def count_table(c: TypedComplex, max_length: int, kind: str = "edge",
-                allow_large: bool = False) -> CountTable:
-    N = count_closed_paths(c, max_length, kind, allow_large)
-    P = primitive_counts(
-        enumerate_primitive_classes(c, max_length, kind, allow_large), max_length)
-    return CountTable(N=tuple(N), P=tuple(P))
 
 
 def primitive_product(classes, max_length: int) -> PowerSeriesPrefix:

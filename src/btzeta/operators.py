@@ -44,8 +44,6 @@ __all__ = [
     "SparseIntMatrix",
     "directed_edges",
     "pointed_chambers",
-    "positive_step",
-    "gallery_step",
     "edge_successors",
     "gallery_successors",
     "build_edge_operator",
@@ -140,15 +138,6 @@ def pointed_chambers(c: TypedComplex) -> list[PointedChamber]:
     return sorted(out, key=lambda pc: (pc.chamber, pc.pointer))
 
 
-def positive_step(c: TypedComplex, e: DirectedEdge, e2: DirectedEdge) -> bool:
-    """True when e2 continues e along a straight positive path."""
-    if e.head != e2.tail:
-        raise ValueError(f"edges {e} and {e2} are not composable")
-    if e2.head == e.tail:
-        return False
-    return not c.has_chamber(e.tail, e.head, e2.head)
-
-
 def edge_successors(c: TypedComplex, e: DirectedEdge) -> list[DirectedEdge]:
     """Positive continuations of e, in canonical order."""
     want = (c.type_of[e.head] + 1) % 3
@@ -159,17 +148,6 @@ def edge_successors(c: TypedComplex, e: DirectedEdge) -> list[DirectedEdge]:
         if not c.has_chamber(e.tail, e.head, w):
             out.append(DirectedEdge(e.head, w))
     return out
-
-
-def gallery_step(c: TypedComplex, pc1: PointedChamber, pc2: PointedChamber) -> bool:
-    """True when pc2 continues pc1 along a straight gallery crossing."""
-    if pc1.chamber == pc2.chamber:
-        return False
-    f = tuple(sorted((pc1.pointer.tail, pc1.pointer.head)))
-    if not set(f) <= set(pc2.chamber):
-        return False
-    opposite = next(v for v in pc2.chamber if v not in f)
-    return pc2.pointer == DirectedEdge(opposite, pc1.pointer.tail)
 
 
 def gallery_successors(c: TypedComplex, pc: PointedChamber,

@@ -4,8 +4,9 @@
 det(I - u T) of the edge and chamber operators; both are products of
 (1 - u^length) over the primitive closed positive geodesics resp. galleries,
 which is what the duality tests in the suite check coefficient by
-coefficient.  ``ratio`` forms the normalized rational function
-chamber(-u) / edge(u^2) (sign convention switchable).
+coefficient.  ``ratio_of`` forms the normalized rational function
+chamber(-u) / edge(u^2) (sign convention switchable) from the two
+polynomials; ``ratio`` computes them from a complex first.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .complexes import TypedComplex
 from .operators import build_chamber_operator, build_edge_operator
 from .polynomials import IntPolynomial, RationalFn, char_poly_reverse
 
-__all__ = ["zeta_edge", "zeta_chamber", "ratio"]
+__all__ = ["zeta_edge", "zeta_chamber", "ratio", "ratio_of"]
 
 
 def zeta_edge(c: TypedComplex) -> IntPolynomial:
@@ -34,14 +35,16 @@ def zeta_chamber(c: TypedComplex) -> IntPolynomial:
     return char_poly_reverse(build_chamber_operator(c))
 
 
-def ratio(c: TypedComplex, negate_u: bool = True) -> RationalFn:
-    """Normalized ratio zeta_chamber(-u) / zeta_edge(u^2).
+def ratio_of(z1: IntPolynomial, z2: IntPolynomial, negate_u: bool = True) -> RationalFn:
+    """Normalized ratio z2(-u) / z1(u^2) of the edge zeta z1 and chamber zeta z2.
 
     With ``negate_u=False`` the chamber polynomial is taken at +u instead;
     both sign conventions are exposed so downstream comparisons can record
     which one matches the primitive-geodesic product on a given input.
     """
-    z2 = zeta_chamber(c)
-    z1 = zeta_edge(c)
-    num = z2.subst_neg_u() if negate_u else z2
-    return RationalFn(num, z1.subst_u_power(2))
+    return RationalFn(z2.subst_neg_u() if negate_u else z2, z1.subst_u_power(2))
+
+
+def ratio(c: TypedComplex, negate_u: bool = True) -> RationalFn:
+    """``ratio_of`` the two zeta polynomials of c."""
+    return ratio_of(zeta_edge(c), zeta_chamber(c), negate_u)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
 
+from btzeta import geodesics, zeta
 from btzeta.cli import main, run_verify
 from btzeta.complexes import save_complex
 
@@ -231,9 +234,134 @@ class TestVerify:
         assert code == 0 and report["passed"]
         assert "timings" in report
 
+    def test_timings_are_per_stage_in_pipeline_order(self, tmp_path, torus):
+        path = tmp_path / "t.json"
+        save_complex(torus, path)
+        start = time.perf_counter()
+        report, _ = run_verify(str(path), max_order=8)
+        elapsed = time.perf_counter() - start
+        stages = [stage for stage, _ in report["timings"]]
+        assert stages == ["load", "validate", "zeta", "counts", "identity",
+                          "geometry", "rh"]
+        durations = [seconds for _, seconds in report["timings"]]
+        assert all(d >= 0 for d in durations)
+        # cumulative stamps would add up to more than the whole run
+        assert sum(durations) <= elapsed + 1e-5
+
+    # sha256 of ``btz verify --no-timings`` stdout, recorded with the pipeline
+    # that computed each zeta polynomial and each walk twice; refactors of the
+    # pipeline must keep these bytes
+    VERIFY_DIGESTS = {
+        "torus.json": "f7c017ff1ecebefc025a56104f702c18f894d8f788ab6e327e093e63d23a12b1",
+        "skew.json": "0339ef2b992d986385631a7b346dc65a2bf634ae080f92949d364f3a1fabd979",
+        "c3.json": "fc1c2218c9005fbf0abc45334b667a1e596dcde50556a82f7258748b8443f9ba",
+    }
+
+    def test_reports_are_byte_identical_to_recorded(self, runner, tmp_path, skew_torus):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            write_torus(runner)  # with its torus sidecar
+            save_complex(skew_torus, "skew.json")  # no sidecar
+            invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])  # cycle sidecar
+            for name, digest in self.VERIFY_DIGESTS.items():
+                out = invoke(runner, ["verify", name, "--no-timings"]).stdout
+                assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
     def test_env_var_configuration(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
             doc = json.loads(invoke(runner, ["count", "c3.json"],
                                     env={"BTZ_COUNT_MAX_LENGTH": "6"}).stdout)
             assert len(doc["N"]) == 7
+
+
+class TestEachQuantityOnce:
+    """Each charpoly and each closed-path walk runs once per command."""
+
+    @pytest.fixture()
+    def charpoly_dims(self, monkeypatch):
+        dims = []
+        original = zeta.char_poly_reverse
+
+        def counting(matrix):
+            dims.append(matrix.dim)
+            return original(matrix)
+
+        monkeypatch.setattr(zeta, "char_poly_reverse", counting)
+        return dims
+
+    @pytest.fixture()
+    def walk_kinds(self, monkeypatch):
+        kinds = []
+        original = geodesics._transition_system
+
+        def counting(c, kind):
+            kinds.append(kind)
+            return original(c, kind)
+
+        monkeypatch.setattr(geodesics, "_transition_system", counting)
+        return kinds
+
+    def test_verify_charpoly_once_per_operator(self, tmp_path, torus, charpoly_dims):
+        path = tmp_path / "t.json"
+        save_complex(torus, path)
+        run_verify(str(path), max_order=6)
+        assert charpoly_dims == [27, 54]
+
+    def test_zeta_command_charpoly_once_per_operator(self, runner, tmp_path,
+                                                     charpoly_dims):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            write_torus(runner)
+            invoke(runner, ["zeta", "torus.json"])
+        assert charpoly_dims == [27, 54]
+
+    def test_verify_walks_once_per_kind(self, tmp_path, torus, walk_kinds):
+        path = tmp_path / "t.json"
+        save_complex(torus, path)
+        run_verify(str(path), max_order=6)
+        assert walk_kinds == ["edge", "gallery"]
+
+    @pytest.mark.parametrize("kind", ["edge", "gallery"])
+    def test_count_command_walks_once(self, runner, tmp_path, walk_kinds, kind):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            write_torus(runner)
+            invoke(runner, ["count", "torus.json", "--max", "6", "--kind", kind])
+        assert walk_kinds == [kind]
+
+
+DANGLING_EDGE = {"version": 1, "vertices": [{"id": 0, "type": 0}, {"id": 1, "type": 1}],
+                 "edges": [[0, 1], [1, 7]], "chambers": []}
+BOOLEAN_Q = {"version": 1, "q": True, "vertices": [{"id": 0, "type": 0}, {"id": 1, "type": 1}],
+             "edges": [[0, 1]], "chambers": []}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("doc", [DANGLING_EDGE, BOOLEAN_Q], ids=["dangling", "bool-q"])
+    @pytest.mark.parametrize("command", [
+        ["info"], ["zeta"], ["op", "edges"], ["op", "chambers"], ["count"], ["rh"],
+        ["verify"],
+    ], ids=" ".join)
+    def test_exit_two_without_traceback(self, runner, tmp_path, command, doc):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            json.dump(doc, open("bad.json", "w"))
+            result = runner.invoke(main, command + ["bad.json"])
+            assert result.exit_code == 2
+            assert isinstance(result.exception, SystemExit)
+
+    def test_validate_reports_dangling_edge_as_violation(self, runner, tmp_path):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            json.dump(DANGLING_EDGE, open("bad.json", "w"))
+            result = runner.invoke(main, ["validate", "bad.json"])
+            assert result.exit_code == 1
+            assert json.loads(result.stdout)["violations"] == [
+                "edge (1,7) references unknown vertex"]
+
+    @pytest.mark.parametrize("ratio_doc", [
+        {"num": [True], "den": [1]}, {"num": [1], "den": 5}, [1, 2], 7,
+        {"num": [None], "den": [1]}, {"num": [1], "den": []}, {"num": [0], "den": [1]},
+    ])
+    def test_rh_ratio_json_exit_two(self, runner, tmp_path, ratio_doc):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            json.dump(ratio_doc, open("ratio.json", "w"))
+            result = runner.invoke(main, ["rh", "ratio.json", "--q", "2"])
+            assert result.exit_code == 2
+            assert isinstance(result.exception, SystemExit)

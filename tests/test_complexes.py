@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+import re
 
 import pytest
 
@@ -141,3 +143,37 @@ class TestSerialization:
             assert "vertices[0]" in str(exc)
         else:
             pytest.fail("expected a format error")
+
+
+def _triangle_doc(**changes) -> str:
+    doc = {"version": 1, "q": 2,
+           "vertices": [{"id": 0, "type": 0}, {"id": 1, "type": 1}, {"id": 2, "type": 2}],
+           "edges": [[0, 1], [0, 2], [1, 2]], "chambers": [[0, 1, 2]], "boundary": [2]}
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+class TestBooleansAreNotIntegers:
+    def test_reference_document_loads(self):
+        cx = loads_complex(_triangle_doc())
+        assert cx.q == 2 and cx.boundary == {2} and len(cx.chambers) == 1
+
+    @pytest.mark.parametrize("location,changes", [
+        ("version", {"version": True}),
+        ("q", {"q": True}),
+        ("vertices[0]", {"vertices": [{"id": False, "type": 0}, {"id": 1, "type": 1},
+                                      {"id": 2, "type": 2}]}),
+        ("vertices[1]", {"vertices": [{"id": 0, "type": 0}, {"id": 1, "type": True},
+                                      {"id": 2, "type": 2}]}),
+        ("edges[0]", {"edges": [[False, True], [0, 2], [1, 2]]}),
+        ("chambers[0]", {"chambers": [[False, True, 2]]}),
+        ("boundary", {"boundary": [True]}),
+    ])
+    def test_boolean_rejected(self, location, changes):
+        with pytest.raises(ComplexFormatError, match=re.escape(f"(at {location})")):
+            loads_complex(_triangle_doc(**changes))
+
+    @pytest.mark.parametrize("field", ["vertices", "edges", "chambers", "boundary"])
+    def test_non_array_field_rejected(self, field):
+        with pytest.raises(ComplexFormatError, match="must be an array"):
+            loads_complex(_triangle_doc(**{field: 5}))

@@ -8,8 +8,8 @@ from btzeta import (
     assemble_S_series,
     build_chamber_operator,
     build_edge_operator,
+    closed_paths,
     count_closed_paths,
-    count_table,
     enumerate_primitive_classes,
     primitive_counts,
     primitive_product,
@@ -75,10 +75,19 @@ class TestPrimitiveClasses:
                                       torus, skew_torus):
         for c in (three_cycle, six_cycle, single_chamber, torus, skew_torus):
             for kind in ("edge", "gallery"):
-                table = count_table(c, M, kind)
+                N, classes = closed_paths(c, M, kind)
+                P = primitive_counts(classes, M)
                 for m in range(1, M + 1):
-                    assert table.N[m] == sum(
-                        d * table.P[d] for d in range(1, m + 1) if m % d == 0)
+                    assert N[m] == sum(d * P[d] for d in range(1, m + 1) if m % d == 0)
+
+    def test_one_walk_matches_separate_oracles(self, three_cycle, six_cycle,
+                                               single_chamber, torus, skew_torus):
+        for c in (three_cycle, six_cycle, single_chamber, torus, skew_torus):
+            for kind in ("edge", "gallery"):
+                N, classes = closed_paths(c, M, kind)
+                assert N == count_closed_paths(c, M, kind)
+                assert classes == enumerate_primitive_classes(c, M, kind)
+                assert [assemble_S_series(classes, M)[m] for m in range(M + 1)] == N
 
     def test_torus_primitive_counts_match_geometry(self, torus, torus_spec):
         for kind in ("edge", "gallery"):
