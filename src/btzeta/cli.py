@@ -23,6 +23,7 @@ from . import __version__
 from .complexes import (
     ComplexFormatError,
     TypedComplex,
+    complex_from_json,
     euler_characteristic,
     load_complex,
     save_complex,
@@ -89,12 +90,26 @@ def _die(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _load(path: str, validate: bool = True) -> TypedComplex:
-    """Parse a complex file and, unless told not to, check its invariants."""
+def _read_json(path: str):
+    """The JSON document in a file; a missing file or invalid JSON exits 2."""
     try:
-        cx = load_complex(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except FileNotFoundError:
         _die(EXIT_INPUT_ERROR, f"no such file: {path}")
+    except json.JSONDecodeError as exc:
+        _die(EXIT_INPUT_ERROR,
+             f"cannot parse {path}: not valid JSON: {exc.msg} (at line {exc.lineno})")
+
+
+def _load(path: str, validate: bool = True) -> TypedComplex:
+    """Parse a complex file and, unless told not to, check its invariants."""
+    return _complex_from(path, _read_json(path), validate)
+
+
+def _complex_from(path: str, doc, validate: bool = True) -> TypedComplex:
+    try:
+        cx = complex_from_json(doc)
     except ComplexFormatError as exc:
         _die(EXIT_INPUT_ERROR, f"cannot parse {path}: {exc}")
     if validate:
@@ -266,8 +281,8 @@ def chambers(file: str, out: str | None) -> None:
 
 @main.command("zeta")
 @click.argument("file", type=click.Path())
-@click.option("--order", type=int, default=DEFAULT_ORDER, show_default=True,
-              help="truncation order for the log-derivative series")
+@click.option("--order", type=click.IntRange(min=0), default=DEFAULT_ORDER,
+              show_default=True, help="truncation order for the log-derivative series")
 @click.option("--which", type=click.Choice(["edge", "chamber", "ratio"]),
               default=None, help="restrict the output to one piece")
 @click.option("--sign", type=click.Choice(["neg", "pos"]), default="neg",
@@ -296,7 +311,8 @@ def zeta_cmd(file: str, order: int, which: str | None, sign: str) -> None:
 
 @main.command()
 @click.argument("file", type=click.Path())
-@click.option("--max", "max_length", type=int, default=DEFAULT_ORDER, show_default=True)
+@click.option("--max", "max_length", type=click.IntRange(min=1), default=DEFAULT_ORDER,
+              show_default=True)
 @click.option("--kind", type=click.Choice(["edge", "gallery"]), default="edge",
               show_default=True)
 @click.option("--allow-large-order", is_flag=True,
@@ -427,16 +443,10 @@ def _ratio_from_json(doc) -> tuple[IntPolynomial, IntPolynomial]:
               show_default=True)
 def rh(file: str, q_flag: int | None, chi: int | None, tol: float, sign: str) -> None:
     """Classify a complex file or a ratio JSON against the critical modulus."""
-    try:
-        with open(file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        _die(EXIT_INPUT_ERROR, f"no such file: {file}")
-    except json.JSONDecodeError as exc:
-        _die(EXIT_INPUT_ERROR, f"cannot parse {file}: {exc.msg}")
+    doc = _read_json(file)
     counts = None
     if isinstance(doc, dict) and "vertices" in doc:
-        cx = _load(file)
+        cx = _complex_from(file, doc)
         try:
             rat = zeta_ratio(cx, negate_u=(sign == "neg"))
         except ValueError as exc:
@@ -530,7 +540,7 @@ def run_verify(path: str, max_order: int = DEFAULT_ORDER,
     series_by_kind = {}
     for kind, poly in (("edge", z1), ("gallery", z2)):
         log_deriv = log_derivative_series(poly, max_order)
-        brute, classes = closed_paths(cx, max_order, kind)
+        brute, classes = closed_paths(cx, max_order, kind, allow_large_order)
         prims = primitive_counts(classes, max_order)
         duality_ok = all(log_deriv[m] == brute[m] for m in range(1, max_order + 1))
         structure_ok = all(
@@ -555,12 +565,12 @@ def run_verify(path: str, max_order: int = DEFAULT_ORDER,
     # primitive edge product against both sign conventions of the ratio
     prim_prod = series_by_kind["edge"]["product"]
     z1_sq = z1.subst_u_power(2)
+    z1_sq_prefix = PowerSeriesPrefix([z1_sq[m] for m in range(max_order + 1)], max_order)
     for label, sign in (("product_vs_ratio_neg_u", True),
                         ("product_vs_ratio_pos_u", False)):
         num = z2.subst_neg_u() if sign else z2
         # series of Z1(u^2)/Z2(+-u) up to max_order
-        quotient = series_product(series_inverse(num, max_order),
-                                  _poly_prefix(z1_sq, max_order))
+        quotient = series_product(series_inverse(num, max_order), z1_sq_prefix)
         recorded[label] = bool(
             all(quotient[m] == prim_prod[m] for m in range(max_order + 1)))
     clock("identity")
@@ -599,13 +609,10 @@ def run_verify(path: str, max_order: int = DEFAULT_ORDER,
     return report, EXIT_PASS if mandatory_pass else EXIT_CHECK_FAILURE
 
 
-def _poly_prefix(p: IntPolynomial, order: int) -> PowerSeriesPrefix:
-    return PowerSeriesPrefix([p[m] for m in range(order + 1)], order)
-
-
 @main.command()
 @click.argument("file", type=click.Path())
-@click.option("--max-order", type=int, default=DEFAULT_ORDER, show_default=True)
+@click.option("--max-order", type=click.IntRange(min=1), default=DEFAULT_ORDER,
+              show_default=True)
 @click.option("--allow-large-order", is_flag=True)
 @click.option("--no-timings", is_flag=True, help="omit timings for byte-identical reports")
 def verify(file: str, max_order: int, allow_large_order: bool, no_timings: bool) -> None:

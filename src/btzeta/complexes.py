@@ -30,6 +30,7 @@ __all__ = [
     "simplex_counts",
     "load_complex",
     "loads_complex",
+    "complex_from_json",
     "save_complex",
     "dumps_complex",
 ]
@@ -224,6 +225,11 @@ def loads_complex(text: str) -> TypedComplex:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ComplexFormatError(f"not valid JSON: {exc.msg}", f"line {exc.lineno}") from exc
+    return complex_from_json(doc)
+
+
+def complex_from_json(doc) -> TypedComplex:
+    """The complex described by an already parsed JSON document."""
     _require(isinstance(doc, dict), "top level must be an object", "document")
     version = doc.get("version")
     if not _is_int(version) or version != FORMAT_VERSION:

@@ -97,10 +97,10 @@ class LatticeCone:
     lattice_basis: tuple[tuple[int, ...], ...]  # rows of the basis matrix
     functionals: tuple[tuple[int, ...], ...]    # one integer covector per side
 
-    def __init__(self, functionals, lattice_basis=None, rank=None):  # noqa: D107
+    def __init__(self, functionals, lattice_basis=None):  # noqa: D107
         funcs = tuple(tuple(int(x) for x in f) for f in functionals)
-        r = rank if rank is not None else len(funcs)
-        if len(funcs) != r or any(len(f) != r for f in funcs):
+        r = len(funcs)
+        if any(len(f) != r for f in funcs):
             raise ValueError("need exactly r functionals of length r")
         basis = tuple(tuple(int(x) for x in row) for row in (lattice_basis or _identity(r)))
         if len(basis) != r or any(len(row) != r for row in basis):

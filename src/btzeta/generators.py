@@ -327,8 +327,7 @@ class BallSpec:
             raise GenerationError("center_type must be 0, 1 or 2")
 
 
-def gen_building_ball(spec: BallSpec, with_geometry: bool = False,
-                      radius_bound: int = RADIUS_BOUND):
+def gen_building_ball(spec: BallSpec, with_geometry: bool = False):
     """Radius-r combinatorial ball of the rank-3 affine building.
 
     Vertices are homothety classes of sublattices of a fixed rank-3 lattice;
@@ -338,9 +337,8 @@ def gen_building_ball(spec: BallSpec, with_geometry: bool = False,
     exactly q^2+q+1 neighbors of each of the two other types.
     """
     p, k = _factor_prime_power(spec.q)
-    if spec.radius > radius_bound:
-        raise GenerationError(
-            f"radius {spec.radius} beyond bound {radius_bound}")
+    if spec.radius > RADIUS_BOUND:
+        raise GenerationError(f"radius {spec.radius} beyond bound {RADIUS_BOUND}")
     if spec.radius == 0:
         cx = TypedComplex([(0, spec.center_type)], q=spec.q, boundary=[0])
         geometry = {"version": 1, "kind": "ball", "q": spec.q,

@@ -1,12 +1,12 @@
 """Brute-force enumeration of closed positive geodesics and galleries.
 
 This module is the independent oracle for the linear-algebra layer: it walks
-the local transition relations directly (depth-first, no matrices) to count
-based closed paths, decomposes them into rotation classes with primitive
-lengths and powers, and assembles the weighted length series and the product
-over primitive classes.  ``closed_paths`` does the counting and the class
-collection in one walk; ``count_closed_paths`` is the count-only walk, kept
-as the plain oracle.
+the transition relation of ``operators.transitions`` directly (depth-first,
+no matrices) to count based closed paths, decomposes them into rotation
+classes with primitive lengths and powers, and assembles the length series
+and the product over primitive classes.  ``closed_paths`` does the counting
+and the class collection in one walk; ``count_closed_paths`` is the
+count-only walk, kept as the plain oracle.
 
 Enumeration cost grows exponentially with the order, so the order defaults
 to 12 and is capped at 20 unless explicitly overridden.
@@ -15,23 +15,16 @@ to 12 and is capped at 20 unless explicitly overridden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import TypedComplex
 from .generators import POSITIVE_DIRECTIONS
-from .operators import (
-    _chambers_of_edge,
-    directed_edges,
-    edge_successors,
-    gallery_successors,
-    pointed_chambers,
-)
+from .operators import transitions
 from .polynomials import IntPolynomial, PowerSeriesPrefix
 
 __all__ = [
     "GeodesicClass",
-    "ClassWeight",
     "DEFAULT_ORDER",
     "ORDER_CAP",
     "closed_paths",
@@ -49,19 +42,6 @@ ORDER_CAP = 20
 
 
 @dataclass(frozen=True)
-class ClassWeight:
-    """Per-class weight data; defaults model the regular rank-one case."""
-
-    lam: Fraction | int
-    chi_abs: int = 1
-    trace_omega: complex | Fraction | int = 1
-    trace_sigma: complex | Fraction | int = 1
-
-    def scalar(self):
-        return self.lam * self.chi_abs * self.trace_omega * self.trace_sigma
-
-
-@dataclass(frozen=True)
 class GeodesicClass:
     """Rotation class of a closed positive path (edge) or gallery (chamber)."""
 
@@ -69,13 +49,10 @@ class GeodesicClass:
     primitive_length: int
     power: int
     representative: tuple
-    weight: ClassWeight = field(compare=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.length != self.power * self.primitive_length:
             raise ValueError("length must equal power * primitive_length")
-        if self.weight is None:
-            object.__setattr__(self, "weight", ClassWeight(lam=self.primitive_length))
 
 
 def _check_order(max_length: int, allow_large: bool) -> None:
@@ -85,19 +62,6 @@ def _check_order(max_length: int, allow_large: bool) -> None:
         raise ValueError(
             f"enumeration order {max_length} exceeds the cap {ORDER_CAP}; "
             "pass allow_large=True to override (cost grows exponentially)")
-
-
-def _transition_system(c: TypedComplex, kind: str):
-    if kind == "edge":
-        nodes = directed_edges(c)
-        succ = {e: tuple(edge_successors(c, e)) for e in nodes}
-    elif kind == "gallery":
-        nodes = pointed_chambers(c)
-        table = _chambers_of_edge(c)
-        succ = {pc: tuple(gallery_successors(c, pc, table)) for pc in nodes}
-    else:
-        raise ValueError(f"unknown kind {kind!r}: expected 'edge' or 'gallery'")
-    return nodes, succ
 
 
 def count_closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
@@ -110,7 +74,7 @@ def count_closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
     _check_order(max_length, allow_large)
     if c.boundary:
         raise ValueError("closed-path counts are defined for closed complexes only")
-    nodes, succ = _transition_system(c, kind)
+    nodes, succ = transitions(c, kind)
     counts = [0] * (max_length + 1)
 
     def walk(start, v, depth):
@@ -144,12 +108,12 @@ def closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
     N is indexed by length like ``count_closed_paths``; classes holds one
     representative per rotation-equivalence class, annotated with its minimal
     period (primitive length) and the power it is of the underlying primitive
-    class.  Default weights model the regular case.
+    class.
     """
     _check_order(max_length, allow_large)
     if c.boundary:
         raise ValueError("closed-path enumeration is defined for closed complexes only")
-    nodes, succ = _transition_system(c, kind)
+    nodes, succ = transitions(c, kind)
     counts = [0] * (max_length + 1)
     seen: set[tuple] = set()
 
@@ -201,15 +165,15 @@ def primitive_product(classes, max_length: int) -> PowerSeriesPrefix:
 
 
 def assemble_S_series(classes, max_length: int) -> PowerSeriesPrefix:
-    """Weighted length series: sum of weight * u^length over all classes.
+    """Length series: sum of primitive_length * u^length over all classes.
 
-    With default weights the coefficient of u^m equals the based closed-path
-    count N[m] (each class of primitive length d contributes d).
+    The coefficient of u^m equals the based closed-path count N[m] (each
+    class of primitive length d contributes d).
     """
     coeffs: list = [Fraction(0)] * (max_length + 1)
     for g in classes:
         if g.length <= max_length:
-            coeffs[g.length] += g.weight.scalar()
+            coeffs[g.length] += g.primitive_length
     return PowerSeriesPrefix(coeffs, max_length)
 
 

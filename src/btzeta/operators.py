@@ -46,6 +46,7 @@ __all__ = [
     "pointed_chambers",
     "edge_successors",
     "gallery_successors",
+    "transitions",
     "build_edge_operator",
     "build_chamber_operator",
 ]
@@ -174,6 +175,32 @@ def _chambers_of_edge(c: TypedComplex) -> dict[tuple[int, int], list]:
     return table
 
 
+def transitions(c: TypedComplex, kind: str) -> tuple[list, dict]:
+    """(nodes, successors) of the positive ``kind`` relation, 'edge' or 'gallery'.
+
+    nodes is the canonically sorted index set; successors maps each node to
+    the tuple of its continuations in canonical order.  Both transfer
+    operators are the 0/1 matrices of this relation; ``geodesics`` walks it.
+    """
+    if kind == "edge":
+        nodes = directed_edges(c)
+        succ = {e: tuple(edge_successors(c, e)) for e in nodes}
+    elif kind == "gallery":
+        nodes = pointed_chambers(c)
+        table = _chambers_of_edge(c)
+        succ = {pc: tuple(gallery_successors(c, pc, table)) for pc in nodes}
+    else:
+        raise ValueError(f"unknown kind {kind!r}: expected 'edge' or 'gallery'")
+    return nodes, succ
+
+
+def _transfer_matrix(c: TypedComplex, kind: str) -> SparseIntMatrix:
+    nodes, succ = transitions(c, kind)
+    index = {x: i for i, x in enumerate(nodes)}
+    return SparseIntMatrix(
+        len(nodes), ((index[y], index[x], 1) for x in nodes for y in succ[x]))
+
+
 def build_edge_operator(c: TypedComplex) -> SparseIntMatrix:
     """0/1 transfer matrix T with T[e2, e] = 1 iff e2 positively continues e.
 
@@ -181,15 +208,10 @@ def build_edge_operator(c: TypedComplex) -> SparseIntMatrix:
     closed complex with a nonempty edge set.
     """
     _check_closed(c, "edge operator")
-    edges = directed_edges(c)
-    if not edges:
+    matrix = _transfer_matrix(c, "edge")
+    if not matrix.dim:
         raise ValueError("edge operator needs a nonempty edge set")
-    index = {e: i for i, e in enumerate(edges)}
-    entries = []
-    for e in edges:
-        for e2 in edge_successors(c, e):
-            entries.append((index[e2], index[e], 1))
-    return SparseIntMatrix(len(edges), entries)
+    return matrix
 
 
 def build_chamber_operator(c: TypedComplex) -> SparseIntMatrix:
@@ -199,11 +221,4 @@ def build_chamber_operator(c: TypedComplex) -> SparseIntMatrix:
     chamber set gives the 0x0 matrix (its zeta polynomial is 1).
     """
     _check_closed(c, "chamber operator")
-    pcs = pointed_chambers(c)
-    index = {pc: i for i, pc in enumerate(pcs)}
-    table = _chambers_of_edge(c)
-    entries = []
-    for pc in pcs:
-        for nxt in gallery_successors(c, pc, table):
-            entries.append((index[nxt], index[pc], 1))
-    return SparseIntMatrix(len(pcs), entries)
+    return _transfer_matrix(c, "gallery")

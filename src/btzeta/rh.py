@@ -135,9 +135,12 @@ def classify_ramanujan(f, q: int | None, chi: int | None = None,
     a missing pole factor are recorded in the report, never raised.  Roots
     within ``tol`` of modulus q^(-1/2) pass; roots within ``10*tol`` are
     reported as boundary cases (verdict ``inconclusive``); anything farther
-    is a non-tempered witness.
+    is a non-tempered witness.  A zero numerator or denominator raises
+    ``ValueError``.
     """
     num, den_in = (f.num, f.den) if isinstance(f, RationalFn) else f
+    if num.is_zero() or den_in.is_zero():
+        raise ValueError("zeta ratio numerator and denominator must be nonzero")
     notes: list[str] = []
     if q is None or q < 2:
         return RHReport(

@@ -26,12 +26,8 @@ def zeta_edge(c: TypedComplex) -> IntPolynomial:
 def zeta_chamber(c: TypedComplex) -> IntPolynomial:
     """det(I - u L) for the pointed-chamber transfer operator L.
 
-    A complex without chambers yields the constant polynomial 1.
+    A closed complex without chambers yields the constant polynomial 1.
     """
-    if not c.chambers:
-        if c.boundary:
-            raise ValueError("chamber zeta is undefined on complexes with boundary")
-        return IntPolynomial.one()
     return char_poly_reverse(build_chamber_operator(c))
 
 

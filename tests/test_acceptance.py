@@ -22,7 +22,6 @@ from btzeta import (
     IntPolynomial,
     LatticeCone,
     TypedComplex,
-    assemble_S_series,
     classify_ramanujan,
     cone_generators,
     cone_series_closed_form,
@@ -39,14 +38,14 @@ from btzeta import (
     log_derivative_series,
     polynomial_roots,
     primitive_counts,
-    primitive_product,
     ratio,
+    save_complex,
     simplex_counts,
     zeta_chamber,
     zeta_edge,
 )
+from btzeta.cli import run_verify
 from btzeta.operators import directed_edges, edge_successors
-from btzeta.polynomials import series_exp_neg_integral, series_inverse, series_product
 
 M = 12
 
@@ -209,25 +208,19 @@ def test_criterion_4_primitive_structure():
               "generated complex, both kinds, m <= 12", started, 60.0)
 
 
-def test_criterion_5_identity_harness():
+def test_criterion_5_identity_harness(tmp_path):
     started = time.perf_counter()
     recorded_lines = []
-    for name, c in suite_complexes():
-        classes = enumerate_primitive_classes(c, M)
-        s = assemble_S_series(classes, M)
-        exp_side = series_exp_neg_integral([0] + [s[m] for m in range(1, M + 1)], M)
-        product = primitive_product(classes, M)
-        assert exp_side == product, name  # exact, mandatory
-        z1_sq = zeta_edge(c).subst_u_power(2)
-        z2 = zeta_chamber(c)
-        outcomes = {}
-        for label, num in (("-u", z2.subst_neg_u()), ("+u", z2)):
-            quotient = series_product(
-                series_inverse(num, M),
-                _prefix(z1_sq, M))
-            outcomes[label] = all(quotient[m] == product[m] for m in range(M + 1))
+    for i, (name, c) in enumerate(suite_complexes()):
+        path = tmp_path / f"complex{i}.json"
+        save_complex(c, path)
+        rep, _ = run_verify(str(path), M)
+        for kind in ("edge", "gallery"):
+            assert rep["checks"][f"exp_identity_{kind}"]["passed"], (name, kind)  # exact
+        recorded = rep["recorded"]
         recorded_lines.append(f"    {name}: product == Z1(u^2)/Z2(-u): "
-                              f"{outcomes['-u']}; +u: {outcomes['+u']}")
+                              f"{recorded['product_vs_ratio_neg_u']}; "
+                              f"+u: {recorded['product_vs_ratio_pos_u']}")
     dataset = os.environ.get("BTZ_RAMANUJAN_DATASET")
     if dataset:
         c = load_complex(dataset)
@@ -250,12 +243,6 @@ def test_criterion_5_identity_harness():
     for line in recorded_lines:
         print(line)
     print(dataset_line)
-
-
-def _prefix(p: IntPolynomial, order: int):
-    from btzeta.polynomials import PowerSeriesPrefix
-
-    return PowerSeriesPrefix([p[m] for m in range(order + 1)], order)
 
 
 def test_criterion_6_rh_classifier():

@@ -184,6 +184,21 @@ class TestRH:
             assert doc["pole_factor_found"] is True
             assert doc["verdict"] == "ramanujan"
 
+    def test_complex_file_read_once(self, runner, tmp_path, monkeypatch):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
+            opened = []
+            real_open = open
+
+            def counting_open(file, *args, **kwargs):
+                opened.append(str(file))
+                return real_open(file, *args, **kwargs)
+
+            monkeypatch.setattr("builtins.open", counting_open)
+            result = invoke(runner, ["rh", "c3.json"])
+        assert result.exit_code == 0
+        assert opened.count("c3.json") == 1
+
     def test_complex_input_without_q(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
@@ -216,6 +231,14 @@ class TestVerify:
             open("junk.json", "w").write("]")
             result = runner.invoke(main, ["verify", "junk.json"])
             assert result.exit_code == 2
+
+    def test_verify_beyond_cap_with_override(self, runner, tmp_path):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
+            result = runner.invoke(main, ["verify", "c3.json", "--no-timings",
+                                          "--allow-large-order", "--max-order", "21"])
+            assert result.exit_code == 0
+            assert json.loads(result.stdout)["checks"]["duality_edge"]["order"] == 21
 
     def test_skipped_entries_visible(self, runner, tmp_path, three_cycle):
         with runner.isolated_filesystem(temp_dir=tmp_path):
@@ -292,13 +315,13 @@ class TestEachQuantityOnce:
     @pytest.fixture()
     def walk_kinds(self, monkeypatch):
         kinds = []
-        original = geodesics._transition_system
+        original = geodesics.transitions
 
         def counting(c, kind):
             kinds.append(kind)
             return original(c, kind)
 
-        monkeypatch.setattr(geodesics, "_transition_system", counting)
+        monkeypatch.setattr(geodesics, "transitions", counting)
         return kinds
 
     def test_verify_charpoly_once_per_operator(self, tmp_path, torus, charpoly_dims):
@@ -346,6 +369,18 @@ class TestMalformedInput:
             result = runner.invoke(main, command + ["bad.json"])
             assert result.exit_code == 2
             assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--max-order", "0"], ["verify", "--max-order", "-1"],
+        ["count", "--max", "0"], ["count", "--max", "-1"], ["zeta", "--order", "-1"],
+    ], ids=" ".join)
+    def test_bad_order_exit_two(self, runner, tmp_path, args):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
+            result = runner.invoke(main, args + ["c3.json"])
+            assert result.exit_code == 2
+            assert isinstance(result.exception, SystemExit)
+            assert f"Invalid value for '{args[1]}'" in result.stderr
 
     def test_validate_reports_dangling_edge_as_violation(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):

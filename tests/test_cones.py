@@ -236,7 +236,7 @@ class TestMultivariableSeries:
     def test_rank_one_export_matches_geodesics(self, three_cycle):
         classes = enumerate_primitive_classes(three_cycle, 12)
         ledger = [
-            {"l": (g.length,), "weight": g.weight.lam}
+            {"l": (g.length,), "weight": g.primitive_length}
             for g in classes if g.power == 1
         ]
         series = assemble_multivariable_S(ledger, 12, 1)

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from btzeta import (
-    ClassWeight,
     GeodesicClass,
     assemble_S_series,
     build_chamber_operator,
@@ -129,26 +128,9 @@ class TestSeriesAssembly:
                     [0] + [s[m] for m in range(1, M + 1)], M)
                 assert exp_side == primitive_product(classes, M)
 
-    def test_weight_negation(self, three_cycle):
-        classes = enumerate_primitive_classes(three_cycle, 6)
-        flipped = [
-            GeodesicClass(g.length, g.primitive_length, g.power, g.representative,
-                          ClassWeight(lam=g.primitive_length, trace_omega=-1))
-            for g in classes
-        ]
-        plain = assemble_S_series(classes, 6)
-        negated = assemble_S_series(flipped, 6)
-        assert all(negated[m] == -plain[m] for m in range(1, 7))
-
     def test_empty_class_list(self):
         series = assemble_S_series([], 6)
         assert all(series[m] == 0 for m in range(7))
-
-    def test_weight_defaults(self, three_cycle):
-        g = enumerate_primitive_classes(three_cycle, 3)[0]
-        assert g.weight.lam == g.primitive_length
-        assert g.weight.chi_abs == 1
-        assert g.weight.scalar() == 3
 
 
 class TestGeodesicClassInvariants:

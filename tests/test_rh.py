@@ -122,6 +122,13 @@ class TestClassifyRamanujan:
         assert report.verdict == "inconclusive"
         assert report.boundary_roots
 
+    @pytest.mark.parametrize("side", ["num", "den"])
+    def test_zero_polynomial_rejected(self, side):
+        one, zero = IntPolynomial([1]), IntPolynomial([0])
+        pair = (zero, one) if side == "num" else (one, zero)
+        with pytest.raises(ValueError, match="nonzero"):
+            classify_ramanujan(pair, q=2)
+
     def test_json_roundtrip(self):
         num = U3 * tempered_quadratic(2, 1)
         den = IntPolynomial([1, 0, 0, -8])
