@@ -91,12 +91,17 @@ def _die(code: int, message: str) -> None:
 
 
 def _read_json(path: str):
-    """The JSON document in a file; a missing file or invalid JSON exits 2."""
+    """The JSON document in a file; an unreadable file or invalid JSON exits 2."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         _die(EXIT_INPUT_ERROR, f"no such file: {path}")
+    except OSError as exc:
+        _die(EXIT_INPUT_ERROR, f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        _die(EXIT_INPUT_ERROR,
+             f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
     except json.JSONDecodeError as exc:
         _die(EXIT_INPUT_ERROR,
              f"cannot parse {path}: not valid JSON: {exc.msg} (at line {exc.lineno})")
@@ -499,7 +504,7 @@ def run_verify(path: str, max_order: int = DEFAULT_ORDER,
 
     try:
         cx = load_complex(path)
-    except (FileNotFoundError, ComplexFormatError) as exc:
+    except (OSError, UnicodeDecodeError, ComplexFormatError) as exc:
         report["error"] = {"stage": "load", "message": str(exc)}
         return report, EXIT_INPUT_ERROR
     clock("load")
@@ -579,9 +584,9 @@ def run_verify(path: str, max_order: int = DEFAULT_ORDER,
     if geom_path.exists():
         try:
             geom = json.loads(geom_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             geom = None
-        if geom and geom.get("kind") == "torus":
+        if isinstance(geom, dict) and geom.get("kind") == "torus":
             basis = geom["basis"]
             geo_checks = {}
             for kind in ("edge", "gallery"):

@@ -73,7 +73,7 @@ class TypedComplex:
     """
 
     __slots__ = ("vertices", "edges", "chambers", "q", "boundary",
-                 "type_of", "_edge_set", "_chamber_set")
+                 "type_of", "_edge_set", "_chamber_set", "_neighbors")
 
     def __init__(
         self,
@@ -94,6 +94,11 @@ class TypedComplex:
         self.type_of = {v: t for v, t in vs}
         self._edge_set = frozenset(es)
         self._chamber_set = frozenset(cs)
+        neighbors: dict[int, list[int]] = {}
+        for a, b in es:
+            neighbors.setdefault(a, []).append(b)
+            neighbors.setdefault(b, []).append(a)
+        self._neighbors = {v: tuple(ws) for v, ws in neighbors.items()}
 
     # -- queries -------------------------------------------------------------
 
@@ -104,13 +109,8 @@ class TypedComplex:
         return tuple(sorted((a, b, c))) in self._chamber_set
 
     def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
+        """Vertices joined to v, in the order of the sorted edge list."""
+        return list(self._neighbors.get(v, ()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TypedComplex) and (

@@ -1,7 +1,9 @@
 """Zeta polynomials of the two transfer operators and their ratio.
 
 ``zeta_edge`` and ``zeta_chamber`` are the reverse characteristic polynomials
-det(I - u T) of the edge and chamber operators; both are products of
+det(I - u T) of the edge and chamber operators, computed as det(I - u^3 X)
+from the three-step operator X on the smallest type grade (see
+``operators``); both are products of
 (1 - u^length) over the primitive closed positive geodesics resp. galleries,
 which is what the duality tests in the suite check coefficient by
 coefficient.  ``ratio_of`` forms the normalized rational function
@@ -12,7 +14,7 @@ polynomials; ``ratio`` computes them from a complex first.
 from __future__ import annotations
 
 from .complexes import TypedComplex
-from .operators import build_chamber_operator, build_edge_operator
+from .operators import three_step_operator
 from .polynomials import IntPolynomial, RationalFn, char_poly_reverse
 
 __all__ = ["zeta_edge", "zeta_chamber", "ratio", "ratio_of"]
@@ -20,7 +22,7 @@ __all__ = ["zeta_edge", "zeta_chamber", "ratio", "ratio_of"]
 
 def zeta_edge(c: TypedComplex) -> IntPolynomial:
     """det(I - u T) for the positive-edge transfer operator T."""
-    return char_poly_reverse(build_edge_operator(c))
+    return char_poly_reverse(three_step_operator(c, "edge")).subst_u_power(3)
 
 
 def zeta_chamber(c: TypedComplex) -> IntPolynomial:
@@ -28,7 +30,7 @@ def zeta_chamber(c: TypedComplex) -> IntPolynomial:
 
     A closed complex without chambers yields the constant polynomial 1.
     """
-    return char_poly_reverse(build_chamber_operator(c))
+    return char_poly_reverse(three_step_operator(c, "gallery")).subst_u_power(3)
 
 
 def ratio_of(z1: IntPolynomial, z2: IntPolynomial, negate_u: bool = True) -> RationalFn:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -324,18 +325,20 @@ class TestEachQuantityOnce:
         monkeypatch.setattr(geodesics, "transitions", counting)
         return kinds
 
+    # the zetas are det(I - u^3 X) on the smallest type grade, so each charpoly
+    # runs on a third of the 27 positive edges and 54 pointed chambers
     def test_verify_charpoly_once_per_operator(self, tmp_path, torus, charpoly_dims):
         path = tmp_path / "t.json"
         save_complex(torus, path)
         run_verify(str(path), max_order=6)
-        assert charpoly_dims == [27, 54]
+        assert charpoly_dims == [9, 18]
 
     def test_zeta_command_charpoly_once_per_operator(self, runner, tmp_path,
                                                      charpoly_dims):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             write_torus(runner)
             invoke(runner, ["zeta", "torus.json"])
-        assert charpoly_dims == [27, 54]
+        assert charpoly_dims == [9, 18]
 
     def test_verify_walks_once_per_kind(self, tmp_path, torus, walk_kinds):
         path = tmp_path / "t.json"
@@ -381,6 +384,37 @@ class TestMalformedInput:
             assert result.exit_code == 2
             assert isinstance(result.exception, SystemExit)
             assert f"Invalid value for '{args[1]}'" in result.stderr
+
+    @pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("command", [["info"], ["verify"], ["rh"]], ids=" ".join)
+    def test_unreadable_file_exit_two(self, runner, tmp_path, command, unreadable):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            if unreadable == "directory":
+                Path("in.json").mkdir()
+            else:
+                Path("in.json").write_bytes(b"\xff\xfe{}")
+            result = runner.invoke(main, command + ["in.json"])
+            assert result.exit_code == 2
+            assert isinstance(result.exception, SystemExit)
+            if command == ["verify"]:
+                assert json.loads(result.stdout)["error"]["stage"] == "load"
+            else:
+                assert "error: cannot read in.json" in result.stderr
+
+    @pytest.mark.parametrize("sidecar", [b"\xff\xfe{}", b"[1]", None],
+                             ids=["not-utf8", "not-object", "directory"])
+    def test_unreadable_sidecar_is_skipped(self, runner, tmp_path, sidecar):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
+            Path("c3.geom").unlink()
+            if sidecar is None:
+                Path("c3.geom").mkdir()
+            else:
+                Path("c3.geom").write_bytes(sidecar)
+            result = invoke(runner, ["verify", "c3.json", "--no-timings"])
+            assert result.exit_code == 0
+            assert json.loads(result.stdout)["recorded"]["torus_geometric_oracle"] == \
+                "skipped (sidecar is not torus geometry)"
 
     def test_validate_reports_dangling_edge_as_violation(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):

@@ -72,6 +72,15 @@ class TestValidation:
             assert validate_complex(c).ok
 
 
+class TestNeighbors:
+    def test_sorted_edge_order(self, torus, ball_q2):
+        # the order a scan of the sorted edge list gives
+        for c in (torus, ball_q2):
+            for v in [v for v, _ in c.vertices] + [10**6]:
+                scan = [b if a == v else a for a, b in c.edges if v in (a, b)]
+                assert c.neighbors(v) == scan
+
+
 class TestEulerCharacteristic:
     def test_three_cycle(self, three_cycle):
         assert euler_characteristic(three_cycle) == 0

@@ -1,19 +1,30 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btzeta import (
+    ApartmentSpec,
     IntPolynomial,
+    TypedComplex,
+    build_chamber_operator,
+    build_edge_operator,
+    char_poly_reverse,
     count_closed_paths,
     enumerate_primitive_classes,
     log_derivative_series,
     primitive_product,
     ratio,
+    three_step_operator,
     zeta_chamber,
     zeta_edge,
 )
+from btzeta.generators import gen_apartment_torus, gen_cycle_complex
+from btzeta.polynomials import berkowitz_char_poly_reverse
 
 M = 12
 ONE_MINUS_U3 = IntPolynomial([1, 0, 0, -1])
@@ -91,3 +102,86 @@ class TestRatio:
         # all torus strips pair with line classes, so the ratio collapses
         f = ratio(torus)
         assert f.num == IntPolynomial([1]) and f.den == IntPolynomial([1])
+
+
+def closed_typed_complex(rng: random.Random, per_type=(3, 3, 3), p_edge: float = 1.0,
+                         p_chamber: float = 0.5) -> TypedComplex:
+    """Random closed complex: each edge of the complete tripartite graph on
+    ``per_type`` vertices kept with probability p_edge, each triangle whose
+    edges are all kept made a chamber with probability p_chamber."""
+    verts, by_type = [], []
+    for t, k in enumerate(per_type):
+        by_type.append(list(range(len(verts), len(verts) + k)))
+        verts += [(v, t) for v in by_type[t]]
+    edges = {(a, b) for s in range(3) for a in by_type[s] for b in by_type[(s + 1) % 3]
+             if rng.random() < p_edge}
+    chambers = [(a, b, c) for a in by_type[0] for b in by_type[1] for c in by_type[2]
+                if all(e in edges or e[::-1] in edges for e in ((a, b), (b, c), (a, c)))
+                and rng.random() < p_chamber]
+    return TypedComplex(verts, edges, chambers)
+
+
+def _torus(a, b, c, d):
+    return gen_apartment_torus(ApartmentSpec(((a, b), (c, d))))
+
+
+GRADED_CASES = {
+    **{f"torus {a} {b} {c} {d}": (lambda a=a, b=b, c=c, d=d: _torus(a, b, c, d))
+       for a, b, c, d in ((3, 0, 0, 3), (6, 0, 0, 6), (9, 0, 0, 9), (6, 3, 0, 9))},
+    **{f"cycle {n}": (lambda n=n: gen_cycle_complex(n)) for n in (3, 6, 9)},
+    **{f"branching {seed}": (lambda seed=seed: closed_typed_complex(random.Random(seed)))
+       for seed in range(4)},
+    # grades of different sizes: 6, 12 and 8 positive edges
+    "uneven grades": lambda: closed_typed_complex(random.Random(9), per_type=(2, 3, 4)),
+}
+
+
+class TestGradedReduction:
+    """det(I - u T) = det(I - u^3 X) against the full transfer operators."""
+
+    @pytest.mark.parametrize("case", list(GRADED_CASES))
+    def test_equals_full_operator(self, case):
+        c = GRADED_CASES[case]()
+        for zeta, full in ((zeta_edge, build_edge_operator),
+                           (zeta_chamber, build_chamber_operator)):
+            t = full(c)
+            expected = char_poly_reverse(t)
+            assert zeta(c) == expected
+            if t.dim <= 60:
+                assert berkowitz_char_poly_reverse(t) == expected
+
+    def test_smallest_grade(self):
+        c = GRADED_CASES["uneven grades"]()
+        assert three_step_operator(c, "edge").dim == 6
+        # every chamber has one pointer of each type, so chamber grades are equal
+        assert three_step_operator(c, "gallery").dim == len(c.chambers)
+
+    def test_empty_smallest_grade_gives_one(self):
+        # the path 0 - 1 - 2 has no positive edge with a tail of type 2
+        path = TypedComplex([(0, 0), (1, 1), (2, 2)], [(0, 1), (1, 2)])
+        assert build_edge_operator(path).entries  # T is nonzero but nilpotent
+        assert three_step_operator(path, "edge").dim == 0
+        assert zeta_edge(path) == IntPolynomial([1])
+
+    def test_guards_match_full_operators(self, ball_q2):
+        with pytest.raises(ValueError, match="edge operator is undefined"):
+            three_step_operator(ball_q2, "edge")
+        with pytest.raises(ValueError, match="chamber operator is undefined"):
+            three_step_operator(ball_q2, "gallery")
+        with pytest.raises(ValueError, match="nonempty edge set"):
+            three_step_operator(TypedComplex([(0, 0)]), "edge")
+        with pytest.raises(ValueError, match="unknown kind"):
+            three_step_operator(ball_q2, "chamber")
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.tuples(*[st.integers(1, 3)] * 3), st.floats(0.3, 1.0), st.floats(0.0, 1.0),
+           st.randoms(use_true_random=False))
+    def test_zetas_are_polynomials_in_u_cubed(self, per_type, p_edge, p_chamber, rng):
+        c = closed_typed_complex(rng, per_type, p_edge, p_chamber)
+        pairs = [(zeta_chamber, build_chamber_operator)]
+        if c.edges:  # the edge operator needs a nonempty edge set
+            pairs.append((zeta_edge, build_edge_operator))
+        for zeta, full in pairs:
+            z = char_poly_reverse(full(c))
+            assert all(a == 0 for k, a in enumerate(z.coeffs) if k % 3)
+            assert zeta(c) == z
