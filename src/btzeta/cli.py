@@ -477,6 +477,23 @@ def rh(file: str, q_flag: int | None, chi: int | None, tol: float, sign: str) ->
 # ---------------------------------------------------------------------------
 
 
+def _sidecar_torus_basis(geom_path: Path) -> list | None:
+    """The nonsingular 2x2 integer basis of a torus sidecar, or None if it has none."""
+    try:
+        geom = json.loads(geom_path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    if not isinstance(geom, dict) or geom.get("kind") != "torus":
+        return None
+    basis = geom.get("basis")
+    if not (isinstance(basis, list) and len(basis) == 2 and all(
+            isinstance(row, list) and len(row) == 2 and all(type(x) is int for x in row)
+            for row in basis)):
+        return None
+    (a, b), (c, d) = basis
+    return basis if a * d - b * c else None
+
+
 def run_verify(path: str, max_order: int = DEFAULT_ORDER,
                allow_large_order: bool = False,
                with_timings: bool = True) -> tuple[dict, int]:
@@ -582,12 +599,8 @@ def run_verify(path: str, max_order: int = DEFAULT_ORDER,
 
     geom_path = Path(path).with_suffix(".geom")
     if geom_path.exists():
-        try:
-            geom = json.loads(geom_path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-            geom = None
-        if isinstance(geom, dict) and geom.get("kind") == "torus":
-            basis = geom["basis"]
+        basis = _sidecar_torus_basis(geom_path)
+        if basis is not None:
             geo_checks = {}
             for kind in ("edge", "gallery"):
                 expected = torus_trace_counts(basis, max_order, kind)

@@ -4,12 +4,22 @@ This module is the independent oracle for the linear-algebra layer: it walks
 the transition relation of ``operators.transitions`` directly (depth-first,
 no matrices) to count based closed paths, decomposes them into rotation
 classes with primitive lengths and powers, and assembles the length series
-and the product over primitive classes.  ``closed_paths`` does the counting
-and the class collection in one walk; ``count_closed_paths`` is the
-count-only walk, kept as the plain oracle.
+and the product over primitive classes.
 
-Enumeration cost grows exponentially with the order, so the order defaults
-to 12 and is capped at 20 unless explicitly overridden.
+``closed_paths`` roots each rotation class at its smallest node, as in
+Johnson's circuit enumeration (SIAM J. Comput. 4, 1975): the walk from a
+start s visits only nodes >= s, so every class is found from its smallest
+node, and a closed walk is kept only if it is its own smallest rotation.
+One backward breadth-first search per s gives each node's return distance to
+s through nodes > s; the walk steps into a node only if that distance fits in
+the steps left, which cuts every prefix that cannot close in time.  N is
+taken from the classes: a class of primitive length d has d based rotations.
+``count_closed_paths`` is the unpruned count-only walk, kept as the plain
+oracle.
+
+Enumeration cost grows exponentially with the order (for ``closed_paths``,
+with the number of prefixes that can still close), so the order defaults to
+12 and is capped at 20 unless explicitly overridden.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from fractions import Fraction
 from .complexes import TypedComplex
 from .generators import POSITIVE_DIRECTIONS
 from .operators import transitions
-from .polynomials import IntPolynomial, PowerSeriesPrefix
+from .polynomials import PowerSeriesPrefix
 
 __all__ = [
     "GeodesicClass",
@@ -89,16 +99,39 @@ def count_closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
     return counts
 
 
-def _min_rotation(seq: tuple) -> tuple:
-    return min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
+def _least_rotation_period(rep: tuple) -> int:
+    """Minimal period of rep if rep is its own smallest rotation, else 0.
+
+    rep starts at its smallest node, so a smaller rotation, and the first
+    rotation equal to rep, can only start at a later occurrence of that node.
+    """
+    for i in range(1, len(rep)):
+        if rep[i] == rep[0]:
+            rotation = rep[i:] + rep[:i]
+            if rotation < rep:
+                return 0
+            if rotation == rep:
+                return i
+    return len(rep)
 
 
-def _min_period(seq: tuple) -> int:
-    n = len(seq)
-    for d in range(1, n + 1):
-        if n % d == 0 and seq == seq[d:] + seq[:d]:
-            return d
-    return n
+def _return_distances(pred: list[list[int]], s: int, max_length: int) -> dict[int, int]:
+    """Fewest steps from each node v > s back to s through nodes > s (s itself: 0).
+
+    Breadth-first over the predecessors; nodes that cannot reach s within
+    max_length - 1 steps are absent.
+    """
+    dist = {s: 0}
+    frontier = [s]
+    for d in range(1, max_length):
+        reached = []
+        for w in frontier:
+            for v in pred[w]:
+                if v > s and v not in dist:
+                    dist[v] = d
+                    reached.append(v)
+        frontier = reached
+    return dist
 
 
 def closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
@@ -106,35 +139,55 @@ def closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
     """(N, classes) from one depth-first walk, for lengths 1..max_length.
 
     N is indexed by length like ``count_closed_paths``; classes holds one
-    representative per rotation-equivalence class, annotated with its minimal
-    period (primitive length) and the power it is of the underlying primitive
-    class.
+    representative per rotation-equivalence class (its lexicographically
+    smallest rotation), annotated with its minimal period (primitive length)
+    and the power it is of the underlying primitive class.
+
+    Each class is found once, from its smallest node (see the module
+    docstring), and N[m] is the sum of the primitive lengths of the classes
+    of length m.
     """
     _check_order(max_length, allow_large)
     if c.boundary:
         raise ValueError("closed-path enumeration is defined for closed complexes only")
     nodes, succ = transitions(c, kind)
+    index = {x: i for i, x in enumerate(nodes)}  # nodes are sorted: indices compare alike
+    out = [[index[y] for y in succ[x]] for x in nodes]
+    pred: list[list[int]] = [[] for _ in nodes]
+    for i, ys in enumerate(out):
+        for j in ys:
+            pred[j].append(i)
+    reps: list[tuple[tuple, int]] = []  # (smallest rotation, minimal period)
+
+    def walk(v, left):
+        """Extend ``trail``, which ends at v, by at most ``left`` steps."""
+        left -= 1
+        for w in out[v]:
+            d = dist.get(w)
+            if d is None or d > left:
+                continue
+            if w == s:
+                rep = tuple(trail)
+                period = _least_rotation_period(rep)
+                if period:
+                    reps.append((rep, period))
+                if not left:
+                    continue
+            trail.append(w)
+            walk(w, left)
+            trail.pop()
+
+    for s in range(len(nodes)):
+        dist = _return_distances(pred, s, max_length)
+        trail = [s]
+        walk(s, max_length)
     counts = [0] * (max_length + 1)
-    seen: set[tuple] = set()
-
-    def walk(start, v, depth, trail):
-        for w in succ[v]:
-            if w == start:
-                counts[depth + 1] += 1
-                seen.add(_min_rotation(tuple(trail)))
-            if depth + 1 < max_length:
-                trail.append(w)
-                walk(start, w, depth + 1, trail)
-                trail.pop()
-
-    for s in nodes:
-        walk(s, s, 0, [s])
     classes = []
-    for rep in sorted(seen):
-        d = _min_period(rep)
+    for rep, period in sorted(reps):
+        counts[len(rep)] += period
         classes.append(GeodesicClass(
-            length=len(rep), primitive_length=d, power=len(rep) // d,
-            representative=rep))
+            length=len(rep), primitive_length=period, power=len(rep) // period,
+            representative=tuple(nodes[i] for i in rep)))
     return counts, classes
 
 
@@ -155,13 +208,15 @@ def primitive_counts(classes, max_length: int) -> list[int]:
 
 def primitive_product(classes, max_length: int) -> PowerSeriesPrefix:
     """Truncation of prod over primitive classes of (1 - u^length)."""
-    acc = IntPolynomial.one()
+    acc = [1] + [0] * max_length
     for g in classes:
-        if g.power != 1 or g.length > max_length:
+        if g.power != 1:
             continue
-        factor = IntPolynomial.one() - IntPolynomial.monomial(g.length)
-        acc = IntPolynomial((acc * factor).coeffs[: max_length + 1])
-    return PowerSeriesPrefix([acc[m] for m in range(max_length + 1)], max_length)
+        # multiply by (1 - u^length) in place, highest coefficient first; a class
+        # longer than max_length leaves the prefix as it is
+        for m in range(max_length, g.length - 1, -1):
+            acc[m] -= acc[m - g.length]
+    return PowerSeriesPrefix(acc, max_length)
 
 
 def assemble_S_series(classes, max_length: int) -> PowerSeriesPrefix:

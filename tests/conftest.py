@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from btzeta import ApartmentSpec, BallSpec, TypedComplex
@@ -59,3 +61,20 @@ def ball_q3() -> TypedComplex:
 @pytest.fixture(scope="session")
 def ball_q2_r2() -> TypedComplex:
     return gen_building_ball(BallSpec(q=2, radius=2))
+
+
+def closed_typed_complex(rng: random.Random, per_type=(3, 3, 3), p_edge: float = 1.0,
+                         p_chamber: float = 0.5) -> TypedComplex:
+    """Random closed complex: each edge of the complete tripartite graph on
+    ``per_type`` vertices kept with probability p_edge, each triangle whose
+    edges are all kept made a chamber with probability p_chamber."""
+    verts, by_type = [], []
+    for t, k in enumerate(per_type):
+        by_type.append(list(range(len(verts), len(verts) + k)))
+        verts += [(v, t) for v in by_type[t]]
+    edges = {(a, b) for s in range(3) for a in by_type[s] for b in by_type[(s + 1) % 3]
+             if rng.random() < p_edge}
+    chambers = [(a, b, c) for a in by_type[0] for b in by_type[1] for c in by_type[2]
+                if all(e in edges or e[::-1] in edges for e in ((a, b), (b, c), (a, c)))
+                and rng.random() < p_chamber]
+    return TypedComplex(verts, edges, chambers)

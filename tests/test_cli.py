@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import time
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 from btzeta import geodesics, zeta
 from btzeta.cli import main, run_verify
 from btzeta.complexes import save_complex
+from conftest import closed_typed_complex
 
 
 @pytest.fixture()
@@ -290,6 +292,25 @@ class TestVerify:
                 out = invoke(runner, ["verify", name, "--no-timings"]).stdout
                 assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
+    # sha256 of ``verify --no-timings`` and ``count`` stdout on a branching
+    # complex, where the closed-path walk does real work; recorded with the
+    # walk that started at every node and compared all rotations
+    BRANCHING_DIGESTS = {
+        ("verify", "--no-timings"):
+            "2114fd3e0ae29655663c278b22dd9efb53febbf4da29b33700e9a721386ebba3",
+        ("count", "--kind", "edge"):
+            "3dc40f47b5aceb621cc562063c4d8ba21f895f2f75b97190cc163e8b3f4d6bdd",
+        ("count", "--kind", "gallery"):
+            "183866bd9e31881fa32a1b6c1a18bd1183a024239a2e0fc6bf85ba101a2deee9",
+    }
+
+    def test_branching_outputs_are_byte_identical_to_recorded(self, runner, tmp_path):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            save_complex(closed_typed_complex(random.Random(1), (4, 4, 4)), "b1.json")
+            for args, digest in self.BRANCHING_DIGESTS.items():
+                out = invoke(runner, [args[0], "b1.json", *args[1:]]).stdout
+                assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
     def test_env_var_configuration(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
@@ -411,6 +432,22 @@ class TestMalformedInput:
                 Path("c3.geom").mkdir()
             else:
                 Path("c3.geom").write_bytes(sidecar)
+            result = invoke(runner, ["verify", "c3.json", "--no-timings"])
+            assert result.exit_code == 0
+            assert json.loads(result.stdout)["recorded"]["torus_geometric_oracle"] == \
+                "skipped (sidecar is not torus geometry)"
+
+    @pytest.mark.parametrize("geom", [
+        {"kind": "torus"},
+        {"kind": "torus", "basis": [[1, 0], [0, 0]]},
+        {"kind": "torus", "basis": "ab"},
+        {"kind": "torus", "basis": [[3, 0], [0, 1.5]]},
+        {"kind": "torus", "basis": [[True, 0], [0, 1]]},
+    ], ids=["no-basis", "degenerate", "string", "float", "bool"])
+    def test_malformed_torus_sidecar_is_skipped(self, runner, tmp_path, geom):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
+            Path("c3.geom").write_text(json.dumps(geom))
             result = invoke(runner, ["verify", "c3.json", "--no-timings"])
             assert result.exit_code == 0
             assert json.loads(result.stdout)["recorded"]["torus_geometric_oracle"] == \

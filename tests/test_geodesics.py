@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btzeta import (
     GeodesicClass,
+    IntPolynomial,
     assemble_S_series,
     build_chamber_operator,
     build_edge_operator,
@@ -14,10 +19,35 @@ from btzeta import (
     primitive_product,
     torus_primitive_counts,
     torus_trace_counts,
+    transitions,
 )
 from btzeta.polynomials import series_exp_neg_integral
+from conftest import closed_typed_complex
 
 M = 12
+
+
+def reference_classes(c, max_length, kind):
+    """Unpruned reference for the classes of ``closed_paths``: walk from every
+    node and keep the smallest of all rotations of each closed walk."""
+    _, succ = transitions(c, kind)
+    seen = set()
+
+    def walk(start, trail):
+        for w in succ[trail[-1]]:
+            if w == start:
+                seen.add(min(trail[i:] + trail[:i] for i in range(len(trail))))
+            if len(trail) < max_length:
+                walk(start, trail + (w,))
+
+    for s in succ:
+        walk(s, (s,))
+    classes = []
+    for rep in sorted(seen):
+        n = len(rep)
+        d = next(d for d in range(1, n + 1) if n % d == 0 and rep == rep[d:] + rep[:d])
+        classes.append(GeodesicClass(n, d, n // d, rep))
+    return classes
 
 
 class TestClosedPathCounts:
@@ -81,12 +111,24 @@ class TestPrimitiveClasses:
 
     def test_one_walk_matches_separate_oracles(self, three_cycle, six_cycle,
                                                single_chamber, torus, skew_torus):
-        for c in (three_cycle, six_cycle, single_chamber, torus, skew_torus):
+        branching = [closed_typed_complex(random.Random(seed)) for seed in range(2)]
+        for c in (three_cycle, six_cycle, single_chamber, torus, skew_torus, *branching):
             for kind in ("edge", "gallery"):
                 N, classes = closed_paths(c, M, kind)
                 assert N == count_closed_paths(c, M, kind)
-                assert classes == enumerate_primitive_classes(c, M, kind)
+                assert classes == reference_classes(c, M, kind)
                 assert [assemble_S_series(classes, M)[m] for m in range(M + 1)] == N
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(*[st.integers(1, 2)] * 3), st.floats(0.3, 1.0), st.floats(0.0, 1.0),
+           st.sampled_from(["edge", "gallery"]), st.integers(1, 13),
+           st.randoms(use_true_random=False))
+    def test_matches_oracles_on_random_complexes(self, per_type, p_edge, p_chamber, kind,
+                                                 order, rng):
+        c = closed_typed_complex(rng, per_type, p_edge, p_chamber)
+        N, classes = closed_paths(c, order, kind)
+        assert N == count_closed_paths(c, order, kind)
+        assert classes == reference_classes(c, order, kind)
 
     def test_torus_primitive_counts_match_geometry(self, torus, torus_spec):
         for kind in ("edge", "gallery"):
@@ -111,6 +153,19 @@ class TestSeriesAssembly:
 
     def test_primitive_product_empty(self):
         assert [primitive_product([], 5)[m] for m in range(6)] == [1, 0, 0, 0, 0, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 15), st.integers(1, 3)), max_size=12),
+           st.integers(1, 12))
+    def test_primitive_product_matches_polynomial_product(self, shapes, max_length):
+        classes = [GeodesicClass(d * k, d, k, ()) for d, k in shapes]
+        expected = IntPolynomial.one()
+        for g in classes:
+            if g.power == 1:  # powers are not primitive; long factors truncate away
+                expected = expected * (IntPolynomial.one() - IntPolynomial.monomial(g.length))
+        series = primitive_product(classes, max_length)
+        assert [series[m] for m in range(max_length + 1)] == \
+            [expected[m] for m in range(max_length + 1)]
 
     def test_default_weights_give_path_counts(self, torus):
         classes = enumerate_primitive_classes(torus, M)

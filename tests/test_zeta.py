@@ -25,6 +25,7 @@ from btzeta import (
 )
 from btzeta.generators import gen_apartment_torus, gen_cycle_complex
 from btzeta.polynomials import berkowitz_char_poly_reverse
+from conftest import closed_typed_complex
 
 M = 12
 ONE_MINUS_U3 = IntPolynomial([1, 0, 0, -1])
@@ -102,23 +103,6 @@ class TestRatio:
         # all torus strips pair with line classes, so the ratio collapses
         f = ratio(torus)
         assert f.num == IntPolynomial([1]) and f.den == IntPolynomial([1])
-
-
-def closed_typed_complex(rng: random.Random, per_type=(3, 3, 3), p_edge: float = 1.0,
-                         p_chamber: float = 0.5) -> TypedComplex:
-    """Random closed complex: each edge of the complete tripartite graph on
-    ``per_type`` vertices kept with probability p_edge, each triangle whose
-    edges are all kept made a chamber with probability p_chamber."""
-    verts, by_type = [], []
-    for t, k in enumerate(per_type):
-        by_type.append(list(range(len(verts), len(verts) + k)))
-        verts += [(v, t) for v in by_type[t]]
-    edges = {(a, b) for s in range(3) for a in by_type[s] for b in by_type[(s + 1) % 3]
-             if rng.random() < p_edge}
-    chambers = [(a, b, c) for a in by_type[0] for b in by_type[1] for c in by_type[2]
-                if all(e in edges or e[::-1] in edges for e in ((a, b), (b, c), (a, c)))
-                and rng.random() < p_chamber]
-    return TypedComplex(verts, edges, chambers)
 
 
 def _torus(a, b, c, d):
