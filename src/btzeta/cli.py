@@ -355,6 +355,17 @@ def _parse_vectors(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in part.split(",")) for part in text.split(";"))
 
 
+def _parse_character(text: str, rank: int) -> CharacterData:
+    try:
+        multipliers = tuple(Fraction(x) for x in text.split(","))
+    except ZeroDivisionError:
+        raise ValueError(f"--char has a zero denominator: {text!r}") from None
+    if len(multipliers) != rank:
+        raise ValueError(f"--char has {len(multipliers)} multipliers "
+                         f"for a cone of rank {rank}")
+    return CharacterData(multipliers)
+
+
 @main.command()
 @click.option("--functionals", required=True,
               help="semicolon-separated integer covectors, e.g. '1,0;-1,2'")
@@ -365,7 +376,7 @@ def _parse_vectors(text: str) -> tuple[tuple[int, ...], ...]:
               help="comma-separated rational multipliers, e.g. '1/2,1'")
 @click.option("--eval", "eval_text", default=None,
               help="comma-separated evaluation point, e.g. '0.3,0.3'")
-@click.option("--oracle-bound", type=int, default=60, show_default=True)
+@click.option("--oracle-bound", type=click.IntRange(min=1), default=60, show_default=True)
 def cone(functionals: str, lattice: str | None, char_text: str | None,
          eval_text: str | None, oracle_bound: int) -> None:
     """Sharp-cone lattice decomposition and the closed-form point series."""
@@ -380,12 +391,14 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
             basis_matrix = tuple(
                 tuple(basis_vectors[j][i] for j in range(r)) for i in range(r))
         lc = LatticeCone(funcs, basis_matrix)
+        character = _parse_character(char_text, r) if char_text \
+            else CharacterData.trivial(r)
+        point = tuple(float(x) for x in eval_text.split(",")) if eval_text else None
+        if point is not None and len(point) != r:
+            raise ValueError("evaluation point has wrong dimension")
         gens = cone_generators(lc)
         fset = fundamental_domain(lc, gens)
         deco = ConeDecomposition(generators=gens, fundamental_set=fset)
-        character = CharacterData(
-            tuple(Fraction(x) for x in char_text.split(","))) if char_text \
-            else CharacterData.trivial(lc.rank)
         closed = cone_series_closed_form(lc, deco, character)
     except ValueError as exc:
         _die(EXIT_INPUT_ERROR, str(exc))
@@ -396,10 +409,7 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
         "fundamental_set": [list(v) for v in fset],
         "closed_form": closed.to_json_dict(),
     }
-    if eval_text:
-        point = tuple(float(x) for x in eval_text.split(","))
-        if len(point) != lc.rank:
-            _die(EXIT_INPUT_ERROR, "evaluation point has wrong dimension")
+    if point is not None:
         converges = closed.converges_at(point)
         value = closed.evaluate(point)
         value = float(value) if isinstance(value, Fraction) else complex(value).real

@@ -11,8 +11,23 @@ series with closed form
     sum_{v0 in F} chi(v0) u_1^{alpha_1(v0)} ... u_r^{alpha_r(v0)}
         * prod_j 1 / (1 - chi(a_j) u_j^{alpha_j(a_j)})
 
-which this module constructs exactly (Fractions for rational characters) and
-cross-checks against direct partial sums.
+which this module constructs exactly and cross-checks against direct partial
+sums.
+
+The numerator is built in whole-array integer passes: the exponent vectors
+alpha(F) are one matrix product of the functionals with the points of F, in
+int64 when the bound max|alpha_j| * max|v_i| * r fits and in exact Python
+integers (``dtype=object``) otherwise.  Rational character values are exact
+Fractions: with +-1 multipliers (the trivial character included) a parity
+picks one of two shared Fractions, other rational multipliers use
+per-coordinate tables of integer powers, and float and complex multipliers
+go through ``CharacterData.value``.
+
+Both F and the truncated cone of the partial-sum oracle are lattice points
+of a box.  They are listed from the lower-triangular Hermite normal form of
+the lattice's image (Cohen, *A Course in Computational Algebraic Number
+Theory*, 2.4.2), one coordinate at a time, so no point outside the lattice
+is generated.
 """
 
 from __future__ import annotations
@@ -20,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain
 
 import numpy as np
 
@@ -36,6 +51,19 @@ __all__ = [
     "evaluate_partial_sum",
     "assemble_multivariable_S",
 ]
+
+
+# Largest lattice index |F| that fundamental_domain lists.  Every point of F
+# becomes a tuple and a numerator term, so a much larger set exhausts memory
+# instead of finishing.
+FUNDAMENTAL_INDEX_CAP = 10**6
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _int_dtype(magnitude: int):
+    """int64 when no value exceeds ``magnitude`` in size, else exact Python ints."""
+    return np.int64 if magnitude <= _INT64_MAX else object
 
 
 def _mat_vec(m, v):
@@ -211,52 +239,97 @@ def _mat_vec_row(functional, basis_columns):
     return tuple(sum(functional[i] * col[i] for i in range(len(col))) for col in basis_columns)
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _lower_hermite_form(m) -> list[list[int]]:
+    """Lower-triangular column Hermite normal form of a nonsingular integer matrix.
+
+    Unimodular column operations turn m into h with the same column lattice,
+    h[k][k] > 0 and 0 <= h[k][j] < h[k][k] for j < k.
+    """
+    r = len(m)
+    cols = [[m[i][j] for i in range(r)] for j in range(r)]
+    for k in range(r):
+        for j in range(k + 1, r):
+            a, b = cols[k][k], cols[j][k]
+            if b:
+                g, s, t = _xgcd(a, b)
+                ck, cj = cols[k], cols[j]
+                cols[k] = [s * x + t * y for x, y in zip(ck, cj)]
+                cols[j] = [a // g * y - b // g * x for x, y in zip(ck, cj)]
+        if cols[k][k] < 0:
+            cols[k] = [-x for x in cols[k]]
+        for j in range(k):
+            q = cols[j][k] // cols[k][k]
+            cols[j] = [x - q * y for x, y in zip(cols[j], cols[k])]
+    return [[cols[j][i] for j in range(r)] for i in range(r)]
+
+
+def _lattice_points_in_box(g, bound: int) -> np.ndarray:
+    """Points of the lattice g Z^r in the box (0, bound]^r, in lexicographic order.
+
+    With h the Hermite form of g, a point is w = h y.  Once y_1..y_{k-1} are
+    fixed, w_k = s + h_kk y_k with s = sum_{j<k} h_kj y_j, so the y_k that keep
+    w_k in (0, bound] form one interval.  Each coordinate expands every
+    partial point by its interval, in order, so only lattice points are
+    generated.  Returns an (r, n) array; since 0 <= h_kj < h_kk, every
+    |y_k| <= 2^(k-1) bound and every partial sum stays below
+    max_k h_kk * bound * 2^r, which picks int64 or exact integers.
+    """
+    h = _lower_hermite_form(g)
+    r = len(h)
+    dtype = _int_dtype(max(h[k][k] for k in range(r)) * bound << r)
+    y = np.zeros((0, 1), dtype=dtype)
+    for k, row in enumerate(h):
+        s = np.array(row[:k], dtype=dtype) @ y
+        lo = -((s - 1) // row[k])                   # ceil((1 - s) / h_kk)
+        counts = np.maximum((bound - s) // row[k] - lo + 1, 0).astype(np.int64)
+        prefix = np.repeat(np.arange(len(counts)), counts)
+        offsets = np.arange(len(prefix)) - (np.cumsum(counts) - counts)[prefix]
+        y = np.vstack([y[:, prefix], lo[prefix] + offsets])
+    return np.array(h, dtype=dtype) @ y
+
+
 def fundamental_domain(cone: LatticeCone,
                        generators: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Lattice points of the half-open parallelepiped spanned by the generators.
 
     These are exactly the coset representatives v0 of Sigma modulo the
     sublattice generated by a_1..a_r that lie in the open cone while every
-    v0 - a_j falls outside it.  The scan is exact: the half-open condition
-    0 < t_j <= 1 on barycentric coordinates is tested with integer
-    arithmetic only.
+    v0 - a_j falls outside it.  With d = |det A| for the generator matrix A,
+    the half-open condition 0 < t <= 1 on barycentric coordinates t = A^-1 v
+    reads d A^-1 v in (0, d]^r, so the points are v = A w / d for the points
+    w of the image lattice d A^-1 Sigma in that box, listed exactly from its
+    Hermite form.  Raises ValueError when the lattice index |F| exceeds
+    FUNDAMENTAL_INDEX_CAP.
     """
     r = cone.rank
     a_mat = [[generators[j][i] for j in range(r)] for i in range(r)]  # generators as columns
     det_a = _det(a_mat)
-    sign = 1 if det_a > 0 else -1
-    # sign * adjugate(A): 0 < t <= 1 becomes 0 < (sign adj A) v <= |det A|
-    m = np.array([[int(sign * det_a * x) for x in row] for row in _inverse(a_mat)],
-                 dtype=np.int64)
-    d = abs(int(det_a))
-    b = np.array([list(row) for row in cone.lattice_basis], dtype=np.int64)
-    b_inv = _inverse(cone.lattice_basis)
-    # bound the parallelepiped in lattice coordinates x = B^-1 A t, t in [0,1]^r
-    corners = [
-        _mat_vec(b_inv, _mat_vec_col_comb(generators, bits))
-        for bits in product((0, 1), repeat=r)
-    ]
-    lo = [math.floor(min(c[i] for c in corners)) for i in range(r)]
-    hi = [math.ceil(max(c[i] for c in corners)) for i in range(r)]
-    out: list[tuple[int, ...]] = []
-    tail_axes = [np.arange(lo[i], hi[i] + 1, dtype=np.int64) for i in range(1, r)]
-    for x0 in range(lo[0], hi[0] + 1):
-        grids = np.meshgrid(np.array([x0], dtype=np.int64), *tail_axes, indexing="ij")
-        x = np.stack([g.ravel() for g in grids])
-        v = b @ x
-        w = m @ v
-        keep = (w > 0).all(axis=0) & (w <= d).all(axis=0)
-        out.extend(map(tuple, v[:, keep].T.tolist()))
     expected = abs(int(det_a / _det(cone.lattice_basis)))
+    if expected > FUNDAMENTAL_INDEX_CAP:
+        raise ValueError(f"fundamental set has {expected} points, "
+                         f"more than the cap of {FUNDAMENTAL_INDEX_CAP}")
+    d = abs(int(det_a))
+    scaled_inverse = [[int(d * x) for x in row] for row in _inverse(a_mat)]
+    g = [_mat_vec_row(row, cone.basis_columns) for row in scaled_inverse]
+    w = _lattice_points_in_box(g, d)
+    max_a = max(abs(x) for row in a_mat for x in row)
+    v = np.array(a_mat, dtype=_int_dtype(max_a * d * r)) @ w // d
+    out = sorted(map(tuple, v.T.tolist()))
     if len(out) != expected:
         raise AssertionError(
             f"fundamental set size {len(out)} != lattice index {expected}")
-    return tuple(sorted(out))
-
-
-def _mat_vec_col_comb(generators, bits):
-    r = len(generators)
-    return tuple(sum(bits[j] * generators[j][i] for j in range(r)) for i in range(r))
+    return tuple(out)
 
 
 def decompose(cone: LatticeCone, decomposition: ConeDecomposition, v):
@@ -288,7 +361,10 @@ class CharacterData:
     multipliers: tuple
 
     def __init__(self, multipliers):  # noqa: D107
-        object.__setattr__(self, "multipliers", tuple(multipliers))
+        multipliers = tuple(multipliers)
+        if any(m == 0 for m in multipliers):
+            raise ValueError("a zero multiplier is not a character")
+        object.__setattr__(self, "multipliers", multipliers)
 
     def value(self, v):
         acc = Fraction(1) if all(isinstance(m, (int, Fraction)) for m in self.multipliers) else 1.0
@@ -344,6 +420,24 @@ class ConeClosedForm:
         }
 
 
+def _character_values(character: CharacterData, points: np.ndarray) -> list:
+    """character.value(v) for every column v of the integer array ``points``."""
+    mults = character.multipliers
+    if not all(isinstance(m, (int, Fraction)) for m in mults):
+        return [character.value(v) for v in points.T.tolist()]
+    if all(m in (1, -1) for m in mults):
+        odd = sum((row & 1 for m, row in zip(mults, points) if m == -1),
+                  np.zeros(points.shape[1], dtype=points.dtype)) & 1
+        signs = (Fraction(1), Fraction(-1))
+        return [signs[b] for b in odd.tolist()]
+    values = [Fraction(1)] * points.shape[1]
+    for m, row in zip(mults, points.tolist()):
+        if m != 1:
+            powers = {e: Fraction(m) ** e for e in set(row)}
+            values = [x * powers[e] for x, e in zip(values, row)]
+    return values
+
+
 def cone_series_closed_form(cone: LatticeCone, decomposition: ConeDecomposition,
                             character: CharacterData | None = None) -> ConeClosedForm:
     """Exact closed form of sum over cone lattice points of chi(v) u^alpha(v).
@@ -354,10 +448,14 @@ def cone_series_closed_form(cone: LatticeCone, decomposition: ConeDecomposition,
     """
     if character is None:
         character = CharacterData.trivial(cone.rank)
-    terms = tuple(
-        (character.value(v0), cone.alphas(v0))
-        for v0 in decomposition.fundamental_set
-    )
+    fset = decomposition.fundamental_set
+    max_f = max(abs(x) for f in cone.functionals for x in f)
+    max_v = max(map(abs, chain.from_iterable(fset)))
+    dtype = _int_dtype(max_f * max_v * cone.rank)
+    points = np.array(fset, dtype=dtype).T
+    alphas = np.array(cone.functionals, dtype=dtype) @ points
+    terms = tuple(zip(_character_values(character, points),
+                      map(tuple, alphas.T.tolist())))
     poles = tuple(
         (character.value(a), cone.alpha(j, a))
         for j, a in enumerate(decomposition.generators)
@@ -370,8 +468,10 @@ def truncated_cone_points(cone: LatticeCone, bound: int):
 
     A lattice point v corresponds one-to-one to its integer exponent vector
     w = (alpha_1(v), ..., alpha_r(v)); the truncation alpha_j(v) <= bound is
-    exactly the image-lattice part of the box (0, bound]^r.  Returns a pair
-    of integer arrays of shape (r, n): the exponent vectors and the points.
+    exactly the image-lattice part of the box (0, bound]^r, listed in
+    lexicographic order of w from the Hermite form of the functionals in
+    lattice coordinates.  Returns a pair of integer arrays of shape (r, n):
+    the exponent vectors and the points.
     """
     r = cone.rank
     if bound < 1:
@@ -380,12 +480,8 @@ def truncated_cone_points(cone: LatticeCone, bound: int):
     det_g = _det(g)
     det = int(det_g)
     adj = np.array([[int(det_g * x) for x in row] for row in _inverse(g)], dtype=np.int64)
-    grids = np.meshgrid(*([np.arange(1, bound + 1, dtype=np.int64)] * r), indexing="ij")
-    w_all = np.stack([a.ravel() for a in grids])
-    x_scaled = adj @ w_all
-    keep = (x_scaled % det == 0).all(axis=0)
-    w = w_all[:, keep]
-    x = x_scaled[:, keep] // det
+    w = _lattice_points_in_box(g, bound).astype(np.int64)
+    x = adj @ w // det
     basis = np.array([list(row) for row in cone.lattice_basis], dtype=np.int64)
     return w, basis @ x
 

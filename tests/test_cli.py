@@ -176,6 +176,62 @@ class TestCone:
         result = runner.invoke(main, ["cone", "--functionals", "1,1;2,2"])
         assert result.exit_code == 2
 
+    MALFORMED = [
+        (["--char", "1/0,1"], "zero denominator"),
+        (["--eval", "x,y"], "could not convert"),
+        (["--functionals", "1,0;1,1", "--char", "1,0"], "zero multiplier"),
+        (["--char", "2"], "1 multipliers for a cone of rank 2"),
+        (["--char", "1,1,1"], "3 multipliers for a cone of rank 2"),
+        (["--eval", "0.3,0.3", "--oracle-bound", "-5"], "Invalid value for '--oracle-bound'"),
+        (["--eval", "0.3,0.3", "--oracle-bound", "0"], "Invalid value for '--oracle-bound'"),
+        (["--functionals", "5000000000,1;1,5000000000"], "more than the cap"),
+        (["--lattice", "3000000000,7;5,3000000001"], "more than the cap"),
+    ]
+
+    @pytest.mark.parametrize("args, message", MALFORMED,
+                             ids=[" ".join(args) for args, _ in MALFORMED])
+    def test_malformed_input_exit_two(self, runner, args, message):
+        defaults = ["--functionals", "1,0;0,1"] if "--functionals" not in args else []
+        result = runner.invoke(main, ["cone", *defaults, *args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.stderr
+
+    def test_large_lattice_entries(self, runner):
+        # this basis spans Z^2; scanning its lattice-coordinate box needed 22 GiB
+        doc = json.loads(invoke(runner, [
+            "cone", "--functionals", "1,0;0,1", "--lattice", "3000000000,1;1,0",
+            "--eval", "0.3,0.3"]).stdout)
+        assert doc["fundamental_set"] == [[1, 1]]
+        assert doc["evaluation"]["relative_error"] < 1e-9
+
+    # sha256 of ``btz cone`` stdout, recorded with the closed form built one
+    # point at a time and the partial sums filtered from the whole box
+    CONE_DIGESTS = {
+        ("--functionals", "3", "--eval", "0.4"):
+            "ce9baa63d6951fc25adbc07f92f4e679469b591891de0a7a796a12d8a69d6997",
+        ("--functionals", "1,0;-1,2", "--eval", "0.3,0.3"):
+            "eb1be05a57e08cdecc75bbba23296c3d4d3c3bdfabaf662dd0b63813ec05ac7a",
+        ("--functionals", "2,1,0;-1,3,1;0,-2,5", "--eval", "0.2,0.3,0.25"):
+            "32d9b7c1770ecef17e87cc2a2126d13463b5f77a84772a041da6b0a42e4e4a23",
+        ("--functionals", "1,2;-1,3", "--lattice", "2,1;0,3", "--eval", "0.3,0.4"):
+            "06e5f3f5a230424f8b1a3d508894ed51c260f75986807a4a15218c17649350f4",
+        ("--functionals", "2,1,0;-1,3,1;0,-2,5", "--char", "-1,1,-1",
+         "--eval", "0.2,0.3,0.25"):
+            "ea2fd58df4af64437d135c704dc34a362ffa9b7b5ac3c6b02f211cd54bf1bd75",
+        ("--functionals", "1,0;-1,2", "--char", "1/2,1/3", "--eval", "0.3,0.3"):
+            "16e1c6502e5406e7edc14a2d43c1f427f1cd6a81904bc8ce1af2c59e12732045",
+        # |F| = 11881
+        ("--functionals", "-5,1,1;-2,3,5;-1,2,-5", "--eval", "0.3,0.2,0.25",
+         "--oracle-bound", "30"):
+            "266b3ccf05fc768f5c82cb937eda55fd7a0454b1245687f37d022cea5c86b19a",
+    }
+
+    def test_outputs_are_byte_identical_to_recorded(self, runner):
+        for args, digest in self.CONE_DIGESTS.items():
+            out = invoke(runner, ["cone", *args]).stdout
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
 
 class TestRH:
     def test_ratio_json_input(self, runner, tmp_path):

@@ -5,10 +5,14 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from btzeta import (
     CharacterData,
+    ConeClosedForm,
     ConeDecomposition,
     LatticeCone,
     assemble_multivariable_S,
@@ -18,6 +22,15 @@ from btzeta import (
     enumerate_primitive_classes,
     evaluate_partial_sum,
     fundamental_domain,
+)
+from btzeta.cones import (
+    FUNDAMENTAL_INDEX_CAP,
+    _det,
+    _inverse,
+    _lower_hermite_form,
+    _mat_vec,
+    _mat_vec_row,
+    truncated_cone_points,
 )
 
 
@@ -246,3 +259,162 @@ class TestMultivariableSeries:
         series = assemble_multivariable_S([{"l": (2, 1), "weight": 5}], 8, 2,
                                           expand_powers=False)
         assert series == {(2, 1): 5}
+
+
+# -- whole-array passes against the per-point references ----------------------
+
+
+@st.composite
+def lattice_cones(draw, max_entry: int = 4) -> LatticeCone:
+    """Sharp cones of rank 1-3, on the standard lattice or a random sublattice."""
+    r = draw(st.integers(1, 3))
+    square = st.lists(st.lists(st.integers(-max_entry, max_entry), min_size=r, max_size=r),
+                      min_size=r, max_size=r)
+    funcs = draw(square.filter(lambda m: _int_det(m) != 0))
+    basis = draw(st.none() | st.lists(
+        st.lists(st.integers(-2, 2), min_size=r, max_size=r), min_size=r, max_size=r,
+    ).map(lambda m: [[x + 3 * (i == j) for j, x in enumerate(row)]
+                     for i, row in enumerate(m)]).filter(lambda m: _int_det(m) != 0))
+    cone = LatticeCone(funcs, basis)
+    # a sublattice can make |F| = |det A / det B| run into the millions
+    gens = cone_generators(cone)
+    assume(abs(_int_det([[a[i] for a in gens] for i in range(r)]))
+           <= 2000 * abs(_det(cone.lattice_basis)))
+    return cone
+
+
+RATIONALS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2),
+                             Fraction(-1, 3), Fraction(3, 2), 1, -1])
+FLOATS = st.sampled_from([0.5, -0.75, 1.25, 2.0])
+COMPLEXES = st.sampled_from([0.5 + 0.5j, -1j, 1.5 - 0.25j])
+
+
+def characters(rank: int):
+    def vectors(entries):
+        return st.lists(entries, min_size=rank, max_size=rank).map(CharacterData)
+    return st.one_of(
+        st.none(),
+        vectors(st.sampled_from([1, -1, Fraction(1), Fraction(-1)])),
+        vectors(RATIONALS),
+        vectors(RATIONALS | FLOATS),
+        vectors(RATIONALS | COMPLEXES),
+    )
+
+
+def reference_closed_form(cone, deco, character) -> ConeClosedForm:
+    """One CharacterData.value and one LatticeCone.alphas per point of F."""
+    character = character or CharacterData.trivial(cone.rank)
+    return ConeClosedForm(
+        terms=tuple((character.value(v0), cone.alphas(v0)) for v0 in deco.fundamental_set),
+        pole_factors=tuple((character.value(a), cone.alpha(j, a))
+                           for j, a in enumerate(deco.generators)))
+
+
+def scan_fundamental_domain(cone, generators):
+    """Scan the parallelepiped's bounding box in lattice coordinates, filtered exactly."""
+    r = cone.rank
+    a_cols = [[generators[j][i] for j in range(r)] for i in range(r)]
+    d = abs(_int_det(a_cols))
+    # d A^-1 v in (0, d]^r  <=>  0 < t <= 1
+    m = np.array([[int(d * x) for x in row] for row in _inverse(a_cols)], dtype=np.int64)
+    b_inv = _inverse(cone.lattice_basis)
+    corners = [_mat_vec(b_inv, tuple(sum(bits[j] * generators[j][i] for j in range(r))
+                                     for i in range(r)))
+               for bits in product((0, 1), repeat=r)]
+    axes = [np.arange(math.floor(min(c[i] for c in corners)),
+                      math.ceil(max(c[i] for c in corners)) + 1) for i in range(r)]
+    x = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    v = np.array(cone.lattice_basis, dtype=np.int64) @ x
+    w = m @ v
+    keep = ((w > 0) & (w <= d)).all(axis=0)
+    return tuple(sorted(map(tuple, v[:, keep].T.tolist())))
+
+
+def box_filter_points(cone, bound):
+    """Filter the whole box (0, bound]^r down to the image lattice."""
+    r = cone.rank
+    if bound < 1:
+        return (np.zeros((r, 0), dtype=np.int64),) * 2
+    g = [list(_mat_vec_row(f, cone.basis_columns)) for f in cone.functionals]
+    det_g = _det(g)
+    det = int(det_g)
+    adj = np.array([[int(det_g * x) for x in row] for row in _inverse(g)], dtype=np.int64)
+    grids = np.meshgrid(*([np.arange(1, bound + 1, dtype=np.int64)] * r), indexing="ij")
+    w_all = np.stack([a.ravel() for a in grids])
+    x_scaled = adj @ w_all
+    keep = (x_scaled % det == 0).all(axis=0)
+    basis = np.array(cone.lattice_basis, dtype=np.int64)
+    return w_all[:, keep], basis @ (x_scaled[:, keep] // det)
+
+
+class TestWholeArrayPasses:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_closed_form_matches_per_point_reference(self, data):
+        cone = data.draw(lattice_cones())
+        character = data.draw(characters(cone.rank))
+        deco = make_decomposition(cone)
+        assert cone_series_closed_form(cone, deco, character) \
+            == reference_closed_form(cone, deco, character)
+
+    @pytest.mark.parametrize("character", [None, CharacterData((-1, 1, Fraction(-1)))],
+                             ids=["trivial", "sign"])
+    def test_closed_form_beyond_int64(self, character):
+        # basis entries near 2^61 push max|f| * max|v| * r past int64, so the
+        # exponents are computed in exact Python integers (other rational
+        # characters would have values with about 2^61 digits here)
+        small = LatticeCone(((2, 1, 0), (-1, 3, 1), (0, -2, 5)),
+                            ((1, 1, 0), (0, 1, 0), (0, 1, 2)))
+        scale = 2 ** 61
+        big = LatticeCone(small.functionals,
+                          tuple(tuple(scale * x for x in row) for row in small.lattice_basis))
+        deco = make_decomposition(big)
+        assert deco.generators == tuple(tuple(scale * x for x in a)
+                                        for a in cone_generators(small))
+        assert deco.fundamental_set == tuple(
+            tuple(scale * x for x in v) for v in make_decomposition(small).fundamental_set)
+        closed = cone_series_closed_form(big, deco, character)
+        assert max(abs(e) for _, exps in closed.terms for e in exps) > 2 ** 63
+        assert all(type(e) is int for _, exps in closed.terms for e in exps)
+        assert closed == reference_closed_form(big, deco, character)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_cones(max_entry=5))
+    def test_fundamental_domain_matches_scan(self, cone):
+        gens = cone_generators(cone)
+        assert fundamental_domain(cone, gens) == scan_fundamental_domain(cone, gens)
+
+    def test_fundamental_index_cap(self):
+        cone = LatticeCone(((5_000_000_000, 1), (1, 5_000_000_000)))
+        with pytest.raises(ValueError, match=str(FUNDAMENTAL_INDEX_CAP)):
+            fundamental_domain(cone, cone_generators(cone))
+
+    @settings(max_examples=80, deadline=None)
+    @given(lattice_cones(max_entry=5),
+           st.sampled_from([0, 1]) | st.integers(2, 60))
+    def test_truncated_points_match_box_filter(self, cone, bound):
+        w, v = truncated_cone_points(cone, bound)
+        w_ref, v_ref = box_filter_points(cone, bound)
+        assert w.dtype == v.dtype == np.int64
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda r: st.lists(
+        st.lists(st.integers(-30, 30), min_size=r, max_size=r), min_size=r, max_size=r)))
+    def test_hermite_form(self, m):
+        if _int_det(m) == 0:
+            return
+        h = _lower_hermite_form(m)
+        r = len(m)
+        for k in range(r):
+            assert h[k][k] > 0
+            assert all(0 <= h[k][j] < h[k][k] for j in range(k))
+            assert all(h[k][j] == 0 for j in range(k + 1, r))
+        # h = m U with U unimodular: same column lattice
+        u = [[int(x) for x in row] for row in
+             (np.array(_inverse(m), dtype=object) @ np.array(h, dtype=object)).tolist()]
+        assert abs(_int_det(u)) == 1
+
+    def test_zero_multiplier_rejected(self):
+        with pytest.raises(ValueError, match="zero multiplier"):
+            CharacterData((1, 0))
