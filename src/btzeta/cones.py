@@ -19,9 +19,8 @@ alpha(F) are one matrix product of the functionals with the points of F, in
 int64 when the bound max|alpha_j| * max|v_i| * r fits and in exact Python
 integers (``dtype=object``) otherwise.  Rational character values are exact
 Fractions: with +-1 multipliers (the trivial character included) a parity
-picks one of two shared Fractions, other rational multipliers use
-per-coordinate tables of integer powers, and float and complex multipliers
-go through ``CharacterData.value``.
+picks one of two shared Fractions, and all other multipliers go through
+``CharacterData.value``.
 
 Both F and the truncated cone of the partial-sum oracle are lattice points
 of a box.  They are listed from the lower-triangular Hermite normal form of
@@ -57,6 +56,12 @@ __all__ = [
 # becomes a tuple and a numerator term, so a much larger set exhausts memory
 # instead of finishing.
 FUNDAMENTAL_INDEX_CAP = 10**6
+
+# Largest |exponent| to which CharacterData.value raises an exact multiplier
+# other than +-1.  The power (p/q)**e has about |e| * log2 max(|p|, |q|) bits,
+# so an exponent near 10^18, which lattices with large entries reach, would
+# exhaust memory instead of finishing.
+EXACT_POWER_CAP = 10**6
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -371,6 +376,9 @@ class CharacterData:
         for m, e in zip(self.multipliers, v):
             if isinstance(m, (int, Fraction)):
                 m = Fraction(m)
+                if abs(e) > EXACT_POWER_CAP and abs(m) != 1:
+                    raise ValueError(f"exact power {m}**{e} exceeds the exponent cap "
+                                     f"of {EXACT_POWER_CAP}")
             acc = acc * m ** int(e)
         return acc
 
@@ -423,19 +431,12 @@ class ConeClosedForm:
 def _character_values(character: CharacterData, points: np.ndarray) -> list:
     """character.value(v) for every column v of the integer array ``points``."""
     mults = character.multipliers
-    if not all(isinstance(m, (int, Fraction)) for m in mults):
-        return [character.value(v) for v in points.T.tolist()]
-    if all(m in (1, -1) for m in mults):
+    if all(isinstance(m, (int, Fraction)) and m in (1, -1) for m in mults):
         odd = sum((row & 1 for m, row in zip(mults, points) if m == -1),
                   np.zeros(points.shape[1], dtype=points.dtype)) & 1
         signs = (Fraction(1), Fraction(-1))
         return [signs[b] for b in odd.tolist()]
-    values = [Fraction(1)] * points.shape[1]
-    for m, row in zip(mults, points.tolist()):
-        if m != 1:
-            powers = {e: Fraction(m) ** e for e in set(row)}
-            values = [x * powers[e] for x, e in zip(values, row)]
-    return values
+    return [character.value(v) for v in points.T.tolist()]
 
 
 def cone_series_closed_form(cone: LatticeCone, decomposition: ConeDecomposition,
@@ -470,20 +471,20 @@ def truncated_cone_points(cone: LatticeCone, bound: int):
     w = (alpha_1(v), ..., alpha_r(v)); the truncation alpha_j(v) <= bound is
     exactly the image-lattice part of the box (0, bound]^r, listed in
     lexicographic order of w from the Hermite form of the functionals in
-    lattice coordinates.  Returns a pair of integer arrays of shape (r, n):
-    the exponent vectors and the points.
+    lattice coordinates.  The points are v = adj(alpha) w / det(alpha), in
+    int64 when max|adj(alpha)| * bound * r fits and in exact Python integers
+    otherwise.  Returns a pair of integer arrays of shape (r, n): the exponent
+    vectors and the points.
     """
     r = cone.rank
     if bound < 1:
         return (np.zeros((r, 0), dtype=np.int64),) * 2
-    g = [list(_mat_vec_row(cone.functionals[j], cone.basis_columns)) for j in range(r)]
-    det_g = _det(g)
-    det = int(det_g)
-    adj = np.array([[int(det_g * x) for x in row] for row in _inverse(g)], dtype=np.int64)
+    g = [_mat_vec_row(cone.functionals[j], cone.basis_columns) for j in range(r)]
     w = _lattice_points_in_box(g, bound).astype(np.int64)
-    x = adj @ w // det
-    basis = np.array([list(row) for row in cone.lattice_basis], dtype=np.int64)
-    return w, basis @ x
+    det_f = _det(cone.functionals)
+    adj = [[int(det_f * x) for x in row] for row in _inverse(cone.functionals)]
+    dtype = _int_dtype(max(abs(x) for row in adj for x in row) * bound * r)
+    return w, np.array(adj, dtype=dtype) @ w.astype(dtype) // int(det_f)
 
 
 def evaluate_partial_sum(cone: LatticeCone, character: CharacterData | None,
@@ -507,7 +508,8 @@ def evaluate_partial_sum(cone: LatticeCone, character: CharacterData | None,
     for i, m in enumerate(character.multipliers):
         m = dtype(float(m)) if isinstance(m, (int, Fraction)) else dtype(m)
         if m != 1:
-            terms *= np.power(m, v[i])
+            e = v[i] % 2 if m == -1 else v[i]        # exact parity beyond 2^53
+            terms *= np.power(m, e.astype(float))
     total = terms.sum()
     return float(total) if dtype is float else complex(total)
 

@@ -186,6 +186,9 @@ class TestCone:
         (["--eval", "0.3,0.3", "--oracle-bound", "0"], "Invalid value for '--oracle-bound'"),
         (["--functionals", "5000000000,1;1,5000000000"], "more than the cap"),
         (["--lattice", "3000000000,7;5,3000000001"], "more than the cap"),
+        # the pole factor chi(a_1) would be 2**(10**18) as an exact Fraction
+        (["--functionals", "1,0;1000000000000000000,1", "--char", "1,1/2"],
+         "exceeds the exponent cap"),
     ]
 
     @pytest.mark.parametrize("args, message", MALFORMED,
@@ -203,6 +206,22 @@ class TestCone:
             "cone", "--functionals", "1,0;0,1", "--lattice", "3000000000,1;1,0",
             "--eval", "0.3,0.3"]).stdout)
         assert doc["fundamental_set"] == [[1, 1]]
+        assert doc["evaluation"]["relative_error"] < 1e-9
+
+    BEYOND_INT64 = [
+        # lattice coordinates of the oracle's points pass 2^63 although the
+        # points themselves are small; int64 wrapped them to a partial sum of inf
+        ["--functionals", "2,1;1,3", "--lattice", "1000000000000000001,1000000000000000000;"
+         "999999999999999999,999999999999999998", "--char", "1/2,1"],
+        # the lattice basis itself does not fit in int64
+        ["--functionals", "1,0;0,1", "--lattice", "10000000000000000000,1;1,0"],
+        # the points pass 2^63; a float exponent would lose their parity
+        ["--functionals", "1,0;1000000000000000000,1", "--char", "1,-1"],
+    ]
+
+    @pytest.mark.parametrize("args", BEYOND_INT64, ids=range(len(BEYOND_INT64)))
+    def test_oracle_beyond_int64(self, runner, args):
+        doc = json.loads(invoke(runner, ["cone", *args, "--eval", "0.3,0.3"]).stdout)
         assert doc["evaluation"]["relative_error"] < 1e-9
 
     # sha256 of ``btz cone`` stdout, recorded with the closed form built one

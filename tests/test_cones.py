@@ -24,6 +24,7 @@ from btzeta import (
     fundamental_domain,
 )
 from btzeta.cones import (
+    EXACT_POWER_CAP,
     FUNDAMENTAL_INDEX_CAP,
     _det,
     _inverse,
@@ -397,6 +398,30 @@ class TestWholeArrayPasses:
         w_ref, v_ref = box_filter_points(cone, bound)
         assert w.dtype == v.dtype == np.int64
         assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+    @pytest.mark.parametrize("functionals, basis", [
+        (((2, 1), (1, 3)), ((10**18 + 1, 10**18 - 1), (10**18, 10**18 - 2))),
+        (((1, 0), (0, 1)), ((10**19, 1), (1, 0))),
+        (((1, 0), (10**18, 1)), None),
+        (((1, 2), (3, -1)), ((3 * 10**17 + 1, 5), (3 * 10**17, 7))),
+    ], ids=["wide-coordinates", "wide-basis", "wide-points", "sparse"])
+    def test_truncated_points_exact_beyond_int64(self, functionals, basis):
+        cone = LatticeCone(functionals, basis)
+        bound = 25
+        f_inv, b_inv = _inverse(cone.functionals), _inverse(cone.lattice_basis)
+        expected = []
+        for w in product(range(1, bound + 1), repeat=2):
+            v = _mat_vec(f_inv, w)
+            if all(t.denominator == 1 for t in _mat_vec(b_inv, v)):
+                expected.append((w, tuple(map(int, v))))
+        w, v = truncated_cone_points(cone, bound)
+        assert list(zip(map(tuple, w.T.tolist()), map(tuple, v.T.tolist()))) == expected
+
+    def test_exact_power_cap(self):
+        with pytest.raises(ValueError, match="exponent cap"):
+            CharacterData((1, Fraction(1, 2))).value((5, EXACT_POWER_CAP + 1))
+        huge = 10**18 + 1
+        assert CharacterData((-1, 1)).value((huge, -huge)) == -1
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda r: st.lists(
