@@ -12,6 +12,7 @@ Exit codes: 0 pass, 1 check failure, 2 input error, 3 resource limit.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -50,7 +51,6 @@ from .generators import (
 from .geodesics import (
     DEFAULT_ORDER,
     ORDER_CAP,
-    assemble_S_series,
     closed_paths,
     primitive_counts,
     primitive_product,
@@ -396,6 +396,8 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
         point = tuple(float(x) for x in eval_text.split(",")) if eval_text else None
         if point is not None and len(point) != r:
             raise ValueError("evaluation point has wrong dimension")
+        if point is not None and not all(map(math.isfinite, point)):
+            raise ValueError(f"--eval coordinates must be finite, got {eval_text!r}")
         gens = cone_generators(lc)
         fset = fundamental_domain(lc, gens)
         deco = ConeDecomposition(generators=gens, fundamental_set=fset)
@@ -411,8 +413,13 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
     }
     if point is not None:
         converges = closed.converges_at(point)
-        value = closed.evaluate(point)
+        try:
+            value = closed.evaluate(point)
+        except ZeroDivisionError as exc:
+            _die(EXIT_INPUT_ERROR, str(exc))
         value = float(value) if isinstance(value, Fraction) else complex(value).real
+        if not math.isfinite(value):
+            _die(EXIT_INPUT_ERROR, f"the closed form overflows a float at --eval {eval_text!r}")
         entry: dict = {"point": list(point), "closed_form_value": value,
                        "converges": converges}
         if converges:
@@ -458,6 +465,8 @@ def _ratio_from_json(doc) -> tuple[IntPolynomial, IntPolynomial]:
               show_default=True)
 def rh(file: str, q_flag: int | None, chi: int | None, tol: float, sign: str) -> None:
     """Classify a complex file or a ratio JSON against the critical modulus."""
+    if not (math.isfinite(tol) and tol > 0):
+        _die(EXIT_INPUT_ERROR, f"--tol must be positive and finite, got {tol}")
     doc = _read_json(file)
     counts = None
     if isinstance(doc, dict) and "vertices" in doc:
@@ -578,9 +587,7 @@ def run_verify(path: str, max_order: int = DEFAULT_ORDER,
         structure_ok = all(
             brute[m] == sum(d * prims[d] for d in range(1, m + 1) if m % d == 0)
             for m in range(1, max_order + 1))
-        s_series = assemble_S_series(classes, max_order)
-        exp_side = series_exp_neg_integral([0] + [s_series[m] for m in range(1, max_order + 1)],
-                                           max_order)
+        exp_side = series_exp_neg_integral(brute, max_order)
         prim_prod = primitive_product(classes, max_order)
         exp_ok = exp_side == prim_prod
         checks[f"duality_{kind}"] = {"passed": duality_ok, "order": max_order}

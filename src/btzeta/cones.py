@@ -22,6 +22,13 @@ Fractions: with +-1 multipliers (the trivial character included) a parity
 picks one of two shared Fractions, and all other multipliers go through
 ``CharacterData.value``.
 
+The linear algebra is exact integer elimination: one fraction-free
+Gauss-Jordan routine gives the adjugate and the determinant of a matrix.
+The edge generators are adjugate columns of the functionals in lattice
+coordinates, divided by their gcd, and barycentric coordinates, lattice
+membership and the oracle's points are adjugate products divided exactly by
+the determinant.
+
 Both F and the truncated cone of the partial-sum oracle are lattice points
 of a box.  They are listed from the lower-triangular Hermite normal form of
 the lattice's image (Cohen, *A Course in Computational Algebraic Number
@@ -79,43 +86,32 @@ def _identity(r: int):
     return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
 
 
-def _det(m) -> Fraction:
-    m = [list(map(Fraction, row)) for row in m]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            f = m[i][col] * inv
-            if f:
-                for j in range(col, n):
-                    m[i][j] -= f * m[col][j]
-    return det
+def _adjugate(m) -> tuple[list[list[int]] | None, int]:
+    """(adj m, det m) for a square integer matrix m, or (None, 0) when m is singular.
 
-
-def _inverse(m):
+    Fraction-free Gauss-Jordan elimination on [m | I] (Bareiss, Math. Comp.
+    22, 1968): after step k every entry is a (k+1)-minor of the row-permuted
+    augmented matrix, so each division by the previous pivot is exact.  The
+    left half ends as d I with d = det(P m) for the row permutation P, and
+    the right half as d m^-1, which is sign(P) adj m.
+    """
     n = len(m)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return None, 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot_row, pivot = a[k], a[k][k]
         for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pivot
+    return [[sign * x for x in row[n:]] for row in a], sign * prev
 
 
 @dataclass(frozen=True)
@@ -138,9 +134,9 @@ class LatticeCone:
         basis = tuple(tuple(int(x) for x in row) for row in (lattice_basis or _identity(r)))
         if len(basis) != r or any(len(row) != r for row in basis):
             raise ValueError("lattice basis must be an r x r integer matrix")
-        if _det(basis) == 0:
+        if _adjugate(basis)[1] == 0:
             raise ValueError("lattice basis is singular")
-        if _det(funcs) == 0:
+        if _adjugate(funcs)[1] == 0:
             raise ValueError("functionals are linearly dependent (cone is not sharp)")
         object.__setattr__(self, "rank", r)
         object.__setattr__(self, "lattice_basis", basis)
@@ -162,8 +158,9 @@ class LatticeCone:
         return all(a > 0 for a in self.alphas(v))
 
     def in_lattice(self, v) -> bool:
-        x = _mat_vec(_inverse(self.lattice_basis), v)
-        return all(f.denominator == 1 for f in x)
+        """v = B x with x integral, i.e. adj(B) v = 0 modulo det B."""
+        adj, det = _adjugate(self.lattice_basis)
+        return all(x % det == 0 for x in _mat_vec(adj, v))
 
 
 @dataclass(frozen=True)
@@ -174,68 +171,24 @@ class ConeDecomposition:
     fundamental_set: tuple[tuple[int, ...], ...]
 
 
-def _primitive_kernel_vector(rows) -> tuple[int, ...]:
-    """Primitive integer vector spanning the 1-dim kernel of the given rows."""
-    n = len(rows[0]) if rows else 1
-    mat = [list(map(Fraction, row)) for row in rows]
-    # fraction-free row echelon over Q
-    pivots = []
-    col = 0
-    row = 0
-    while row < len(mat) and col < n:
-        piv = next((i for i in range(row, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for i in range(len(mat)):
-            if i != row and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[row])]
-        pivots.append(col)
-        row += 1
-        col += 1
-    free = [j for j in range(n) if j not in pivots]
-    if len(free) != 1:
-        raise ValueError("functionals are degenerate: kernel is not a line")
-    j = free[0]
-    vec = [Fraction(0)] * n
-    vec[j] = Fraction(1)
-    for i, pc in enumerate(pivots):
-        vec[pc] = -mat[i][j]
-    denom = math.lcm(*(f.denominator for f in vec))
-    ints = [int(f * denom) for f in vec]
-    g = math.gcd(*(abs(x) for x in ints))
-    return tuple(x // g for x in ints)
-
-
 def cone_generators(cone: LatticeCone) -> tuple[tuple[int, ...], ...]:
     """Minimal lattice point a_j on each edge ray of the cone.
 
     a_j spans the line where all functionals except alpha_j vanish, lies in
-    the lattice, is primitive there, and has alpha_j(a_j) > 0 minimal.
+    the lattice, is primitive there, and has alpha_j(a_j) > 0 minimal.  With
+    G the functionals in lattice coordinates, G adj(G) = det(G) I, so column
+    j of adj(G) is such a line in lattice coordinates; divided by its gcd and
+    multiplied by sign(det G) it is a_j, which the lattice basis maps back to
+    ambient coordinates.
     """
     r = cone.rank
+    adj, det = _adjugate([_mat_vec_row(f, cone.basis_columns) for f in cone.functionals])
+    sign = 1 if det > 0 else -1
     gens = []
     for j in range(r):
-        rows = [
-            _mat_vec_row(cone.functionals[i], cone.basis_columns)
-            for i in range(r) if i != j
-        ]
-        if r == 1:
-            x = (1,)
-        else:
-            x = _primitive_kernel_vector(rows)
-        # back to ambient coordinates through the lattice basis
-        cand = _mat_vec(cone.lattice_basis, x)
-        val = cone.alpha(j, cand)
-        if val == 0:
-            raise ValueError("degenerate functionals: edge ray lies in a wall")
-        if val < 0:
-            cand = tuple(-t for t in cand)
-        gens.append(cand)
+        col = [adj[i][j] for i in range(r)]
+        g = math.gcd(*col)
+        gens.append(_mat_vec(cone.lattice_basis, [sign * x // g for x in col]))
     return tuple(gens)
 
 
@@ -312,21 +265,21 @@ def fundamental_domain(cone: LatticeCone,
     sublattice generated by a_1..a_r that lie in the open cone while every
     v0 - a_j falls outside it.  With d = |det A| for the generator matrix A,
     the half-open condition 0 < t <= 1 on barycentric coordinates t = A^-1 v
-    reads d A^-1 v in (0, d]^r, so the points are v = A w / d for the points
-    w of the image lattice d A^-1 Sigma in that box, listed exactly from its
-    Hermite form.  Raises ValueError when the lattice index |F| exceeds
-    FUNDAMENTAL_INDEX_CAP.
+    reads d A^-1 v in (0, d]^r, where d A^-1 = sign(det A) adj A, so the
+    points are v = A w / d for the points w of the image lattice d A^-1 Sigma
+    in that box, listed exactly from its Hermite form.  Raises ValueError
+    when the lattice index |F| exceeds FUNDAMENTAL_INDEX_CAP.
     """
     r = cone.rank
     a_mat = [[generators[j][i] for j in range(r)] for i in range(r)]  # generators as columns
-    det_a = _det(a_mat)
-    expected = abs(int(det_a / _det(cone.lattice_basis)))
+    adj_a, det_a = _adjugate(a_mat)
+    expected = abs(det_a // _adjugate(cone.lattice_basis)[1])
     if expected > FUNDAMENTAL_INDEX_CAP:
         raise ValueError(f"fundamental set has {expected} points, "
                          f"more than the cap of {FUNDAMENTAL_INDEX_CAP}")
-    d = abs(int(det_a))
-    scaled_inverse = [[int(d * x) for x in row] for row in _inverse(a_mat)]
-    g = [_mat_vec_row(row, cone.basis_columns) for row in scaled_inverse]
+    d = abs(det_a)
+    sign = 1 if det_a > 0 else -1
+    g = [_mat_vec_row([sign * x for x in row], cone.basis_columns) for row in adj_a]
     w = _lattice_points_in_box(g, d)
     max_a = max(abs(x) for row in a_mat for x in row)
     v = np.array(a_mat, dtype=_int_dtype(max_a * d * r)) @ w // d
@@ -348,8 +301,9 @@ def decompose(cone: LatticeCone, decomposition: ConeDecomposition, v):
     if not cone.contains(v):
         return None
     a_cols = tuple(tuple(g[i] for g in decomposition.generators) for i in range(cone.rank))
-    t = _mat_vec(_inverse(a_cols), v)
-    ks = tuple(math.ceil(tc) - 1 for tc in t)
+    adj, det = _adjugate(a_cols)
+    # k_j = ceil(t_j) - 1 for the barycentric coordinates t = adj(A) v / det A
+    ks = tuple(-(-x // det) - 1 for x in _mat_vec(adj, v))
     v0 = tuple(
         v[i] - sum(k * g[i] for k, g in zip(ks, decomposition.generators))
         for i in range(cone.rank)
@@ -408,7 +362,11 @@ class ConeClosedForm:
             num += mono
         den = 1
         for j, (coeff, k) in enumerate(self.pole_factors):
-            den *= 1 - coeff * u[j] ** k
+            factor = 1 - coeff * u[j] ** k
+            if factor == 0:
+                raise ZeroDivisionError(
+                    f"u = {tuple(u)} is a pole: the factor 1 - ({coeff}) u_{j + 1}^{k} vanishes")
+            den *= factor
         return num / den
 
     def converges_at(self, u) -> bool:
@@ -481,10 +439,9 @@ def truncated_cone_points(cone: LatticeCone, bound: int):
         return (np.zeros((r, 0), dtype=np.int64),) * 2
     g = [_mat_vec_row(cone.functionals[j], cone.basis_columns) for j in range(r)]
     w = _lattice_points_in_box(g, bound).astype(np.int64)
-    det_f = _det(cone.functionals)
-    adj = [[int(det_f * x) for x in row] for row in _inverse(cone.functionals)]
+    adj, det_f = _adjugate(cone.functionals)
     dtype = _int_dtype(max(abs(x) for row in adj for x in row) * bound * r)
-    return w, np.array(adj, dtype=dtype) @ w.astype(dtype) // int(det_f)
+    return w, np.array(adj, dtype=dtype) @ w.astype(dtype) // det_f
 
 
 def evaluate_partial_sum(cone: LatticeCone, character: CharacterData | None,

@@ -400,20 +400,16 @@ def _vp(n: int, p: int) -> int:
 
 
 def _snf_p_exponents(m: list[list[int]], p: int) -> tuple[int, int, int]:
-    """p-adic valuations (e1 <= e2 <= e3) of the elementary divisors of m."""
-    g1 = math.gcd(*(abs(x) for row in m for x in row))
-    minors = []
-    for rows in ((0, 1), (0, 2), (1, 2)):
-        for cols in ((0, 1), (0, 2), (1, 2)):
-            a, b = rows
-            c, d = cols
-            minors.append(m[a][c] * m[b][d] - m[a][d] * m[b][c])
-    g2 = math.gcd(*(abs(x) for x in minors))
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+    """p-adic valuations (e1 <= e2 <= e3) of the elementary divisors of m.
+
+    The gcds of the 1-, 2- and 3-minors of m are d1, d1 d2 and d1 d2 d3.  The
+    2-minors are the entries of adj m up to sign, and det m is row 0 of m
+    times column 0 of adj m.
+    """
+    adj = _adjugate(m)
+    g1 = math.gcd(*(x for row in m for x in row))
+    g2 = math.gcd(*(x for row in adj for x in row))
+    det = sum(m[0][j] * adj[j][0] for j in range(3))
     e1 = _vp(g1, p)
     e12 = _vp(g2, p)
     e123 = _vp(abs(det), p)

@@ -225,7 +225,7 @@ def assemble_S_series(classes, max_length: int) -> PowerSeriesPrefix:
     The coefficient of u^m equals the based closed-path count N[m] (each
     class of primitive length d contributes d).
     """
-    coeffs: list = [Fraction(0)] * (max_length + 1)
+    coeffs = [0] * (max_length + 1)
     for g in classes:
         if g.length <= max_length:
             coeffs[g.length] += g.primitive_length

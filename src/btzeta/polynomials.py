@@ -1,10 +1,12 @@
 """Exact integer polynomial and power-series layer.
 
-Everything here is exact: coefficients are Python ints (or Fractions in
-intermediate steps), never floats.  Reverse characteristic polynomials
-``det(I - u*M)`` of integer matrices are computed by a modular Hessenberg
-reduction with Chinese-remainder reconstruction, certified by a Hadamard-style
-coefficient bound, so the result is provably exact.
+Everything here is exact: coefficients are Python ints, never floats, and
+divisions of integer polynomials are integer long divisions.  Fractions
+enter only where a result can be non-integral: the log-derivative and
+exponential series and the values of a RationalFn.  Reverse characteristic
+polynomials ``det(I - u*M)`` of integer matrices are computed by a modular
+Hessenberg reduction with Chinese-remainder reconstruction, certified by a
+Hadamard-style coefficient bound, so the result is provably exact.
 """
 
 from __future__ import annotations
@@ -148,24 +150,28 @@ class IntPolynomial:
     def divmod_exact(self, d: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Polynomial division over Q, returned as (quotient, remainder).
 
-        Raises ValueError if the quotient or remainder is not integral.
+        Integer long division: raises ValueError at the first leading
+        coefficient that lc(d) does not divide.  The quotient over Q is
+        unique, so this happens exactly when it is not integral; an integral
+        quotient leaves an integral remainder.
         """
         if d.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < d.degree:
             return IntPolynomial(), self
-        rem = [Fraction(c) for c in self.coeffs]
-        dc = [Fraction(c) for c in d.coeffs]
-        q = [Fraction(0)] * max(0, len(rem) - len(dc) + 1)
-        for k in range(len(rem) - len(dc), -1, -1):
-            factor = rem[k + len(dc) - 1] / dc[-1]
+        rem = list(self.coeffs)
+        dc = d.coeffs
+        lead = dc[-1]
+        q = [0] * (len(rem) - len(dc) + 1)
+        for k in range(len(q) - 1, -1, -1):
+            factor, r = divmod(rem[k + len(dc) - 1], lead)
+            if r:
+                raise ValueError("division is not integral")
             q[k] = factor
             if factor:
                 for j, c in enumerate(dc):
                     rem[k + j] -= factor * c
-        if any(f.denominator != 1 for f in q) or any(r.denominator != 1 for r in rem):
-            raise ValueError("division is not integral")
-        return IntPolynomial(int(f) for f in q), IntPolynomial(int(r) for r in rem)
+        return IntPolynomial(q), IntPolynomial(rem)
 
     def divide_exact(self, d: "IntPolynomial") -> "IntPolynomial | None":
         """Return self / d when the division is exact over Z, else None."""
@@ -484,16 +490,18 @@ def log_derivative_series(f, order: int) -> PowerSeriesPrefix:
 
 
 def series_inverse(p: IntPolynomial, order: int) -> PowerSeriesPrefix:
-    """Power-series inverse of p up to the given order; requires p(0) = +-1."""
-    if p[0] not in (1, -1):
+    """Power-series inverse of p up to the given order; requires p(0) = +-1.
+
+    With p(0) = +-1 the inverse of p(0) is p(0) itself, so the coefficients
+    stay integers.
+    """
+    a0 = p[0]
+    if a0 not in (1, -1):
         raise ValueError("series inverse needs constant term +-1")
-    inv = [Fraction(0)] * (order + 1)
-    inv[0] = Fraction(1, p[0])
+    inv = [0] * (order + 1)
+    inv[0] = a0
     for m in range(1, order + 1):
-        acc = Fraction(0)
-        for j in range(1, m + 1):
-            acc += p[j] * inv[m - j]
-        inv[m] = -acc / p[0]
+        inv[m] = -a0 * sum(p[j] * inv[m - j] for j in range(1, m + 1))
     return PowerSeriesPrefix(inv, order)
 
 

@@ -189,6 +189,13 @@ class TestCone:
         # the pole factor chi(a_1) would be 2**(10**18) as an exact Fraction
         (["--functionals", "1,0;1000000000000000000,1", "--char", "1,1/2"],
          "exceeds the exponent cap"),
+        # inf overflowed in the convergence test; nan, and 1e200 through inf / inf,
+        # printed NaN, which is not JSON
+        (["--eval", "inf,0.3"], "--eval coordinates must be finite"),
+        (["--eval", "nan,0.3"], "--eval coordinates must be finite"),
+        (["--eval", "1e200,1e200"], "the closed form overflows a float"),
+        (["--functionals", "1", "--char", "-1", "--eval", "-1"],
+         "is a pole: the factor 1 - (-1) u_1^1 vanishes"),
     ]
 
     @pytest.mark.parametrize("args, message", MALFORMED,
@@ -276,6 +283,16 @@ class TestRH:
             result = invoke(runner, ["rh", "c3.json"])
         assert result.exit_code == 0
         assert opened.count("c3.json") == 1
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0"])
+    def test_tolerance_must_be_positive_and_finite(self, runner, tmp_path, tol):
+        # with nan no root passed the test, so the tempered 1 - u + 2u^2 was non-tempered
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            json.dump({"num": [1, -1, 2], "den": [1]}, open("ratio.json", "w"))
+            result = runner.invoke(main, ["rh", "ratio.json", "--q", "2", "--tol", tol])
+            assert result.exit_code == 2
+            assert isinstance(result.exception, SystemExit)
+            assert "--tol must be positive and finite" in result.stderr
 
     def test_complex_input_without_q(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):

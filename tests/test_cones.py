@@ -7,6 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +27,7 @@ from btzeta import (
 from btzeta.cones import (
     EXACT_POWER_CAP,
     FUNDAMENTAL_INDEX_CAP,
-    _det,
-    _inverse,
+    _adjugate,
     _lower_hermite_form,
     _mat_vec,
     _mat_vec_row,
@@ -131,6 +131,58 @@ def _int_det(m):
             [[m[i][k] for k in range(n) if k != j] for i in range(1, n)])
         for j in range(n)
     )
+
+
+def _int_adj(m):
+    """Cofactor adjugate: entry (i, j) is (-1)^(i+j) det(m without row j and column i)."""
+    n = len(m)
+    if n == 1:
+        return [[1]]
+    return [[(-1) ** (i + j) * _int_det([[m[a][b] for b in range(n) if b != i]
+                                         for a in range(n) if a != j])
+             for j in range(n)] for i in range(n)]
+
+
+def _frac_inverse(m):
+    det = _int_det(m)
+    return tuple(tuple(Fraction(x, det) for x in row) for row in _int_adj(m))
+
+
+def _singular(m):
+    """m with its last row replaced by a combination of the others (zero if 1 x 1)."""
+    if len(m) == 1:
+        return [[0]]
+    return m[:-1] + [[2 * x - y for x, y in zip(m[0], m[-2])]]
+
+
+# small entries give many singular matrices, wide ones pass 2^63
+ADJUGATE_ENTRIES = st.integers(-3, 3) | st.integers(-2**70, 2**70)
+
+
+class TestAdjugate:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(ADJUGATE_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)),
+        st.booleans())
+    def test_matches_sympy(self, m, singular):
+        if singular:
+            m = _singular(m)
+        adj, det = _adjugate(m)
+        ref = sympy.Matrix(m)
+        assert det == ref.det()
+        if det:
+            assert adj == ref.adjugate().tolist()
+        else:
+            assert adj is None
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_beyond_int64(self, n):
+        rng = random.Random(n)
+        m = [[rng.randint(-2**80, 2**80) for _ in range(n)] for _ in range(n)]
+        adj, det = _adjugate(m)
+        assert abs(det) > 2**63
+        assert adj == _int_adj(m) and det == _int_det(m)
+        assert _adjugate(_singular(m)) == (None, 0)
 
 
 class TestDecompose:
@@ -280,7 +332,7 @@ def lattice_cones(draw, max_entry: int = 4) -> LatticeCone:
     # a sublattice can make |F| = |det A / det B| run into the millions
     gens = cone_generators(cone)
     assume(abs(_int_det([[a[i] for a in gens] for i in range(r)]))
-           <= 2000 * abs(_det(cone.lattice_basis)))
+           <= 2000 * abs(_int_det(cone.lattice_basis)))
     return cone
 
 
@@ -315,10 +367,11 @@ def scan_fundamental_domain(cone, generators):
     """Scan the parallelepiped's bounding box in lattice coordinates, filtered exactly."""
     r = cone.rank
     a_cols = [[generators[j][i] for j in range(r)] for i in range(r)]
-    d = abs(_int_det(a_cols))
+    det = _int_det(a_cols)
+    d = abs(det)
     # d A^-1 v in (0, d]^r  <=>  0 < t <= 1
-    m = np.array([[int(d * x) for x in row] for row in _inverse(a_cols)], dtype=np.int64)
-    b_inv = _inverse(cone.lattice_basis)
+    m = np.array([[d // det * x for x in row] for row in _int_adj(a_cols)], dtype=np.int64)
+    b_inv = _frac_inverse(cone.lattice_basis)
     corners = [_mat_vec(b_inv, tuple(sum(bits[j] * generators[j][i] for j in range(r))
                                      for i in range(r)))
                for bits in product((0, 1), repeat=r)]
@@ -337,9 +390,8 @@ def box_filter_points(cone, bound):
     if bound < 1:
         return (np.zeros((r, 0), dtype=np.int64),) * 2
     g = [list(_mat_vec_row(f, cone.basis_columns)) for f in cone.functionals]
-    det_g = _det(g)
-    det = int(det_g)
-    adj = np.array([[int(det_g * x) for x in row] for row in _inverse(g)], dtype=np.int64)
+    det = _int_det(g)
+    adj = np.array(_int_adj(g), dtype=np.int64)
     grids = np.meshgrid(*([np.arange(1, bound + 1, dtype=np.int64)] * r), indexing="ij")
     w_all = np.stack([a.ravel() for a in grids])
     x_scaled = adj @ w_all
@@ -408,7 +460,7 @@ class TestWholeArrayPasses:
     def test_truncated_points_exact_beyond_int64(self, functionals, basis):
         cone = LatticeCone(functionals, basis)
         bound = 25
-        f_inv, b_inv = _inverse(cone.functionals), _inverse(cone.lattice_basis)
+        f_inv, b_inv = _frac_inverse(cone.functionals), _frac_inverse(cone.lattice_basis)
         expected = []
         for w in product(range(1, bound + 1), repeat=2):
             v = _mat_vec(f_inv, w)
@@ -437,7 +489,7 @@ class TestWholeArrayPasses:
             assert all(h[k][j] == 0 for j in range(k + 1, r))
         # h = m U with U unimodular: same column lattice
         u = [[int(x) for x in row] for row in
-             (np.array(_inverse(m), dtype=object) @ np.array(h, dtype=object)).tolist()]
+             (np.array(_frac_inverse(m), dtype=object) @ np.array(h, dtype=object)).tolist()]
         assert abs(_int_det(u)) == 1
 
     def test_zero_multiplier_rejected(self):

@@ -30,6 +30,23 @@ def cyclic_permutation(n: int) -> np.ndarray:
     return mat
 
 
+# small coefficients and coefficients beyond the 2^53 of a float mantissa
+COEFFS = st.integers(-9, 9) | st.integers(-2**70, 2**70)
+
+
+def _fraction_divmod(p, d):
+    """Long division over Q: (quotient, remainder) as Fraction lists."""
+    if len(p) < len(d):
+        return [], [Fraction(c) for c in p]
+    rem = [Fraction(c) for c in p]
+    q = [Fraction(0)] * (len(p) - len(d) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = rem[k + len(d) - 1] / d[-1]
+        for j, c in enumerate(d):
+            rem[k + j] -= q[k] * c
+    return q, rem
+
+
 class TestIntPolynomial:
     def test_canonical_form_strips_trailing_zeros(self):
         assert IntPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
@@ -53,6 +70,25 @@ class TestIntPolynomial:
         q = p.divide_exact(d)
         assert q is not None and q * d == p
         assert p.divide_exact(IntPolynomial([1, -2])) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(COEFFS, min_size=0, max_size=5),
+           st.lists(COEFFS, min_size=0, max_size=4),
+           st.sampled_from([1, -1, 2, -3, 6, 2**54, -(3**40)]),
+           st.lists(COEFFS, min_size=0, max_size=4),
+           st.booleans())
+    def test_divmod_exact_matches_fraction_division(self, quot, low, lead, rem, plant):
+        d = IntPolynomial(low + [lead])
+        if plant:  # p = q d + r with deg r < deg d: integral quotient q
+            p = IntPolynomial(quot) * d + IntPolynomial(rem[:d.degree])
+        else:
+            p = IntPolynomial(quot + rem)
+        q_ref, r_ref = _fraction_divmod(p.coeffs, d.coeffs)
+        if all(c.denominator == 1 for c in q_ref):
+            assert p.divmod_exact(d) == (IntPolynomial(q_ref), IntPolynomial(r_ref))
+        else:
+            with pytest.raises(ValueError, match="not integral"):
+                p.divmod_exact(d)
 
     def test_eval_exact(self):
         p = IntPolynomial([1, -2, 1])
