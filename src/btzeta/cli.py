@@ -184,12 +184,19 @@ def gen() -> None:
     """Generate test complexes (with a .geom geometry sidecar)."""
 
 
+def _cannot_write(path: str, exc: OSError) -> None:
+    _die(EXIT_INPUT_ERROR, f"cannot write {exc.filename or path}: {exc.strerror or exc}")
+
+
 def _write_generated(cx: TypedComplex, geometry: dict | None, out: str) -> None:
-    save_complex(cx, out)
-    if geometry is not None:
-        sidecar = str(Path(out).with_suffix(".geom"))
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(geometry, sort_keys=True, separators=(",", ":")) + "\n")
+    try:
+        save_complex(cx, out)
+        if geometry is not None:
+            sidecar = str(Path(out).with_suffix(".geom"))
+            with open(sidecar, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(geometry, sort_keys=True, separators=(",", ":")) + "\n")
+    except OSError as exc:
+        _cannot_write(out, exc)
     counts = simplex_counts(cx)
     _info(f"wrote {out}: N=({counts.N0},{counts.N1},{counts.N2})")
 
@@ -257,7 +264,10 @@ def _op_command(file: str, out: str | None, builder, label: str) -> None:
     doc["schema_version"] = SCHEMA_VERSION
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if out:
-        Path(out).write_text(payload, encoding="utf-8")
+        try:
+            Path(out).write_text(payload, encoding="utf-8")
+        except OSError as exc:
+            _cannot_write(out, exc)
     else:
         click.echo(payload, nl=False)
     _info(f"{label} operator: dim={matrix.dim}, nonzeros={len(matrix.entries)}")
@@ -486,7 +496,10 @@ def rh(file: str, q_flag: int | None, chi: int | None, tol: float, sign: str) ->
         except (ComplexFormatError, ValueError) as exc:
             _die(EXIT_INPUT_ERROR, str(exc))
         q = q_flag
-    report = classify_ramanujan(f, q, chi=chi, tol=tol, counts=counts)
+    try:
+        report = classify_ramanujan(f, q, chi=chi, tol=tol, counts=counts)
+    except ValueError as exc:
+        _die(EXIT_INPUT_ERROR, str(exc))
     _emit({"schema_version": SCHEMA_VERSION, **report.to_json_dict()})
     _info(f"verdict: {report.verdict}")
 

@@ -4,14 +4,15 @@ Everything here is exact: coefficients are Python ints, never floats, and
 divisions of integer polynomials are integer long divisions.  Fractions
 enter only where a result can be non-integral: the log-derivative and
 exponential series and the values of a RationalFn.  Reverse characteristic
-polynomials ``det(I - u*M)`` of integer matrices are computed by a modular
-Hessenberg reduction with Chinese-remainder reconstruction, certified by a
-Hadamard-style coefficient bound, so the result is provably exact.
+polynomials ``det(I - u*M)`` of integer matrices come from one Hessenberg
+reduction modulo a Mersenne prime above twice a Hadamard-style coefficient
+bound, so the balanced lift of the residues is provably the exact result.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -297,122 +298,99 @@ def _normalize_number(c):
 # ---------------------------------------------------------------------------
 
 
-def _small_primes(bound: int = 1 << 15) -> list[int]:
-    sieve = bytearray([1]) * bound
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(bound ** 0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(bound) if sieve[i]]
+# Exponents e from 61 up for which 2^e - 1 is a Mersenne prime (checked by
+# Lucas-Lehmer in the tests); on Python ints a smaller modulus saves nothing.
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
 
-_TRIAL_PRIMES = _small_primes()
+def _int_rows(mat) -> list[list[int]]:
+    """The rows of a square matrix as lists of Python ints; non-integers raise TypeError."""
+    if hasattr(mat, "to_dense"):
+        mat = mat.to_dense()
+    arr = np.asarray(mat, dtype=object)
+    if arr.size == 0:
+        return []
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError("matrix must be square")
+    return [list(map(operator.index, row)) for row in arr.tolist()]
 
 
-def _primes_below_2_30(count: int) -> list[int]:
-    """Deterministic list of primes just below 2**30 (int64-safe products)."""
-    primes: list[int] = []
-    n = (1 << 30) - 1
-    while len(primes) < count:
-        is_p = True
-        for p in _TRIAL_PRIMES:
-            if p * p > n:
-                break
-            if n % p == 0:
-                is_p = False
-                break
-        if is_p:
-            primes.append(n)
-        n -= 2
-    return primes
-
-
-def _charpoly_mod(mat: np.ndarray, p: int) -> np.ndarray:
+def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
     """Coefficients of det(x I - M) mod p, degree-ascending, via Hessenberg."""
-    h = np.mod(mat.astype(object), p).astype(np.int64) % p
-    n = h.shape[0]
-    # reduce to upper Hessenberg form with row/column operations mod p
+    h = [[x % p for x in row] for row in rows]
+    n = len(h)
+    # reduce to upper Hessenberg form by similarity transforms mod p
     for k in range(n - 2):
-        piv = None
-        for i in range(k + 1, n):
-            if h[i, k] % p:
-                piv = i
-                break
+        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
         if piv is None:
             continue
         if piv != k + 1:
-            h[[k + 1, piv], :] = h[[piv, k + 1], :]
-            h[:, [k + 1, piv]] = h[:, [piv, k + 1]]
-        inv = pow(int(h[k + 1, k]), p - 2, p)
+            h[k + 1], h[piv] = h[piv], h[k + 1]
+            for row in h:
+                row[k + 1], row[piv] = row[piv], row[k + 1]
+        top = h[k + 1]
+        inv = pow(top[k], -1, p)
+        # top[k + 1] may change below (column operations), so it is always visited
+        support = [k + 1] + [j for j in range(k + 2, n) if top[j]]
         for i in range(k + 2, n):
-            if h[i, k] % p == 0:
+            row = h[i]
+            if not row[k]:
                 continue
-            f = (int(h[i, k]) * inv) % p
-            h[i, :] = (h[i, :] - f * h[k + 1, :]) % p
-            h[:, k + 1] = (h[:, k + 1] + f * h[:, i]) % p
-    # leading-principal-minor recurrence for det(xI - H)
-    polys: list[np.ndarray] = [np.array([1], dtype=np.int64)]
+            f = row[k] * inv % p
+            row[k] = 0
+            for j in support:
+                row[j] = (row[j] - f * top[j]) % p
+            for r in h:
+                if r[i]:
+                    r[k + 1] = (r[k + 1] + f * r[i]) % p
+    # leading-principal-minor recurrence for det(xI - H); a zero subdiagonal
+    # entry ends the chain of products, so block-triangular H stays cheap
+    polys = [[1]]
     for k in range(1, n + 1):
-        prev = polys[k - 1]
-        cur = np.zeros(k + 1, dtype=np.int64)
-        cur[1:] = prev
-        cur[:-1] = (cur[:-1] - int(h[k - 1, k - 1]) * prev) % p
+        prev = polys[-1]
+        d = h[k - 1][k - 1]
+        cur = [0] + prev
+        for j, c in enumerate(prev):
+            cur[j] -= d * c
         beta = 1
         for i in range(k - 1, 0, -1):
-            beta = (beta * int(h[i, i - 1])) % p
-            term = (beta * int(h[i - 1, k - 1])) % p
+            beta = beta * h[i][i - 1] % p
+            if not beta:
+                break
+            term = beta * h[i - 1][k - 1] % p
             if term:
-                cur[: i] = (cur[: i] - term * polys[i - 1]) % p
-        polys.append(cur % p)
+                for j, c in enumerate(polys[i - 1]):
+                    cur[j] -= term * c
+        polys.append([c % p for c in cur])
     return polys[n]
-
-
-def _coeff_bound_bits(mat: np.ndarray) -> int:
-    n = mat.shape[0]
-    if n == 0:
-        return 2
-    row_norms = np.sqrt((mat.astype(float) ** 2).sum(axis=1))
-    m = max(1.0, float(row_norms.max()))
-    # |e_k(eigenvalues)| <= C(n,k) * m^k <= 2^n * m^n
-    return int(n + n * math.log2(m)) + 4
 
 
 def char_poly_reverse(mat) -> IntPolynomial:
     """Exact det(I - u*M) for a square integer matrix.
 
     Accepts a dense integer array-like or anything with a ``to_dense``
-    method.  Result coefficients are exact arbitrary-precision integers:
-    the modular computation uses enough 30-bit primes to cover a Hadamard
-    bound on the coefficients, so the CRT reconstruction is certified.
+    method; a non-integer entry raises TypeError.  Every coefficient of
+    det(xI - M) is below 2^bits in absolute value, with
+    bits = n + ceil(n * ceil(log2 r) / 2) and r the largest squared row norm
+    (Hadamard: the k-th coefficient is at most C(n, k) * sqrt(r)^k).  One
+    Hessenberg pass modulo the smallest tabulated Mersenne prime above
+    2^(bits + 1) and the balanced lift recover the coefficients exactly.  A
+    bound beyond the largest tabulated prime raises ValueError.
     """
-    if hasattr(mat, "to_dense"):
-        mat = mat.to_dense()
-    arr = np.asarray(mat, dtype=object)
-    if arr.ndim == 0 or arr.size == 0:
+    rows = _int_rows(mat)
+    n = len(rows)
+    if n == 0:
         return IntPolynomial.one()
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("matrix must be square")
-    n = arr.shape[0]
-    bits = _coeff_bound_bits(arr)
-    primes = _primes_below_2_30(bits // 29 + 1)
-    residues = [_charpoly_mod(arr, p) for p in primes]
-
-    # CRT with balanced (symmetric) lift
-    modulus = 1
-    combined = [0] * (n + 1)
-    for p, res in zip(primes, residues):
-        if modulus == 1:
-            combined = [int(r) for r in res]
-            modulus = p
-            continue
-        inv = pow(modulus % p, p - 2, p)
-        for k in range(n + 1):
-            delta = ((int(res[k]) - combined[k]) * inv) % p
-            combined[k] += modulus * delta
-        modulus *= p
-    half = modulus // 2
-    charpoly = [c - modulus if c > half else c for c in combined]  # degree-ascending in x
-
+    log_norm = (max(max(sum(x * x for x in row) for row in rows), 1) - 1).bit_length()
+    bits = n + (n * log_norm + 1) // 2
+    e = next((e for e in _MERSENNE_EXPONENTS if e >= bits + 2), None)
+    if e is None:
+        raise ValueError(
+            f"coefficient bound 2^{bits} needs a prime above 2^{bits + 1}; the largest "
+            f"tabulated Mersenne prime is 2^{_MERSENNE_EXPONENTS[-1]} - 1")
+    p = (1 << e) - 1
+    half = p // 2
+    charpoly = [c - p if c > half else c for c in _charpoly_mod(rows, p)]
     # det(I - uM) = u^n * charpoly_M(1/u): reverse the coefficient order
     return IntPolynomial(reversed(charpoly))
 
@@ -422,9 +400,7 @@ def berkowitz_char_poly_reverse(mat) -> IntPolynomial:
 
     Kept as an independent exact route for cross-checking the modular path.
     """
-    if hasattr(mat, "to_dense"):
-        mat = mat.to_dense()
-    rows = [[int(x) for x in row] for row in np.asarray(mat, dtype=object)]
+    rows = _int_rows(mat)
     n = len(rows)
     if n == 0:
         return IntPolynomial.one()

@@ -80,12 +80,16 @@ def polynomial_roots(p: IntPolynomial, tol: float = DEFAULT_TOL) -> list[complex
     few Newton steps evaluated on the exact integer coefficients in extended
     precision, and verified against the scaled residual bound
     |p(z)| < tol * sum_k |c_k| |z|^k.  Deterministic for identical inputs.
+    A coefficient beyond float range raises ValueError.
     """
     if p.is_zero():
         raise ValueError("root finding needs a nonzero polynomial")
     if p.degree < 1:
         return []
-    coeffs_desc = [float(c) for c in reversed(p.coeffs)]
+    try:
+        coeffs_desc = [float(c) for c in reversed(p.coeffs)]
+    except OverflowError:
+        raise ValueError("root finding needs coefficients that fit a float") from None
     raw = np.roots(coeffs_desc)
     exact = list(reversed(p.coeffs))
     exact_deriv = list(reversed(p.derivative().coeffs)) or [0]
@@ -135,8 +139,8 @@ def classify_ramanujan(f, q: int | None, chi: int | None = None,
     a missing pole factor are recorded in the report, never raised.  Roots
     within ``tol`` of modulus q^(-1/2) pass; roots within ``10*tol`` are
     reported as boundary cases (verdict ``inconclusive``); anything farther
-    is a non-tempered witness.  A zero numerator or denominator raises
-    ``ValueError``.
+    is a non-tempered witness.  A zero numerator or denominator, or a
+    residual coefficient beyond float range, raises ``ValueError``.
     """
     num, den_in = (f.num, f.den) if isinstance(f, RationalFn) else f
     if num.is_zero() or den_in.is_zero():

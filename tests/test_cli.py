@@ -545,6 +545,24 @@ class TestMalformedInput:
             assert json.loads(result.stdout)["recorded"]["torus_geometric_oracle"] == \
                 "skipped (sidecar is not torus geometry)"
 
+    @pytest.mark.parametrize("args, path", [
+        (["gen", "torus", "--basis", "3", "0", "0", "3", "-o", "missing/t.json"],
+         "missing/t.json"),
+        (["gen", "cycle", "--n", "3", "-o", "adir"], "adir"),
+        (["gen", "torus", "--basis", "3", "0", "0", "3", "-o", "t.json"], "t.geom"),
+        (["op", "edges", "c3.json", "-o", "missing/x.json"], "missing/x.json"),
+    ], ids=["gen-missing-dir", "gen-directory", "gen-sidecar-directory",
+            "op-missing-dir"])
+    def test_unwritable_output_exit_two(self, runner, tmp_path, args, path):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
+            Path("adir").mkdir()
+            Path("t.geom").mkdir()
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2
+            assert isinstance(result.exception, SystemExit)
+            assert f"error: cannot write {path}: " in result.stderr
+
     def test_validate_reports_dangling_edge_as_violation(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             json.dump(DANGLING_EDGE, open("bad.json", "w"))
@@ -556,6 +574,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("ratio_doc", [
         {"num": [True], "den": [1]}, {"num": [1], "den": 5}, [1, 2], 7,
         {"num": [None], "den": [1]}, {"num": [1], "den": []}, {"num": [0], "den": [1]},
+        {"num": [1, 10 ** 400, 1], "den": [1]},
     ])
     def test_rh_ratio_json_exit_two(self, runner, tmp_path, ratio_doc):
         with runner.isolated_filesystem(temp_dir=tmp_path):

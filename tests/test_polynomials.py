@@ -21,6 +21,7 @@ from btzeta.polynomials import (
     series_inverse,
     series_product,
 )
+from btzeta.polynomials import _MERSENNE_EXPONENTS
 
 
 def cyclic_permutation(n: int) -> np.ndarray:
@@ -144,6 +145,68 @@ class TestCharPolyReverse:
         mat = np.array([[10 ** 12, 1], [1, 10 ** 12]], dtype=object)
         p = char_poly_reverse(mat)
         assert p == IntPolynomial([1, -2 * 10 ** 12, 10 ** 24 - 1])
+
+    def test_entries_beyond_float_range(self):
+        mat = np.array([[2 ** 1100]], dtype=object)
+        assert char_poly_reverse(mat) == IntPolynomial([1, -2 ** 1100])
+        mat = np.array([[2 ** 600, 3], [5, -2 ** 600]], dtype=object)
+        assert char_poly_reverse(mat) == IntPolynomial([1, 0, -2 ** 1200 - 15])
+        # the bound 2^4401 just fits below the largest tabulated prime 2^4423 - 1
+        assert char_poly_reverse([[2 ** 4400]]) == IntPolynomial([1, -2 ** 4400])
+
+    def test_bound_beyond_largest_prime_raises(self):
+        with pytest.raises(ValueError, match=r"bound 2\^4501"):
+            char_poly_reverse([[2 ** 4500]])
+
+    @pytest.mark.parametrize("routine", [char_poly_reverse, berkowitz_char_poly_reverse])
+    @pytest.mark.parametrize("mat", [
+        [[1.5]], [[Fraction(1, 2)]], np.array([[1.0, 0.0], [0.0, 1.0]]), [[1, 2], [3, 2.5]],
+    ], ids=["float", "fraction", "float-array", "mixed"])
+    def test_non_integer_entries_refused(self, routine, mat):
+        with pytest.raises(TypeError):
+            routine(mat)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 20),
+           st.sampled_from([0.05, 0.2, 0.5, 1.0]),
+           st.sampled_from([1, 9, 10 ** 6]),
+           st.sampled_from(["general", "zero-columns", "row-swaps", "upper", "nilpotent"]),
+           st.randoms(use_true_random=False))
+    def test_matches_berkowitz(self, dim, density, bound, shape, rng):
+        mat = [[rng.randint(-bound, bound) if rng.random() < density else 0
+                for _ in range(dim)] for _ in range(dim)]
+        if shape == "zero-columns":  # no pivot in these columns
+            for j in rng.sample(range(dim), dim // 2):
+                for row in mat:
+                    row[j] = 0
+        elif shape == "row-swaps":  # the subdiagonal pivot is zero, a lower entry is not
+            for k in range(dim - 2):
+                mat[k + 1][k] = 0
+                mat[rng.randrange(k + 2, dim)][k] = rng.choice([-bound, bound])
+        elif shape in ("upper", "nilpotent"):
+            for i in range(dim):
+                for j in range(i + (shape == "nilpotent")):
+                    mat[i][j] = 0
+            if shape == "nilpotent":  # conjugate by a permutation
+                perm = rng.sample(range(dim), dim)
+                mat = [[mat[perm[i]][perm[j]] for j in range(dim)] for i in range(dim)]
+        expected = berkowitz_char_poly_reverse(mat)
+        assert char_poly_reverse(np.array(mat, dtype=object)) == expected
+        if shape == "nilpotent":
+            assert expected == IntPolynomial.one()
+
+
+def _lucas_lehmer(e: int) -> bool:
+    """Whether 2^e - 1 is prime, for an odd prime e."""
+    p, s = (1 << e) - 1, 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % p
+    return s == 0
+
+
+@pytest.mark.parametrize("e", _MERSENNE_EXPONENTS)
+def test_tabulated_moduli_are_mersenne_primes(e):
+    assert sympy.isprime(e) and _lucas_lehmer(e)
 
 
 def _strip_trailing(desc_coeffs):

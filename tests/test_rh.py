@@ -32,6 +32,10 @@ class TestPolynomialRoots:
         with pytest.raises(ValueError):
             polynomial_roots(IntPolynomial())
 
+    def test_coefficients_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="fit a float"):
+            polynomial_roots(IntPolynomial([1, 10 ** 400, 1]))
+
     def test_planted_sqrt2_pair(self):
         roots = polynomial_roots(tempered_quadratic(2, 2))
         assert all(abs(abs(z) - 2 ** -0.5) < 1e-9 for z in roots)
