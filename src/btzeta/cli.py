@@ -43,7 +43,6 @@ from .cones import (
 from .generators import (
     ApartmentSpec,
     BallSpec,
-    GenerationError,
     gen_apartment_torus,
     gen_building_ball,
     gen_cycle_complex,
@@ -128,7 +127,18 @@ def _poly_strings(p: IntPolynomial | PowerSeriesPrefix) -> list[str]:
     return [str(c) for c in p.coeffs]
 
 
-@click.group(context_settings={"auto_envvar_prefix": "BTZ"})
+class _BtzGroup(click.Group):
+    """Every subcommand runs in ``invoke``, where a library ValueError or
+    ZeroDivisionError exits 2; an ArithmeticError marks a defect and surfaces."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, ZeroDivisionError) as exc:
+            _die(EXIT_INPUT_ERROR, str(exc))
+
+
+@click.group(cls=_BtzGroup, context_settings={"auto_envvar_prefix": "BTZ"})
 @click.version_option(__version__)
 def main() -> None:
     """Zeta functions of type-colored 2-dimensional simplicial complexes.
@@ -208,12 +218,7 @@ def _write_generated(cx: TypedComplex, geometry: dict | None, out: str) -> None:
 @click.option("-o", "--output", "out", required=True, type=click.Path())
 def torus(basis: tuple[int, int, int, int], out: str) -> None:
     """Apartment torus quotient of the triangular tiling."""
-    a, b, c, d = basis
-    try:
-        cx, geometry = gen_apartment_torus(
-            ApartmentSpec(((a, b), (c, d))), with_geometry=True)
-    except GenerationError as exc:
-        _die(EXIT_INPUT_ERROR, str(exc))
+    cx, geometry = gen_apartment_torus(ApartmentSpec((basis[:2], basis[2:])), with_geometry=True)
     _write_generated(cx, geometry, out)
 
 
@@ -224,11 +229,8 @@ def torus(basis: tuple[int, int, int, int], out: str) -> None:
 @click.option("-o", "--output", "out", required=True, type=click.Path())
 def ball(q: int, radius: int, center_type: int, out: str) -> None:
     """Building ball with boundary marked."""
-    try:
-        cx, geometry = gen_building_ball(
-            BallSpec(q=q, radius=radius, center_type=center_type), with_geometry=True)
-    except GenerationError as exc:
-        _die(EXIT_INPUT_ERROR, str(exc))
+    cx, geometry = gen_building_ball(
+        BallSpec(q=q, radius=radius, center_type=center_type), with_geometry=True)
     _write_generated(cx, geometry, out)
 
 
@@ -237,11 +239,7 @@ def ball(q: int, radius: int, center_type: int, out: str) -> None:
 @click.option("-o", "--output", "out", required=True, type=click.Path())
 def cycle(n: int, out: str) -> None:
     """Typed n-cycle carrying a single closed positive geodesic."""
-    try:
-        cx = gen_cycle_complex(n)
-    except GenerationError as exc:
-        _die(EXIT_INPUT_ERROR, str(exc))
-    _write_generated(cx, {"version": 1, "kind": "cycle", "n": n}, out)
+    _write_generated(gen_cycle_complex(n), {"version": 1, "kind": "cycle", "n": n}, out)
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +253,7 @@ def op() -> None:
 
 
 def _op_command(file: str, out: str | None, builder, label: str) -> None:
-    cx = _load(file)
-    try:
-        matrix = builder(cx)
-    except ValueError as exc:
-        _die(EXIT_INPUT_ERROR, str(exc))
+    matrix = builder(_load(file))
     doc = matrix.to_json_dict()
     doc["schema_version"] = SCHEMA_VERSION
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -305,11 +299,8 @@ def chambers(file: str, out: str | None) -> None:
 def zeta_cmd(file: str, order: int, which: str | None, sign: str) -> None:
     """Zeta polynomials, their ratio, and the log-derivative series."""
     cx = _load(file)
-    try:
-        z1 = zeta_edge(cx)
-        z2 = zeta_chamber(cx)
-    except ValueError as exc:
-        _die(EXIT_INPUT_ERROR, str(exc))
+    z1 = zeta_edge(cx)
+    z2 = zeta_chamber(cx)
     rat = ratio_of(z1, z2, negate_u=(sign == "neg"))
     doc: dict = {"schema_version": SCHEMA_VERSION}
     if which in (None, "edge"):
@@ -338,11 +329,7 @@ def count(file: str, max_length: int, kind: str, allow_large_order: bool) -> Non
     if max_length > ORDER_CAP and not allow_large_order:
         _die(EXIT_RESOURCE_LIMIT,
              f"order {max_length} beyond cap {ORDER_CAP}; use --allow-large-order")
-    try:
-        n_counts, classes = closed_paths(cx, max_length, kind,
-                                         allow_large=allow_large_order)
-    except ValueError as exc:
-        _die(EXIT_INPUT_ERROR, str(exc))
+    n_counts, classes = closed_paths(cx, max_length, kind, allow_large=allow_large_order)
     _emit({
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
@@ -390,30 +377,27 @@ def _parse_character(text: str, rank: int) -> CharacterData:
 def cone(functionals: str, lattice: str | None, char_text: str | None,
          eval_text: str | None, oracle_bound: int) -> None:
     """Sharp-cone lattice decomposition and the closed-form point series."""
-    try:
-        funcs = _parse_vectors(functionals)
-        basis_vectors = _parse_vectors(lattice) if lattice else None
-        r = len(funcs)
-        basis_matrix = None
-        if basis_vectors is not None:
-            if len(basis_vectors) != r or any(len(v) != r for v in basis_vectors):
-                raise ValueError("lattice basis must consist of r vectors of length r")
-            basis_matrix = tuple(
-                tuple(basis_vectors[j][i] for j in range(r)) for i in range(r))
-        lc = LatticeCone(funcs, basis_matrix)
-        character = _parse_character(char_text, r) if char_text \
-            else CharacterData.trivial(r)
-        point = tuple(float(x) for x in eval_text.split(",")) if eval_text else None
-        if point is not None and len(point) != r:
-            raise ValueError("evaluation point has wrong dimension")
-        if point is not None and not all(map(math.isfinite, point)):
-            raise ValueError(f"--eval coordinates must be finite, got {eval_text!r}")
-        gens = cone_generators(lc)
-        fset = fundamental_domain(lc, gens)
-        deco = ConeDecomposition(generators=gens, fundamental_set=fset)
-        closed = cone_series_closed_form(lc, deco, character)
-    except ValueError as exc:
-        _die(EXIT_INPUT_ERROR, str(exc))
+    funcs = _parse_vectors(functionals)
+    basis_vectors = _parse_vectors(lattice) if lattice else None
+    r = len(funcs)
+    basis_matrix = None
+    if basis_vectors is not None:
+        if len(basis_vectors) != r or any(len(v) != r for v in basis_vectors):
+            raise ValueError("lattice basis must consist of r vectors of length r")
+        basis_matrix = tuple(
+            tuple(basis_vectors[j][i] for j in range(r)) for i in range(r))
+    lc = LatticeCone(funcs, basis_matrix)
+    character = _parse_character(char_text, r) if char_text \
+        else CharacterData.trivial(r)
+    point = tuple(float(x) for x in eval_text.split(",")) if eval_text else None
+    if point is not None and len(point) != r:
+        raise ValueError("evaluation point has wrong dimension")
+    if point is not None and not all(map(math.isfinite, point)):
+        raise ValueError(f"--eval coordinates must be finite, got {eval_text!r}")
+    gens = cone_generators(lc)
+    fset = fundamental_domain(lc, gens)
+    deco = ConeDecomposition(generators=gens, fundamental_set=fset)
+    closed = cone_series_closed_form(lc, deco, character)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "rank": lc.rank,
@@ -422,12 +406,12 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
         "closed_form": closed.to_json_dict(),
     }
     if point is not None:
-        converges = closed.converges_at(point)
         try:
+            converges = closed.converges_at(point)
             value = closed.evaluate(point)
-        except ZeroDivisionError as exc:
-            _die(EXIT_INPUT_ERROR, str(exc))
-        value = float(value) if isinstance(value, Fraction) else complex(value).real
+            value = float(value) if isinstance(value, Fraction) else complex(value).real
+        except OverflowError:
+            value = math.inf  # refused below, like a value that overflows to inf
         if not math.isfinite(value):
             _die(EXIT_INPUT_ERROR, f"the closed form overflows a float at --eval {eval_text!r}")
         entry: dict = {"point": list(point), "closed_form_value": value,
@@ -481,25 +465,16 @@ def rh(file: str, q_flag: int | None, chi: int | None, tol: float, sign: str) ->
     counts = None
     if isinstance(doc, dict) and "vertices" in doc:
         cx = _complex_from(file, doc)
-        try:
-            rat = zeta_ratio(cx, negate_u=(sign == "neg"))
-        except ValueError as exc:
-            _die(EXIT_INPUT_ERROR, str(exc))
+        rat = zeta_ratio(cx, negate_u=(sign == "neg"))
         f = (rat.num, rat.den)
         q = q_flag if q_flag is not None else cx.q
         chi = chi if chi is not None else euler_characteristic(cx)
         sc = simplex_counts(cx)
         counts = (sc.N0, sc.N1, sc.N2)
     else:
-        try:
-            f = _ratio_from_json(doc)
-        except (ComplexFormatError, ValueError) as exc:
-            _die(EXIT_INPUT_ERROR, str(exc))
+        f = _ratio_from_json(doc)
         q = q_flag
-    try:
-        report = classify_ramanujan(f, q, chi=chi, tol=tol, counts=counts)
-    except ValueError as exc:
-        _die(EXIT_INPUT_ERROR, str(exc))
+    report = classify_ramanujan(f, q, chi=chi, tol=tol, counts=counts)
     _emit({"schema_version": SCHEMA_VERSION, **report.to_json_dict()})
     _info(f"verdict: {report.verdict}")
 

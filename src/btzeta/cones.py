@@ -59,9 +59,9 @@ __all__ = [
 ]
 
 
-# Largest lattice index |F| that fundamental_domain lists.  Every point of F
-# becomes a tuple and a numerator term, so a much larger set exhausts memory
-# instead of finishing.
+# Largest lattice index |F| that fundamental_domain lists, and largest point
+# count of the partial-sum oracle's box.  Every such point becomes a tuple or
+# array column, so a much larger set exhausts memory instead of finishing.
 FUNDAMENTAL_INDEX_CAP = 10**6
 
 # Largest |exponent| to which CharacterData.value raises an exact multiplier
@@ -241,10 +241,16 @@ def _lattice_points_in_box(g, bound: int) -> np.ndarray:
     partial point by its interval, in order, so only lattice points are
     generated.  Returns an (r, n) array; since 0 <= h_kj < h_kk, every
     |y_k| <= 2^(k-1) bound and every partial sum stays below
-    max_k h_kk * bound * 2^r, which picks int64 or exact integers.
+    max_k h_kk * bound * 2^r, which picks int64 or exact integers.  The k-th
+    interval holds at most ceil(bound / h_kk) values; raises ValueError when
+    their product exceeds FUNDAMENTAL_INDEX_CAP, before listing any point.
     """
     h = _lower_hermite_form(g)
     r = len(h)
+    most = math.prod(-(-bound // h[k][k]) for k in range(r))
+    if most > FUNDAMENTAL_INDEX_CAP:
+        raise ValueError(f"the box (0, {bound}]^{r} holds up to {most} lattice points, "
+                         f"more than the cap of {FUNDAMENTAL_INDEX_CAP}")
     dtype = _int_dtype(max(h[k][k] for k in range(r)) * bound << r)
     y = np.zeros((0, 1), dtype=dtype)
     for k, row in enumerate(h):
@@ -430,17 +436,18 @@ def truncated_cone_points(cone: LatticeCone, bound: int):
     exactly the image-lattice part of the box (0, bound]^r, listed in
     lexicographic order of w from the Hermite form of the functionals in
     lattice coordinates.  The points are v = adj(alpha) w / det(alpha), in
-    int64 when max|adj(alpha)| * bound * r fits and in exact Python integers
-    otherwise.  Returns a pair of integer arrays of shape (r, n): the exponent
-    vectors and the points.
+    int64 when max|adj(alpha)| * bound * r and |det(alpha)| fit and in exact
+    Python integers otherwise.  Returns a pair of integer arrays of shape
+    (r, n): the exponent vectors and the points.  Raises ValueError when the
+    box may hold more than FUNDAMENTAL_INDEX_CAP points.
     """
     r = cone.rank
     if bound < 1:
         return (np.zeros((r, 0), dtype=np.int64),) * 2
     g = [_mat_vec_row(cone.functionals[j], cone.basis_columns) for j in range(r)]
-    w = _lattice_points_in_box(g, bound).astype(np.int64)
+    w = _lattice_points_in_box(g, bound)
     adj, det_f = _adjugate(cone.functionals)
-    dtype = _int_dtype(max(abs(x) for row in adj for x in row) * bound * r)
+    dtype = _int_dtype(max(max(abs(x) for row in adj for x in row) * bound * r, abs(det_f)))
     return w, np.array(adj, dtype=dtype) @ w.astype(dtype) // det_f
 
 
@@ -449,7 +456,8 @@ def evaluate_partial_sum(cone: LatticeCone, character: CharacterData | None,
     """Direct sum of chi(v) u^alpha(v) over lattice points with alpha_j(v) <= bound.
 
     Enumerates the truncated cone directly (no use of the decomposition);
-    this is the numeric oracle the closed form is checked against.
+    this is the numeric oracle the closed form is checked against.  A
+    multiplier or an exponent beyond float range raises ValueError.
     """
     if character is None:
         character = CharacterData.trivial(cone.rank)
@@ -460,13 +468,17 @@ def evaluate_partial_sum(cone: LatticeCone, character: CharacterData | None,
         or any(isinstance(x, complex) for x in u)
     dtype = complex if is_complex else float
     terms = np.ones(w.shape[1], dtype=dtype)
-    for j, uj in enumerate(u):
-        terms *= np.power(dtype(uj), w[j])
-    for i, m in enumerate(character.multipliers):
-        m = dtype(float(m)) if isinstance(m, (int, Fraction)) else dtype(m)
-        if m != 1:
-            e = v[i] % 2 if m == -1 else v[i]        # exact parity beyond 2^53
-            terms *= np.power(m, e.astype(float))
+    try:
+        for j, uj in enumerate(u):
+            terms *= np.power(dtype(uj), w[j].astype(float))
+        for i, m in enumerate(character.multipliers):
+            m = dtype(float(m)) if isinstance(m, (int, Fraction)) else dtype(m)
+            if m != 1:
+                e = v[i] % 2 if m == -1 else v[i]        # exact parity beyond 2^53
+                terms *= np.power(m, e.astype(float))
+    except OverflowError:
+        raise ValueError("the partial-sum oracle needs multipliers and exponents "
+                         "that fit a float") from None
     total = terms.sum()
     return float(total) if dtype is float else complex(total)
 

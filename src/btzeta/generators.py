@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .complexes import TypedComplex
+from .cones import _adjugate, _lower_hermite_form
 
 __all__ = [
     "ApartmentSpec",
@@ -86,21 +87,6 @@ class ApartmentSpec:
         return b[0][0] * b[1][1] - b[0][1] * b[1][0]
 
 
-def _column_hnf(c1: tuple[int, int], c2: tuple[int, int]) -> tuple[int, int, int]:
-    """Lower-triangular form (a, b, c) with columns (a, b), (0, c), a, c > 0."""
-    (x1, y1), (x2, y2) = c1, c2
-    while x2 != 0:
-        q = x1 // x2
-        x1, y1, x2, y2 = x2, y2, x1 - q * x2, y1 - q * y2
-    if x1 < 0:
-        x1, y1 = -x1, -y1
-    if y2 < 0:
-        y2 = -y2
-    if x1 == 0 or y2 == 0:
-        raise GenerationError("degenerate basis")
-    return x1, y1 % y2, y2
-
-
 def _word_ball(radius: int) -> set[tuple[int, int]]:
     ball = {(0, 0)}
     frontier = {(0, 0)}
@@ -125,7 +111,8 @@ def gen_apartment_torus(spec: ApartmentSpec, with_geometry: bool = False):
                 f"quotient too small: basis column ({a},{b}) does not preserve "
                 "vertex types (type classes collapse)")
 
-    hx, hy, hz = _column_hnf(*spec.columns)
+    # lower Hermite form: the lattice has columns (hx, hy), (0, hz), 0 <= hy < hz
+    (hx, _), (hy, hz) = _lower_hermite_form(spec.basis)
 
     def reduce(v: tuple[int, int]) -> tuple[int, int]:
         x, y = v
@@ -399,65 +386,43 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def _snf_p_exponents(m: list[list[int]], p: int) -> tuple[int, int, int]:
-    """p-adic valuations (e1 <= e2 <= e3) of the elementary divisors of m.
-
-    The gcds of the 1-, 2- and 3-minors of m are d1, d1 d2 and d1 d2 d3.  The
-    2-minors are the entries of adj m up to sign, and det m is row 0 of m
-    times column 0 of adj m.
-    """
-    adj = _adjugate(m)
-    g1 = math.gcd(*(x for row in m for x in row))
-    g2 = math.gcd(*(x for row in adj for x in row))
-    det = sum(m[0][j] * adj[j][0] for j in range(3))
-    e1 = _vp(g1, p)
-    e12 = _vp(g2, p)
-    e123 = _vp(abs(det), p)
-    return e1, e12 - e1, e123 - e12
-
-
-def _adjugate(m: list[list[int]]) -> list[list[int]]:
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    return [
-        [e * i - f * h, c * h - b * i, b * f - c * e],
-        [f * g - d * i, a * i - c * g, c * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ]
-
-
 def _matmul3(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    cols = tuple(zip(*b))
+    return [[x * u + y * v + z * w for u, v, w in cols] for x, y, z in a]
 
 
-def _lattice_distance(x: list[list[int]], y: list[list[int]], p: int) -> int:
-    """Gallery-free 1-skeleton distance between homothety classes [x], [y]."""
-    rel = _matmul3(_adjugate(x), y)
-    e = _snf_p_exponents(rel, p)
-    return e[2] - e[0]
+def _lattice_distance(x: tuple, y: tuple, p: int) -> int:
+    """Gallery-free 1-skeleton distance between homothety classes [x], [y].
+
+    x and y are (m, adj m, v_p(det m)) for nonsingular bases m.  The distance
+    is e3 - e1 for the p-adic elementary divisors d1 | d2 | d3 of
+    rel = adj(x) y, where d1, d1 d2 and d1 d2 d3 are the gcds of the entries
+    of rel, of adj rel = det(x) adj(y) x, and det rel = det(x)^2 det(y).
+    """
+    (mx, adj_x, vx), (my, adj_y, vy) = x, y
+    return vx + vy - sum(_vp(math.gcd(*(e for row in _matmul3(a, b) for e in row)), p)
+                         for a, b in ((adj_x, my), (adj_y, mx)))
 
 
 def _ball_from_lattice_chains(spec: BallSpec, p: int) -> tuple[TypedComplex, dict]:
     r = spec.radius
-    lattices: list[tuple[int, list[list[int]]]] = []
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    lattices = []  # (distance from the center, hnf, argument for _lattice_distance)
     for a1, a2, a3 in product(range(r + 1), repeat=3):
         d1, d2, d3 = p ** a1, p ** a2, p ** a3
         for b12, b13, b23 in product(range(d1), range(d1), range(d2)):
             h = [[d1, b12, b13], [0, d2, b23], [0, 0, d3]]
             if all(x % p == 0 for row in h for x in row):
                 continue  # not primitive: a homothety-smaller representative exists
-            e = _snf_p_exponents(h, p)
-            dist = e[2]
-            if dist > r:
-                continue
-            lattices.append((dist, h))
+            basis = (h, _adjugate(h)[0], a1 + a2 + a3)
+            dist = _lattice_distance((identity, identity, 0), basis, p)
+            if dist <= r:
+                lattices.append((dist, h, basis))
     lattices.sort(key=lambda item: (item[0], item[1]))
     t0 = spec.center_type
     vertices = []
     labels = []
-    for i, (dist, h) in enumerate(lattices):
-        colength = _vp(h[0][0] * h[1][1] * h[2][2], p)
+    for i, (dist, h, (_, _, colength)) in enumerate(lattices):
         vertices.append((i, (t0 + colength) % 3))
         labels.append({"hnf": h, "distance": dist})
     n = len(lattices)
@@ -465,7 +430,7 @@ def _ball_from_lattice_chains(spec: BallSpec, p: int) -> tuple[TypedComplex, dic
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            if _lattice_distance(lattices[i][1], lattices[j][1], p) == 1:
+            if _lattice_distance(lattices[i][2], lattices[j][2], p) == 1:
                 edges.append((i, j))
                 adjacency[i].add(j)
                 adjacency[j].add(i)
@@ -474,7 +439,7 @@ def _ball_from_lattice_chains(spec: BallSpec, p: int) -> tuple[TypedComplex, dic
         for m in sorted(adjacency[i] & adjacency[j]):
             if m > j:
                 chambers.append((i, j, m))
-    boundary = [i for i, (dist, _) in enumerate(lattices) if dist == r]
+    boundary = [i for i, (dist, _, _) in enumerate(lattices) if dist == r]
     cx = TypedComplex(vertices, edges, chambers, q=spec.q, boundary=boundary)
     geometry = {"version": 1, "kind": "ball", "q": spec.q, "radius": r,
                 "center_type": spec.center_type, "labels": labels}

@@ -196,6 +196,19 @@ class TestCone:
         (["--eval", "1e200,1e200"], "the closed form overflows a float"),
         (["--functionals", "1", "--char", "-1", "--eval", "-1"],
          "is a pole: the factor 1 - (-1) u_1^1 vanishes"),
+        # OverflowError in the convergence test, in a float power, and in the
+        # coefficient 2^2000 of F = {(1000, 1000)} converted to float
+        (["--functionals", "3", "--eval", "1e300"], "the closed form overflows a float"),
+        (["--functionals", "-1,-2,7;3,-1,2;0,3,-2", "--eval", "0.9,1e300,-0.5"],
+         "the closed form overflows a float"),
+        (["--lattice", "1000,0;0,1000", "--char", "2,2", "--eval", "0.3,0.3"],
+         "the closed form overflows a float"),
+        # the oracle converted the multiplier 10^400 to float
+        (["--functionals", "-1", "--char", "1e400", "--eval", "0.3"],
+         "the partial-sum oracle needs multipliers and exponents that fit a float"),
+        # the oracle's box would hold 5000^3 points
+        (["--functionals", "1,0,0;0,1,0;0,0,1", "--eval", "0.3,0.3,0.3",
+          "--oracle-bound", "5000"], "more than the cap of 1000000"),
     ]
 
     @pytest.mark.parametrize("args, message", MALFORMED,
@@ -257,6 +270,37 @@ class TestCone:
         for args, digest in self.CONE_DIGESTS.items():
             out = invoke(runner, ["cone", *args]).stdout
             assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+class TestInputErrorRule:
+    """A ValueError from any library call exits 2 through the one handler on ``main``."""
+
+    @pytest.mark.parametrize("target, args", [
+        ("zeta_edge", ["zeta", "c3.json"]),
+        ("closed_paths", ["count", "c3.json"]),
+        ("gen_apartment_torus", ["gen", "torus", "--basis", "3", "0", "0", "3", "-o", "t.json"]),
+    ], ids=["zeta", "count", "gen-torus"])
+    def test_value_error_exits_two(self, runner, tmp_path, monkeypatch, target, args):
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
+            monkeypatch.setattr(f"btzeta.cli.{target}", boom)
+            result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: boom\n"
+
+    def test_arithmetic_error_is_not_an_input_error(self, runner, tmp_path, monkeypatch):
+        def clustered(*args, **kwargs):
+            raise ArithmeticError("clustered roots")
+
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            json.dump({"num": [1, -1, 2], "den": [1]}, open("ratio.json", "w"))
+            monkeypatch.setattr("btzeta.cli.classify_ramanujan", clustered)
+            result = runner.invoke(main, ["rh", "ratio.json", "--q", "2"])
+        assert isinstance(result.exception, ArithmeticError)
 
 
 class TestRH:

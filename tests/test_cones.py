@@ -442,6 +442,13 @@ class TestWholeArrayPasses:
         with pytest.raises(ValueError, match=str(FUNDAMENTAL_INDEX_CAP)):
             fundamental_domain(cone, cone_generators(cone))
 
+    def test_oracle_point_cap(self):
+        # the image lattice 2Z^2 has ceil(bound / 2)^2 points in (0, bound]^2
+        cone = LatticeCone(((2, 0), (0, 2)))
+        assert truncated_cone_points(cone, 2000)[0].shape == (2, FUNDAMENTAL_INDEX_CAP)
+        with pytest.raises(ValueError, match=str(FUNDAMENTAL_INDEX_CAP)):
+            truncated_cone_points(cone, 2002)
+
     @settings(max_examples=80, deadline=None)
     @given(lattice_cones(max_entry=5),
            st.sampled_from([0, 1]) | st.integers(2, 60))
@@ -468,6 +475,18 @@ class TestWholeArrayPasses:
                 expected.append((w, tuple(map(int, v))))
         w, v = truncated_cone_points(cone, bound)
         assert list(zip(map(tuple, w.T.tolist()), map(tuple, v.T.tolist()))) == expected
+
+    @pytest.mark.parametrize("functional, bound", [(10**30, 1), (10**29, 10**30)],
+                             ids=["empty", "wide-exponents"])
+    def test_oracle_beyond_int64(self, functional, bound):
+        # det(alpha) = 10^30, or exponents up to 10^30, overflowed the int64 arrays
+        cone = LatticeCone(((functional,),))
+        assert evaluate_partial_sum(cone, None, (0.3,), bound) == 0.0
+
+    def test_oracle_multiplier_beyond_float_range(self):
+        cone = LatticeCone(((-1,),))
+        with pytest.raises(ValueError, match="fit a float"):
+            evaluate_partial_sum(cone, CharacterData((Fraction(10**400),)), (0.3,), 1)
 
     def test_exact_power_cap(self):
         with pytest.raises(ValueError, match="exponent cap"):

@@ -36,6 +36,22 @@ class TestPolynomialRoots:
         with pytest.raises(ValueError, match="fit a float"):
             polynomial_roots(IntPolynomial([1, 10 ** 400, 1]))
 
+    @pytest.mark.parametrize("coeffs, expected", [
+        ([1, 0, -10 ** 40, 1], [-1e-20, 1e-20, 1e40]),
+        ([-10 ** 40, 0, -10 ** 40, 1], [-1j, 1j, 1e40]),
+        # three scales: +-1e-20, the cube roots of -1, and 1e40
+        ([1, 0, -10 ** 40, 0, 0, -10 ** 40, 1],
+         [-1, -1e-20, 1e-20, 0.5 - 0.75 ** 0.5 * 1j, 0.5 + 0.75 ** 0.5 * 1j, 1e40]),
+    ])
+    def test_roots_far_below_the_largest(self, coeffs, expected):
+        # the companion matrix rounds the small roots to 0 next to 1e40
+        roots = sorted(polynomial_roots(IntPolynomial(coeffs)), key=lambda z: (z.real, z.imag))
+        assert roots == [pytest.approx(z) for z in expected]
+
+    def test_root_powers_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="powers fit a float"):
+            polynomial_roots(IntPolynomial([0] * 7 + [-10 ** 40, 1]))
+
     def test_planted_sqrt2_pair(self):
         roots = polynomial_roots(tempered_quadratic(2, 2))
         assert all(abs(abs(z) - 2 ** -0.5) < 1e-9 for z in roots)
