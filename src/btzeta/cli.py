@@ -401,8 +401,8 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
     doc = {
         "schema_version": SCHEMA_VERSION,
         "rank": lc.rank,
-        "generators": [list(a) for a in gens],
-        "fundamental_set": [list(v) for v in fset],
+        "generators": gens,
+        "fundamental_set": fset,
         "closed_form": closed.to_json_dict(),
     }
     if point is not None:

@@ -17,9 +17,9 @@ sums.
 The numerator is built in whole-array integer passes: the exponent vectors
 alpha(F) are one matrix product of the functionals with the points of F, in
 int64 when the bound max|alpha_j| * max|v_i| * r fits and in exact Python
-integers (``dtype=object``) otherwise.  Rational character values are exact
-Fractions: with +-1 multipliers (the trivial character included) a parity
-picks one of two shared Fractions, and all other multipliers go through
+integers (``dtype=object``) otherwise.  Character values are exact: with
++-1 multipliers (the trivial character included) they are the ints 1 and -1,
+picked by a parity, and all other multipliers go through
 ``CharacterData.value``.
 
 The linear algebra is exact integer elimination: one fraction-free
@@ -289,11 +289,11 @@ def fundamental_domain(cone: LatticeCone,
     w = _lattice_points_in_box(g, d)
     max_a = max(abs(x) for row in a_mat for x in row)
     v = np.array(a_mat, dtype=_int_dtype(max_a * d * r)) @ w // d
-    out = sorted(map(tuple, v.T.tolist()))
+    out = tuple(map(tuple, v[:, np.lexsort(v[::-1])].T.tolist()))
     if len(out) != expected:
         raise AssertionError(
             f"fundamental set size {len(out)} != lattice index {expected}")
-    return tuple(out)
+    return out
 
 
 def decompose(cone: LatticeCone, decomposition: ConeDecomposition, v):
@@ -380,26 +380,33 @@ class ConeClosedForm:
                    for (c, k), uj in zip(self.pole_factors, u))
 
     def to_json_dict(self) -> dict:
+        """JSON form; an int coefficient encodes like the equal Fraction."""
         def enc(x):
-            if isinstance(x, Fraction):
+            if isinstance(x, Fraction) or type(x) is int:
                 return {"num": str(x.numerator), "den": str(x.denominator)}
             if isinstance(x, complex):
                 return {"re": x.real, "im": x.imag}
             return x
+        # one shared encoding per distinct coefficient; 1, 1.0 and True are
+        # equal dict keys but encode differently, so the key carries the type
+        shared = {key: enc(key[1]) for key in {(type(c), c) for c, _ in self.terms}}
         return {
-            "terms": [{"coeff": enc(c), "exponents": list(e)} for c, e in self.terms],
+            "terms": [{"coeff": shared[type(c), c], "exponents": list(e)}
+                      for c, e in self.terms],
             "pole_factors": [{"coeff": enc(c), "power": k} for c, k in self.pole_factors],
         }
 
 
 def _character_values(character: CharacterData, points: np.ndarray) -> list:
-    """character.value(v) for every column v of the integer array ``points``."""
+    """character.value(v) for every column v of the integer array ``points``.
+
+    With +-1 multipliers the values are the ints 1 and -1.
+    """
     mults = character.multipliers
     if all(isinstance(m, (int, Fraction)) and m in (1, -1) for m in mults):
         odd = sum((row & 1 for m, row in zip(mults, points) if m == -1),
                   np.zeros(points.shape[1], dtype=points.dtype)) & 1
-        signs = (Fraction(1), Fraction(-1))
-        return [signs[b] for b in odd.tolist()]
+        return (1 - 2 * odd).tolist()
     return [character.value(v) for v in points.T.tolist()]
 
 
@@ -457,7 +464,8 @@ def evaluate_partial_sum(cone: LatticeCone, character: CharacterData | None,
 
     Enumerates the truncated cone directly (no use of the decomposition);
     this is the numeric oracle the closed form is checked against.  A
-    multiplier or an exponent beyond float range raises ValueError.
+    multiplier or an exponent beyond float range, or a sum that is not finite
+    because a term overflows, raises ValueError.
     """
     if character is None:
         character = CharacterData.trivial(cone.rank)
@@ -469,17 +477,20 @@ def evaluate_partial_sum(cone: LatticeCone, character: CharacterData | None,
     dtype = complex if is_complex else float
     terms = np.ones(w.shape[1], dtype=dtype)
     try:
-        for j, uj in enumerate(u):
-            terms *= np.power(dtype(uj), w[j].astype(float))
-        for i, m in enumerate(character.multipliers):
-            m = dtype(float(m)) if isinstance(m, (int, Fraction)) else dtype(m)
-            if m != 1:
-                e = v[i] % 2 if m == -1 else v[i]        # exact parity beyond 2^53
-                terms *= np.power(m, e.astype(float))
+        with np.errstate(all="ignore"):                  # judged by the total below
+            for j, uj in enumerate(u):
+                terms *= np.power(dtype(uj), w[j].astype(float))
+            for i, m in enumerate(character.multipliers):
+                m = dtype(float(m)) if isinstance(m, (int, Fraction)) else dtype(m)
+                if m != 1:
+                    e = v[i] % 2 if m == -1 else v[i]    # exact parity beyond 2^53
+                    terms *= np.power(m, e.astype(float))
+            total = terms.sum()
     except OverflowError:
         raise ValueError("the partial-sum oracle needs multipliers and exponents "
                          "that fit a float") from None
-    total = terms.sum()
+    if not np.isfinite(total):
+        raise ValueError(f"the partial-sum oracle overflows a float: its sum is {total}")
     return float(total) if dtype is float else complex(total)
 
 

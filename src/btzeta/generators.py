@@ -19,12 +19,11 @@ separately and is not part of the complex itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
 from .complexes import TypedComplex
-from .cones import _adjugate, _lower_hermite_form
+from .cones import _lower_hermite_form
 
 __all__ = [
     "ApartmentSpec",
@@ -376,70 +375,87 @@ def _ball_radius_one(spec: BallSpec) -> tuple[TypedComplex, dict]:
     return cx, geometry
 
 
-def _vp(n: int, p: int) -> int:
-    if n == 0:
-        return 1 << 30
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _matmul3(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     cols = tuple(zip(*b))
     return [[x * u + y * v + z * w for u, v, w in cols] for x, y, z in a]
 
 
-def _lattice_distance(x: tuple, y: tuple, p: int) -> int:
-    """Gallery-free 1-skeleton distance between homothety classes [x], [y].
+def _between_lattices(p: int) -> list[list[list[int]]]:
+    """Bases of the 2(p^2+p+1) lattices M with pZ^3 < M < Z^3 (columns span M).
 
-    x and y are (m, adj m, v_p(det m)) for nonsingular bases m.  The distance
-    is e3 - e1 for the p-adic elementary divisors d1 | d2 | d3 of
-    rel = adj(x) y, where d1, d1 d2 and d1 d2 d3 are the gcds of the entries
-    of rel, of adj rel = det(x) adj(y) x, and det rel = det(x)^2 det(y).
+    M is the preimage of a line or a plane of F_p^3.  With w a vector whose
+    first nonzero entry w_i is 1, the line through w lifts to the span of w
+    and p e_j (j != i), and the plane w . x = 0 to the span of e_j - w_j e_i
+    (j != i) and p e_i.
     """
-    (mx, adj_x, vx), (my, adj_y, vy) = x, y
-    return vx + vy - sum(_vp(math.gcd(*(e for row in _matmul3(a, b) for e in row)), p)
-                         for a, b in ((adj_x, my), (adj_y, mx)))
+    def unit(j, scale=1):
+        return [scale * (k == j) for k in range(3)]
+
+    bases = []
+    for i in range(3):
+        for tail in product(range(p), repeat=2 - i):
+            w = [0] * i + [1, *tail]
+            others = [j for j in range(3) if j != i]
+            line = [w] + [unit(j, p) for j in others]
+            plane = [[a - w[j] * b for a, b in zip(unit(j), unit(i))] for j in others]
+            bases += [line, plane + [unit(i, p)]]
+    return [[list(row) for row in zip(*cols)] for cols in bases]
+
+
+def _class_hnf(m: list[list[int]], p: int) -> tuple[tuple[int, ...], ...]:
+    """Upper Hermite form of the representative of [m Z^3] in Z^3 but not in pZ^3.
+
+    The form h has h[i][i] > 0 and 0 <= h[i][j] < h[i][i] for j > i; it is
+    the lower form of the lattice with its coordinates reversed, reversed
+    back.  m Z^3 must lie in Z^3 and not in p^2 Z^3.
+    """
+    h = [row[::-1] for row in _lower_hermite_form(m[::-1])[::-1]]
+    if all(x % p == 0 for row in h for x in row):
+        h = [[x // p for x in row] for row in h]
+    return tuple(map(tuple, h))
 
 
 def _ball_from_lattice_chains(spec: BallSpec, p: int) -> tuple[TypedComplex, dict]:
+    """Breadth-first ball around [Z^3], vertices ordered by (distance, Hermite form).
+
+    The neighbours of a class [L] are the classes [L'] with pL < L' < L,
+    which are L's basis times the bases of ``_between_lattices``.  A class
+    is named by the Hermite form of its representative in Z^3 but not in
+    pZ^3, whose diagonal has product p^colength.
+    """
     r = spec.radius
-    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    lattices = []  # (distance from the center, hnf, argument for _lattice_distance)
-    for a1, a2, a3 in product(range(r + 1), repeat=3):
-        d1, d2, d3 = p ** a1, p ** a2, p ** a3
-        for b12, b13, b23 in product(range(d1), range(d1), range(d2)):
-            h = [[d1, b12, b13], [0, d2, b23], [0, 0, d3]]
-            if all(x % p == 0 for row in h for x in row):
-                continue  # not primitive: a homothety-smaller representative exists
-            basis = (h, _adjugate(h)[0], a1 + a2 + a3)
-            dist = _lattice_distance((identity, identity, 0), basis, p)
-            if dist <= r:
-                lattices.append((dist, h, basis))
-    lattices.sort(key=lambda item: (item[0], item[1]))
+    between = _between_lattices(p)
+    distance = {((1, 0, 0), (0, 1, 0), (0, 0, 1)): 0}
+    neighbours = {}
+    layer = list(distance)
+    for d in range(r + 1):
+        next_layer = []
+        for h in layer:
+            neighbours[h] = [_class_hnf(_matmul3(h, m), p) for m in between]
+            for g in neighbours[h]:
+                if d < r and g not in distance:
+                    distance[g] = d + 1
+                    next_layer.append(g)
+        layer = next_layer
+    order = sorted(distance, key=lambda h: (distance[h], h))
+    index = {h: i for i, h in enumerate(order)}
     t0 = spec.center_type
     vertices = []
     labels = []
-    for i, (dist, h, (_, _, colength)) in enumerate(lattices):
+    for i, h in enumerate(order):
+        colength, det = 0, h[0][0] * h[1][1] * h[2][2]
+        while det > 1:
+            colength, det = colength + 1, det // p
         vertices.append((i, (t0 + colength) % 3))
-        labels.append({"hnf": h, "distance": dist})
-    n = len(lattices)
-    adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _lattice_distance(lattices[i][2], lattices[j][2], p) == 1:
-                edges.append((i, j))
-                adjacency[i].add(j)
-                adjacency[j].add(i)
+        labels.append({"hnf": [list(row) for row in h], "distance": distance[h]})
+    adjacency = [{index[g] for g in neighbours[h] if g in index} for h in order]
+    edges = [(i, j) for i in range(len(order)) for j in sorted(adjacency[i]) if j > i]
     chambers = []
     for i, j in edges:
         for m in sorted(adjacency[i] & adjacency[j]):
             if m > j:
                 chambers.append((i, j, m))
-    boundary = [i for i, (dist, _, _) in enumerate(lattices) if dist == r]
+    boundary = [i for i, h in enumerate(order) if distance[h] == r]
     cx = TypedComplex(vertices, edges, chambers, q=spec.q, boundary=boundary)
     geometry = {"version": 1, "kind": "ball", "q": spec.q, "radius": r,
                 "center_type": spec.center_type, "labels": labels}

@@ -209,6 +209,10 @@ class TestCone:
         # the oracle's box would hold 5000^3 points
         (["--functionals", "1,0,0;0,1,0;0,0,1", "--eval", "0.3,0.3,0.3",
           "--oracle-bound", "5000"], "more than the cap of 1000000"),
+        # the oracle's terms (1e-301)^w * (1e300)^v underflow to 0 times inf;
+        # their NaN sum was printed, which is not JSON
+        (["--functionals", "1", "--char", "1e300", "--eval", "1e-301", "--oracle-bound", "5"],
+         "the partial-sum oracle overflows a float"),
     ]
 
     @pytest.mark.parametrize("args, message", MALFORMED,
@@ -264,6 +268,10 @@ class TestCone:
         ("--functionals", "-5,1,1;-2,3,5;-1,2,-5", "--eval", "0.3,0.2,0.25",
          "--oracle-bound", "30"):
             "266b3ccf05fc768f5c82cb937eda55fd7a0454b1245687f37d022cea5c86b19a",
+        # |F| = 23762 on an index-2 sublattice, with a +-1 character
+        ("--functionals", "-5,1,1;-2,3,5;-1,2,-5", "--lattice", "1,1,0;0,2,0;0,0,1",
+         "--char", "-1,1,-1", "--eval", "0.3,0.2,0.25", "--oracle-bound", "30"):
+            "876176f995be065bee6fafae33a6f49d23a9ed62a5b0af52b8d590002677e252",
     }
 
     def test_outputs_are_byte_identical_to_recorded(self, runner):

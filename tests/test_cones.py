@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -286,6 +287,27 @@ class TestClosedForm:
         assert {"terms", "pole_factors"} <= doc.keys()
         assert doc["terms"][0]["exponents"] == [1, 1]
 
+    def test_json_coefficients_keep_their_type(self):
+        # 1, 1.0, True and Fraction(1) are equal dict keys; only the ints and
+        # Fractions encode as num/den, and equal coefficients of one type
+        # share one encoded dict
+        closed = ConeClosedForm(
+            terms=((1.0, (1,)), (1, (2,)), (Fraction(1), (3,)), (1.0, (4,)),
+                   (-1, (5,)), (Fraction(-1), (6,)), (True, (7,)), (-1, (8,))),
+            pole_factors=((Fraction(1), 1), (1, 2), (1.0, 3)))
+        doc = closed.to_json_dict()
+        one, minus_one = {"num": "1", "den": "1"}, {"num": "-1", "den": "1"}
+        coeffs = [t["coeff"] for t in doc["terms"]]
+        assert coeffs == [1.0, one, one, 1.0, minus_one, minus_one, True, minus_one]
+        assert [type(c) for c in coeffs] == [float, dict, dict, float, dict, dict, bool, dict]
+        assert coeffs[4] is coeffs[7]
+        assert [t["exponents"] for t in doc["terms"]] == [[k] for k in range(1, 9)]
+        assert [f["coeff"] for f in doc["pole_factors"]] == [one, one, 1.0]
+        assert type(doc["pole_factors"][2]["coeff"]) is float
+        assert json.dumps(doc["terms"][:2]) == (
+            '[{"coeff": 1.0, "exponents": [1]}, '
+            '{"coeff": {"num": "1", "den": "1"}, "exponents": [2]}]')
+
 
 class TestMultivariableSeries:
     def test_single_entry_with_powers(self):
@@ -430,6 +452,28 @@ class TestWholeArrayPasses:
         assert max(abs(e) for _, exps in closed.terms for e in exps) > 2 ** 63
         assert all(type(e) is int for _, exps in closed.terms for e in exps)
         assert closed == reference_closed_form(big, deco, character)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_evaluate_and_json_match_fraction_reference(self, data):
+        # +-1 character values are ints in the closed form and Fractions in the
+        # reference; int * float and Fraction * float round alike
+        cone = data.draw(lattice_cones())
+        character = data.draw(characters(cone.rank))
+        point = data.draw(st.lists(st.floats(-1.5, 1.5), min_size=cone.rank,
+                                   max_size=cone.rank))
+        deco = make_decomposition(cone)
+        closed = cone_series_closed_form(cone, deco, character)
+        reference = reference_closed_form(cone, deco, character)
+
+        def outcome(form):
+            try:
+                return repr(form.evaluate(point))
+            except (OverflowError, ZeroDivisionError) as exc:
+                return type(exc)
+
+        assert outcome(closed) == outcome(reference)
+        assert closed.to_json_dict() == reference.to_json_dict()
 
     @settings(max_examples=60, deadline=None)
     @given(lattice_cones(max_entry=5))

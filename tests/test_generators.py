@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter
 from itertools import product
 
@@ -177,6 +179,22 @@ class TestBuildingBall:
         assert len(interior) == len(ball_q2.vertices)
         assert len(sub_edges) == len(ball_q2.edges)
         assert len(sub_chambers) == len(ball_q2.chambers)
+
+    # sha256 of the complex file and of the .geom sidecar, recorded when the
+    # ball was built by testing every pair of lattice classes for distance 1
+    BALL_DIGESTS = {
+        (2, 3): ("7ac40d231602fd599e72e2203a40fd5d7a0fb6bec2a6a6a94a5b67b3fe506247",
+                 "20861eaf97734b01bb5b120e4c0cc67b2453b27eb5c4a80d9043e35bce01c8ef"),
+        (3, 2): ("5dc89c9642caa6490a6d3bee0a6993a1cf26f9637d860936f5f2cd982e1d8507",
+                 "5e2ee6776185e431a5b0b30bf8efe9dd8856d3149d664b18ab703468e31c7117"),
+    }
+
+    @pytest.mark.parametrize("q, radius", sorted(BALL_DIGESTS))
+    def test_ball_files_are_byte_identical_to_recorded(self, q, radius):
+        cx, geometry = gen_building_ball(BallSpec(q=q, radius=radius), with_geometry=True)
+        sidecar = json.dumps(geometry, sort_keys=True, separators=(",", ":")) + "\n"
+        assert tuple(hashlib.sha256(text.encode()).hexdigest()
+                     for text in (dumps_complex(cx), sidecar)) == self.BALL_DIGESTS[q, radius]
 
     def test_determinism(self):
         a = dumps_complex(gen_building_ball(BallSpec(q=2, radius=1)))
