@@ -70,10 +70,15 @@ class TypedComplex:
     (building balls); transfer operators refuse complexes with a nonempty
     boundary.  ``q`` is an optional residue-cardinality tag carried along
     for downstream classification.
+
+    Transition relations (``operators.transitions``) are memoized in a private
+    slot on first use, outside equality, hashing and serialization.  The memo
+    is safe to share across threads: relations are immutable tuples, and
+    ``dict.setdefault`` hands concurrent first uses the same one.
     """
 
     __slots__ = ("vertices", "edges", "chambers", "q", "boundary",
-                 "type_of", "_edge_set", "_chamber_set", "_neighbors")
+                 "type_of", "_edge_set", "_chamber_set", "_neighbors", "_relations")
 
     def __init__(
         self,
@@ -99,6 +104,7 @@ class TypedComplex:
             neighbors.setdefault(a, []).append(b)
             neighbors.setdefault(b, []).append(a)
         self._neighbors = {v: tuple(ws) for v, ws in neighbors.items()}
+        self._relations: dict[str, tuple] = {}
 
     # -- queries -------------------------------------------------------------
 

@@ -1,10 +1,11 @@
 """Brute-force enumeration of closed positive geodesics and galleries.
 
 This module is the independent oracle for the linear-algebra layer: it walks
-the transition relation of ``operators.transitions`` directly (depth-first,
-no matrices) to count based closed paths, decomposes them into rotation
+the index lists of ``operators.transitions`` directly (depth-first, no
+matrices) to count based closed paths, decomposes them into rotation
 classes with primitive lengths and powers, and assembles the length series
-and the product over primitive classes.
+and the product over primitive classes.  The walks keep an explicit stack of
+successor iterators, so no order is bounded by Python's recursion limit.
 
 ``closed_paths`` roots each rotation class at its smallest node, as in
 Johnson's circuit enumeration (SIAM J. Comput. 4, 1975): the walk from a
@@ -65,13 +66,18 @@ class GeodesicClass:
             raise ValueError("length must equal power * primitive_length")
 
 
-def _check_order(max_length: int, allow_large: bool) -> None:
+def _walk_relation(c: TypedComplex, max_length: int, kind: str,
+                   allow_large: bool) -> tuple[tuple, tuple]:
+    """``transitions(c, kind)`` behind the guards both walks share."""
     if max_length < 1:
         raise ValueError("max length must be >= 1")
     if max_length > ORDER_CAP and not allow_large:
         raise ValueError(
             f"enumeration order {max_length} exceeds the cap {ORDER_CAP}; "
             "pass allow_large=True to override (cost grows exponentially)")
+    if c.boundary:
+        raise ValueError("closed-path enumeration is defined for closed complexes only")
+    return transitions(c, kind)
 
 
 def count_closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
@@ -81,21 +87,19 @@ def count_closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
     Pure depth-first enumeration over the transition relation; the result
     list is indexed by length (entry 0 is unused and zero).
     """
-    _check_order(max_length, allow_large)
-    if c.boundary:
-        raise ValueError("closed-path counts are defined for closed complexes only")
-    nodes, succ = transitions(c, kind)
+    nodes, out = _walk_relation(c, max_length, kind, allow_large)
     counts = [0] * (max_length + 1)
-
-    def walk(start, v, depth):
-        for w in succ[v]:
-            if w == start:
-                counts[depth + 1] += 1
-            if depth + 1 < max_length:
-                walk(start, w, depth + 1)
-
-    for s in nodes:
-        walk(s, s, 0)
+    for s in range(len(nodes)):
+        stack = [iter(out[s])]  # the continuations still to try at each depth
+        while stack:
+            for w in stack[-1]:
+                if w == s:
+                    counts[len(stack)] += 1
+                if len(stack) < max_length:
+                    stack.append(iter(out[w]))
+                    break
+            else:
+                stack.pop()
     return counts
 
 
@@ -145,42 +149,40 @@ def closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
 
     Each class is found once, from its smallest node (see the module
     docstring), and N[m] is the sum of the primitive lengths of the classes
-    of length m.
+    of length m.  The walk runs on the indices of ``transitions(c, kind)``,
+    which compare like the nodes the representatives are mapped back to.
     """
-    _check_order(max_length, allow_large)
-    if c.boundary:
-        raise ValueError("closed-path enumeration is defined for closed complexes only")
-    nodes, succ = transitions(c, kind)
-    index = {x: i for i, x in enumerate(nodes)}  # nodes are sorted: indices compare alike
-    out = [[index[y] for y in succ[x]] for x in nodes]
+    nodes, out = _walk_relation(c, max_length, kind, allow_large)
     pred: list[list[int]] = [[] for _ in nodes]
     for i, ys in enumerate(out):
         for j in ys:
             pred[j].append(i)
     reps: list[tuple[tuple, int]] = []  # (smallest rotation, minimal period)
-
-    def walk(v, left):
-        """Extend ``trail``, which ends at v, by at most ``left`` steps."""
-        left -= 1
-        for w in out[v]:
-            d = dist.get(w)
-            if d is None or d > left:
-                continue
-            if w == s:
-                rep = tuple(trail)
-                period = _least_rotation_period(rep)
-                if period:
-                    reps.append((rep, period))
-                if not left:
-                    continue
-            trail.append(w)
-            walk(w, left)
-            trail.pop()
-
     for s in range(len(nodes)):
         dist = _return_distances(pred, s, max_length)
         trail = [s]
-        walk(s, max_length)
+        stack = [iter(out[s])]  # the continuations still to try after each trail node
+        left = max_length - 1  # steps left after the next one
+        while stack:
+            for w in stack[-1]:
+                d = dist.get(w)
+                if d is None or d > left:
+                    continue
+                if w == s:
+                    rep = tuple(trail)
+                    period = _least_rotation_period(rep)
+                    if period:
+                        reps.append((rep, period))
+                    if not left:
+                        continue
+                trail.append(w)
+                stack.append(iter(out[w]))
+                left -= 1
+                break
+            else:
+                stack.pop()
+                trail.pop()
+                left += 1
     counts = [0] * (max_length + 1)
     classes = []
     for rep, period in sorted(reps):

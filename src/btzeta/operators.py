@@ -188,40 +188,43 @@ def _chambers_of_edge(c: TypedComplex) -> dict[tuple[int, int], list]:
     return table
 
 
-def transitions(c: TypedComplex, kind: str) -> tuple[list, dict]:
-    """(nodes, successors) of the positive ``kind`` relation, 'edge' or 'gallery'.
+def transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """(nodes, out) of the positive ``kind`` relation, 'edge' or 'gallery'.
 
-    nodes is the canonically sorted index set; successors maps each node to
-    the tuple of its continuations in canonical order.  Both transfer
-    operators are the 0/1 matrices of this relation; ``geodesics`` walks it.
+    nodes is the sorted tuple of nodes, so indices compare like nodes; out[i]
+    holds the indices of the continuations of nodes[i], in canonical order.
+    Both operators are its 0/1 matrices and ``geodesics`` walks it.  Built
+    once per complex and kind: a second call returns the identical object.
     """
+    if kind in c._relations:
+        return c._relations[kind]
     if kind == "edge":
-        nodes = directed_edges(c)
-        succ = {e: tuple(edge_successors(c, e)) for e in nodes}
+        nodes = tuple(directed_edges(c))
+        succ = [edge_successors(c, e) for e in nodes]
     elif kind == "gallery":
-        nodes = pointed_chambers(c)
+        nodes = tuple(pointed_chambers(c))
         table = _chambers_of_edge(c)
-        succ = {pc: tuple(gallery_successors(c, pc, table)) for pc in nodes}
+        succ = [gallery_successors(c, pc, table) for pc in nodes]
     else:
         raise ValueError(f"unknown kind {kind!r}: expected 'edge' or 'gallery'")
-    return nodes, succ
+    index = {x: i for i, x in enumerate(nodes)}
+    out = tuple(tuple(index[y] for y in ys) for ys in succ)
+    return c._relations.setdefault(kind, (nodes, out))
 
 
-def _closed_transitions(c: TypedComplex, kind: str) -> tuple[list, dict]:
+def _closed_transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple]:
     """``transitions(c, kind)`` behind the guards both operators share."""
     if kind not in ("edge", "gallery"):
         raise ValueError(f"unknown kind {kind!r}: expected 'edge' or 'gallery'")
     _check_closed(c, "edge operator" if kind == "edge" else "chamber operator")
-    nodes, succ = transitions(c, kind)
+    nodes, out = transitions(c, kind)
     if kind == "edge" and not nodes:
         raise ValueError("edge operator needs a nonempty edge set")
-    return nodes, succ
+    return nodes, out
 
 
-def _transfer_matrix(nodes: list, succ: dict) -> SparseIntMatrix:
-    index = {x: i for i, x in enumerate(nodes)}
-    return SparseIntMatrix(
-        len(nodes), ((index[y], index[x], 1) for x in nodes for y in succ[x]))
+def _transfer_matrix(nodes: tuple, out: tuple) -> SparseIntMatrix:
+    return SparseIntMatrix(len(nodes), ((j, i, 1) for i, js in enumerate(out) for j in js))
 
 
 def build_edge_operator(c: TypedComplex) -> SparseIntMatrix:
@@ -247,25 +250,26 @@ def three_step_operator(c: TypedComplex, kind: str) -> SparseIntMatrix:
 
     ``kind`` is 'edge' or 'gallery'; grades are described in the module
     docstring, and ties go to the lowest type.  X[w, x] counts the length-3
-    walks x -> y -> z -> w of ``transitions(c, kind)``, with rows and columns
-    in canonical node order; an empty grade gives the 0x0 matrix.  Raises
-    the same errors as ``build_edge_operator`` resp. ``build_chamber_operator``.
+    walks x -> y -> z -> w along the index lists of the shared relation
+    ``transitions(c, kind)``, with rows and columns in canonical node order;
+    an empty grade gives the 0x0 matrix.  Raises the same errors as
+    ``build_edge_operator`` resp. ``build_chamber_operator``.
     """
-    nodes, succ = _closed_transitions(c, kind)
-    grades: list[list] = [[], [], []]
-    for x in nodes:
+    nodes, out = _closed_transitions(c, kind)
+    grades: list[list[int]] = [[], [], []]
+    for i, x in enumerate(nodes):
         tail = x.tail if kind == "edge" else x.pointer.tail
-        grades[c.type_of[tail]].append(x)
+        grades[c.type_of[tail]].append(i)
     grade = min(grades, key=len)
-    index = {x: i for i, x in enumerate(grade)}
+    row = {i: r for r, i in enumerate(grade)}
     entries = []
-    for col, x in enumerate(grade):
-        walks = {x: 1}
+    for col, i in enumerate(grade):
+        walks = {i: 1}
         for _ in range(3):
-            ahead: dict = {}
+            ahead: dict[int, int] = {}
             for y, k in walks.items():
-                for z in succ[y]:
+                for z in out[y]:
                     ahead[z] = ahead.get(z, 0) + k
             walks = ahead
-        entries.extend((index[w], col, k) for w, k in walks.items())
+        entries.extend((row[w], col, k) for w, k in walks.items())
     return SparseIntMatrix(len(grade), entries)

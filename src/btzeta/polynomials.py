@@ -2,8 +2,10 @@
 
 Everything here is exact: coefficients are Python ints, never floats, and
 divisions of integer polynomials are integer long divisions.  Fractions
-enter only where a result can be non-integral: the log-derivative and
-exponential series and the values of a RationalFn.  Reverse characteristic
+enter only where a result can be non-integral: the log-derivative of a
+polynomial whose constant term is not +-1 (zetas and primitive products
+have constant term 1, so theirs stay in ints), ``series_exp_neg_integral``,
+``series_product`` and the values of a RationalFn.  Reverse characteristic
 polynomials ``det(I - u*M)`` of integer matrices come from one Hessenberg
 reduction modulo a Mersenne prime above twice a Hadamard-style coefficient
 bound, so the balanced lift of the residues is provably the exact result.
@@ -434,17 +436,17 @@ def berkowitz_char_poly_reverse(mat) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _log_deriv_of_poly(p: IntPolynomial, order: int) -> list[Fraction]:
+def _log_deriv_of_poly(p: IntPolynomial, order: int) -> list:
     """Coefficients c_1..c_order of -u p'(u)/p(u); requires p(0) != 0."""
     if p.is_zero() or p[0] == 0:
         raise ValueError("logarithmic derivative needs a nonzero constant term")
-    a0 = Fraction(p[0])
-    c: list[Fraction] = [Fraction(0)] * (order + 1)
+    inv = _normalize_number(Fraction(1, p[0]))
+    c = [0] * (order + 1)
     for m in range(1, order + 1):
-        acc = Fraction(m * p[m])
+        acc = m * p[m]
         for j in range(1, m):
             acc += c[j] * p[m - j]
-        c[m] = -acc / a0
+        c[m] = -acc * inv
     return c
 
 
@@ -461,7 +463,7 @@ def log_derivative_series(f, order: int) -> PowerSeriesPrefix:
         coeffs = [cn[m] - cd[m] for m in range(order + 1)]
     else:
         coeffs = _log_deriv_of_poly(f, order)
-    coeffs[0] = Fraction(0)
+    coeffs[0] = 0
     return PowerSeriesPrefix(coeffs, order)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from btzeta import geodesics, zeta
+from btzeta import geodesics, operators, zeta
 from btzeta.cli import main, run_verify
 from btzeta.complexes import save_complex
 from conftest import closed_typed_complex
@@ -518,6 +518,20 @@ class TestEachQuantityOnce:
             invoke(runner, ["count", "torus.json", "--max", "6", "--kind", kind])
         assert walk_kinds == [kind]
 
+    def test_verify_builds_each_relation_once(self, tmp_path, torus, monkeypatch):
+        # the zeta operators and the walks share one relation per kind
+        listed = []
+        for name in ("directed_edges", "pointed_chambers"):
+            def counting(c, name=name, original=getattr(operators, name)):
+                listed.append(name)
+                return original(c)
+
+            monkeypatch.setattr(operators, name, counting)
+        path = tmp_path / "t.json"
+        save_complex(torus, path)
+        run_verify(str(path), max_order=6)
+        assert sorted(listed) == ["directed_edges", "pointed_chambers"]
+
 
 DANGLING_EDGE = {"version": 1, "vertices": [{"id": 0, "type": 0}, {"id": 1, "type": 1}],
                  "edges": [[0, 1], [1, 7]], "chambers": []}
@@ -614,6 +628,19 @@ class TestMalformedInput:
             assert result.exit_code == 2
             assert isinstance(result.exception, SystemExit)
             assert f"error: cannot write {path}: " in result.stderr
+
+    @pytest.mark.parametrize("args", [["count", "--max"], ["verify", "--max-order"]],
+                             ids=" ".join)
+    def test_order_beyond_recursion_limit_exit_zero(self, runner, tmp_path, args):
+        # the closed-path walks keep their own stack, so the order may exceed
+        # Python's recursion limit (1000 by default)
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
+            result = runner.invoke(main, args + ["1200", "--allow-large-order", "c3.json"])
+            assert result.exit_code == 0
+            doc = json.loads(result.stdout)
+            counts = doc["N"] if "N" in doc else doc["counts"]["edge"]["N"]
+            assert len(counts) == 1201 and counts[1200] == 3
 
     def test_validate_reports_dangling_edge_as_violation(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):

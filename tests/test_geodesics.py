@@ -21,7 +21,7 @@ from btzeta import (
     torus_trace_counts,
     transitions,
 )
-from btzeta.polynomials import series_exp_neg_integral
+from btzeta.polynomials import log_derivative_series, series_exp_neg_integral
 from conftest import closed_typed_complex
 
 M = 12
@@ -30,23 +30,23 @@ M = 12
 def reference_classes(c, max_length, kind):
     """Unpruned reference for the classes of ``closed_paths``: walk from every
     node and keep the smallest of all rotations of each closed walk."""
-    _, succ = transitions(c, kind)
+    nodes, out = transitions(c, kind)  # nodes are sorted: indices compare alike
     seen = set()
 
     def walk(start, trail):
-        for w in succ[trail[-1]]:
+        for w in out[trail[-1]]:
             if w == start:
                 seen.add(min(trail[i:] + trail[:i] for i in range(len(trail))))
             if len(trail) < max_length:
                 walk(start, trail + (w,))
 
-    for s in succ:
+    for s in range(len(nodes)):
         walk(s, (s,))
     classes = []
     for rep in sorted(seen):
         n = len(rep)
         d = next(d for d in range(1, n + 1) if n % d == 0 and rep == rep[d:] + rep[:d])
-        classes.append(GeodesicClass(n, d, n // d, rep))
+        classes.append(GeodesicClass(n, d, n // d, tuple(nodes[i] for i in rep)))
     return classes
 
 
@@ -79,6 +79,9 @@ class TestClosedPathCounts:
         with pytest.raises(ValueError, match="cap"):
             count_closed_paths(three_cycle, 21)
         assert count_closed_paths(three_cycle, 21, allow_large=True)[21] == 3
+        # orders beyond Python's recursion limit: the walks keep their own stack
+        assert count_closed_paths(three_cycle, 1200, allow_large=True)[1200] == 3
+        assert closed_paths(three_cycle, 1200, allow_large=True)[0][1200] == 3
 
     def test_boundary_rejected(self, ball_q2):
         with pytest.raises(ValueError, match="closed"):
@@ -182,6 +185,24 @@ class TestSeriesAssembly:
                 exp_side = series_exp_neg_integral(
                     [0] + [s[m] for m in range(1, M + 1)], M)
                 assert exp_side == primitive_product(classes, M)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)),
+                                        max_size=10),
+           st.integers(0, 12), st.integers(-2, 2))
+    def test_exp_identity_as_log_derivative(self, order, shapes, spot, delta):
+        # the integer form run_verify checks: -u d/du log(product) = N up to
+        # the order holds exactly when exp(-sum N_m u^m / m) = product
+        classes = [GeodesicClass(d * k, d, k, ()) for d, k in shapes]
+        prims = primitive_counts(classes, order)
+        N = [sum(d * prims[d] for d in range(1, m + 1) if m % d == 0)
+             for m in range(order + 1)]
+        N[min(spot, order)] += delta
+        product = primitive_product(classes, order)
+        log_side = log_derivative_series(IntPolynomial(product.coeffs), order)
+        assert all(type(x) is int for x in log_side.coeffs)
+        assert (all(log_side[m] == N[m] for m in range(1, order + 1))
+                == (series_exp_neg_integral(N, order) == product))
 
     def test_empty_class_list(self):
         series = assemble_S_series([], 6)

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import random
+import sys
+import threading
 from fractions import Fraction
 from math import floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btzeta import (
     BallSpec,
@@ -18,8 +23,10 @@ from btzeta import (
     loads_complex,
     pointed_chambers,
     dumps_complex,
+    transitions,
 )
 from btzeta.generators import POSITIVE_DIRECTIONS, gen_building_ball, plane_type
+from conftest import closed_typed_complex
 
 
 # -- plane patch helpers for the geometric calibration -----------------------
@@ -264,3 +271,56 @@ class TestGalleryRule:
 
         mat = build_chamber_operator(torus)
         assert mat.trace_powers(12) == torus_trace_counts(torus_spec.basis, 12, "gallery")[1:]
+
+
+class TestTransitions:
+    """The one indexed relation per complex and kind."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.tuples(*[st.integers(1, 4)] * 3),
+           st.floats(0.4, 1.0), st.floats(0.0, 1.0))
+    def test_indices_name_the_successors(self, seed, per_type, p_edge, p_chamber):
+        c = closed_typed_complex(random.Random(seed), per_type, p_edge, p_chamber)
+        for kind, listed, successors in (("edge", directed_edges, edge_successors),
+                                         ("gallery", pointed_chambers, gallery_successors)):
+            nodes, out = transitions(c, kind)
+            assert nodes == tuple(listed(c)) and list(nodes) == sorted(nodes)
+            assert len(out) == len(nodes)
+            for i, js in enumerate(out):
+                assert [nodes[j] for j in js] == successors(c, nodes[i])
+
+    @pytest.mark.parametrize("kind", ["edge", "gallery"])
+    def test_built_once(self, torus, kind):
+        first = transitions(torus, kind)
+        assert transitions(torus, kind) is first
+        assert isinstance(first[1], tuple) and all(isinstance(js, tuple) for js in first[1])
+
+    def test_memo_is_not_part_of_the_value(self, skew_torus):
+        fresh = loads_complex(dumps_complex(skew_torus))
+        before = (dumps_complex(fresh), hash(fresh))
+        transitions(fresh, "edge")
+        transitions(fresh, "gallery")
+        assert fresh == loads_complex(before[0])
+        assert (dumps_complex(fresh), hash(fresh)) == before
+
+    def test_threads_share_one_relation(self, torus):
+        # concurrent first uses must all get the one memoized relation
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                fresh = loads_complex(dumps_complex(torus))
+                got = {"edge": [], "gallery": []}
+                workers = [
+                    threading.Thread(target=lambda k=kind: got[k].append(transitions(fresh, k)))
+                    for kind in ("edge", "gallery") * 4]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=30)
+                assert not any(w.is_alive() for w in workers)
+                for kind, results in got.items():
+                    assert len(results) == 4
+                    assert all(r is transitions(fresh, kind) for r in results)
+        finally:
+            sys.setswitchinterval(old_interval)

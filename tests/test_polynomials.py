@@ -247,6 +247,20 @@ class TestLogDerivative:
         with pytest.raises(ValueError):
             log_derivative_series(IntPolynomial([0, 1]), 4)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, -1, 2, -3]), st.lists(st.integers(-20, 20), max_size=8),
+           st.integers(0, 15))
+    def test_matches_fraction_recurrence(self, a0, tail, order):
+        # ints throughout when p(0) = +-1, the same values as in Fractions
+        p = IntPolynomial([a0] + tail)
+        ref = [Fraction(0)] * (order + 1)
+        for m in range(1, order + 1):
+            ref[m] = -(m * p[m] + sum(ref[j] * p[m - j] for j in range(1, m))) / Fraction(a0)
+        series = log_derivative_series(p, order)
+        assert list(series.coeffs) == ref
+        if abs(a0) == 1:
+            assert all(type(x) is int for x in series.coeffs)
+
 
 class TestRationalFn:
     def test_normalization_removes_gcd(self):
