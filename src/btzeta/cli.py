@@ -26,7 +26,6 @@ from .complexes import (
     TypedComplex,
     complex_from_json,
     euler_characteristic,
-    load_complex,
     save_complex,
     simplex_counts,
     validate_complex,
@@ -83,20 +82,18 @@ def _die(code: int, message: str) -> None:
 
 
 def _read_json(path: str):
-    """The JSON document in a file; an unreadable file or invalid JSON exits 2."""
+    """The JSON document in a file; an unreadable file or invalid JSON raises ValueError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        _die(EXIT_INPUT_ERROR, f"no such file: {path}")
+        raise ValueError(f"no such file: {path}")
     except OSError as exc:
-        _die(EXIT_INPUT_ERROR, f"cannot read {path}: {exc.strerror or exc}")
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
-        _die(EXIT_INPUT_ERROR,
-             f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
+        raise ValueError(f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
     except json.JSONDecodeError as exc:
-        _die(EXIT_INPUT_ERROR,
-             f"cannot parse {path}: not valid JSON: {exc.msg} (at line {exc.lineno})")
+        raise ValueError(f"cannot parse {path}: not valid JSON: {exc.msg} (at line {exc.lineno})")
 
 
 def _load(path: str, validate: bool = True) -> TypedComplex:
@@ -522,8 +519,8 @@ def run_verify(path: str, max_order: int = DEFAULT_ORDER,
         t_last = now
 
     try:
-        cx = load_complex(path)
-    except (OSError, UnicodeDecodeError, ComplexFormatError) as exc:
+        cx = complex_from_json(_read_json(path))
+    except ValueError as exc:
         report["error"] = {"stage": "load", "message": str(exc)}
         return report, EXIT_INPUT_ERROR
     clock("load")

@@ -162,7 +162,7 @@ def gen_apartment_torus(spec: ApartmentSpec, with_geometry: bool = False):
 
 
 def _check_torus_local_structure(cx: TypedComplex) -> None:
-    from .operators import directed_edges, edge_successors
+    from .operators import transitions
 
     n0, n1, n2 = len(cx.vertices), len(cx.edges), len(cx.chambers)
     chambers_at: dict[int, int] = {v: 0 for v, _ in cx.vertices}
@@ -181,7 +181,7 @@ def _check_torus_local_structure(cx: TypedComplex) -> None:
         and all(d == 6 for d in degree.values())
         and all(k == 6 for k in chambers_at.values())
         and all(k == 2 for k in edge_chambers.values())
-        and all(len(edge_successors(cx, e)) == 1 for e in directed_edges(cx))
+        and all(len(js) == 1 for js in transitions(cx, "edge")[1])
     )
     if not ok:
         raise GenerationError("quotient too small: local tiling structure broken")

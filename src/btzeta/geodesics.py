@@ -68,15 +68,13 @@ class GeodesicClass:
 
 def _walk_relation(c: TypedComplex, max_length: int, kind: str,
                    allow_large: bool) -> tuple[tuple, tuple]:
-    """``transitions(c, kind)`` behind the guards both walks share."""
+    """``transitions(c, kind)``, which checks the kind and closedness, behind the order checks."""
     if max_length < 1:
         raise ValueError("max length must be >= 1")
     if max_length > ORDER_CAP and not allow_large:
         raise ValueError(
             f"enumeration order {max_length} exceeds the cap {ORDER_CAP}; "
             "pass allow_large=True to override (cost grows exponentially)")
-    if c.boundary:
-        raise ValueError("closed-path enumeration is defined for closed complexes only")
     return transitions(c, kind)
 
 

@@ -37,14 +37,15 @@ X has the same nonzero eigenvalues on every grade, so
 ``three_step_operator`` takes the smallest one.  The zeta polynomials are
 computed from it; the full operators stay as the reference.
 
-Both operators refuse complexes with a marked boundary: their determinant
-identities concern closed complexes only, and silently truncating at the
-boundary would corrupt the counts.
+The relation refuses complexes with a marked boundary, so both operators and
+both walks do: their determinant identities concern closed complexes only,
+and silently truncating at the boundary would corrupt the counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,16 +66,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class DirectedEdge:
+class DirectedEdge(NamedTuple):
     """Edge traversed in the positive (type-increasing) direction."""
 
     tail: int
     head: int
 
 
-@dataclass(frozen=True, order=True)
-class PointedChamber:
+class PointedChamber(NamedTuple):
     """Chamber plus the positively oriented edge across which it is exited."""
 
     chamber: tuple[int, int, int]
@@ -103,28 +102,24 @@ class SparseIntMatrix:
         return out
 
     def trace_powers(self, max_power: int) -> list[int]:
-        """Exact [tr M, tr M^2, ..., tr M^max_power] via integer matmuls."""
-        dense = [[int(x) for x in row] for row in self.to_dense()]
-        n = self.dim
-        traces = []
-        power = dense
-        for _ in range(max_power):
-            traces.append(sum(power[i][i] for i in range(n)))
-            power = [
-                [sum(power[i][k] * dense[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
+        """Exact [tr M, ..., tr M^max_power]: each e_i pushed through the triplets in ints."""
+        column: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
+        for r, c, v in self.entries:
+            column[c].append((r, v))
+        traces = [0] * max_power
+        for i in range(self.dim):
+            vec = {i: 1}
+            for p in range(max_power):
+                ahead: dict[int, int] = {}
+                for c, x in vec.items():
+                    for r, v in column[c]:
+                        ahead[r] = ahead.get(r, 0) + x * v
+                vec = ahead
+                traces[p] += vec.get(i, 0)
         return traces
 
     def to_json_dict(self) -> dict:
         return {"dim": self.dim, "triplets": [list(t) for t in self.entries]}
-
-
-def _check_closed(c: TypedComplex, what: str) -> None:
-    if c.boundary:
-        raise ValueError(
-            f"{what} is undefined on complexes with marked boundary "
-            f"({len(c.boundary)} boundary vertices); operators need closed complexes")
 
 
 def directed_edges(c: TypedComplex) -> list[DirectedEdge]:
@@ -149,7 +144,7 @@ def pointed_chambers(c: TypedComplex) -> list[PointedChamber]:
             raise ValueError(f"chamber {tri} is not typed by all three types")
         for t in (0, 1, 2):
             out.append(PointedChamber(tri, DirectedEdge(by_type[t], by_type[(t + 1) % 3])))
-    return sorted(out, key=lambda pc: (pc.chamber, pc.pointer))
+    return sorted(out)
 
 
 def edge_successors(c: TypedComplex, e: DirectedEdge) -> list[DirectedEdge]:
@@ -176,7 +171,7 @@ def gallery_successors(c: TypedComplex, pc: PointedChamber,
             continue
         opposite = next(v for v in tri if v not in f)
         out.append(PointedChamber(tri, DirectedEdge(opposite, pc.pointer.tail)))
-    return sorted(out, key=lambda x: (x.chamber, x.pointer))
+    return sorted(out)
 
 
 def _chambers_of_edge(c: TypedComplex) -> dict[tuple[int, int], list]:
@@ -191,32 +186,36 @@ def _chambers_of_edge(c: TypedComplex) -> dict[tuple[int, int], list]:
 def transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
     """(nodes, out) of the positive ``kind`` relation, 'edge' or 'gallery'.
 
-    nodes is the sorted tuple of nodes, so indices compare like nodes; out[i]
-    holds the indices of the continuations of nodes[i], in canonical order.
-    Both operators are its 0/1 matrices and ``geodesics`` walks it.  Built
-    once per complex and kind: a second call returns the identical object.
+    nodes is the sorted tuple of ``DirectedEdge`` resp. ``PointedChamber``
+    tuples, so indices compare like nodes; out[i] holds the indices of the
+    continuations of nodes[i], in canonical order.  Both operators are its 0/1
+    matrices and ``geodesics`` walks it.  Built once per complex and kind: a
+    second call returns the identical object.  The one gate to the relation:
+    an unknown kind, then a marked boundary, raise ValueError, memoizing nothing.
     """
     if kind in c._relations:
         return c._relations[kind]
+    if kind not in ("edge", "gallery"):
+        raise ValueError(f"unknown kind {kind!r}: expected 'edge' or 'gallery'")
+    if c.boundary:
+        what = "edge operator" if kind == "edge" else "chamber operator"
+        raise ValueError(
+            f"{what} is undefined on complexes with marked boundary "
+            f"({len(c.boundary)} boundary vertices); operators need closed complexes")
     if kind == "edge":
         nodes = tuple(directed_edges(c))
         succ = [edge_successors(c, e) for e in nodes]
-    elif kind == "gallery":
+    else:
         nodes = tuple(pointed_chambers(c))
         table = _chambers_of_edge(c)
         succ = [gallery_successors(c, pc, table) for pc in nodes]
-    else:
-        raise ValueError(f"unknown kind {kind!r}: expected 'edge' or 'gallery'")
     index = {x: i for i, x in enumerate(nodes)}
     out = tuple(tuple(index[y] for y in ys) for ys in succ)
     return c._relations.setdefault(kind, (nodes, out))
 
 
 def _closed_transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple]:
-    """``transitions(c, kind)`` behind the guards both operators share."""
-    if kind not in ("edge", "gallery"):
-        raise ValueError(f"unknown kind {kind!r}: expected 'edge' or 'gallery'")
-    _check_closed(c, "edge operator" if kind == "edge" else "chamber operator")
+    """``transitions(c, kind)``, plus the edge operator's nonempty-edge rule."""
     nodes, out = transitions(c, kind)
     if kind == "edge" and not nodes:
         raise ValueError("edge operator needs a nonempty edge set")

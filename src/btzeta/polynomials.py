@@ -440,12 +440,13 @@ def _log_deriv_of_poly(p: IntPolynomial, order: int) -> list:
     """Coefficients c_1..c_order of -u p'(u)/p(u); requires p(0) != 0."""
     if p.is_zero() or p[0] == 0:
         raise ValueError("logarithmic derivative needs a nonzero constant term")
-    inv = _normalize_number(Fraction(1, p[0]))
+    a = p.coeffs
+    inv = _normalize_number(Fraction(1, a[0]))
     c = [0] * (order + 1)
     for m in range(1, order + 1):
-        acc = m * p[m]
-        for j in range(1, m):
-            acc += c[j] * p[m - j]
+        acc = m * a[m] if m <= p.degree else 0
+        for k in range(1, min(m - 1, p.degree) + 1):  # a[k] = 0 beyond the degree
+            acc += c[m - k] * a[k]
         c[m] = -acc * inv
     return c
 

@@ -149,6 +149,17 @@ class TestZetaCount:
             result = runner.invoke(main, ["count", "c3.json", "--max", "25"])
             assert result.exit_code == 3
 
+    @pytest.mark.parametrize("kind, operator", [("edge", "edge"), ("gallery", "chamber")])
+    def test_count_on_ball_prints_operator_message(self, runner, tmp_path, kind, operator):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            invoke(runner, ["gen", "ball", "--q", "2", "--radius", "1", "-o", "b.json"])
+            result = runner.invoke(main, ["count", "b.json", "--max", "9", "--kind", kind])
+            assert result.exit_code == 2
+            assert isinstance(result.exception, SystemExit)
+            assert result.stderr == (
+                f"error: {operator} operator is undefined on complexes with marked boundary "
+                "(14 boundary vertices); operators need closed complexes\n")
+
 
 class TestCone:
     def test_coordinate_cone(self, runner):
@@ -577,8 +588,21 @@ class TestMalformedInput:
             assert isinstance(result.exception, SystemExit)
             if command == ["verify"]:
                 assert json.loads(result.stdout)["error"]["stage"] == "load"
+                # the same text as the other commands print
+                other = runner.invoke(main, ["info", "in.json"])
+                assert "error: " + json.loads(result.stdout)["error"]["message"] + "\n" \
+                    == other.stderr
             else:
                 assert "error: cannot read in.json" in result.stderr
+
+    def test_missing_file_same_message_in_verify(self, runner, tmp_path):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = runner.invoke(main, ["verify", "in.json"])
+            assert result.exit_code == 2
+            assert json.loads(result.stdout)["error"] == {
+                "stage": "load", "message": "no such file: in.json"}
+            assert runner.invoke(main, ["info", "in.json"]).stderr == \
+                "error: no such file: in.json\n"
 
     @pytest.mark.parametrize("sidecar", [b"\xff\xfe{}", b"[1]", None],
                              ids=["not-utf8", "not-object", "directory"])

@@ -11,21 +11,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btzeta import (
+    ApartmentSpec,
     BallSpec,
     DirectedEdge,
     PointedChamber,
+    SparseIntMatrix,
     TypedComplex,
     build_chamber_operator,
     build_edge_operator,
+    closed_paths,
+    count_closed_paths,
     directed_edges,
     edge_successors,
     gallery_successors,
     loads_complex,
     pointed_chambers,
     dumps_complex,
+    three_step_operator,
     transitions,
+    zeta_chamber,
+    zeta_edge,
 )
-from btzeta.generators import POSITIVE_DIRECTIONS, gen_building_ball, plane_type
+from btzeta.generators import (
+    POSITIVE_DIRECTIONS,
+    gen_apartment_torus,
+    gen_building_ball,
+    plane_type,
+)
 from conftest import closed_typed_complex
 
 
@@ -271,6 +283,11 @@ class TestGalleryRule:
 
         mat = build_chamber_operator(torus)
         assert mat.trace_powers(12) == torus_trace_counts(torus_spec.basis, 12, "gallery")[1:]
+        # the 9x9 torus: dimension 486, beyond reach of dense matrix powers
+        basis = ((9, 0), (0, 9))
+        mat = build_chamber_operator(gen_apartment_torus(ApartmentSpec(basis)))
+        assert mat.dim == 486
+        assert mat.trace_powers(12) == torus_trace_counts(basis, 12, "gallery")[1:]
 
 
 class TestTransitions:
@@ -324,3 +341,76 @@ class TestTransitions:
                     assert all(r is transitions(fresh, kind) for r in results)
         finally:
             sys.setswitchinterval(old_interval)
+
+
+class TestTracePowers:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 7), st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
+                                                 st.integers(-3, 3))), st.integers(0, 6))
+    def test_equals_dense_powers(self, dim, triplets, max_power):
+        mat = SparseIntMatrix(dim, [t for t in triplets if max(t[:2]) < dim])
+        dense = [[0] * dim for _ in range(dim)]
+        for r, c, v in mat.entries:
+            dense[r][c] += v
+        power, traces = dense, []
+        for _ in range(max_power):
+            traces.append(sum(power[i][i] for i in range(dim)))
+            power = [[sum(power[i][k] * dense[k][j] for k in range(dim))
+                      for j in range(dim)] for i in range(dim)]
+        assert mat.trace_powers(max_power) == traces
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.tuples(*[st.integers(1, 4)] * 3),
+           st.floats(0.4, 1.0), st.floats(0.0, 1.0))
+    def test_equals_closed_path_counts(self, seed, per_type, p_edge, p_chamber):
+        c = closed_typed_complex(random.Random(seed), per_type, p_edge, p_chamber)
+        pairs = [("gallery", build_chamber_operator)]
+        if c.edges:  # the edge operator needs a nonempty edge set
+            pairs.append(("edge", build_edge_operator))
+        for kind, build in pairs:
+            assert build(c).trace_powers(6) == count_closed_paths(c, 6, kind)[1:]
+
+
+class TestGate:
+    """``transitions`` is the one gate: every route to the relation refuses alike."""
+
+    ROUTES = {
+        "edge": [lambda c: transitions(c, "edge"), build_edge_operator,
+                 lambda c: three_step_operator(c, "edge"),
+                 lambda c: count_closed_paths(c, 4, "edge"),
+                 lambda c: closed_paths(c, 4, "edge"), zeta_edge],
+        "gallery": [lambda c: transitions(c, "gallery"), build_chamber_operator,
+                    lambda c: three_step_operator(c, "gallery"),
+                    lambda c: count_closed_paths(c, 4, "gallery"),
+                    lambda c: closed_paths(c, 4, "gallery"), zeta_chamber],
+    }
+    KIND_ROUTES = [transitions, three_step_operator,
+                   lambda c, kind: count_closed_paths(c, 4, kind),
+                   lambda c, kind: closed_paths(c, 4, kind)]
+
+    @pytest.mark.parametrize("kind, operator", [("edge", "edge"), ("gallery", "chamber")])
+    def test_one_message_per_kind(self, ball_q2, kind, operator):
+        messages = set()
+        for route in self.ROUTES[kind]:
+            with pytest.raises(ValueError) as info:
+                route(ball_q2)
+            messages.add(str(info.value))
+        assert messages == {
+            f"{operator} operator is undefined on complexes with marked boundary "
+            f"({len(ball_q2.boundary)} boundary vertices); operators need closed complexes"}
+
+    def test_unknown_kind_before_boundary(self, ball_q2):
+        for route in self.KIND_ROUTES:
+            with pytest.raises(ValueError, match="unknown kind 'chamber'"):
+                route(ball_q2, "chamber")
+
+    def test_refusal_memoizes_nothing(self, ball_q2):
+        fresh = loads_complex(dumps_complex(ball_q2))
+        for routes in self.ROUTES.values():
+            for route in routes:
+                with pytest.raises(ValueError):
+                    route(fresh)
+        for route in self.KIND_ROUTES:
+            with pytest.raises(ValueError):
+                route(fresh, "chamber")
+        assert fresh._relations == {}

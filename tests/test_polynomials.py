@@ -243,6 +243,16 @@ class TestLogDerivative:
         den = log_derivative_series(IntPolynomial([1, -2]), 6)
         assert all(series[m] == num[m] - den[m] for m in range(1, 7))
 
+    def test_high_order_closed_forms(self):
+        # -u d/du log(1 - a u^3) = sum_k 3 a^k u^(3k), at an order far above deg p
+        order = 3000
+        one = log_derivative_series(IntPolynomial([1, 0, 0, -1]), order)
+        assert list(one.coeffs) == [3 if m and m % 3 == 0 else 0 for m in range(order + 1)]
+        ratio = log_derivative_series(
+            RationalFn(IntPolynomial([1, 0, 0, -1]), IntPolynomial([1, 0, 0, -8])), order)
+        assert list(ratio.coeffs) == [
+            3 - 3 * 8 ** (m // 3) if m and m % 3 == 0 else 0 for m in range(order + 1)]
+
     def test_rejects_vanishing_constant_term(self):
         with pytest.raises(ValueError):
             log_derivative_series(IntPolynomial([0, 1]), 4)
