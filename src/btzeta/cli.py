@@ -25,8 +25,8 @@ from .complexes import (
     ComplexFormatError,
     TypedComplex,
     complex_from_json,
+    dumps_complex,
     euler_characteristic,
-    save_complex,
     simplex_counts,
     validate_complex,
 )
@@ -68,17 +68,17 @@ EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_LIMIT = 3
 
 
+def _canonical(doc) -> str:
+    """A JSON document with sorted keys and fixed separators, newline-terminated."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def _emit(doc: dict) -> None:
-    click.echo(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    click.echo(_canonical(doc), nl=False)
 
 
 def _info(message: str) -> None:
     click.echo(message, err=True)
-
-
-def _die(code: int, message: str) -> None:
-    _info(f"error: {message}")
-    sys.exit(code)
 
 
 def _read_json(path: str):
@@ -96,6 +96,14 @@ def _read_json(path: str):
         raise ValueError(f"cannot parse {path}: not valid JSON: {exc.msg} (at line {exc.lineno})")
 
 
+def _write(path: str, text: str) -> None:
+    """Write a text file; an OSError raises ValueError naming the file."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
+
+
 def _load(path: str, validate: bool = True) -> TypedComplex:
     """Parse a complex file and, unless told not to, check its invariants."""
     return _complex_from(path, _read_json(path), validate)
@@ -105,11 +113,11 @@ def _complex_from(path: str, doc, validate: bool = True) -> TypedComplex:
     try:
         cx = complex_from_json(doc)
     except ComplexFormatError as exc:
-        _die(EXIT_INPUT_ERROR, f"cannot parse {path}: {exc}")
+        raise ValueError(f"cannot parse {path}: {exc}") from None
     if validate:
         report = validate_complex(cx)
         if not report.ok:
-            _die(EXIT_INPUT_ERROR, f"invalid complex {path}: {'; '.join(report.violations)}")
+            raise ValueError(f"invalid complex {path}: {'; '.join(report.violations)}")
     return cx
 
 
@@ -118,14 +126,16 @@ def _poly_strings(p: IntPolynomial | PowerSeriesPrefix) -> list[str]:
 
 
 class _BtzGroup(click.Group):
-    """Every subcommand runs in ``invoke``, where a library ValueError or
-    ZeroDivisionError exits 2; an ArithmeticError marks a defect and surfaces."""
+    """Every subcommand runs in ``invoke``, the one place where a ValueError or
+    ZeroDivisionError, the library's or a command's own, exits 2; an
+    ArithmeticError marks a defect and surfaces."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except (ValueError, ZeroDivisionError) as exc:
-            _die(EXIT_INPUT_ERROR, str(exc))
+            _info(f"error: {exc}")
+            sys.exit(EXIT_INPUT_ERROR)
 
 
 @click.group(cls=_BtzGroup, context_settings={"auto_envvar_prefix": "BTZ"})
@@ -184,19 +194,9 @@ def gen() -> None:
     """Generate test complexes (with a .geom geometry sidecar)."""
 
 
-def _cannot_write(path: str, exc: OSError) -> None:
-    _die(EXIT_INPUT_ERROR, f"cannot write {exc.filename or path}: {exc.strerror or exc}")
-
-
-def _write_generated(cx: TypedComplex, geometry: dict | None, out: str) -> None:
-    try:
-        save_complex(cx, out)
-        if geometry is not None:
-            sidecar = str(Path(out).with_suffix(".geom"))
-            with open(sidecar, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(geometry, sort_keys=True, separators=(",", ":")) + "\n")
-    except OSError as exc:
-        _cannot_write(out, exc)
+def _write_generated(cx: TypedComplex, geometry: dict, out: str) -> None:
+    _write(out, dumps_complex(cx))
+    _write(str(Path(out).with_suffix(".geom")), _canonical(geometry))
     counts = simplex_counts(cx)
     _info(f"wrote {out}: N=({counts.N0},{counts.N1},{counts.N2})")
 
@@ -246,14 +246,10 @@ def _op_command(file: str, out: str | None, builder, label: str) -> None:
     matrix = builder(_load(file))
     doc = matrix.to_json_dict()
     doc["schema_version"] = SCHEMA_VERSION
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if out:
-        try:
-            Path(out).write_text(payload, encoding="utf-8")
-        except OSError as exc:
-            _cannot_write(out, exc)
+        _write(out, _canonical(doc))
     else:
-        click.echo(payload, nl=False)
+        _emit(doc)
     _info(f"{label} operator: dim={matrix.dim}, nonzeros={len(matrix.entries)}")
 
 
@@ -317,8 +313,8 @@ def count(file: str, max_length: int, kind: str, allow_large_order: bool) -> Non
     """Brute-force closed-path counts and primitive class decomposition."""
     cx = _load(file)
     if max_length > ORDER_CAP and not allow_large_order:
-        _die(EXIT_RESOURCE_LIMIT,
-             f"order {max_length} beyond cap {ORDER_CAP}; use --allow-large-order")
+        _info(f"error: order {max_length} beyond cap {ORDER_CAP}; use --allow-large-order")
+        sys.exit(EXIT_RESOURCE_LIMIT)
     n_counts, classes = closed_paths(cx, max_length, kind, allow_large=allow_large_order)
     _emit({
         "schema_version": SCHEMA_VERSION,
@@ -403,7 +399,7 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
         except OverflowError:
             value = math.inf  # refused below, like a value that overflows to inf
         if not math.isfinite(value):
-            _die(EXIT_INPUT_ERROR, f"the closed form overflows a float at --eval {eval_text!r}")
+            raise ValueError(f"the closed form overflows a float at --eval {eval_text!r}")
         entry: dict = {"point": list(point), "closed_form_value": value,
                        "converges": converges}
         if converges:
@@ -450,7 +446,7 @@ def _ratio_from_json(doc) -> tuple[IntPolynomial, IntPolynomial]:
 def rh(file: str, q_flag: int | None, chi: int | None, tol: float, sign: str) -> None:
     """Classify a complex file or a ratio JSON against the critical modulus."""
     if not (math.isfinite(tol) and tol > 0):
-        _die(EXIT_INPUT_ERROR, f"--tol must be positive and finite, got {tol}")
+        raise ValueError(f"--tol must be positive and finite, got {tol}")
     doc = _read_json(file)
     counts = None
     if isinstance(doc, dict) and "vertices" in doc:
@@ -477,8 +473,8 @@ def rh(file: str, q_flag: int | None, chi: int | None, tol: float, sign: str) ->
 def _sidecar_torus_basis(geom_path: Path) -> list | None:
     """The nonsingular 2x2 integer basis of a torus sidecar, or None if it has none."""
     try:
-        geom = json.loads(geom_path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        geom = _read_json(geom_path)
+    except ValueError:
         return None
     if not isinstance(geom, dict) or geom.get("kind") != "torus":
         return None

@@ -463,9 +463,11 @@ def evaluate_partial_sum(cone: LatticeCone, character: CharacterData | None,
     """Direct sum of chi(v) u^alpha(v) over lattice points with alpha_j(v) <= bound.
 
     Enumerates the truncated cone directly (no use of the decomposition);
-    this is the numeric oracle the closed form is checked against.  A
-    multiplier or an exponent beyond float range, or a sum that is not finite
-    because a term overflows, raises ValueError.
+    this is the numeric oracle the closed form is checked against.  A term
+    whose plain product is not finite (u^w underflowing to 0 while m^v
+    overflows) is taken in log space, a real base's sign from the exact parity
+    of its exponent.  A multiplier or an exponent beyond float range, or a sum
+    that is not finite because a term overflows, raises ValueError.
     """
     if character is None:
         character = CharacterData.trivial(cone.rank)
@@ -477,14 +479,23 @@ def evaluate_partial_sum(cone: LatticeCone, character: CharacterData | None,
     dtype = complex if is_complex else float
     terms = np.ones(w.shape[1], dtype=dtype)
     try:
+        powers = [(dtype(float(b)) if isinstance(b, (int, Fraction)) else dtype(b), e)
+                  for b, e in (*zip(u, w), *zip(character.multipliers, v))]
         with np.errstate(all="ignore"):                  # judged by the total below
-            for j, uj in enumerate(u):
-                terms *= np.power(dtype(uj), w[j].astype(float))
-            for i, m in enumerate(character.multipliers):
-                m = dtype(float(m)) if isinstance(m, (int, Fraction)) else dtype(m)
-                if m != 1:
-                    e = v[i] % 2 if m == -1 else v[i]    # exact parity beyond 2^53
-                    terms *= np.power(m, e.astype(float))
+            for b, e in powers:
+                if b != 1:
+                    e = e % 2 if b == -1 else e          # exact parity beyond 2^53
+                    terms *= np.power(b, e.astype(float))
+            spilled = ~np.isfinite(terms)
+            if spilled.any():
+                log_abs, phase = 0.0, dtype(1)
+                for b, e in powers:
+                    e = e[spilled]
+                    log_abs = log_abs + e.astype(float) * np.log(abs(b))
+                    if b != abs(b):
+                        e = e % 2 if dtype is float else e
+                        phase = phase * np.power(b / abs(b), e.astype(float))
+                terms[spilled] = phase * np.exp(log_abs)
             total = terms.sum()
     except OverflowError:
         raise ValueError("the partial-sum oracle needs multipliers and exponents "

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .complexes import TypedComplex
 from .generators import POSITIVE_DIRECTIONS
-from .operators import transitions
+from .operators import _check_kind, transitions
 from .polynomials import PowerSeriesPrefix
 
 __all__ = [
@@ -256,34 +256,34 @@ def _direction_period(basis, direction: tuple[int, int]) -> int:
     return math.lcm(k1, k2)
 
 
+def _torus_classes(basis, kind: str):
+    """(length, count) of the primitive classes along each positive direction:
+    det/s straight lines of its period s, resp. det/s chamber strips of 2*s crossings."""
+    _check_kind(kind)
+    (a, c), (b, d) = _basis_columns(basis)
+    det = abs(a * d - b * c)
+    for direction in POSITIVE_DIRECTIONS:
+        s = _direction_period(basis, direction)
+        yield (s if kind == "edge" else 2 * s), det // s
+
+
 def torus_trace_counts(basis, max_length: int, kind: str = "edge") -> list[int]:
     """Based closed path counts for a torus quotient, from plane geometry alone.
 
-    Straight positive lines in the tiling close up after the minimal lattice
-    period s_d of their direction; every vertex lies on one line per direction
-    (length s_d), and every chamber strip closes after 2*s_d crossings.  No
-    transition relation is involved: this is the independent geometric count.
+    A primitive class of length l gives l based paths at every multiple of l.
+    No transition relation is involved: this is the independent geometric count.
     """
-    (a, c), (b, d) = _basis_columns(basis)
-    det = abs(a * d - b * c)
     counts = [0] * (max_length + 1)
-    for direction in POSITIVE_DIRECTIONS:
-        s = _direction_period(basis, direction)
-        period = s if kind == "edge" else 2 * s
-        weight = det if kind == "edge" else 2 * det
-        for m in range(period, max_length + 1, period):
-            counts[m] += weight
+    for length, n in _torus_classes(basis, kind):
+        for m in range(length, max_length + 1, length):
+            counts[m] += length * n
     return counts
 
 
 def torus_primitive_counts(basis, max_length: int, kind: str = "edge") -> list[int]:
     """Primitive class counts for a torus quotient, from plane geometry alone."""
-    (a, c), (b, d) = _basis_columns(basis)
-    det = abs(a * d - b * c)
     P = [0] * (max_length + 1)
-    for direction in POSITIVE_DIRECTIONS:
-        s = _direction_period(basis, direction)
-        length = s if kind == "edge" else 2 * s
+    for length, n in _torus_classes(basis, kind):
         if length <= max_length:
-            P[length] += det // s
+            P[length] += n
     return P

@@ -183,6 +183,11 @@ def _chambers_of_edge(c: TypedComplex) -> dict[tuple[int, int], list]:
     return table
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ("edge", "gallery"):
+        raise ValueError(f"unknown kind {kind!r}: expected 'edge' or 'gallery'")
+
+
 def transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
     """(nodes, out) of the positive ``kind`` relation, 'edge' or 'gallery'.
 
@@ -195,8 +200,7 @@ def transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple[tuple[int, ...
     """
     if kind in c._relations:
         return c._relations[kind]
-    if kind not in ("edge", "gallery"):
-        raise ValueError(f"unknown kind {kind!r}: expected 'edge' or 'gallery'")
+    _check_kind(kind)
     if c.boundary:
         what = "edge operator" if kind == "edge" else "chamber operator"
         raise ValueError(

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 __all__ = [
     "IntPolynomial",
     "RationalFn",
@@ -306,15 +304,18 @@ _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
 
 
 def _int_rows(mat) -> list[list[int]]:
-    """The rows of a square matrix as lists of Python ints; non-integers raise TypeError."""
-    if hasattr(mat, "to_dense"):
-        mat = mat.to_dense()
-    arr = np.asarray(mat, dtype=object)
-    if arr.size == 0:
-        return []
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    """Rows of a square matrix, dense or a ``SparseIntMatrix``'s triplets, in Python ints.
+
+    A non-integer entry raises TypeError, a non-square input ValueError."""
+    if hasattr(mat, "entries"):
+        rows = [[0] * mat.dim for _ in range(mat.dim)]
+        for r, c, v in mat.entries:
+            rows[r][c] += v
+        return rows
+    rows = list(mat)
+    if not all(hasattr(row, "__len__") and len(row) == len(rows) for row in rows):
         raise ValueError("matrix must be square")
-    return [list(map(operator.index, row)) for row in arr.tolist()]
+    return [list(map(operator.index, row)) for row in rows]
 
 
 def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
@@ -370,8 +371,8 @@ def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
 def char_poly_reverse(mat) -> IntPolynomial:
     """Exact det(I - u*M) for a square integer matrix.
 
-    Accepts a dense integer array-like or anything with a ``to_dense``
-    method; a non-integer entry raises TypeError.  Every coefficient of
+    Accepts a ``SparseIntMatrix`` or a dense square integer array-like; a
+    non-integer entry raises TypeError.  Every coefficient of
     det(xI - M) is below 2^bits in absolute value, with
     bits = n + ceil(n * ceil(log2 r) / 2) and r the largest squared row norm
     (Hadamard: the k-th coefficient is at most C(n, k) * sqrt(r)^k).  One

@@ -58,6 +58,20 @@ class TestGenerate:
                 main, ["gen", "torus", "--basis", "1", "2", "2", "4", "-o", "t.json"])
             assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["torus", "--basis", "3", "0", "0", "99999999999999999999"],
+         "torus of 299999999999999999997 vertices beyond bound 100000"),
+        (["cycle", "--n", "300000000000000000000"],
+         "cycle of 300000000000000000000 vertices beyond bound 100000"),
+    ], ids=["torus", "cycle"])
+    def test_beyond_vertex_bound_exit_two(self, runner, tmp_path, args, message):
+        # listing the vertices of such a torus first ran until killed
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = runner.invoke(main, ["gen", *args, "-o", "g.json"])
+            assert result.exit_code == 2
+            assert result.stderr == f"error: {message}\n"
+            assert not Path("g.json").exists()
+
     def test_deterministic_output(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             write_torus(runner, "a.json")
@@ -220,10 +234,6 @@ class TestCone:
         # the oracle's box would hold 5000^3 points
         (["--functionals", "1,0,0;0,1,0;0,0,1", "--eval", "0.3,0.3,0.3",
           "--oracle-bound", "5000"], "more than the cap of 1000000"),
-        # the oracle's terms (1e-301)^w * (1e300)^v underflow to 0 times inf;
-        # their NaN sum was printed, which is not JSON
-        (["--functionals", "1", "--char", "1e300", "--eval", "1e-301", "--oracle-bound", "5"],
-         "the partial-sum oracle overflows a float"),
     ]
 
     @pytest.mark.parametrize("args, message", MALFORMED,
@@ -234,6 +244,20 @@ class TestCone:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert message in result.stderr
+
+    # the terms (1e-301)^v (1e300)^v are 0.1^v, but u^w underflowed to 0 while m^v
+    # overflowed to inf: their NaN sum was printed, which is not JSON, then refused
+    SPILLED = [
+        (["--functionals", "1", "--char", "1e300", "--eval", "1e-301", "--oracle-bound", "5"],
+         0.11111),
+        (["--functionals", "1", "--char", "1e200", "--eval", "1e-201", "--oracle-bound", "2"],
+         0.11),
+    ]
+
+    @pytest.mark.parametrize("args, partial_sum", SPILLED, ids=["1e300", "1e200"])
+    def test_partial_sum_of_finite_terms(self, runner, args, partial_sum):
+        doc = json.loads(invoke(runner, ["cone", *args]).stdout)
+        assert doc["evaluation"]["partial_sum"] == pytest.approx(partial_sum, rel=1e-12)
 
     def test_large_lattice_entries(self, runner):
         # this basis spans Z^2; scanning its lattice-coordinate box needed 22 GiB

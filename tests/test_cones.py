@@ -532,6 +532,20 @@ class TestWholeArrayPasses:
         with pytest.raises(ValueError, match="fit a float"):
             evaluate_partial_sum(cone, CharacterData((Fraction(10**400),)), (0.3,), 1)
 
+    @pytest.mark.parametrize("m, u", [
+        (Fraction(10**300), 1e-301), (-1e300, 1e-301), (1e300, -1e-301), (-1e300, -1e-301),
+        (1e200, 1e-201), (1e300j, 1e-301),
+    ], ids=["fraction", "negative-m", "negative-u", "both-negative", "1e200", "complex"])
+    def test_oracle_terms_spilling_out_of_float_range(self, m, u):
+        # u^v underflows to 0 and m^v overflows to inf, yet every term (m u)^v is finite
+        got = evaluate_partial_sum(LatticeCone(((1,),)), CharacterData((m,)), (u,), 5)
+        expected = sum((complex(m) * u) ** v for v in range(1, 6))
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_oracle_sum_beyond_float_range(self):
+        with pytest.raises(ValueError, match="overflows a float: its sum is inf"):
+            evaluate_partial_sum(LatticeCone(((1,),)), None, (1e300,), 3)
+
     def test_exact_power_cap(self):
         with pytest.raises(ValueError, match="exponent cap"):
             CharacterData((1, Fraction(1, 2))).value((5, EXACT_POWER_CAP + 1))

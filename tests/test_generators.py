@@ -16,7 +16,9 @@ from btzeta import (
     simplex_counts,
     validate_complex,
 )
+from btzeta.operators import transitions
 from btzeta.generators import (
+    VERTEX_BOUND,
     gen_apartment_torus,
     gen_building_ball,
     gen_cycle_complex,
@@ -87,6 +89,41 @@ class TestApartmentTorus:
         # columns (1,1) and (0,3) preserve types but identify star simplices
         with pytest.raises(GenerationError, match="quotient too small"):
             gen_apartment_torus(ApartmentSpec(((1, 0), (1, 3))))
+
+    def test_word_ball_check_alone_gives_genuine_tori(self):
+        # every type-preserving basis with small entries: the one input check
+        # either refuses it or the torus has the full local tiling structure
+        accepted = refused = 0
+        for a, b, c, d in product(range(-6, 7), repeat=4):
+            det = a * d - b * c
+            if (a - c) % 3 or (b - d) % 3 or not 0 < abs(det) <= 81:
+                continue
+            try:
+                cx = gen_apartment_torus(ApartmentSpec(((a, b), (c, d))))
+            except GenerationError as exc:
+                assert "identifies star simplices" in str(exc)
+                refused += 1
+                continue
+            accepted += 1
+            n0 = len(cx.vertices)
+            assert (n0, len(cx.edges), len(cx.chambers)) == (abs(det), 3 * n0, 2 * n0)
+            degree, per_vertex, per_edge = Counter(), Counter(), Counter()
+            for e in cx.edges:
+                degree.update(e)
+            for x, y, z in cx.chambers:
+                per_vertex.update((x, y, z))
+                per_edge.update(((x, y), (x, z), (y, z)))
+            assert set(degree.values()) == set(per_vertex.values()) == {6}
+            assert len(degree) == len(per_vertex) == n0
+            assert set(per_edge.values()) == {2} and len(per_edge) == len(cx.edges)
+            assert all(len(js) == 1 for js in transitions(cx, "edge")[1])
+        assert (accepted, refused) == (1840, 992)
+
+    def test_beyond_vertex_bound_refused_before_listing(self):
+        with pytest.raises(GenerationError, match=f"100008 vertices beyond bound {VERTEX_BOUND}"):
+            gen_apartment_torus(ApartmentSpec(((3, 0), (0, 33336))))
+        with pytest.raises(GenerationError, match="beyond bound"):
+            gen_apartment_torus(ApartmentSpec(((3, 0), (0, 10 ** 20 - 1))))
 
     def test_determinism(self, torus_spec):
         a = dumps_complex(gen_apartment_torus(torus_spec))
@@ -215,6 +252,11 @@ class TestCycleComplex:
 
     def test_six_cycle_types(self, six_cycle):
         assert [six_cycle.type_of[i] for i in range(6)] == [0, 1, 2, 0, 1, 2]
+
+    def test_beyond_vertex_bound_refused_before_listing(self):
+        for n in (3 * (VERTEX_BOUND // 3 + 1), 3 * 10 ** 20):
+            with pytest.raises(GenerationError, match=f"cycle of {n} vertices beyond bound"):
+                gen_cycle_complex(n)
 
     def test_rejects_non_multiples_of_three(self):
         for n in (0, 1, 2, 4, 5, 7):

@@ -139,6 +139,16 @@ class TestPrimitiveClasses:
             assert primitive_counts(classes, M) == \
                 torus_primitive_counts(torus_spec.basis, M, kind)
 
+    @pytest.mark.parametrize("oracle", [torus_trace_counts, torus_primitive_counts])
+    @pytest.mark.parametrize("kind", ["chamber", "bogus"])
+    def test_torus_oracles_refuse_unknown_kind(self, torus, torus_spec, oracle, kind):
+        with pytest.raises(ValueError) as expected:
+            transitions(torus, kind)
+        with pytest.raises(ValueError) as refused:
+            oracle(torus_spec.basis, M, kind)
+        assert str(refused.value) == str(expected.value) == \
+            f"unknown kind {kind!r}: expected 'edge' or 'gallery'"
+
     def test_representatives_are_closed_orbits(self, torus):
         from btzeta.operators import edge_successors
 

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btzeta.operators import SparseIntMatrix
 from btzeta.polynomials import (
     IntPolynomial,
     PowerSeriesPrefix,
@@ -140,6 +141,25 @@ class TestCharPolyReverse:
         for dim in (2, 4, 6):
             mat = np.array([[rng.randint(-4, 4) for _ in range(dim)] for _ in range(dim)])
             assert berkowitz_char_poly_reverse(mat) == char_poly_reverse(mat)
+
+    def test_sparse_triplets_match_dense(self):
+        rng = random.Random(5)
+        for dim in (1, 3, 7, 12):
+            # repeated (row, col) triplets add up, as in ``to_dense``
+            entries = [(rng.randrange(dim), rng.randrange(dim), rng.randint(-3, 3))
+                       for _ in range(3 * dim)]
+            mat = SparseIntMatrix(dim, entries)
+            dense = mat.to_dense().tolist()
+            assert char_poly_reverse(mat) == char_poly_reverse(dense) == \
+                berkowitz_char_poly_reverse(mat)
+
+    @pytest.mark.parametrize("routine", [char_poly_reverse, berkowitz_char_poly_reverse])
+    @pytest.mark.parametrize("mat", [
+        [1, 2], np.array([1, 2]), [[1, 2]], [[1, 2], [3]], np.zeros((2, 3), dtype=int),
+    ], ids=["list-1d", "array-1d", "wide", "ragged", "array-2x3"])
+    def test_non_square_refused(self, routine, mat):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            routine(mat)
 
     def test_large_entries_stay_exact(self):
         mat = np.array([[10 ** 12, 1], [1, 10 ** 12]], dtype=object)
