@@ -49,9 +49,11 @@ from .generators import (
 from .geodesics import (
     DEFAULT_ORDER,
     ORDER_CAP,
+    assemble_S_series,
     closed_paths,
+    enumerate_primitive_classes,
     primitive_counts,
-    primitive_product,
+    product_of_primitive_counts,
     torus_trace_counts,
 )
 from .operators import build_chamber_operator, build_edge_operator
@@ -315,11 +317,11 @@ def count(file: str, max_length: int, kind: str, allow_large_order: bool) -> Non
     if max_length > ORDER_CAP and not allow_large_order:
         _info(f"error: order {max_length} beyond cap {ORDER_CAP}; use --allow-large-order")
         sys.exit(EXIT_RESOURCE_LIMIT)
-    n_counts, classes = closed_paths(cx, max_length, kind, allow_large=allow_large_order)
+    classes = enumerate_primitive_classes(cx, max_length, kind, allow_large=allow_large_order)
     _emit({
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
-        "N": n_counts,
+        "N": assemble_S_series(classes, max_length).coeffs,
         "P": primitive_counts(classes, max_length),
         "classes": [
             {"len": g.length, "prim_len": g.primitive_length, "power": g.power}
@@ -557,13 +559,12 @@ def run_verify(path: str, max_order: int = DEFAULT_ORDER,
     series_by_kind = {}
     for kind, poly in (("edge", z1), ("gallery", z2)):
         log_deriv = log_derivative_series(poly, max_order)
-        brute, classes = closed_paths(cx, max_order, kind, allow_large_order)
-        prims = primitive_counts(classes, max_order)
+        brute, prims = closed_paths(cx, max_order, kind, allow_large_order)
         duality_ok = all(log_deriv[m] == brute[m] for m in range(1, max_order + 1))
         structure_ok = all(
             brute[m] == sum(d * prims[d] for d in range(1, m + 1) if m % d == 0)
             for m in range(1, max_order + 1))
-        prim_prod = IntPolynomial(primitive_product(classes, max_order).coeffs)
+        prim_prod = IntPolynomial(product_of_primitive_counts(prims, max_order).coeffs)
         prod_log_deriv = log_derivative_series(prim_prod, max_order)
         exp_ok = all(prod_log_deriv[m] == brute[m] for m in range(1, max_order + 1))
         checks[f"duality_{kind}"] = {"passed": duality_ok, "order": max_order}

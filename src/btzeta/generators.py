@@ -32,6 +32,7 @@ __all__ = [
     "gen_apartment_torus",
     "gen_building_ball",
     "gen_cycle_complex",
+    "Q_BOUND",
     "RADIUS_BOUND",
     "VERTEX_BOUND",
     "POSITIVE_DIRECTIONS",
@@ -40,6 +41,8 @@ __all__ = [
 
 RADIUS_BOUND = 3
 VERTEX_BOUND = 10 ** 5
+# the largest q whose radius-1 ball, 1 + 2(q^2+q+1) vertices, has at most VERTEX_BOUND
+Q_BOUND = 223
 
 # unit steps of the triangular tiling that raise the vertex type by one
 POSITIVE_DIRECTIONS = ((1, 0), (0, -1), (-1, 1))
@@ -246,6 +249,9 @@ class _GF:
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
+
     def mul(self, a, b):
         out = [0] * (2 * self.k - 1)
         for i, x in enumerate(a):
@@ -267,11 +273,27 @@ def _projective_points(gf: _GF) -> list[tuple]:
     return pts
 
 
-def _incident(gf: _GF, point: tuple, covector: tuple) -> bool:
-    acc = gf.zero
-    for x, y in zip(point, covector):
-        acc = gf.add(acc, gf.mul(x, y))
-    return acc == gf.zero
+def _points_on_lines(gf: _GF, lines: list[tuple]) -> list[list[tuple]]:
+    """The q+1 normalized projective points on each line, in the order of lines.
+
+    A line is a normalized covector w, with w_i = 1 its first nonzero entry.
+    Its kernel is spanned by u = e_j - w_j e_i and v = e_k - w_k e_i
+    (j < k the other indices), so its points are u and a*u + v for a in GF(q).
+    """
+    inverse = {x: y for x in gf.elements for y in gf.elements if gf.mul(x, y) == gf.one}
+    points_on = []
+    for w in lines:
+        i = next(n for n, x in enumerate(w) if x != gf.zero)
+        j, k = (n for n in range(3) if n != i)
+        points = []
+        for a, b in [(gf.one, gf.zero)] + [(a, gf.one) for a in gf.elements]:
+            vector = [gf.zero] * 3
+            vector[i] = gf.neg(gf.add(gf.mul(a, w[j]), gf.mul(b, w[k])))
+            vector[j], vector[k] = a, b
+            scale = inverse[next(x for x in vector if x != gf.zero)]
+            points.append(tuple(gf.mul(scale, x) for x in vector))
+        points_on.append(points)
+    return points_on
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +310,8 @@ class BallSpec:
     center_type: int = 0
 
     def __post_init__(self):
+        if self.q > Q_BOUND:
+            raise GenerationError(f"unsupported q={self.q}: beyond bound {Q_BOUND}")
         _factor_prime_power(self.q)
         if self.radius < 0:
             raise GenerationError("radius must be nonnegative")
@@ -345,11 +369,10 @@ def _ball_radius_one(spec: BallSpec) -> tuple[TypedComplex, dict]:
         labels.append({"class": "colength2", "vector": [list(x) for x in pt]})
     edges = [(0, i) for i in range(1, len(vertices))]
     chambers = []
-    for pt in points:
-        for w in lines:
-            if _incident(gf, pt, w):
-                edges.append(tuple(sorted((point_id[pt], line_id[w]))))
-                chambers.append(tuple(sorted((0, point_id[pt], line_id[w]))))
+    for w, on_w in zip(lines, _points_on_lines(gf, lines)):
+        for pt in on_w:
+            edges.append((point_id[pt], line_id[w]))
+            chambers.append((0, point_id[pt], line_id[w]))
     boundary = list(range(1, len(vertices)))
     cx = TypedComplex(vertices, edges, chambers, q=spec.q, boundary=boundary)
     geometry = {"version": 1, "kind": "ball", "q": spec.q, "radius": 1,

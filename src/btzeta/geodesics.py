@@ -7,18 +7,21 @@ classes with primitive lengths and powers, and assembles the length series
 and the product over primitive classes.  The walks keep an explicit stack of
 successor iterators, so no order is bounded by Python's recursion limit.
 
-``closed_paths`` roots each rotation class at its smallest node, as in
-Johnson's circuit enumeration (SIAM J. Comput. 4, 1975): the walk from a
-start s visits only nodes >= s, so every class is found from its smallest
-node, and a closed walk is kept only if it is its own smallest rotation.
-One backward breadth-first search per s gives each node's return distance to
-s through nodes > s; the walk steps into a node only if that distance fits in
-the steps left, which cuts every prefix that cannot close in time.  N is
-taken from the classes: a class of primitive length d has d based rotations.
-``count_closed_paths`` is the unpruned count-only walk, kept as the plain
-oracle.
+One walk finds the rotation classes.  It roots each class at its smallest
+node, as in Johnson's circuit enumeration (SIAM J. Comput. 4, 1975): the walk
+from a start s visits only nodes >= s, so every class is found from its
+smallest node, and a closed walk is kept only if it is its own smallest
+rotation.  One backward breadth-first search per s gives each node's return
+distance to s through nodes > s; the walk steps into a node only if that
+distance fits in the steps left, which cuts every prefix that cannot close
+in time.  Two consumers read it.  ``closed_paths`` counts N and P during the
+walk (a class of primitive length d has d based rotations) and keeps no
+class.  ``enumerate_primitive_classes`` sorts the classes and builds one
+``GeodesicClass`` per class, with node representatives; only it, and so
+``btz count``, builds class objects.  ``count_closed_paths`` is the unpruned
+count-only walk, kept as the plain oracle.
 
-Enumeration cost grows exponentially with the order (for ``closed_paths``,
+Enumeration cost grows exponentially with the order (for the rooted walk,
 with the number of prefixes that can still close), so the order defaults to
 12 and is capped at 20 unless explicitly overridden.
 """
@@ -43,6 +46,7 @@ __all__ = [
     "enumerate_primitive_classes",
     "primitive_counts",
     "primitive_product",
+    "product_of_primitive_counts",
     "assemble_S_series",
     "torus_trace_counts",
     "torus_primitive_counts",
@@ -136,27 +140,18 @@ def _return_distances(pred: list[list[int]], s: int, max_length: int) -> dict[in
     return dist
 
 
-def closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
-                 allow_large: bool = False) -> tuple[list[int], list[GeodesicClass]]:
-    """(N, classes) from one depth-first walk, for lengths 1..max_length.
+def _closed_walks(out: tuple, max_length: int):
+    """Yield (index trail, minimal period) once per rotation class, in walk order.
 
-    N is indexed by length like ``count_closed_paths``; classes holds one
-    representative per rotation-equivalence class (its lexicographically
-    smallest rotation), annotated with its minimal period (primitive length)
-    and the power it is of the underlying primitive class.
-
-    Each class is found once, from its smallest node (see the module
-    docstring), and N[m] is the sum of the primitive lengths of the classes
-    of length m.  The walk runs on the indices of ``transitions(c, kind)``,
-    which compare like the nodes the representatives are mapped back to.
+    ``out`` is the successor index lists of ``transitions(c, kind)``.  The
+    trail is the class's lexicographically smallest rotation, found from its
+    smallest node (see the module docstring).
     """
-    nodes, out = _walk_relation(c, max_length, kind, allow_large)
-    pred: list[list[int]] = [[] for _ in nodes]
+    pred: list[list[int]] = [[] for _ in out]
     for i, ys in enumerate(out):
         for j in ys:
             pred[j].append(i)
-    reps: list[tuple[tuple, int]] = []  # (smallest rotation, minimal period)
-    for s in range(len(nodes)):
+    for s in range(len(out)):
         dist = _return_distances(pred, s, max_length)
         trail = [s]
         stack = [iter(out[s])]  # the continuations still to try after each trail node
@@ -170,7 +165,7 @@ def closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
                     rep = tuple(trail)
                     period = _least_rotation_period(rep)
                     if period:
-                        reps.append((rep, period))
+                        yield rep, period
                     if not left:
                         continue
                 trail.append(w)
@@ -181,20 +176,42 @@ def closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
                 stack.pop()
                 trail.pop()
                 left += 1
-    counts = [0] * (max_length + 1)
-    classes = []
-    for rep, period in sorted(reps):
-        counts[len(rep)] += period
-        classes.append(GeodesicClass(
-            length=len(rep), primitive_length=period, power=len(rep) // period,
-            representative=tuple(nodes[i] for i in rep)))
-    return counts, classes
+
+
+def closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
+                 allow_large: bool = False) -> tuple[list[int], list[int]]:
+    """(N, P) from one depth-first walk, for lengths 1..max_length.
+
+    N[m] is the number of based closed paths of length m, as from
+    ``count_closed_paths``; P[m] is the number of primitive classes of length
+    m, as ``primitive_counts`` gives from the classes.  Both are counted
+    during the walk: a class of length m and primitive length d adds d to
+    N[m], and 1 to P[m] when d = m.  No class object is built.
+    """
+    _, out = _walk_relation(c, max_length, kind, allow_large)
+    N = [0] * (max_length + 1)
+    P = [0] * (max_length + 1)
+    for rep, period in _closed_walks(out, max_length):
+        N[len(rep)] += period
+        if period == len(rep):
+            P[period] += 1
+    return N, P
 
 
 def enumerate_primitive_classes(c: TypedComplex, max_length: int, kind: str = "edge",
                                 allow_large: bool = False) -> list[GeodesicClass]:
-    """The rotation classes of ``closed_paths``."""
-    return closed_paths(c, max_length, kind, allow_large)[1]
+    """One class per rotation class of closed paths of length <= max_length, sorted.
+
+    Each class holds its lexicographically smallest rotation as representative
+    (nodes of ``transitions(c, kind)``, which compare like their indices),
+    annotated with its minimal period (primitive length) and the power it is
+    of the underlying primitive class.
+    """
+    nodes, out = _walk_relation(c, max_length, kind, allow_large)
+    return [GeodesicClass(length=len(rep), primitive_length=period,
+                          power=len(rep) // period,
+                          representative=tuple(nodes[i] for i in rep))
+            for rep, period in sorted(_closed_walks(out, max_length))]
 
 
 def primitive_counts(classes, max_length: int) -> list[int]:
@@ -206,17 +223,31 @@ def primitive_counts(classes, max_length: int) -> list[int]:
     return P
 
 
-def primitive_product(classes, max_length: int) -> PowerSeriesPrefix:
-    """Truncation of prod over primitive classes of (1 - u^length)."""
+def product_of_primitive_counts(P: list[int], max_length: int) -> PowerSeriesPrefix:
+    """Truncation of prod over lengths d of (1 - u^d)^P[d].
+
+    P[d] is the number of primitive classes of length d, for 1 <= d <=
+    max_length, as ``closed_paths`` counts it.
+    """
     acc = [1] + [0] * max_length
-    for g in classes:
-        if g.power != 1:
+    for d in range(1, max_length + 1):
+        if not P[d]:
             continue
-        # multiply by (1 - u^length) in place, highest coefficient first; a class
-        # longer than max_length leaves the prefix as it is
-        for m in range(max_length, g.length - 1, -1):
-            acc[m] -= acc[m - g.length]
+        # multiply by (1 - u^d)^P[d], the sum of C(P[d], k) (-u^d)^k, in place,
+        # highest coefficient first
+        binomials = [(-1) ** k * math.comb(P[d], k) for k in range(max_length // d + 1)]
+        for m in range(max_length, d - 1, -1):
+            acc[m] += sum(binomials[k] * acc[m - k * d] for k in range(1, m // d + 1))
     return PowerSeriesPrefix(acc, max_length)
+
+
+def primitive_product(classes, max_length: int) -> PowerSeriesPrefix:
+    """Truncation of prod over primitive classes of (1 - u^length).
+
+    ``product_of_primitive_counts`` of the classes' ``primitive_counts``: a
+    class longer than max_length leaves the prefix as it is.
+    """
+    return product_of_primitive_counts(primitive_counts(classes, max_length), max_length)
 
 
 def assemble_S_series(classes, max_length: int) -> PowerSeriesPrefix:

@@ -79,6 +79,18 @@ class TestGenerate:
             assert open("a.json").read() == open("b.json").read()
 
 
+    def test_ball_q_beyond_bound_exits_two_at_once(self, runner, tmp_path):
+        q = 2 ** 61 - 1  # prime: factoring it by trial division would not end
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            start = time.perf_counter()
+            result = runner.invoke(main, ["gen", "ball", "--q", str(q), "--radius", "1",
+                                          "-o", "b.json"])
+            elapsed = time.perf_counter() - start
+            assert not Path("b.json").exists()
+        assert result.exit_code == 2
+        assert result.stderr == f"error: unsupported q={q}: beyond bound 223\n"
+        assert elapsed < 1
+
 class TestValidateInfo:
     def test_validate_ok(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):
@@ -320,7 +332,7 @@ class TestInputErrorRule:
 
     @pytest.mark.parametrize("target, args", [
         ("zeta_edge", ["zeta", "c3.json"]),
-        ("closed_paths", ["count", "c3.json"]),
+        ("enumerate_primitive_classes", ["count", "c3.json"]),
         ("gen_apartment_torus", ["gen", "torus", "--basis", "3", "0", "0", "3", "-o", "t.json"]),
     ], ids=["zeta", "count", "gen-torus"])
     def test_value_error_exits_two(self, runner, tmp_path, monkeypatch, target, args):
@@ -438,6 +450,21 @@ class TestVerify:
         report, code = run_verify(str(path), max_order=8)
         assert code == 0 and report["passed"]
         assert "timings" in report
+
+    def test_run_verify_builds_no_class(self, tmp_path, monkeypatch):
+        # verify reads N and P only, which the walk counts without class objects
+        def refuse(*args, **kwargs):
+            raise AssertionError("a GeodesicClass was built")
+
+        branching = closed_typed_complex(random.Random(1), (4, 4, 4), p_chamber=0.7)
+        path = tmp_path / "b.json"
+        save_complex(branching, path)
+        monkeypatch.setattr(geodesics, "GeodesicClass", refuse)
+        report, code = run_verify(str(path))
+        assert code == 0 and report["passed"]
+        assert all(sum(report["counts"][kind]["P"]) > 0 for kind in ("edge", "gallery"))
+        with pytest.raises(AssertionError, match="GeodesicClass"):
+            geodesics.enumerate_primitive_classes(branching, 6)
 
     def test_timings_are_per_stage_in_pipeline_order(self, tmp_path, torus):
         path = tmp_path / "t.json"

@@ -18,6 +18,7 @@ from btzeta import (
 )
 from btzeta.operators import transitions
 from btzeta.generators import (
+    Q_BOUND,
     VERTEX_BOUND,
     gen_apartment_torus,
     gen_building_ball,
@@ -188,6 +189,15 @@ class TestBuildingBall:
         with pytest.raises(GenerationError, match="prime power"):
             gen_building_ball(BallSpec(q=6, radius=1))
 
+    def test_q_beyond_bound_refused_before_factoring(self):
+        # the radius-1 ball of Q_BOUND is the largest within the vertex bound
+        assert 1 + 2 * (Q_BOUND ** 2 + Q_BOUND + 1) <= VERTEX_BOUND
+        assert 1 + 2 * ((Q_BOUND + 1) ** 2 + Q_BOUND + 2) > VERTEX_BOUND
+        # 2^61 - 1 is prime: trial division up to its square root would not end
+        for q in (Q_BOUND + 1, 2 ** 61 - 1):
+            with pytest.raises(GenerationError, match=f"q={q}: beyond bound {Q_BOUND}"):
+                BallSpec(q=q, radius=1)
+
     def test_radius_beyond_bound(self):
         with pytest.raises(GenerationError, match="beyond bound"):
             gen_building_ball(BallSpec(q=2, radius=4))
@@ -218,8 +228,23 @@ class TestBuildingBall:
         assert len(sub_chambers) == len(ball_q2.chambers)
 
     # sha256 of the complex file and of the .geom sidecar, recorded when the
-    # ball was built by testing every pair of lattice classes for distance 1
+    # radius-1 ball was built by testing every point-line pair for incidence
+    # and the larger balls by testing every pair of lattice classes for distance 1
     BALL_DIGESTS = {
+        (2, 1): ("8155c072ffa1f2d6362d5b633b9acc68104f1d99a8e538c026f7b9509fa27849",
+                 "a273a0e551bfac99bf81555a2ef1895d36153613cd7c7ac0349671228e3483b0"),
+        (3, 1): ("0415f873501213f539ce3cc70ea96894b2d734f4f8f6d05794d4abcf9d6020e2",
+                 "18928084da1850ec169e124d0b00201a6a66bc56889ee0c96d0084f98bc3f7cb"),
+        (4, 1): ("79c435d49b0efab32d09d3acb3e2a00a3f2daf1e53e1a656ab892bdd8cdfdf9a",
+                 "c129abe4cb4c2e73cf7e26ce6fa51aba77c8906e4b4b34920bfbbb6f2d8d08d6"),
+        (5, 1): ("e80ac97f59602c14bf78dcce66efb62a7cd26e92cd4ae593de36ef9ca6b7ee8a",
+                 "6b4f29a6a497d0105d031842b43d7d09b31d12419936223a1a29d3b169ede02d"),
+        (7, 1): ("3f5e1c124cab363e803c3cc94802ffafeb411c912c0416a947544905c85265ad",
+                 "55f75691edf7041655091ca4c19c3cbf12bf624a6d312d1c4eebd6aa672e7302"),
+        (8, 1): ("c7b7c700b5b6e85aa3cf29097c7cf5ceaf2d86a6516953cbeb0117fca01caa68",
+                 "5bb8283d638914e9bf1ed459777d81452a1ae2bbab1666a590c78530e38deffc"),
+        (9, 1): ("0e7cc1260eb53c65f6d197554c635456b12c55c54775a8f503384c4310258fa7",
+                 "14ac0f0bd1607733adc576bb74bae146deeb7660866b83cdfeda167d8c0b1284"),
         (2, 3): ("7ac40d231602fd599e72e2203a40fd5d7a0fb6bec2a6a6a94a5b67b3fe506247",
                  "20861eaf97734b01bb5b120e4c0cc67b2453b27eb5c4a80d9043e35bce01c8ef"),
         (3, 2): ("5dc89c9642caa6490a6d3bee0a6993a1cf26f9637d860936f5f2cd982e1d8507",

@@ -28,7 +28,7 @@ M = 12
 
 
 def reference_classes(c, max_length, kind):
-    """Unpruned reference for the classes of ``closed_paths``: walk from every
+    """Unpruned reference for ``enumerate_primitive_classes``: walk from every
     node and keep the smallest of all rotations of each closed walk."""
     nodes, out = transitions(c, kind)  # nodes are sorted: indices compare alike
     seen = set()
@@ -107,8 +107,10 @@ class TestPrimitiveClasses:
                                       torus, skew_torus):
         for c in (three_cycle, six_cycle, single_chamber, torus, skew_torus):
             for kind in ("edge", "gallery"):
-                N, classes = closed_paths(c, M, kind)
+                classes = enumerate_primitive_classes(c, M, kind)
+                N = list(assemble_S_series(classes, M).coeffs)
                 P = primitive_counts(classes, M)
+                assert closed_paths(c, M, kind) == (N, P)
                 for m in range(1, M + 1):
                     assert N[m] == sum(d * P[d] for d in range(1, m + 1) if m % d == 0)
 
@@ -117,10 +119,12 @@ class TestPrimitiveClasses:
         branching = [closed_typed_complex(random.Random(seed)) for seed in range(2)]
         for c in (three_cycle, six_cycle, single_chamber, torus, skew_torus, *branching):
             for kind in ("edge", "gallery"):
-                N, classes = closed_paths(c, M, kind)
-                assert N == count_closed_paths(c, M, kind)
-                assert classes == reference_classes(c, M, kind)
+                N = count_closed_paths(c, M, kind)
+                reference = reference_classes(c, M, kind)
+                classes = enumerate_primitive_classes(c, M, kind)
+                assert classes == reference
                 assert [assemble_S_series(classes, M)[m] for m in range(M + 1)] == N
+                assert closed_paths(c, M, kind) == (N, primitive_counts(reference, M))
 
     @settings(max_examples=40, deadline=None)
     @given(st.tuples(*[st.integers(1, 2)] * 3), st.floats(0.3, 1.0), st.floats(0.0, 1.0),
@@ -129,9 +133,10 @@ class TestPrimitiveClasses:
     def test_matches_oracles_on_random_complexes(self, per_type, p_edge, p_chamber, kind,
                                                  order, rng):
         c = closed_typed_complex(rng, per_type, p_edge, p_chamber)
-        N, classes = closed_paths(c, order, kind)
-        assert N == count_closed_paths(c, order, kind)
-        assert classes == reference_classes(c, order, kind)
+        N = count_closed_paths(c, order, kind)
+        reference = reference_classes(c, order, kind)
+        assert enumerate_primitive_classes(c, order, kind) == reference
+        assert closed_paths(c, order, kind) == (N, primitive_counts(reference, order))
 
     def test_torus_primitive_counts_match_geometry(self, torus, torus_spec):
         for kind in ("edge", "gallery"):
