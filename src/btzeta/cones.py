@@ -29,17 +29,17 @@ coordinates, divided by their gcd, and barycentric coordinates, lattice
 membership and the oracle's points are adjugate products divided exactly by
 the determinant.
 
-Both F and the truncated cone of the partial-sum oracle are lattice points
-of a box.  They are listed from the lower-triangular Hermite normal form of
-the lattice's image (Cohen, *A Course in Computational Algebraic Number
-Theory*, 2.4.2), one coordinate at a time, so no point outside the lattice
-is generated.
+The partial-sum oracle sums over a truncated cone, and F is one too.  One
+lister gives both as lattice points of a box, from the lower-triangular
+Hermite normal form of the lattice's image (Cohen, *A Course in Computational
+Algebraic Number Theory*, 2.4.2), one coordinate at a time, so no point
+outside the lattice is generated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
@@ -59,9 +59,9 @@ __all__ = [
 ]
 
 
-# Largest lattice index |F| that fundamental_domain lists, and largest point
-# count of the partial-sum oracle's box.  Every such point becomes a tuple or
-# array column, so a much larger set exhausts memory instead of finishing.
+# Largest point count of a box that truncated_cone_points lists, for F and the
+# partial-sum oracle alike.  Every such point becomes a tuple or array column,
+# so a much larger set exhausts memory instead of finishing.
 FUNDAMENTAL_INDEX_CAP = 10**6
 
 # Largest |exponent| to which CharacterData.value raises an exact multiplier
@@ -76,6 +76,12 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 def _int_dtype(magnitude: int):
     """int64 when no value exceeds ``magnitude`` in size, else exact Python ints."""
     return np.int64 if magnitude <= _INT64_MAX else object
+
+
+def _check_rank(items, rank: int, what: str, unit: str) -> None:
+    """Refuse a character or an evaluation point with other than ``rank`` entries."""
+    if len(items) != rank:
+        raise ValueError(f"{what} has {len(items)} {unit} for a cone of rank {rank}")
 
 
 def _mat_vec(m, v):
@@ -119,12 +125,15 @@ class LatticeCone:
     """Rank, lattice basis (columns span Sigma inside Z^r), and functionals.
 
     The functionals must be linearly independent so the closed cone contains
-    no line; the lattice basis must be nonsingular.
+    no line; the lattice basis must be nonsingular.  The (adjugate,
+    determinant) pairs of both, which that check computes, are kept.
     """
 
     rank: int
     lattice_basis: tuple[tuple[int, ...], ...]  # rows of the basis matrix
     functionals: tuple[tuple[int, ...], ...]    # one integer covector per side
+    _basis_adjugate: tuple = field(init=False, repr=False, compare=False)
+    _functional_adjugate: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, functionals, lattice_basis=None):  # noqa: D107
         funcs = tuple(tuple(int(x) for x in f) for f in functionals)
@@ -134,13 +143,16 @@ class LatticeCone:
         basis = tuple(tuple(int(x) for x in row) for row in (lattice_basis or _identity(r)))
         if len(basis) != r or any(len(row) != r for row in basis):
             raise ValueError("lattice basis must be an r x r integer matrix")
-        if _adjugate(basis)[1] == 0:
+        basis_adj, functional_adj = _adjugate(basis), _adjugate(funcs)
+        if basis_adj[1] == 0:
             raise ValueError("lattice basis is singular")
-        if _adjugate(funcs)[1] == 0:
+        if functional_adj[1] == 0:
             raise ValueError("functionals are linearly dependent (cone is not sharp)")
         object.__setattr__(self, "rank", r)
         object.__setattr__(self, "lattice_basis", basis)
         object.__setattr__(self, "functionals", funcs)
+        object.__setattr__(self, "_basis_adjugate", basis_adj)
+        object.__setattr__(self, "_functional_adjugate", functional_adj)
 
     @property
     def basis_columns(self) -> tuple[tuple[int, ...], ...]:
@@ -159,7 +171,7 @@ class LatticeCone:
 
     def in_lattice(self, v) -> bool:
         """v = B x with x integral, i.e. adj(B) v = 0 modulo det B."""
-        adj, det = _adjugate(self.lattice_basis)
+        adj, det = self._basis_adjugate
         return all(x % det == 0 for x in _mat_vec(adj, v))
 
 
@@ -271,25 +283,19 @@ def fundamental_domain(cone: LatticeCone,
     sublattice generated by a_1..a_r that lie in the open cone while every
     v0 - a_j falls outside it.  With d = |det A| for the generator matrix A,
     the half-open condition 0 < t <= 1 on barycentric coordinates t = A^-1 v
-    reads d A^-1 v in (0, d]^r, where d A^-1 = sign(det A) adj A, so the
-    points are v = A w / d for the points w of the image lattice d A^-1 Sigma
-    in that box, listed exactly from its Hermite form.  Raises ValueError
-    when the lattice index |F| exceeds FUNDAMENTAL_INDEX_CAP.
+    reads d A^-1 v in (0, d]^r, where d A^-1 = sign(det A) adj A.  So F is
+    the truncated cone of the functionals sign(det A) adj A at bound d on
+    the same lattice, listed by ``truncated_cone_points`` (whose box
+    estimate is exactly |F| here, checked against FUNDAMENTAL_INDEX_CAP)
+    and sorted lexicographically.
     """
     r = cone.rank
-    a_mat = [[generators[j][i] for j in range(r)] for i in range(r)]  # generators as columns
-    adj_a, det_a = _adjugate(a_mat)
-    expected = abs(det_a // _adjugate(cone.lattice_basis)[1])
-    if expected > FUNDAMENTAL_INDEX_CAP:
-        raise ValueError(f"fundamental set has {expected} points, "
-                         f"more than the cap of {FUNDAMENTAL_INDEX_CAP}")
-    d = abs(det_a)
+    adj_a, det_a = _adjugate([[generators[j][i] for j in range(r)] for i in range(r)])
     sign = 1 if det_a > 0 else -1
-    g = [_mat_vec_row([sign * x for x in row], cone.basis_columns) for row in adj_a]
-    w = _lattice_points_in_box(g, d)
-    max_a = max(abs(x) for row in a_mat for x in row)
-    v = np.array(a_mat, dtype=_int_dtype(max_a * d * r)) @ w // d
+    parallelepiped = LatticeCone([[sign * x for x in row] for row in adj_a], cone.lattice_basis)
+    _, v = truncated_cone_points(parallelepiped, abs(det_a))
     out = tuple(map(tuple, v[:, np.lexsort(v[::-1])].T.tolist()))
+    expected = abs(det_a // cone._basis_adjugate[1])
     if len(out) != expected:
         raise AssertionError(
             f"fundamental set size {len(out)} != lattice index {expected}")
@@ -332,6 +338,7 @@ class CharacterData:
         object.__setattr__(self, "multipliers", multipliers)
 
     def value(self, v):
+        _check_rank(self.multipliers, len(v), "the character", "multipliers")
         acc = Fraction(1) if all(isinstance(m, (int, Fraction)) for m in self.multipliers) else 1.0
         for m, e in zip(self.multipliers, v):
             if isinstance(m, (int, Fraction)):
@@ -360,6 +367,7 @@ class ConeClosedForm:
     pole_factors: tuple
 
     def evaluate(self, u):
+        _check_rank(u, len(self.pole_factors), "the evaluation point", "coordinates")
         num = 0
         for coeff, exps in self.terms:
             mono = coeff
@@ -376,6 +384,7 @@ class ConeClosedForm:
         return num / den
 
     def converges_at(self, u) -> bool:
+        _check_rank(u, len(self.pole_factors), "the evaluation point", "coordinates")
         return all(abs(complex(c) * complex(uj) ** k) < 1
                    for (c, k), uj in zip(self.pole_factors, u))
 
@@ -420,6 +429,7 @@ def cone_series_closed_form(cone: LatticeCone, decomposition: ConeDecomposition,
     """
     if character is None:
         character = CharacterData.trivial(cone.rank)
+    _check_rank(character.multipliers, cone.rank, "the character", "multipliers")
     fset = decomposition.fundamental_set
     max_f = max(abs(x) for f in cone.functionals for x in f)
     max_v = max(map(abs, chain.from_iterable(fset)))
@@ -453,7 +463,7 @@ def truncated_cone_points(cone: LatticeCone, bound: int):
         return (np.zeros((r, 0), dtype=np.int64),) * 2
     g = [_mat_vec_row(cone.functionals[j], cone.basis_columns) for j in range(r)]
     w = _lattice_points_in_box(g, bound)
-    adj, det_f = _adjugate(cone.functionals)
+    adj, det_f = cone._functional_adjugate
     dtype = _int_dtype(max(max(abs(x) for row in adj for x in row) * bound * r, abs(det_f)))
     return w, np.array(adj, dtype=dtype) @ w.astype(dtype) // det_f
 
@@ -471,6 +481,8 @@ def evaluate_partial_sum(cone: LatticeCone, character: CharacterData | None,
     """
     if character is None:
         character = CharacterData.trivial(cone.rank)
+    _check_rank(character.multipliers, cone.rank, "the character", "multipliers")
+    _check_rank(u, cone.rank, "the evaluation point", "coordinates")
     w, v = truncated_cone_points(cone, bound)
     if w.shape[1] == 0:
         return 0.0

@@ -19,7 +19,7 @@ separately and is not part of the complex itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .complexes import TypedComplex
@@ -303,20 +303,34 @@ def _points_on_lines(gf: _GF, lines: list[tuple]) -> list[list[tuple]]:
 
 @dataclass(frozen=True)
 class BallSpec:
-    """Ball parameters: residue cardinality q, radius, and center type."""
+    """Ball parameters: residue cardinality q, radius, and center type.
+
+    Every check of a ball runs here, and q = p^k is factored once; p and k
+    are not in the constructor, the equality or the repr.
+    """
 
     q: int
     radius: int
     center_type: int = 0
+    p: int = field(init=False, repr=False, compare=False)
+    k: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.q > Q_BOUND:
             raise GenerationError(f"unsupported q={self.q}: beyond bound {Q_BOUND}")
-        _factor_prime_power(self.q)
+        p, k = _factor_prime_power(self.q)
         if self.radius < 0:
             raise GenerationError("radius must be nonnegative")
         if self.center_type not in (0, 1, 2):
             raise GenerationError("center_type must be 0, 1 or 2")
+        if self.radius > RADIUS_BOUND:
+            raise GenerationError(f"radius {self.radius} beyond bound {RADIUS_BOUND}")
+        if self.radius >= 2 and k != 1:
+            raise GenerationError(
+                f"radius >= 2 supports prime q only (got q={self.q}); "
+                "radius-1 balls support any prime power")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
 
 
 def gen_building_ball(spec: BallSpec, with_geometry: bool = False):
@@ -328,30 +342,22 @@ def gen_building_ball(spec: BallSpec, with_geometry: bool = False):
     at distance exactly r is marked as boundary.  Interior vertices have
     exactly q^2+q+1 neighbors of each of the two other types.
     """
-    p, k = _factor_prime_power(spec.q)
-    if spec.radius > RADIUS_BOUND:
-        raise GenerationError(f"radius {spec.radius} beyond bound {RADIUS_BOUND}")
     if spec.radius == 0:
-        cx = TypedComplex([(0, spec.center_type)], q=spec.q, boundary=[0])
-        geometry = {"version": 1, "kind": "ball", "q": spec.q,
-                    "radius": 0, "center_type": spec.center_type,
-                    "labels": [{"center": True}]}
-        return (cx, geometry) if with_geometry else cx
-    if spec.radius == 1:
-        result = _ball_radius_one(spec)
+        parts = [(0, spec.center_type)], [], [], [0], [{"center": True}]
+    elif spec.radius == 1:
+        parts = _ball_radius_one(spec)
     else:
-        if k != 1:
-            raise GenerationError(
-                f"radius >= 2 supports prime q only (got q={spec.q}); "
-                "radius-1 balls support any prime power")
-        result = _ball_from_lattice_chains(spec, p)
-    cx, geometry = result
+        parts = _ball_from_lattice_chains(spec)
+    vertices, edges, chambers, boundary, labels = parts
+    cx = TypedComplex(vertices, edges, chambers, q=spec.q, boundary=boundary)
+    geometry = {"version": 1, "kind": "ball", "q": spec.q, "radius": spec.radius,
+                "center_type": spec.center_type, "labels": labels}
     return (cx, geometry) if with_geometry else cx
 
 
-def _ball_radius_one(spec: BallSpec) -> tuple[TypedComplex, dict]:
-    p, k = _factor_prime_power(spec.q)
-    gf = _GF(p, k)
+def _ball_radius_one(spec: BallSpec):
+    """(vertices, edges, chambers, boundary, labels) of the radius-1 ball."""
+    gf = _GF(spec.p, spec.k)
     points = _projective_points(gf)   # colength-2 classes
     lines = _projective_points(gf)    # covectors; kernels are colength-1 classes
     t0 = spec.center_type
@@ -373,11 +379,7 @@ def _ball_radius_one(spec: BallSpec) -> tuple[TypedComplex, dict]:
         for pt in on_w:
             edges.append((point_id[pt], line_id[w]))
             chambers.append((0, point_id[pt], line_id[w]))
-    boundary = list(range(1, len(vertices)))
-    cx = TypedComplex(vertices, edges, chambers, q=spec.q, boundary=boundary)
-    geometry = {"version": 1, "kind": "ball", "q": spec.q, "radius": 1,
-                "center_type": spec.center_type, "labels": labels}
-    return cx, geometry
+    return vertices, edges, chambers, list(range(1, len(vertices))), labels
 
 
 def _matmul3(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -420,15 +422,18 @@ def _class_hnf(m: list[list[int]], p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, h))
 
 
-def _ball_from_lattice_chains(spec: BallSpec, p: int) -> tuple[TypedComplex, dict]:
-    """Breadth-first ball around [Z^3], vertices ordered by (distance, Hermite form).
+def _ball_from_lattice_chains(spec: BallSpec):
+    """(vertices, edges, chambers, boundary, labels) of the ball for prime q = p.
+
+    It grows breadth-first around [Z^3]; vertices are ordered by (distance,
+    Hermite form).
 
     The neighbours of a class [L] are the classes [L'] with pL < L' < L,
     which are L's basis times the bases of ``_between_lattices``.  A class
     is named by the Hermite form of its representative in Z^3 but not in
     pZ^3, whose diagonal has product p^colength.
     """
-    r = spec.radius
+    r, p = spec.radius, spec.p
     between = _between_lattices(p)
     distance = {((1, 0, 0), (0, 1, 0), (0, 0, 1)): 0}
     neighbours = {}
@@ -461,10 +466,7 @@ def _ball_from_lattice_chains(spec: BallSpec, p: int) -> tuple[TypedComplex, dic
             if m > j:
                 chambers.append((i, j, m))
     boundary = [i for i, h in enumerate(order) if distance[h] == r]
-    cx = TypedComplex(vertices, edges, chambers, q=spec.q, boundary=boundary)
-    geometry = {"version": 1, "kind": "ball", "q": spec.q, "radius": r,
-                "center_type": spec.center_type, "labels": labels}
-    return cx, geometry
+    return vertices, edges, chambers, boundary, labels
 
 
 # ---------------------------------------------------------------------------

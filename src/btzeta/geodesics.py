@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import TypedComplex
-from .generators import POSITIVE_DIRECTIONS
+from .generators import POSITIVE_DIRECTIONS, ApartmentSpec
 from .operators import _check_kind, transitions
 from .polynomials import PowerSeriesPrefix
 
@@ -268,34 +268,26 @@ def assemble_S_series(classes, max_length: int) -> PowerSeriesPrefix:
 # ---------------------------------------------------------------------------
 
 
-def _basis_columns(basis) -> tuple[tuple[int, int], tuple[int, int]]:
-    (a, b), (c, d) = basis
-    return (a, c), (b, d)
-
-
-def _direction_period(basis, direction: tuple[int, int]) -> int:
-    """Minimal k >= 1 with k * direction inside the quotient lattice."""
-    (a, c), (b, d) = _basis_columns(basis)
-    det = a * d - b * c
-    if det == 0:
-        raise ValueError("degenerate torus basis")
+def _direction_period(spec: ApartmentSpec, det: int, direction: tuple[int, int]) -> int:
+    """Minimal k >= 1 with k * direction inside the quotient lattice of determinant det."""
+    (a, c), (b, d) = spec.columns
     # adjugate solve: x = adj(B) * direction / det must become integral
     u = d * direction[0] - b * direction[1]
     v = -c * direction[0] + a * direction[1]
-    k1 = Fraction(u, det).denominator
-    k2 = Fraction(v, det).denominator
-    return math.lcm(k1, k2)
+    return math.lcm(Fraction(u, det).denominator, Fraction(v, det).denominator)
 
 
 def _torus_classes(basis, kind: str):
     """(length, count) of the primitive classes along each positive direction:
     det/s straight lines of its period s, resp. det/s chamber strips of 2*s crossings."""
     _check_kind(kind)
-    (a, c), (b, d) = _basis_columns(basis)
-    det = abs(a * d - b * c)
+    spec = ApartmentSpec(basis)
+    det = spec.det
+    if det == 0:
+        raise ValueError("degenerate torus basis")
     for direction in POSITIVE_DIRECTIONS:
-        s = _direction_period(basis, direction)
-        yield (s if kind == "edge" else 2 * s), det // s
+        s = _direction_period(spec, det, direction)
+        yield (s if kind == "edge" else 2 * s), abs(det) // s
 
 
 def torus_trace_counts(basis, max_length: int, kind: str = "edge") -> list[int]:

@@ -16,7 +16,7 @@ enters only in the final root moduli.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import mpmath
 import numpy as np
@@ -49,25 +49,11 @@ class RHReport:
     notes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        def croots(roots):
-            return [{"re": z.real, "im": z.imag, "modulus": abs(z)} for z in roots]
-        return {
-            "q": self.q,
-            "chi": self.chi,
-            "euler_factor_exponent": self.euler_factor_exponent,
-            "den_euler_factor_exponent": self.den_euler_factor_exponent,
-            "pole_factor_found": self.pole_factor_found,
-            "exponent_matches_chi": self.exponent_matches_chi,
-            "P1_roots": croots(self.P1_roots),
-            "P2_roots": croots(self.P2_roots),
-            "p1_degree": self.p1_degree,
-            "p1_degree_expected": self.p1_degree_expected,
-            "offending_roots": croots(self.offending_roots),
-            "boundary_roots": croots(self.boundary_roots),
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-            "notes": list(self.notes),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("P1_roots", "P2_roots", "offending_roots", "boundary_roots"):
+            doc[name] = [{"re": z.real, "im": z.imag, "modulus": abs(z)} for z in doc[name]]
+        doc["notes"] = list(self.notes)
+        return doc
 
 
 def _residual_scale(p: IntPolynomial, z: complex) -> float:

@@ -8,10 +8,14 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btzeta import geodesics, operators, zeta
-from btzeta.cli import main, run_verify
+from btzeta.cli import _divisor_sums, _product_matches_ratio, main, run_verify
 from btzeta.complexes import save_complex
+from btzeta.geodesics import product_of_primitive_counts
+from btzeta.polynomials import IntPolynomial, log_derivative_series, series_inverse
 from conftest import closed_typed_complex
 
 
@@ -523,6 +527,78 @@ class TestVerify:
             doc = json.loads(invoke(runner, ["count", "c3.json"],
                                     env={"BTZ_COUNT_MAX_LENGTH": "6"}).stdout)
             assert len(doc["N"]) == 7
+
+
+@st.composite
+def verify_sequences(draw):
+    """(P, N, Z1, Z2, planted sign) up to an order M.
+
+    N is the divisor-sum sequence D of P, and Z2 is planted so that
+    Z2(sign u) prod_d (1 - u^d)^P[d] = Z1(u^2) up to u^M for a drawn sign;
+    each then gets zero to two perturbations, which may be zero.
+    """
+    M = draw(st.integers(1, 10))
+    P = [0] + draw(st.lists(st.integers(0, 4), min_size=M, max_size=M))
+
+    def perturbed(seq):
+        seq = list(seq)
+        for m, delta in draw(st.lists(st.tuples(st.integers(1, M), st.integers(-2, 2)),
+                                      max_size=2)):
+            seq[m] += delta
+        return seq
+
+    N = perturbed(_divisor_sums(P))
+    z1 = IntPolynomial([1] + draw(st.lists(st.integers(-5, 5), max_size=6)))
+    sign = draw(st.sampled_from([None, -1, 1]))
+    if sign is None:
+        z2 = IntPolynomial([1] + draw(st.lists(st.integers(-5, 5), max_size=M)))
+    else:
+        # Q = Z1(u^2) / prod up to u^M, and Z2(v) = Q(sign v)
+        inverse = series_inverse(IntPolynomial(product_of_primitive_counts(P, M).coeffs), M)
+        z1_sq = z1.subst_u_power(2)
+        q = [sum(z1_sq[j] * inverse[m - j] for j in range(m + 1)) for m in range(M + 1)]
+        z2 = IntPolynomial(perturbed([sign ** m * c for m, c in enumerate(q)]))
+    return P, N, z1, z2, sign
+
+
+class TestVerifySequenceIdentities:
+    """run_verify's sequence identities against the polynomial route they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(verify_sequences())
+    def test_same_booleans_as_polynomial_products(self, data):
+        P, N, z1, z2, _ = data
+        M = len(P) - 1
+        prod = IntPolynomial(product_of_primitive_counts(P, M).coeffs)
+        prod_log_deriv = log_derivative_series(prod, M)
+        exp_ok = all(prod_log_deriv[m] == N[m] for m in range(1, M + 1))
+        structure_ok = all(N[m] == sum(d * P[d] for d in range(1, m + 1) if m % d == 0)
+                           for m in range(1, M + 1))
+        D = _divisor_sums(P)
+        assert (N[1:] == D[1:]) == exp_ok == structure_ok
+
+        L1, L2 = (list(log_derivative_series(z, M).coeffs) for z in (z1, z2))
+        z1_sq = z1.subst_u_power(2)
+        for sign, num in ((-1, z2.subst_neg_u()), (1, z2)):
+            lhs = num * prod
+            product_ok = all(lhs[m] == z1_sq[m] for m in range(M + 1))
+            assert _product_matches_ratio(D, L1, L2, sign) == product_ok
+
+    def test_planted_identities_hold(self):
+        # the unperturbed draws: N = D, and the planted sign matches
+        P = [0, 2, 1, 0, 3, 1, 0, 2]
+        M = len(P) - 1
+        D = _divisor_sums(P)
+        assert D == [0, 2, 4, 2, 16, 7, 4, 16]
+        z1 = IntPolynomial([1, -3, 2])
+        inverse = series_inverse(IntPolynomial(product_of_primitive_counts(P, M).coeffs), M)
+        z1_sq = z1.subst_u_power(2)
+        q = [sum(z1_sq[j] * inverse[m - j] for j in range(m + 1)) for m in range(M + 1)]
+        for sign in (-1, 1):
+            z2 = IntPolynomial([sign ** m * c for m, c in enumerate(q)])
+            L1, L2 = (list(log_derivative_series(z, M).coeffs) for z in (z1, z2))
+            assert _product_matches_ratio(D, L1, L2, sign)
+            assert not _product_matches_ratio(D, L1, L2, -sign)
 
 
 class TestEachQuantityOnce:

@@ -309,6 +309,50 @@ class TestClosedForm:
             '{"coeff": {"num": "1", "den": "1"}, "exponents": [2]}]')
 
 
+class TestRankMismatch:
+    """A character or an evaluation point of another length than the rank is refused.
+
+    On the coordinate cone, zip truncated each of these cases to a wrong value.
+    """
+
+    cone = LatticeCone(((1, 0), (0, 1)))
+
+    @pytest.mark.parametrize("multipliers", [(Fraction(1, 2),), (-1,), (1, 1, 1)])
+    def test_character(self, multipliers):
+        # (1/2,) gave the series 1/3 at (1/2, 1/2); (1/2, 1/2) gives 1/9
+        deco = make_decomposition(self.cone)
+        half = CharacterData((Fraction(1, 2),) * 2)
+        assert cone_series_closed_form(self.cone, deco, half).evaluate(
+            (Fraction(1, 2),) * 2) == Fraction(1, 9)
+        character = CharacterData(multipliers)
+        message = f"{len(multipliers)} multipliers for a cone of rank 2"
+        with pytest.raises(ValueError, match=message):
+            cone_series_closed_form(self.cone, deco, character)
+        with pytest.raises(ValueError, match=message):
+            character.value((1, 1))
+        with pytest.raises(ValueError, match=message):
+            evaluate_partial_sum(self.cone, character, (0.5, 0.5), 10)
+
+    def test_convergence_at_short_point(self):
+        closed = cone_series_closed_form(self.cone, make_decomposition(self.cone))
+        assert not closed.converges_at((0.5, 1.5))
+        with pytest.raises(ValueError, match="1 coordinates for a cone of rank 2"):
+            closed.converges_at((0.5,))
+
+    def test_partial_sum_at_short_point(self):
+        # 9.99 was the sum over the first coordinate alone
+        assert evaluate_partial_sum(self.cone, None, (0.5, 0.5), 10) == \
+            pytest.approx((1 - 0.5 ** 10) ** 2)
+        with pytest.raises(ValueError, match="1 coordinates for a cone of rank 2"):
+            evaluate_partial_sum(self.cone, None, (0.5,), 10)
+
+    def test_evaluate_at_long_point(self):
+        # (0.5, 0.5, 0.9) gave 1.0, the value at (0.5, 0.5)
+        closed = cone_series_closed_form(self.cone, make_decomposition(self.cone))
+        with pytest.raises(ValueError, match="3 coordinates for a cone of rank 2"):
+            closed.evaluate((0.5, 0.5, 0.9))
+
+
 class TestMultivariableSeries:
     def test_single_entry_with_powers(self):
         series = assemble_multivariable_S([{"l": (3,), "weight": 3}], 12, 1)

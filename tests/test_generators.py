@@ -16,6 +16,7 @@ from btzeta import (
     simplex_counts,
     validate_complex,
 )
+from btzeta import generators
 from btzeta.operators import transitions
 from btzeta.generators import (
     Q_BOUND,
@@ -205,6 +206,32 @@ class TestBuildingBall:
     def test_prime_power_radius_two_unsupported(self):
         with pytest.raises(GenerationError, match="prime q"):
             gen_building_ball(BallSpec(q=4, radius=2))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"q": 2, "radius": 4}, "radius 4 beyond bound 3"),
+        ({"q": 4, "radius": 2}, "prime q only"),
+        ({"q": 2, "radius": -1}, "nonnegative"),
+        ({"q": 2, "radius": 1, "center_type": 3}, "center_type"),
+    ])
+    def test_spec_refuses_every_bad_ball(self, kwargs, message):
+        with pytest.raises(GenerationError, match=message):
+            BallSpec(**kwargs)
+
+    def test_spec_factors_q_once(self, monkeypatch):
+        factored = []
+        original = generators._factor_prime_power
+        monkeypatch.setattr(generators, "_factor_prime_power",
+                            lambda q: factored.append(q) or original(q))
+        for q, radius in ((4, 1), (3, 2), (2, 0)):
+            gen_building_ball(BallSpec(q=q, radius=radius), with_geometry=True)
+        assert factored == [4, 3, 2]
+
+    def test_spec_constructor_equality_and_repr(self):
+        spec = BallSpec(9, 1, 2)
+        assert (spec.p, spec.k) == (3, 2)
+        assert spec == BallSpec(q=9, radius=1, center_type=2) != BallSpec(q=9, radius=1)
+        assert hash(spec) == hash(BallSpec(9, 1, 2))
+        assert repr(spec) == "BallSpec(q=9, radius=1, center_type=2)"
 
     def test_radius_two_interior_links(self, ball_q2_r2):
         q = 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -74,6 +75,14 @@ class TestClosedPathCounts:
         for kind in ("edge", "gallery"):
             assert count_closed_paths(skew_torus, M, kind) == \
                 torus_trace_counts(skew_torus_spec.basis, M, kind)
+
+    def test_torus_oracle_reads_a_json_basis(self, torus, torus_spec):
+        # the geometry sidecar holds the basis as lists of ints
+        basis = json.loads(json.dumps(torus_spec.basis))
+        for kind in ("edge", "gallery"):
+            assert torus_trace_counts(basis, M, kind) == count_closed_paths(torus, M, kind)
+        with pytest.raises(ValueError, match="degenerate torus basis"):
+            torus_trace_counts([[3, 6], [1, 2]], M)
 
     def test_order_cap(self, three_cycle):
         with pytest.raises(ValueError, match="cap"):
