@@ -38,6 +38,7 @@ outside the lattice is generated.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -143,16 +144,26 @@ class LatticeCone:
         basis = tuple(tuple(int(x) for x in row) for row in (lattice_basis or _identity(r)))
         if len(basis) != r or any(len(row) != r for row in basis):
             raise ValueError("lattice basis must be an r x r integer matrix")
-        basis_adj, functional_adj = _adjugate(basis), _adjugate(funcs)
+        basis_adj = _adjugate(basis)
         if basis_adj[1] == 0:
             raise ValueError("lattice basis is singular")
-        if functional_adj[1] == 0:
-            raise ValueError("functionals are linearly dependent (cone is not sharp)")
         object.__setattr__(self, "rank", r)
         object.__setattr__(self, "lattice_basis", basis)
-        object.__setattr__(self, "functionals", funcs)
         object.__setattr__(self, "_basis_adjugate", basis_adj)
+        self._set_functionals(funcs)
+
+    def _set_functionals(self, funcs: tuple[tuple[int, ...], ...]) -> None:
+        functional_adj = _adjugate(funcs)
+        if functional_adj[1] == 0:
+            raise ValueError("functionals are linearly dependent (cone is not sharp)")
+        object.__setattr__(self, "functionals", funcs)
         object.__setattr__(self, "_functional_adjugate", functional_adj)
+
+    def _with_functionals(self, funcs: tuple[tuple[int, ...], ...]) -> "LatticeCone":
+        """The cone of other r functionals on this lattice, keeping its basis adjugate."""
+        cone = copy.copy(self)
+        cone._set_functionals(funcs)
+        return cone
 
     @property
     def basis_columns(self) -> tuple[tuple[int, ...], ...]:
@@ -292,7 +303,7 @@ def fundamental_domain(cone: LatticeCone,
     r = cone.rank
     adj_a, det_a = _adjugate([[generators[j][i] for j in range(r)] for i in range(r)])
     sign = 1 if det_a > 0 else -1
-    parallelepiped = LatticeCone([[sign * x for x in row] for row in adj_a], cone.lattice_basis)
+    parallelepiped = cone._with_functionals(tuple(tuple(sign * x for x in row) for row in adj_a))
     _, v = truncated_cone_points(parallelepiped, abs(det_a))
     out = tuple(map(tuple, v[:, np.lexsort(v[::-1])].T.tolist()))
     expected = abs(det_a // cone._basis_adjugate[1])

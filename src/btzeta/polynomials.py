@@ -6,9 +6,11 @@ enter only where a result can be non-integral: the log-derivative of a
 polynomial whose constant term is not +-1 (zetas and primitive products
 have constant term 1, so theirs stay in ints), ``series_exp_neg_integral``,
 ``series_product`` and the values of a RationalFn.  Reverse characteristic
-polynomials ``det(I - u*M)`` of integer matrices come from one Hessenberg
-reduction modulo a Mersenne prime above twice a Hadamard-style coefficient
-bound, so the balanced lift of the residues is provably the exact result.
+polynomials ``det(I - u*M)`` of integer matrices are products over the
+strongly connected components of M's nonzero pattern: each block gets one
+Hessenberg reduction modulo a Mersenne prime above twice the block's own
+Hadamard-style coefficient bound, so the balanced lift of the residues is
+provably the exact result.
 """
 
 from __future__ import annotations
@@ -318,6 +320,68 @@ def _int_rows(mat) -> list[list[int]]:
     return [list(map(operator.index, row)) for row in rows]
 
 
+def _triplets(mat) -> tuple[int, Sequence[tuple[int, int, int]]]:
+    """Dimension and (row, col, value) triplets of the nonzero entries.
+
+    A ``SparseIntMatrix``'s own triplets are read as they are (repeated
+    positions add up); dense input goes through ``_int_rows`` first."""
+    if hasattr(mat, "entries"):
+        return mat.dim, mat.entries
+    rows = _int_rows(mat)
+    return len(rows), [(r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v]
+
+
+def _strong_components(n: int, entries) -> list[list[int]]:
+    """Strongly connected components of the digraph with an arc r -> c per triplet.
+
+    Iterative Tarjan (SIAM J. Comput. 1, 1972).  Each component lists its
+    indices in reverse order of discovery: along a cycle v0 -> v1 -> ...
+    every arc but the closing one then lands on the subdiagonal, so a cycle's
+    block is already upper Hessenberg.
+    """
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for r, c, _ in entries:
+        succ[r].append(c)
+    # order[v] is v's visit number while v is on the stack and n once its
+    # component is out, where it no longer lowers any low-link
+    order, low = [-1] * n, [0] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    visited = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, arcs = path[-1]
+            for w in arcs:
+                if order[w] < 0:
+                    order[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    path.append((w, iter(succ[w])))
+                    break
+                low[v] = min(low[v], order[w])
+            else:
+                path.pop()
+                if path:
+                    parent = path[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == order[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        order[w] = n
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+    return components
+
+
 def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
     """Coefficients of det(x I - M) mod p, degree-ascending, via Hessenberg."""
     h = [[x % p for x in row] for row in rows]
@@ -368,19 +432,16 @@ def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
-def char_poly_reverse(mat) -> IntPolynomial:
-    """Exact det(I - u*M) for a square integer matrix.
+def _char_poly_reverse_rows(rows: list[list[int]]) -> IntPolynomial:
+    """Exact det(I - u*M) for dense integer rows by one Hessenberg pass.
 
-    Accepts a ``SparseIntMatrix`` or a dense square integer array-like; a
-    non-integer entry raises TypeError.  Every coefficient of
-    det(xI - M) is below 2^bits in absolute value, with
+    Every coefficient of det(xI - M) is below 2^bits in absolute value, with
     bits = n + ceil(n * ceil(log2 r) / 2) and r the largest squared row norm
     (Hadamard: the k-th coefficient is at most C(n, k) * sqrt(r)^k).  One
     Hessenberg pass modulo the smallest tabulated Mersenne prime above
     2^(bits + 1) and the balanced lift recover the coefficients exactly.  A
     bound beyond the largest tabulated prime raises ValueError.
     """
-    rows = _int_rows(mat)
     n = len(rows)
     if n == 0:
         return IntPolynomial.one()
@@ -396,6 +457,51 @@ def char_poly_reverse(mat) -> IntPolynomial:
     charpoly = [c - p if c > half else c for c in _charpoly_mod(rows, p)]
     # det(I - uM) = u^n * charpoly_M(1/u): reverse the coefficient order
     return IntPolynomial(reversed(charpoly))
+
+
+def char_poly_reverse(mat) -> IntPolynomial:
+    """Exact det(I - u*M) for a square integer matrix, one SCC block at a time.
+
+    Accepts a ``SparseIntMatrix`` or a dense square integer array-like; a
+    non-integer entry raises TypeError, a non-square input ValueError.
+    Ordering the indices by the strongly connected components of the
+    nonzero pattern, in topological order, makes M block triangular, so
+    det(I - u*M) is the product of det(I - u*M_C) over the diagonal blocks
+    M_C.  A component of one index without a self-loop contributes 1; every
+    other block gets its own Hadamard bound, the smallest tabulated Mersenne
+    prime above twice it, one Hessenberg pass and the balanced lift
+    (``_char_poly_reverse_rows``); equal blocks are reduced once.  A block
+    whose bound is beyond the largest tabulated prime raises ValueError.
+    """
+    n, entries = _triplets(mat)
+    components = _strong_components(n, entries)
+    label, local = [0] * n, [0] * n
+    for c, members in enumerate(components):
+        for i, v in enumerate(members):
+            label[v], local[v] = c, i
+    blocks = [[[0] * len(members) for _ in members] for members in components]
+    for r, c, v in entries:
+        if label[r] == label[c]:
+            blocks[label[r]][local[r]][local[c]] += v
+    # the product is kept as {exponent: nonzero coefficient}: on tori the
+    # blocks are sparse cycle factors such as 1 - u^18, and so is the product;
+    # a torus's cycles are translates of one another, and with each component
+    # in reverse order of discovery their blocks are equal, so reduced once
+    product = {0: 1}
+    factors: dict[tuple, tuple[int, ...]] = {}
+    for rows in blocks:
+        if rows == [[0]]:  # one index without a self-loop: a factor 1
+            continue
+        key = tuple(map(tuple, rows))
+        if key not in factors:
+            factors[key] = _char_poly_reverse_rows(rows).coeffs
+        step: dict[int, int] = {}
+        for i, a in enumerate(factors[key]):
+            if a:
+                for j, b in product.items():
+                    step[i + j] = step.get(i + j, 0) + a * b
+        product = {k: c for k, c in step.items() if c}
+    return IntPolynomial(product.get(k, 0) for k in range(n + 1))
 
 
 def berkowitz_char_poly_reverse(mat) -> IntPolynomial:

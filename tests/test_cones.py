@@ -525,6 +525,26 @@ class TestWholeArrayPasses:
         gens = cone_generators(cone)
         assert fundamental_domain(cone, gens) == scan_fundamental_domain(cone, gens)
 
+    @pytest.mark.parametrize("functionals, basis", [
+        (((1, 0), (-1, 2)), None),
+        (((2, 1, 0), (0, 1, 3), (1, 0, 1)), ((2, 0, 0), (1, 3, 0), (0, 1, 1))),
+    ], ids=["rank-2", "rank-3-sublattice"])
+    def test_fundamental_domain_reuses_basis_adjugate(self, monkeypatch, functionals, basis):
+        # one elimination for the generator matrix, one for the parallelepiped's
+        # functionals; the lattice basis keeps the adjugate the cone holds
+        cone = LatticeCone(functionals, basis)
+        gens = cone_generators(cone)
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return _adjugate(m)
+
+        monkeypatch.setattr("btzeta.cones._adjugate", counting)
+        domain = fundamental_domain(cone, gens)
+        assert len(calls) == 2
+        assert domain == scan_fundamental_domain(cone, gens)
+
     def test_fundamental_index_cap(self):
         cone = LatticeCone(((5_000_000_000, 1), (1, 5_000_000_000)))
         with pytest.raises(ValueError, match=str(FUNDAMENTAL_INDEX_CAP)):

@@ -22,7 +22,17 @@ from btzeta.polynomials import (
     series_inverse,
     series_product,
 )
-from btzeta.polynomials import _MERSENNE_EXPONENTS
+from btzeta.polynomials import (
+    _MERSENNE_EXPONENTS,
+    _char_poly_reverse_rows,
+    _charpoly_mod,
+    _int_rows,
+)
+
+
+def unsplit(mat) -> IntPolynomial:
+    """det(I - u*M) by one Hessenberg pass over the whole matrix, no SCC split."""
+    return _char_poly_reverse_rows(_int_rows(mat))
 
 
 def cyclic_permutation(n: int) -> np.ndarray:
@@ -211,9 +221,90 @@ class TestCharPolyReverse:
                 perm = rng.sample(range(dim), dim)
                 mat = [[mat[perm[i]][perm[j]] for j in range(dim)] for i in range(dim)]
         expected = berkowitz_char_poly_reverse(mat)
-        assert char_poly_reverse(np.array(mat, dtype=object)) == expected
+        assert char_poly_reverse(np.array(mat, dtype=object)) == expected == unsplit(mat)
         if shape == "nilpotent":
             assert expected == IntPolynomial.one()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(["self-loop", "zero-diagonal", "nilpotent", "general"]),
+                    min_size=1, max_size=8),
+           st.sampled_from([0.0, 0.3, 1.0]),
+           st.sampled_from([1, 9, 10 ** 6]),
+           st.randoms(use_true_random=False))
+    def test_block_triangular_under_permutation(self, kinds, coupling, bound, rng):
+        # diagonal blocks along the diagonal, entries above them, then the
+        # indices shuffled: det(I - uM) is the product of the blocks' factors
+        blocks = []
+        for kind in kinds:
+            size = 1 if kind in ("self-loop", "zero-diagonal") else rng.randint(1, 5)
+            block = [[rng.randint(-bound, bound) for _ in range(size)] for _ in range(size)]
+            if kind == "self-loop":
+                block[0][0] = rng.choice([-bound, bound])
+            elif kind == "zero-diagonal":
+                block[0][0] = 0
+            elif kind == "nilpotent":
+                block = [[x if j > i else 0 for j, x in enumerate(row)]
+                         for i, row in enumerate(block)]
+            blocks.append(block)
+        dim = sum(len(b) for b in blocks)
+        mat = [[0] * dim for _ in range(dim)]
+        start = 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                mat[start + i][start:start + len(block)] = row
+                for j in range(start + len(block), dim):
+                    if rng.random() < coupling:
+                        mat[start + i][j] = rng.randint(-bound, bound)
+            start += len(block)
+        perm = rng.sample(range(dim), dim)
+        mat = [[mat[perm[i]][perm[j]] for j in range(dim)] for i in range(dim)]
+        expected = IntPolynomial.one()
+        for block in blocks:
+            expected = expected * berkowitz_char_poly_reverse(block)
+        sparse = SparseIntMatrix(dim, [(i, j, v) for i, row in enumerate(mat)
+                                       for j, v in enumerate(row)])
+        assert char_poly_reverse(mat) == char_poly_reverse(sparse) == expected
+        assert berkowitz_char_poly_reverse(mat) == unsplit(mat) == expected
+
+    def test_bound_is_per_block(self):
+        # nine 500-cycles on shuffled indices: dimension 4500 puts the
+        # whole-matrix bound 2^4500 beyond the largest tabulated prime, while
+        # each cycle's bound 2^500 takes the 2^521 - 1 prime
+        rng = random.Random(3)
+        perm = rng.sample(range(4500), 4500)
+        mat = SparseIntMatrix(4500, [(perm[500 * b + i], perm[500 * b + (i + 1) % 500], 1)
+                                     for b in range(9) for i in range(500)])
+        assert char_poly_reverse(mat) == (IntPolynomial.one() - IntPolynomial.monomial(500)).pow(9)
+
+    def test_equal_blocks_reduced_once(self, monkeypatch):
+        # three 2-cycles, two of them with the same entries: two Hessenberg passes
+        passes = []
+
+        def recording(rows, p):
+            passes.append(rows)
+            return _charpoly_mod(rows, p)
+
+        monkeypatch.setattr("btzeta.polynomials._charpoly_mod", recording)
+        mat = SparseIntMatrix(6, [(0, 1, 1), (1, 0, 1), (2, 3, 2), (3, 2, 3),
+                                  (4, 5, 1), (5, 4, 1)])
+        one_minus_u2 = IntPolynomial([1, 0, -1])
+        assert char_poly_reverse(mat) == one_minus_u2 * one_minus_u2 * IntPolynomial([1, 0, -6])
+        assert len(passes) == 2
+
+    def test_blocks_bound_and_prime_their_own_entries(self, monkeypatch):
+        # a 2^600 self-loop beside a 0/1 3-cycle: the cycle's pass runs modulo
+        # the smallest tabulated prime, only the self-loop needs 2^607 - 1
+        moduli = []
+
+        def recording(rows, p):
+            moduli.append((len(rows), p))
+            return _charpoly_mod(rows, p)
+
+        monkeypatch.setattr("btzeta.polynomials._charpoly_mod", recording)
+        mat = [[0, 1, 0, 5], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 2 ** 600]]
+        assert char_poly_reverse(mat) == \
+            IntPolynomial([1, 0, 0, -1]) * IntPolynomial([1, -2 ** 600])
+        assert sorted(moduli) == [(1, 2 ** 607 - 1), (3, 2 ** 61 - 1)]
 
 
 def _lucas_lehmer(e: int) -> bool:

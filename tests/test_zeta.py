@@ -24,10 +24,17 @@ from btzeta import (
     zeta_edge,
 )
 from btzeta.generators import gen_apartment_torus, gen_cycle_complex
-from btzeta.polynomials import berkowitz_char_poly_reverse
+from btzeta.polynomials import (
+    _char_poly_reverse_rows,
+    _charpoly_mod,
+    _int_rows,
+    berkowitz_char_poly_reverse,
+)
 from conftest import closed_typed_complex
 
 M = 12
+# Berkowitz is quartic in the dimension: about 2 s at dimension 108
+BERKOWITZ_DIM = 108
 ONE_MINUS_U3 = IntPolynomial([1, 0, 0, -1])
 ONE_MINUS_U6 = IntPolynomial([1, 0, 0, 0, 0, 0, -1])
 
@@ -169,3 +176,81 @@ class TestGradedReduction:
             z = char_poly_reverse(full(c))
             assert all(a == 0 for k, a in enumerate(z.coeffs) if k % 3)
             assert zeta(c) == z
+
+
+def _cycle_product(x) -> IntPolynomial:
+    """det(I - u X) for a 0/1 permutation matrix X: the product of 1 - u^len over its cycles."""
+    succ = {r: c for r, c, _ in x.entries}
+    assert sorted(succ) == sorted(succ.values()) == list(range(x.dim))
+    assert all(v == 1 for *_, v in x.entries)
+    out, seen = IntPolynomial.one(), set()
+    for start in range(x.dim):
+        length, node = 0, start
+        while node not in seen:
+            seen.add(node)
+            node, length = succ[node], length + 1
+        if length:
+            out = out * (IntPolynomial.one() - IntPolynomial.monomial(length))
+    return out
+
+
+def _relabel(c: TypedComplex, f) -> tuple[list, list, list]:
+    return ([(f(v), t) for v, t in c.vertices], [tuple(map(f, e)) for e in c.edges],
+            [tuple(map(f, tri)) for tri in c.chambers])
+
+
+def _disjoint_union(a: TypedComplex, b: TypedComplex) -> TypedComplex:
+    """a on the even labels, b on the odd ones, so the two complexes' nodes interleave."""
+    va, ea, ca = _relabel(a, lambda v: 2 * v)
+    vb, eb, cb = _relabel(b, lambda v: 2 * v + 1)
+    return TypedComplex(va + vb, ea + eb, ca + cb)
+
+
+class TestSplitAgainstOracles:
+    """The SCC split of det(I - u X) against Berkowitz and one unsplit pass."""
+
+    @staticmethod
+    def _check(x) -> IntPolynomial:
+        split = char_poly_reverse(x)
+        assert split == _char_poly_reverse_rows(_int_rows(x))
+        if x.dim <= BERKOWITZ_DIM:
+            assert split == berkowitz_char_poly_reverse(x)
+        return split
+
+    @pytest.mark.parametrize("kind", ["edge", "gallery"])
+    @pytest.mark.parametrize("basis", [(k, 0, 0, k) for k in (6, 9, 12, 15)] + [(6, 3, 0, 9)],
+                             ids=lambda b: "torus %d %d %d %d" % b)
+    def test_tori(self, basis, kind):
+        # torus X is a permutation matrix, so its cycle type is a third oracle
+        # at every dimension
+        x = three_step_operator(_torus(*basis), kind)
+        assert self._check(x) == _cycle_product(x)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_disjoint_union_of_torus_and_branching(self, seed, torus):
+        branching = closed_typed_complex(random.Random(seed))
+        union = _disjoint_union(torus, branching)
+        for zeta, kind in ((zeta_edge, "edge"), (zeta_chamber, "gallery")):
+            self._check(three_step_operator(union, kind))
+            assert zeta(union) == zeta(torus) * zeta(branching)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_branching(self, seed):
+        c = closed_typed_complex(random.Random(seed), per_type=(4, 4, 4), p_chamber=0.6)
+        for kind in ("edge", "gallery"):
+            self._check(three_step_operator(c, kind))
+
+    def test_hessenberg_runs_on_blocks_only(self, monkeypatch):
+        # the 27x27 torus chamber X (dimension 1458) splits into 81 cycles of
+        # length 18; no Hessenberg pass sees more than one of them
+        dims = []
+
+        def recording(rows, p):
+            dims.append(len(rows))
+            return _charpoly_mod(rows, p)
+
+        monkeypatch.setattr("btzeta.polynomials._charpoly_mod", recording)
+        x = three_step_operator(_torus(27, 0, 0, 27), "gallery")
+        assert x.dim == 1458
+        assert char_poly_reverse(x) == _cycle_product(x)
+        assert max(dims) == 18
