@@ -383,7 +383,7 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
         "rank": lc.rank,
         "generators": gens,
         "fundamental_set": fset,
-        "closed_form": closed.to_json_dict(),
+        "closed_form": None,  # spliced in as text below
     }
     if point is not None:
         try:
@@ -404,7 +404,8 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
         else:
             entry["partial_sum"] = "skipped (outside convergence region)"
         doc["evaluation"] = entry
-    _emit(doc)
+    head, tail = _canonical(doc).split('"closed_form":null', 1)
+    click.echo(f'{head}"closed_form":{closed.to_json()}{tail}', nl=False)
     _info(f"rank {lc.rank}: |F| = {len(fset)}")
 
 

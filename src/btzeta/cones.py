@@ -22,6 +22,12 @@ integers (``dtype=object``) otherwise.  Character values are exact: with
 picked by a parity, and all other multipliers go through
 ``CharacterData.value``.
 
+The closed form is written out in bulk as well: ``ConeClosedForm.to_json``
+encodes each distinct coefficient once and formats the exponent rows into one
+canonical JSON text, with no dict per term, and ``evaluate`` takes each power
+u_j^e once per coordinate and distinct exponent, keeping the order of the
+plain per-term products and sum.
+
 The linear algebra is exact integer elimination: one fraction-free
 Gauss-Jordan routine gives the adjugate and the determinant of a matrix.
 The edge generators are adjugate columns of the functionals in lattice
@@ -39,10 +45,13 @@ outside the lattice is generated.
 from __future__ import annotations
 
 import copy
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
+from operator import add, mod, mul
 
 import numpy as np
 
@@ -365,12 +374,25 @@ class CharacterData:
         return CharacterData((Fraction(1),) * rank)
 
 
+def _coefficient_text(x) -> str:
+    """Canonical JSON of a coefficient; an int encodes like the equal Fraction."""
+    if isinstance(x, Fraction) or type(x) is int:
+        return '{"den":"%d","num":"%d"}' % (x.denominator, x.numerator)
+    return json.dumps({"re": x.real, "im": x.imag} if isinstance(x, complex) else x,
+                      sort_keys=True, separators=(",", ":"))
+
+
+# key order of the coefficient dicts that to_json_dict rebuilds from the text
+_COEFFICIENT_KEYS = {("den", "num"): ("num", "den"), ("im", "re"): ("re", "im")}
+
+
 @dataclass(frozen=True)
 class ConeClosedForm:
     """Finite-sum-over-poles closed form of the cone lattice-point series.
 
     ``terms`` lists (coefficient, exponent vector) for the fundamental-set
-    numerator; ``pole_factors`` lists (coefficient, k_j) for the factors
+    numerator, the exponent vectors being tuples of ints of one length;
+    ``pole_factors`` lists (coefficient, k_j) for the factors
     1/(1 - coeff * u_j^k_j), one per cone side.
     """
 
@@ -378,13 +400,22 @@ class ConeClosedForm:
     pole_factors: tuple
 
     def evaluate(self, u):
+        """The closed form at u, with the arithmetic of the plain per-term sum.
+
+        Each power u_j^e is taken once per coordinate and distinct exponent;
+        each numerator term is then coeff * u_1^e_1 * u_2^e_2 * ... in that
+        order, and the terms are added left to right from 0, so a float point
+        gives the bits of the plain loop and a Fraction point stays exact.
+        """
         _check_rank(u, len(self.pole_factors), "the evaluation point", "coordinates")
         num = 0
-        for coeff, exps in self.terms:
-            mono = coeff
-            for uj, e in zip(u, exps):
-                mono *= uj ** e
-            num += mono
+        if self.terms:
+            coeffs, exps = zip(*self.terms)
+            monos = coeffs
+            for uj, col in zip(u, zip(*exps)):
+                power = {e: uj ** e for e in set(col)}
+                monos = map(mul, monos, map(power.__getitem__, col))
+            num = reduce(add, monos, num)
         den = 1
         for j, (coeff, k) in enumerate(self.pole_factors):
             factor = 1 - coeff * u[j] ** k
@@ -399,22 +430,44 @@ class ConeClosedForm:
         return all(abs(complex(c) * complex(uj) ** k) < 1
                    for (c, k), uj in zip(self.pole_factors, u))
 
+    def to_json(self) -> str:
+        """Canonical JSON text (sorted keys, no spaces) of the pole factors and terms.
+
+        A term reads {"coeff": c, "exponents": [...]} and a pole factor
+        {"coeff": c, "power": k}; an int coefficient encodes like the equal
+        Fraction, as {"num": ..., "den": ...}, and a complex one as
+        {"re": ..., "im": ...}.  Each distinct coefficient is encoded once and
+        the exponent rows are written by one format string.
+        """
+        poles = ",".join('{"coeff":%s,"power":%s}' % (_coefficient_text(c), k)
+                         for c, k in self.pole_factors)
+        terms = ""
+        if self.terms:
+            coeffs, exps = zip(*self.terms)
+            # ints alone, or Fractions alone, encode by value; otherwise equal
+            # values can encode differently (1, 1.0 and True; 0.0 and -0.0)
+            keys = coeffs if set(map(type, coeffs)) in ({int}, {Fraction}) \
+                else list(zip(map(type, coeffs), map(repr, coeffs)))
+            row = ",".join(["%s"] * len(exps[0]))
+            template = {key: '{"coeff":%s,"exponents":[%s]}' % (
+                _coefficient_text(c), row)
+                for key, c in dict(zip(keys, coeffs)).items()}
+            terms = ",".join(map(mod, map(template.__getitem__, keys), exps))
+        return f'{{"pole_factors":[{poles}],"terms":[{terms}]}}'
+
     def to_json_dict(self) -> dict:
-        """JSON form; an int coefficient encodes like the equal Fraction."""
-        def enc(x):
-            if isinstance(x, Fraction) or type(x) is int:
-                return {"num": str(x.numerator), "den": str(x.denominator)}
-            if isinstance(x, complex):
-                return {"re": x.real, "im": x.imag}
-            return x
-        # one shared encoding per distinct coefficient; 1, 1.0 and True are
-        # equal dict keys but encode differently, so the key carries the type
-        shared = {key: enc(key[1]) for key in {(type(c), c) for c, _ in self.terms}}
-        return {
-            "terms": [{"coeff": shared[type(c), c], "exponents": list(e)}
-                      for c, e in self.terms],
-            "pole_factors": [{"coeff": enc(c), "power": k} for c, k in self.pole_factors],
-        }
+        """``to_json`` parsed; coefficients of the same text share one dict."""
+        shared = {}
+
+        def coefficient(obj):
+            keys = _COEFFICIENT_KEYS.get(tuple(obj))
+            if keys is None:
+                return obj
+            values = tuple(obj[k] for k in keys)
+            # repr tells 0.0 from -0.0, which compare equal
+            return shared.setdefault(repr(values), dict(zip(keys, values)))
+
+        return json.loads(self.to_json(), object_hook=coefficient)
 
 
 def _character_values(character: CharacterData, points: np.ndarray) -> list:
@@ -441,14 +494,14 @@ def cone_series_closed_form(cone: LatticeCone, decomposition: ConeDecomposition,
     if character is None:
         character = CharacterData.trivial(cone.rank)
     _check_rank(character.multipliers, cone.rank, "the character", "multipliers")
-    fset = decomposition.fundamental_set
+    r, fset = cone.rank, decomposition.fundamental_set
     max_f = max(abs(x) for f in cone.functionals for x in f)
-    max_v = max(map(abs, chain.from_iterable(fset)))
-    dtype = _int_dtype(max_f * max_v * cone.rank)
-    points = np.array(fset, dtype=dtype).T
+    # F lies in the parallelepiped of the generators: |v_i| <= sum_j |a_j,i|
+    max_v = max(sum(abs(a[i]) for a in decomposition.generators) for i in range(r))
+    dtype = _int_dtype(max_f * max_v * r)
+    points = np.fromiter(chain.from_iterable(fset), dtype, len(fset) * r).reshape(-1, r).T
     alphas = np.array(cone.functionals, dtype=dtype) @ points
-    terms = tuple(zip(_character_values(character, points),
-                      map(tuple, alphas.T.tolist())))
+    terms = tuple(zip(_character_values(character, points), zip(*alphas.tolist())))
     poles = tuple(
         (character.value(a), cone.alpha(j, a))
         for j, a in enumerate(decomposition.generators)

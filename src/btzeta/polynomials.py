@@ -238,11 +238,14 @@ class RationalFn:
     def __init__(self, num: IntPolynomial, den: IntPolynomial):  # noqa: D107
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        g = poly_gcd(num, den)
-        if g.degree >= 1 or abs(g[0]) != 1:
-            if not num.is_zero():
-                num = num.divmod_exact(g)[0]
-            den = den.divmod_exact(g)[0]
+        if num == den:  # the gcd is num itself, as for Z2(-u) = Z1(u^2) on tori
+            num = den = IntPolynomial.one()
+        else:
+            g = poly_gcd(num, den)
+            if g.degree >= 1 or abs(g[0]) != 1:
+                if not num.is_zero():
+                    num = num.divmod_exact(g)[0]
+                den = den.divmod_exact(g)[0]
         c = math.gcd(num.content(), den.content())
         if c > 1:
             num = IntPolynomial(a // c for a in num.coeffs)

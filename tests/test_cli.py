@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from btzeta import geodesics, operators, zeta
 from btzeta.cli import _divisor_sums, _product_matches_ratio, main, run_verify
 from btzeta.complexes import save_complex
+from btzeta.cones import ConeClosedForm
 from btzeta.geodesics import product_of_primitive_counts
 from btzeta.polynomials import IntPolynomial, log_derivative_series, series_inverse
 from conftest import closed_typed_complex
@@ -329,6 +330,20 @@ class TestCone:
         for args, digest in self.CONE_DIGESTS.items():
             out = invoke(runner, ["cone", *args]).stdout
             assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+    def test_output_builds_no_per_term_dict(self, runner, monkeypatch):
+        # the closed form goes out as the text of ConeClosedForm.to_json
+        def refuse(self):
+            raise AssertionError("to_json_dict called")
+
+        monkeypatch.setattr("btzeta.cones.ConeClosedForm.to_json_dict", refuse)
+        args = ("--functionals", "-5,1,1;-2,3,5;-1,2,-5", "--eval", "0.3,0.2,0.25",
+                "--oracle-bound", "30")
+        out = invoke(runner, ["cone", *args]).stdout
+        assert hashlib.sha256(out.encode()).hexdigest() == self.CONE_DIGESTS[args]
+        closed = ConeClosedForm(terms=(), pole_factors=())
+        with pytest.raises(AssertionError, match="to_json_dict called"):
+            closed.to_json_dict()
 
 
 class TestInputErrorRule:

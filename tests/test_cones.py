@@ -636,3 +636,131 @@ class TestWholeArrayPasses:
     def test_zero_multiplier_rejected(self):
         with pytest.raises(ValueError, match="zero multiplier"):
             CharacterData((1, 0))
+
+
+# -- the closed form's text encoder and its evaluation against per-term loops --
+
+
+def per_term_json_dict(closed) -> dict:
+    """The closed form's JSON built as one dict per term and pole factor."""
+    def enc(x):
+        if isinstance(x, Fraction) or type(x) is int:
+            return {"num": str(x.numerator), "den": str(x.denominator)}
+        if isinstance(x, complex):
+            return {"re": x.real, "im": x.imag}
+        return x
+    return {"terms": [{"coeff": enc(c), "exponents": list(e)} for c, e in closed.terms],
+            "pole_factors": [{"coeff": enc(c), "power": k} for c, k in closed.pole_factors]}
+
+
+def canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def per_term_value(closed, u):
+    """The closed form at u with one power per term and coordinate, summed in order."""
+    num = 0
+    for coeff, exps in closed.terms:
+        mono = coeff
+        for uj, e in zip(u, exps):
+            mono *= uj ** e
+        num += mono
+    den = 1
+    for (coeff, k), uj in zip(closed.pole_factors, u):
+        factor = 1 - coeff * uj ** k
+        if factor == 0:
+            raise ZeroDivisionError("pole")
+        den *= factor
+    return num / den
+
+
+def outcome(value_at, closed, u):
+    """repr of the value (its exact bits), or the type of the exception raised."""
+    try:
+        return repr(value_at(closed, u))
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+COEFFICIENTS = st.one_of(
+    st.integers(), st.fractions(), st.just(True), st.just(1), st.just(1.0),
+    st.floats(), st.complex_numbers())
+EXPONENTS = st.integers(-3, 60) | st.integers(-2**70, 2**70)
+
+
+@st.composite
+def hand_built_closed_forms(draw) -> ConeClosedForm:
+    """Closed forms of any coefficient type, exponents beyond int64, rank 1 included."""
+    r = draw(st.integers(1, 3))
+    row = st.lists(EXPONENTS, min_size=r, max_size=r).map(tuple)
+    terms = draw(st.lists(st.tuples(COEFFICIENTS, row), max_size=12))
+    poles = draw(st.lists(st.tuples(COEFFICIENTS, EXPONENTS), min_size=r, max_size=r))
+    return ConeClosedForm(terms=tuple(terms), pole_factors=tuple(poles))
+
+
+POINTS = {
+    "float": st.floats(-1.5, 1.5),
+    "fraction": st.fractions(-3, 3, max_denominator=7),
+    "complex": st.complex_numbers(max_magnitude=1.5),
+}
+
+
+class TestBulkEncodeAndEvaluate:
+    @settings(max_examples=200, deadline=None)
+    @given(hand_built_closed_forms())
+    def test_text_is_the_per_term_dict(self, closed):
+        assert closed.to_json() == canonical(per_term_json_dict(closed))
+        assert canonical(closed.to_json_dict()) == closed.to_json()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_text_of_cone_closed_forms(self, data):
+        cone = data.draw(lattice_cones())
+        closed = cone_series_closed_form(cone, make_decomposition(cone),
+                                         data.draw(characters(cone.rank)))
+        assert closed.to_json() == canonical(per_term_json_dict(closed))
+
+    def test_exponents_beyond_int64_and_one_coordinate(self):
+        closed = ConeClosedForm(terms=((-1, (2**64 + 1,)), (Fraction(1, 3), (-(2**70),))),
+                                pole_factors=((1, 2**63),))
+        assert closed.to_json() == (
+            '{"pole_factors":[{"coeff":{"den":"1","num":"1"},"power":9223372036854775808}],'
+            '"terms":[{"coeff":{"den":"1","num":"-1"},"exponents":[18446744073709551617]},'
+            '{"coeff":{"den":"3","num":"1"},"exponents":[-1180591620717411303424]}]}')
+        assert closed.to_json() == canonical(per_term_json_dict(closed))
+
+    def test_no_terms(self):
+        closed = ConeClosedForm(terms=(), pole_factors=((Fraction(1), 1), (0.5, 2)))
+        assert closed.to_json() == (
+            '{"pole_factors":[{"coeff":{"den":"1","num":"1"},"power":1},'
+            '{"coeff":0.5,"power":2}],"terms":[]}')
+        assert closed.to_json() == canonical(per_term_json_dict(closed))
+        assert closed.to_json_dict() == per_term_json_dict(closed)
+        assert repr(closed.evaluate((0.5, 0.5))) == repr(per_term_value(closed, (0.5, 0.5)))
+
+    @pytest.mark.parametrize("kind", sorted(POINTS))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_value_is_the_per_term_loop(self, kind, data):
+        cone = data.draw(lattice_cones())
+        closed = cone_series_closed_form(cone, make_decomposition(cone),
+                                         data.draw(characters(cone.rank)))
+        u = tuple(data.draw(st.lists(POINTS[kind], min_size=cone.rank, max_size=cone.rank)))
+        expected = outcome(per_term_value, closed, u)
+        assert outcome(ConeClosedForm.evaluate, closed, u) == expected
+        if kind == "fraction" and all(isinstance(c, (int, Fraction)) for c, _ in closed.terms) \
+                and not isinstance(expected, type):
+            assert type(closed.evaluate(u)) is Fraction
+
+    @pytest.mark.parametrize("functionals, u, error", [
+        (((1,),), (1.0,), ZeroDivisionError),
+        (((1, 0), (0, 1)), (Fraction(1, 2), Fraction(1)), ZeroDivisionError),
+        (((2,),), (1e200,), OverflowError),
+        (((2, 1), (-1, 3)), (0.5, 1e160j), OverflowError),
+    ], ids=["pole", "fraction-pole", "overflow", "complex-overflow"])
+    def test_same_exception(self, functionals, u, error):
+        cone = LatticeCone(functionals)
+        closed = cone_series_closed_form(cone, make_decomposition(cone))
+        assert outcome(per_term_value, closed, u) is error
+        with pytest.raises(error):
+            closed.evaluate(u)

@@ -408,6 +408,20 @@ class TestRationalFn:
         with pytest.raises(ZeroDivisionError):
             RationalFn(IntPolynomial([1]), IntPolynomial())
 
+    @pytest.mark.parametrize("coeffs", [[1], [-3], [1, 0, 0, -1], [-2, 4, 6], [0, 5]])
+    def test_equal_pair_is_one_without_gcd(self, monkeypatch, coeffs):
+        # the gcd of p and p is p itself; p over -p still takes the gcd route
+        p = IntPolynomial(coeffs)
+        f = RationalFn(p, -p)
+        assert (f.num.coeffs, f.den.coeffs) == ((-1,), (1,))
+
+        def refuse(*args):
+            raise AssertionError("poly_gcd called")
+
+        monkeypatch.setattr("btzeta.polynomials.poly_gcd", refuse)
+        f = RationalFn(p, IntPolynomial(coeffs))
+        assert (f.num.coeffs, f.den.coeffs) == ((1,), (1,))
+
 
 class TestSeries:
     def test_inverse_of_polynomial(self):

@@ -19,6 +19,7 @@ from btzeta import (
     log_derivative_series,
     primitive_product,
     ratio,
+    ratio_of,
     three_step_operator,
     zeta_chamber,
     zeta_edge,
@@ -110,6 +111,20 @@ class TestRatio:
         # all torus strips pair with line classes, so the ratio collapses
         f = ratio(torus)
         assert f.num == IntPolynomial([1]) and f.den == IntPolynomial([1])
+
+    @pytest.mark.parametrize("basis", [(9, 0, 0, 9), (6, 3, 0, 9), (6, 0, 0, 6)])
+    def test_ladder_torus_ratio_skips_the_gcd(self, monkeypatch, basis):
+        # Z2(-u) = Z1(u^2) on the ladder tori: equal terms give 1/1 at once
+        c = _torus(*basis)
+        z1, z2 = zeta_edge(c), zeta_chamber(c)
+        assert z2.subst_neg_u() == z1.subst_u_power(2)
+
+        def refuse(*args):
+            raise AssertionError("poly_gcd called")
+
+        monkeypatch.setattr("btzeta.polynomials.poly_gcd", refuse)
+        f = ratio_of(z1, z2)
+        assert (f.num.coeffs, f.den.coeffs) == ((1,), (1,))
 
 
 def _torus(a, b, c, d):
