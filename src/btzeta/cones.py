@@ -444,10 +444,16 @@ class ConeClosedForm:
         terms = ""
         if self.terms:
             coeffs, exps = zip(*self.terms)
-            # ints alone, or Fractions alone, encode by value; otherwise equal
-            # values can encode differently (1, 1.0 and True; 0.0 and -0.0)
-            keys = coeffs if set(map(type, coeffs)) in ({int}, {Fraction}) \
-                else list(zip(map(type, coeffs), map(repr, coeffs)))
+            # ints alone, or Fractions alone, encode by value (a Fraction keyed
+            # by its (numerator, denominator), which hashes in C); otherwise
+            # equal values can encode differently (1, 1.0 and True; 0.0 and -0.0)
+            types = set(map(type, coeffs))
+            if types == {int}:
+                keys = coeffs
+            elif types == {Fraction}:
+                keys = list(map(Fraction.as_integer_ratio, coeffs))
+            else:
+                keys = list(zip(map(type, coeffs), map(repr, coeffs)))
             row = ",".join(["%s"] * len(exps[0]))
             template = {key: '{"coeff":%s,"exponents":[%s]}' % (
                 _coefficient_text(c), row)
@@ -473,13 +479,31 @@ class ConeClosedForm:
 def _character_values(character: CharacterData, points: np.ndarray) -> list:
     """character.value(v) for every column v of the integer array ``points``.
 
-    With +-1 multipliers the values are the ints 1 and -1.
+    With +-1 multipliers the values are the ints 1 and -1.  Otherwise each
+    power m_i ** e is taken once per coordinate and distinct exponent, and
+    the powers are multiplied in coordinate order, as ``value`` does.  A
+    power that ``value`` refuses or that overflows sends every point through
+    ``value``, so the same error is raised.
     """
     mults = character.multipliers
     if all(isinstance(m, (int, Fraction)) and m in (1, -1) for m in mults):
         odd = sum((row & 1 for m, row in zip(mults, points) if m == -1),
                   np.zeros(points.shape[1], dtype=points.dtype)) & 1
         return (1 - 2 * odd).tolist()
+    exact = all(isinstance(m, (int, Fraction)) for m in mults)
+    values = [Fraction(1) if exact else 1.0] * points.shape[1]
+    try:
+        for m, row in zip(mults, points.tolist()):
+            if isinstance(m, (int, Fraction)):
+                m = Fraction(m)
+                if abs(m) != 1 and max(map(abs, row)) > EXACT_POWER_CAP:
+                    break
+            power = {e: m ** e for e in set(row)}
+            values = list(map(mul, values, map(power.__getitem__, row)))
+        else:
+            return values
+    except OverflowError:
+        pass
     return [character.value(v) for v in points.T.tolist()]
 
 

@@ -7,11 +7,20 @@ classes with primitive lengths and powers, and assembles the length series
 and the product over primitive classes.  The walks keep an explicit stack of
 successor iterators, so no order is bounded by Python's recursion limit.
 
-One walk finds the rotation classes.  It roots each class at its smallest
-node, as in Johnson's circuit enumeration (SIAM J. Comput. 4, 1975): the walk
-from a start s visits only nodes >= s, so every class is found from its
-smallest node, and a closed walk is kept only if it is its own smallest
-rotation.  One backward breadth-first search per s gives each node's return
+One walk finds the rotation classes, each as its lexicographically smallest
+rotation, a necklace.  It roots each class at its smallest node, as in
+Johnson's circuit enumeration (SIAM J. Comput. 4, 1975): the walk from a
+start s visits only nodes >= s.  Every prefix of a necklace is a prenecklace,
+and the FKM necklace generation (Fredricksen and Maiorana, Discrete Math. 23,
+1978; Fredricksen and Kessler, Discrete Math. 61, 1986) decides that one node
+at a time, in the form of Cattell, Ruskey, Sawada, Serra and Miers
+(J. Algorithms 37, 2000): if p is the length of the longest Lyndon prefix of
+a prenecklace a of length t, then a + (w,) is a prenecklace exactly when
+w >= a[t - p], with longest Lyndon prefix p if w == a[t - p] and t + 1 if
+w is larger.  The walk carries p per depth and steps only through
+prenecklaces, so no prefix that no class starts with is extended; a closed
+trail is a necklace exactly when p divides t, and p is then its minimal
+period.  One backward breadth-first search per s gives each node's return
 distance to s through nodes > s; the walk steps into a node only if that
 distance fits in the steps left, which cuts every prefix that cannot close
 in time.  Two consumers read it.  ``closed_paths`` counts N and P during the
@@ -22,8 +31,8 @@ class.  ``enumerate_primitive_classes`` sorts the classes and builds one
 count-only walk, kept as the plain oracle.
 
 Enumeration cost grows exponentially with the order (for the rooted walk,
-with the number of prefixes that can still close), so the order defaults to
-12 and is capped at 20 unless explicitly overridden.
+with the number of prenecklaces that can still close), so the order defaults
+to 12 and is capped at 20 unless explicitly overridden.
 """
 
 from __future__ import annotations
@@ -105,22 +114,6 @@ def count_closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
     return counts
 
 
-def _least_rotation_period(rep: tuple) -> int:
-    """Minimal period of rep if rep is its own smallest rotation, else 0.
-
-    rep starts at its smallest node, so a smaller rotation, and the first
-    rotation equal to rep, can only start at a later occurrence of that node.
-    """
-    for i in range(1, len(rep)):
-        if rep[i] == rep[0]:
-            rotation = rep[i:] + rep[:i]
-            if rotation < rep:
-                return 0
-            if rotation == rep:
-                return i
-    return len(rep)
-
-
 def _return_distances(pred: list[list[int]], s: int, max_length: int) -> dict[int, int]:
     """Fewest steps from each node v > s back to s through nodes > s (s itself: 0).
 
@@ -144,8 +137,9 @@ def _closed_walks(out: tuple, max_length: int):
     """Yield (index trail, minimal period) once per rotation class, in walk order.
 
     ``out`` is the successor index lists of ``transitions(c, kind)``.  The
-    trail is the class's lexicographically smallest rotation, found from its
-    smallest node (see the module docstring).
+    trail is the class's lexicographically smallest rotation, a necklace; the
+    walk steps only through prenecklaces, carrying the length of each
+    prefix's longest Lyndon prefix (see the module docstring).
     """
     pred: list[list[int]] = [[] for _ in out]
     for i, ys in enumerate(out):
@@ -154,28 +148,30 @@ def _closed_walks(out: tuple, max_length: int):
     for s in range(len(out)):
         dist = _return_distances(pred, s, max_length)
         trail = [s]
+        lyn = [1]  # longest Lyndon prefix of the trail, one entry per depth
         stack = [iter(out[s])]  # the continuations still to try after each trail node
-        left = max_length - 1  # steps left after the next one
         while stack:
+            t, p = len(trail), lyn[-1]
+            low = trail[t - p]  # the least next node that keeps a prenecklace
+            left = max_length - t  # steps left after the next one
             for w in stack[-1]:
-                d = dist.get(w)
-                if d is None or d > left:
+                if w < low:
                     continue
-                if w == s:
-                    rep = tuple(trail)
-                    period = _least_rotation_period(rep)
-                    if period:
-                        yield rep, period
+                if w == s:  # then low == s, as in every necklace trail
+                    if not t % p:
+                        yield tuple(trail), p
                     if not left:
                         continue
+                elif dist.get(w, max_length) > left:
+                    continue
                 trail.append(w)
+                lyn.append(p if w == low else t + 1)
                 stack.append(iter(out[w]))
-                left -= 1
                 break
             else:
                 stack.pop()
                 trail.pop()
-                left += 1
+                lyn.pop()
 
 
 def closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",

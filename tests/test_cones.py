@@ -29,6 +29,7 @@ from btzeta.cones import (
     EXACT_POWER_CAP,
     FUNDAMENTAL_INDEX_CAP,
     _adjugate,
+    _character_values,
     _lower_hermite_form,
     _mat_vec,
     _mat_vec_row,
@@ -764,3 +765,62 @@ class TestBulkEncodeAndEvaluate:
         assert outcome(per_term_value, closed, u) is error
         with pytest.raises(error):
             closed.evaluate(u)
+
+
+# -- the closed form's character values against CharacterData.value per point --
+
+
+MULTIPLIERS = st.sampled_from([1, -1, 2, -3, Fraction(1), Fraction(-1), Fraction(1, 2),
+                               Fraction(-3, 2), 0.5, -1.25, 3.0, 0.5 + 0.5j])
+
+
+def value_per_point(character, points):
+    """[character.value(v) for v in points], or the exception it raises."""
+    try:
+        return [character.value(v) for v in points]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def memoized(character, points):
+    try:
+        return _character_values(character, np.array(points, dtype=np.int64).T)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCharacterValues:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_values_are_value_per_point(self, data):
+        # exponents beyond +-1000 overflow float powers of 0.5, -1.25 and 3.0
+        r = data.draw(st.integers(1, 3))
+        character = CharacterData(data.draw(st.lists(MULTIPLIERS, min_size=r, max_size=r)))
+        points = data.draw(st.lists(st.lists(
+            st.integers(-40, 40) | st.integers(-1100, 1100), min_size=r, max_size=r),
+            min_size=1, max_size=30))
+        got, expected = memoized(character, points), value_per_point(character, points)
+        assert got == expected
+        if not all(m in (1, -1) and not isinstance(m, (float, complex))
+                   for m in character.multipliers):
+            # the same types and bits: no +-1 parity path on either side
+            assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("multipliers, points", [
+        ((1, Fraction(1, 2)), [(5, 3), (5, EXACT_POWER_CAP + 1)]),
+        ((Fraction(3, 2), 2), [(0, -EXACT_POWER_CAP - 1), (EXACT_POWER_CAP + 2, 0)]),
+        # the first point hits the cap, the second overflows a float power
+        ((0.5, Fraction(1, 2)), [(0, EXACT_POWER_CAP + 1), (-2000, 0)]),
+    ], ids=["second-point", "first-point-first", "cap-before-overflow"])
+    def test_over_cap_refused_like_value(self, multipliers, points):
+        character = CharacterData(multipliers)
+        got = memoized(character, points)
+        assert got == value_per_point(character, points)
+        assert got[0] is ValueError and "exponent cap" in got[1]
+
+    def test_unit_multipliers_have_no_cap(self):
+        huge = 10**18 + 1
+        character = CharacterData((Fraction(-1), Fraction(1, 2)))
+        points = [(huge, 3), (-huge, -2)]
+        assert memoized(character, points) == [Fraction(-1, 8), Fraction(-4)] \
+            == value_per_point(character, points)

@@ -22,6 +22,7 @@ from btzeta import (
     torus_trace_counts,
     transitions,
 )
+from btzeta.geodesics import _closed_walks
 from btzeta.polynomials import log_derivative_series, series_exp_neg_integral
 from conftest import closed_typed_complex
 
@@ -146,6 +147,35 @@ class TestPrimitiveClasses:
         reference = reference_classes(c, order, kind)
         assert enumerate_primitive_classes(c, order, kind) == reference
         assert closed_paths(c, order, kind) == (N, primitive_counts(reference, order))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.lists(
+               st.lists(st.integers(0, n - 1), max_size=3, unique=True),
+               min_size=n, max_size=n)),
+           st.integers(1, 9))
+    def test_walk_matches_brute_force_on_digraphs(self, out, max_length):
+        """On raw successor lists, self-loops and repeated visits to the start
+        included, the walk yields each necklace trail when an unpruned walk
+        from every node closes it, with its minimal period."""
+        found, classes = [], set()
+
+        def walk(trail):
+            for w in out[trail[-1]]:
+                if w == trail[0]:
+                    rep = min(trail[i:] + trail[:i] for i in range(len(trail)))
+                    n = len(rep)
+                    period = next(d for d in range(1, n + 1) if rep == rep[d:] + rep[:d])
+                    classes.add((rep, period))
+                    if trail == rep:
+                        found.append((rep, period))
+                if len(trail) < max_length:
+                    walk(trail + (w,))
+
+        for s in range(len(out)):
+            walk((s,))
+        walks = list(_closed_walks(tuple(map(tuple, out)), max_length))
+        assert walks == found
+        assert sorted(walks) == sorted(classes)
 
     def test_torus_primitive_counts_match_geometry(self, torus, torus_spec):
         for kind in ("edge", "gallery"):
