@@ -37,6 +37,13 @@ X has the same nonzero eigenvalues on every grade, so
 ``three_step_operator`` takes the smallest one.  The zeta polynomials are
 computed from it; the full operators stay as the reference.
 
+``transitions`` builds each relation in one pass over the chambers-of-edge
+table: an edge's continuations are the run of positive edges leaving its
+head, less those closing a chamber on it, and a pointed chamber's are looked
+up by (chamber, pointer tail).  ``edge_successors`` and ``gallery_successors``
+state the same rules for one node; they serve local complexes such as balls
+and are the reference the relation is tested against.
+
 The relation refuses complexes with a marked boundary, so both operators and
 both walks do: their determinant identities concern closed complexes only,
 and silently truncating at the boundary would corrupt the counts.
@@ -136,15 +143,20 @@ def directed_edges(c: TypedComplex) -> list[DirectedEdge]:
 
 
 def pointed_chambers(c: TypedComplex) -> list[PointedChamber]:
-    """All pointed chambers (three per chamber), canonically sorted."""
+    """All pointed chambers (three per chamber), sorted by (chamber, pointer).
+
+    No sort is run: the chamber tuples are sorted and unique, and the three
+    pointers of a chamber have distinct tails, so listing each chamber's
+    pointers in the order of its sorted vertices is already the sorted order.
+    """
     out = []
     for tri in c.chambers:
         by_type = {c.type_of[v]: v for v in tri}
         if len(by_type) != 3:
             raise ValueError(f"chamber {tri} is not typed by all three types")
-        for t in (0, 1, 2):
-            out.append(PointedChamber(tri, DirectedEdge(by_type[t], by_type[(t + 1) % 3])))
-    return sorted(out)
+        for v in tri:
+            out.append(PointedChamber(tri, DirectedEdge(v, by_type[(c.type_of[v] + 1) % 3])))
+    return out
 
 
 def edge_successors(c: TypedComplex, e: DirectedEdge) -> list[DirectedEdge]:
@@ -194,8 +206,10 @@ def transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple[tuple[int, ...
     nodes is the sorted tuple of ``DirectedEdge`` resp. ``PointedChamber``
     tuples, so indices compare like nodes; out[i] holds the indices of the
     continuations of nodes[i], in canonical order.  Both operators are its 0/1
-    matrices and ``geodesics`` walks it.  Built once per complex and kind: a
-    second call returns the identical object.  The one gate to the relation:
+    matrices and ``geodesics`` walks it.  Built once per complex and kind, in
+    one pass over the nodes that reads ``_chambers_of_edge`` and calls no
+    per-node rule (see the module docstring); a second call returns the
+    identical object.  The one gate to the relation:
     an unknown kind, then a marked boundary, raise ValueError, memoizing nothing.
     """
     if kind in c._relations:
@@ -206,16 +220,28 @@ def transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple[tuple[int, ...
         raise ValueError(
             f"{what} is undefined on complexes with marked boundary "
             f"({len(c.boundary)} boundary vertices); operators need closed complexes")
+    nodes = tuple(directed_edges(c) if kind == "edge" else pointed_chambers(c))
+    table = _chambers_of_edge(c)
+    out = []
     if kind == "edge":
-        nodes = tuple(directed_edges(c))
-        succ = [edge_successors(c, e) for e in nodes]
+        # the positive edges leaving b are one run of the (tail, head) order;
+        # (a, b) continues along those whose head is no vertex of a chamber
+        # on {a, b} (such a head is never a or b: its type is type(b) + 1)
+        run: dict[int, list[int]] = {}
+        for i, (a, _) in enumerate(nodes):
+            run.setdefault(a, []).append(i)
+        for a, b in nodes:
+            closing = {v for tri in table.get((a, b) if a < b else (b, a), ()) for v in tri}
+            out.append(tuple([j for j in run.get(b, ()) if nodes[j][1] not in closing]))
     else:
-        nodes = tuple(pointed_chambers(c))
-        table = _chambers_of_edge(c)
-        succ = [gallery_successors(c, pc, table) for pc in nodes]
-    index = {x: i for i, x in enumerate(nodes)}
-    out = tuple(tuple(index[y] for y in ys) for ys in succ)
-    return c._relations.setdefault(kind, (nodes, out))
+        # (C, x -> y) crosses into each other chamber C2 on {x, y} and leaves
+        # it by the pointer whose tail is C2's third vertex, sum(C2) - x - y;
+        # the table lists chambers in sorted order, so these indices ascend
+        at = {(tri, p[0]): i for i, (tri, p) in enumerate(nodes)}
+        for tri, (x, y) in nodes:
+            out.append(tuple([at[c2, sum(c2) - x - y]
+                              for c2 in table[(x, y) if x < y else (y, x)] if c2 != tri]))
+    return c._relations.setdefault(kind, (nodes, tuple(out)))
 
 
 def _closed_transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple]:

@@ -28,17 +28,33 @@ from btzeta import (
     pointed_chambers,
     dumps_complex,
     three_step_operator,
+    torus_trace_counts,
     transitions,
     zeta_chamber,
     zeta_edge,
 )
+from btzeta import operators
 from btzeta.generators import (
     POSITIVE_DIRECTIONS,
     gen_apartment_torus,
     gen_building_ball,
+    gen_cycle_complex,
     plane_type,
 )
 from conftest import closed_typed_complex
+
+# the ladder tori k*id and the skew torus 6 3 0 9, as (a, b), (c, d) bases
+LADDER_TORI = [((k, 0), (0, k)) for k in (6, 9, 12, 15)] + [((6, 3), (0, 9))]
+
+
+def ladder_complex(name):
+    """A fresh complex of the ladder: a torus basis, a cycle length or 'branching'."""
+    if name == "branching":
+        # complete tripartite on 4 + 4 + 4 vertices: edges lie on 1 to 4 chambers
+        return closed_typed_complex(random.Random(0), (4, 4, 4), 1.0, 0.6)
+    if isinstance(name, int):
+        return gen_cycle_complex(name)
+    return gen_apartment_torus(ApartmentSpec(name))
 
 
 # -- plane patch helpers for the geometric calibration -----------------------
@@ -305,6 +321,43 @@ class TestTransitions:
             assert len(out) == len(nodes)
             for i, js in enumerate(out):
                 assert [nodes[j] for j in js] == successors(c, nodes[i])
+
+    @pytest.mark.parametrize("name", LADDER_TORI + [3, 9, "branching"], ids=str)
+    def test_ladder_relation_is_the_per_node_rules(self, name):
+        c = ladder_complex(name)
+        if name == "branching":
+            assert max(map(len, operators._chambers_of_edge(c).values())) >= 3
+        for kind, listed, successors in (("edge", directed_edges, edge_successors),
+                                         ("gallery", pointed_chambers, gallery_successors)):
+            nodes, out = transitions(c, kind)
+            assert nodes == tuple(listed(c)) and list(nodes) == sorted(nodes)
+            assert len(out) == len(nodes)
+            for i, js in enumerate(out):
+                assert [nodes[j] for j in js] == successors(c, nodes[i])
+
+    @pytest.mark.parametrize("basis", LADDER_TORI, ids=str)
+    def test_ladder_traces_match_geometry(self, basis):
+        # the plane-geometry count involves no code of this module
+        c = ladder_complex(basis)
+        for kind, build in (("edge", build_edge_operator), ("gallery", build_chamber_operator)):
+            assert build(c).trace_powers(12) == torus_trace_counts(basis, 12, kind)[1:]
+
+    def test_relation_calls_no_per_node_rule(self, monkeypatch):
+        names = [((9, 0), (0, 9)), "branching"]
+        expected = [{kind: transitions(ladder_complex(n), kind) for kind in ("edge", "gallery")}
+                    for n in names]
+
+        def refuse(*args):
+            raise AssertionError("per-node rule called")
+
+        monkeypatch.setattr(operators, "edge_successors", refuse)
+        monkeypatch.setattr(operators, "gallery_successors", refuse)
+        for rule in (operators.edge_successors, operators.gallery_successors):
+            with pytest.raises(AssertionError, match="per-node rule"):
+                rule(None, None)
+        for name, want in zip(names, expected):
+            c = ladder_complex(name)
+            assert {kind: transitions(c, kind) for kind in want} == want
 
     @pytest.mark.parametrize("kind", ["edge", "gallery"])
     def test_built_once(self, torus, kind):
