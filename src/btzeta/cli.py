@@ -48,7 +48,6 @@ from .generators import (
 )
 from .geodesics import (
     DEFAULT_ORDER,
-    ORDER_CAP,
     assemble_S_series,
     closed_paths,
     enumerate_primitive_classes,
@@ -67,6 +66,10 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_LIMIT = 3
+
+# enumeration cost grows exponentially with the order; ``count`` and ``verify``
+# refuse orders above this with exit 3 unless --allow-large-order is given
+ORDER_CAP = 20
 
 
 def _canonical(doc) -> str:
@@ -316,7 +319,7 @@ def count(file: str, max_length: int, kind: str, allow_large_order: bool) -> Non
     if max_length > ORDER_CAP and not allow_large_order:
         _info(f"error: order {max_length} beyond cap {ORDER_CAP}; use --allow-large-order")
         sys.exit(EXIT_RESOURCE_LIMIT)
-    classes = enumerate_primitive_classes(cx, max_length, kind, allow_large=allow_large_order)
+    classes = enumerate_primitive_classes(cx, max_length, kind)
     _emit({
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
@@ -573,7 +576,7 @@ def run_verify(path: str, max_order: int = DEFAULT_ORDER,
     log_derivs, counts, divisor_sums = {}, {}, {}
     for kind, poly in (("edge", z1), ("gallery", z2)):
         log_deriv = list(log_derivative_series(poly, max_order).coeffs)
-        brute, prims = closed_paths(cx, max_order, kind, allow_large_order)
+        brute, prims = closed_paths(cx, max_order, kind)
         dsums = _divisor_sums(prims)
         duality_ok = log_deriv[1:] == brute[1:]
         structure_ok = brute[1:] == dsums[1:]

@@ -71,14 +71,19 @@ class TypedComplex:
     boundary.  ``q`` is an optional residue-cardinality tag carried along
     for downstream classification.
 
-    Transition relations (``operators.transitions``) are memoized in a private
-    slot on first use, outside equality, hashing and serialization.  The memo
-    is safe to share across threads: relations are immutable tuples, and
-    ``dict.setdefault`` hands concurrent first uses the same one.
+    Construction builds, in private slots, the neighbours of each vertex and
+    the chambers-of-edge table ``_chambers_of_edge``: each sorted edge
+    ``(a, b)`` that has chambers maps to the tuple of them, in sorted order.
+    Every transfer rule of :mod:`btzeta.operators` reads that one table.
+    Transition relations (``operators.transitions``) are memoized in a
+    private slot on first use.  None of these slots enters equality, hashing
+    or serialization.  The memo is safe to share across threads: relations
+    are immutable tuples, and ``dict.setdefault`` hands concurrent first uses
+    the same one.
     """
 
-    __slots__ = ("vertices", "edges", "chambers", "q", "boundary",
-                 "type_of", "_edge_set", "_chamber_set", "_neighbors", "_relations")
+    __slots__ = ("vertices", "edges", "chambers", "q", "boundary", "type_of",
+                 "_edge_set", "_neighbors", "_chambers_of_edge", "_relations")
 
     def __init__(
         self,
@@ -98,21 +103,23 @@ class TypedComplex:
         self.boundary = frozenset(int(v) for v in boundary)
         self.type_of = {v: t for v, t in vs}
         self._edge_set = frozenset(es)
-        self._chamber_set = frozenset(cs)
         neighbors: dict[int, list[int]] = {}
         for a, b in es:
             neighbors.setdefault(a, []).append(b)
             neighbors.setdefault(b, []).append(a)
         self._neighbors = {v: tuple(ws) for v, ws in neighbors.items()}
+        chambers_of_edge: dict[tuple[int, int], list] = {}
+        for tri in cs:
+            a, b, d = tri
+            for e in ((a, b), (a, d), (b, d)):
+                chambers_of_edge.setdefault(e, []).append(tri)
+        self._chambers_of_edge = {e: tuple(ts) for e, ts in chambers_of_edge.items()}
         self._relations: dict[str, tuple] = {}
 
     # -- queries -------------------------------------------------------------
 
     def has_edge(self, a: int, b: int) -> bool:
         return tuple(sorted((a, b))) in self._edge_set
-
-    def has_chamber(self, a: int, b: int, c: int) -> bool:
-        return tuple(sorted((a, b, c))) in self._chamber_set
 
     def neighbors(self, v: int) -> list[int]:
         """Vertices joined to v, in the order of the sorted edge list."""

@@ -32,7 +32,8 @@ count-only walk, kept as the plain oracle.
 
 Enumeration cost grows exponentially with the order (for the rooted walk,
 with the number of prenecklaces that can still close), so the order defaults
-to 12 and is capped at 20 unless explicitly overridden.
+to 12.  The library walks any order >= 1; the cap on what a command may ask
+for is the CLI's (``cli.ORDER_CAP``).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .polynomials import PowerSeriesPrefix
 __all__ = [
     "GeodesicClass",
     "DEFAULT_ORDER",
-    "ORDER_CAP",
     "closed_paths",
     "count_closed_paths",
     "enumerate_primitive_classes",
@@ -62,7 +62,6 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 12
-ORDER_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -79,26 +78,20 @@ class GeodesicClass:
             raise ValueError("length must equal power * primitive_length")
 
 
-def _walk_relation(c: TypedComplex, max_length: int, kind: str,
-                   allow_large: bool) -> tuple[tuple, tuple]:
-    """``transitions(c, kind)``, which checks the kind and closedness, behind the order checks."""
+def _walk_relation(c: TypedComplex, max_length: int, kind: str) -> tuple[tuple, tuple]:
+    """``transitions(c, kind)``, which checks the kind and closedness, behind the order check."""
     if max_length < 1:
         raise ValueError("max length must be >= 1")
-    if max_length > ORDER_CAP and not allow_large:
-        raise ValueError(
-            f"enumeration order {max_length} exceeds the cap {ORDER_CAP}; "
-            "pass allow_large=True to override (cost grows exponentially)")
     return transitions(c, kind)
 
 
-def count_closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
-                       allow_large: bool = False) -> list[int]:
+def count_closed_paths(c: TypedComplex, max_length: int, kind: str = "edge") -> list[int]:
     """N[m] = number of based closed paths of length m, for 1 <= m <= max_length.
 
     Pure depth-first enumeration over the transition relation; the result
     list is indexed by length (entry 0 is unused and zero).
     """
-    nodes, out = _walk_relation(c, max_length, kind, allow_large)
+    nodes, out = _walk_relation(c, max_length, kind)
     counts = [0] * (max_length + 1)
     for s in range(len(nodes)):
         stack = [iter(out[s])]  # the continuations still to try at each depth
@@ -174,8 +167,8 @@ def _closed_walks(out: tuple, max_length: int):
                 lyn.pop()
 
 
-def closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
-                 allow_large: bool = False) -> tuple[list[int], list[int]]:
+def closed_paths(c: TypedComplex, max_length: int,
+                 kind: str = "edge") -> tuple[list[int], list[int]]:
     """(N, P) from one depth-first walk, for lengths 1..max_length.
 
     N[m] is the number of based closed paths of length m, as from
@@ -184,7 +177,7 @@ def closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
     during the walk: a class of length m and primitive length d adds d to
     N[m], and 1 to P[m] when d = m.  No class object is built.
     """
-    _, out = _walk_relation(c, max_length, kind, allow_large)
+    _, out = _walk_relation(c, max_length, kind)
     N = [0] * (max_length + 1)
     P = [0] * (max_length + 1)
     for rep, period in _closed_walks(out, max_length):
@@ -194,8 +187,8 @@ def closed_paths(c: TypedComplex, max_length: int, kind: str = "edge",
     return N, P
 
 
-def enumerate_primitive_classes(c: TypedComplex, max_length: int, kind: str = "edge",
-                                allow_large: bool = False) -> list[GeodesicClass]:
+def enumerate_primitive_classes(c: TypedComplex, max_length: int,
+                                kind: str = "edge") -> list[GeodesicClass]:
     """One class per rotation class of closed paths of length <= max_length, sorted.
 
     Each class holds its lexicographically smallest rotation as representative
@@ -203,7 +196,7 @@ def enumerate_primitive_classes(c: TypedComplex, max_length: int, kind: str = "e
     annotated with its minimal period (primitive length) and the power it is
     of the underlying primitive class.
     """
-    nodes, out = _walk_relation(c, max_length, kind, allow_large)
+    nodes, out = _walk_relation(c, max_length, kind)
     return [GeodesicClass(length=len(rep), primitive_length=period,
                           power=len(rep) // period,
                           representative=tuple(nodes[i] for i in rep))

@@ -37,12 +37,14 @@ X has the same nonzero eigenvalues on every grade, so
 ``three_step_operator`` takes the smallest one.  The zeta polynomials are
 computed from it; the full operators stay as the reference.
 
-``transitions`` builds each relation in one pass over the chambers-of-edge
-table: an edge's continuations are the run of positive edges leaving its
-head, less those closing a chamber on it, and a pointed chamber's are looked
-up by (chamber, pointer tail).  ``edge_successors`` and ``gallery_successors``
-state the same rules for one node; they serve local complexes such as balls
-and are the reference the relation is tested against.
+Both rules read one incidence, the chambers of an edge: the table
+``TypedComplex`` builds once at construction.  ``transitions`` builds each
+relation in one pass over it: an edge's continuations are the run of
+positive edges leaving its head, less those closing a chamber on it, and a
+pointed chamber's are looked up by (chamber, pointer tail).
+``edge_successors`` and ``gallery_successors`` state the same rules for one
+node; they serve local complexes such as balls and are the reference the
+relation is tested against.
 
 The relation refuses complexes with a marked boundary, so both operators and
 both walks do: their determinant identities concern closed complexes only,
@@ -159,40 +161,24 @@ def pointed_chambers(c: TypedComplex) -> list[PointedChamber]:
     return out
 
 
+def _chambers_on(c: TypedComplex, x: int, y: int) -> tuple:
+    """The chambers on the edge {x, y}, in sorted order, from the complex's table."""
+    return c._chambers_of_edge.get((x, y) if x < y else (y, x), ())
+
+
 def edge_successors(c: TypedComplex, e: DirectedEdge) -> list[DirectedEdge]:
     """Positive continuations of e, in canonical order."""
     want = (c.type_of[e.head] + 1) % 3
-    out = []
-    for w in sorted(c.neighbors(e.head)):
-        if c.type_of[w] != want or w == e.tail:
-            continue
-        if not c.has_chamber(e.tail, e.head, w):
-            out.append(DirectedEdge(e.head, w))
-    return out
+    closing = {v for tri in _chambers_on(c, *e) for v in tri}
+    return [DirectedEdge(e.head, w) for w in sorted(c.neighbors(e.head))
+            if c.type_of[w] == want and w != e.tail and w not in closing]
 
 
-def gallery_successors(c: TypedComplex, pc: PointedChamber,
-                       chambers_of_edge: dict | None = None) -> list[PointedChamber]:
-    """Gallery continuations of pc, in canonical order."""
-    if chambers_of_edge is None:
-        chambers_of_edge = _chambers_of_edge(c)
-    f = tuple(sorted((pc.pointer.tail, pc.pointer.head)))
-    out = []
-    for tri in chambers_of_edge.get(f, ()):
-        if tri == pc.chamber:
-            continue
-        opposite = next(v for v in tri if v not in f)
-        out.append(PointedChamber(tri, DirectedEdge(opposite, pc.pointer.tail)))
-    return sorted(out)
-
-
-def _chambers_of_edge(c: TypedComplex) -> dict[tuple[int, int], list]:
-    table: dict[tuple[int, int], list] = {}
-    for tri in c.chambers:
-        a, b, d = tri
-        for e in ((a, b), (a, d), (b, d)):
-            table.setdefault(e, []).append(tri)
-    return table
+def gallery_successors(c: TypedComplex, pc: PointedChamber) -> list[PointedChamber]:
+    """Gallery continuations of pc, in canonical order (the table's chamber order)."""
+    x, y = pc.pointer
+    return [PointedChamber(tri, DirectedEdge(sum(tri) - x - y, x))
+            for tri in _chambers_on(c, x, y) if tri != pc.chamber]
 
 
 def _check_kind(kind: str) -> None:
@@ -207,9 +193,9 @@ def transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple[tuple[int, ...
     tuples, so indices compare like nodes; out[i] holds the indices of the
     continuations of nodes[i], in canonical order.  Both operators are its 0/1
     matrices and ``geodesics`` walks it.  Built once per complex and kind, in
-    one pass over the nodes that reads ``_chambers_of_edge`` and calls no
-    per-node rule (see the module docstring); a second call returns the
-    identical object.  The one gate to the relation:
+    one pass over the nodes that reads the complex's chambers-of-edge table
+    and calls no per-node rule (see the module docstring); a second call
+    returns the identical object.  The one gate to the relation:
     an unknown kind, then a marked boundary, raise ValueError, memoizing nothing.
     """
     if kind in c._relations:
@@ -221,7 +207,6 @@ def transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple[tuple[int, ...
             f"{what} is undefined on complexes with marked boundary "
             f"({len(c.boundary)} boundary vertices); operators need closed complexes")
     nodes = tuple(directed_edges(c) if kind == "edge" else pointed_chambers(c))
-    table = _chambers_of_edge(c)
     out = []
     if kind == "edge":
         # the positive edges leaving b are one run of the (tail, head) order;
@@ -231,7 +216,7 @@ def transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple[tuple[int, ...
         for i, (a, _) in enumerate(nodes):
             run.setdefault(a, []).append(i)
         for a, b in nodes:
-            closing = {v for tri in table.get((a, b) if a < b else (b, a), ()) for v in tri}
+            closing = {v for tri in _chambers_on(c, a, b) for v in tri}
             out.append(tuple([j for j in run.get(b, ()) if nodes[j][1] not in closing]))
     else:
         # (C, x -> y) crosses into each other chamber C2 on {x, y} and leaves
@@ -240,7 +225,7 @@ def transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple[tuple[int, ...
         at = {(tri, p[0]): i for i, (tri, p) in enumerate(nodes)}
         for tri, (x, y) in nodes:
             out.append(tuple([at[c2, sum(c2) - x - y]
-                              for c2 in table[(x, y) if x < y else (y, x)] if c2 != tri]))
+                              for c2 in _chambers_on(c, x, y) if c2 != tri]))
     return c._relations.setdefault(kind, (nodes, tuple(out)))
 
 

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from btzeta import geodesics, operators, zeta
 from btzeta.cli import _divisor_sums, _product_matches_ratio, main, run_verify
-from btzeta.complexes import save_complex
+from btzeta.complexes import TypedComplex, save_complex
 from btzeta.cones import ConeClosedForm
+from btzeta.generators import BallSpec, gen_building_ball
 from btzeta.geodesics import product_of_primitive_counts
 from btzeta.polynomials import IntPolynomial, log_derivative_series, series_inverse
 from conftest import closed_typed_complex
@@ -148,6 +149,37 @@ class TestOperators:
             result = runner.invoke(main, ["op", "chambers", "b.json"])
             assert result.exit_code == 2
 
+    # sha256 of ``btz op`` stdout, recorded while ``operators`` built its own
+    # chambers-of-edge table per kind; the triplets pin the index order
+    OP_DIGESTS = {
+        ("edges", "torus.json"):
+            "0f99d794094314a1bfd3e0b125ef17b53ec68ab08a18d1fd5be31d0b0ff52e5c",
+        ("chambers", "torus.json"):
+            "6d3168a7882a8b6702e22ca8161c6e99c87db117496b01065fea0c4df26c3be6",
+        ("edges", "skew.json"):
+            "bc051bf74d606ae1e03317d5b1b6e6db54863957c7a9e72cd796bec3b63eea09",
+        ("chambers", "skew.json"):
+            "18b92c21a7917d30e0beccd272899ff7c607ed8e03404715508a6e423470c933",
+        ("edges", "c3.json"):
+            "f3e07c3377369fab9328aa7b46451260d9492db4cb691840767e9abbeb1012c2",
+        ("chambers", "c3.json"):
+            "df65bd4c634d73142698950ecd9285c9f238cc2918061da4e923f1392406de4c",
+        ("edges", "b1.json"):
+            "c8a40a239807eabb13a1fb3de5487cd31e4a550a9627f011054f8ea8971378da",
+        ("chambers", "b1.json"):
+            "87f53a1cc800c4bc53e6b0ca88f73888e82df3411bd2d321ec300a3f2c3c8c5f",
+    }
+
+    def test_outputs_are_byte_identical_to_recorded(self, runner, tmp_path, skew_torus):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            write_torus(runner)
+            save_complex(skew_torus, "skew.json")
+            invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
+            save_complex(closed_typed_complex(random.Random(1), (4, 4, 4)), "b1.json")
+            for (which, name), digest in self.OP_DIGESTS.items():
+                out = invoke(runner, ["op", which, name]).stdout
+                assert hashlib.sha256(out.encode()).hexdigest() == digest, (which, name)
+
 
 class TestZetaCount:
     def test_zeta_document(self, runner, tmp_path):
@@ -179,6 +211,8 @@ class TestZetaCount:
             invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
             result = runner.invoke(main, ["count", "c3.json", "--max", "25"])
             assert result.exit_code == 3
+            assert result.stdout == ""
+            assert result.stderr == "error: order 25 beyond cap 20; use --allow-large-order\n"
 
     @pytest.mark.parametrize("kind, operator", [("edge", "edge"), ("gallery", "chamber")])
     def test_count_on_ball_prints_operator_message(self, runner, tmp_path, kind, operator):
@@ -445,6 +479,16 @@ class TestVerify:
             result = runner.invoke(main, ["verify", "junk.json"])
             assert result.exit_code == 2
 
+    def test_verify_beyond_cap_exit_three(self, runner, tmp_path):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
+            result = runner.invoke(main, ["verify", "c3.json", "--no-timings",
+                                          "--max-order", "21"])
+            assert result.exit_code == 3
+            doc = json.loads(result.stdout)
+            assert doc["error"] == {"stage": "order", "message": "order 21 beyond cap 20"}
+            assert "zeta" not in doc
+
     def test_verify_beyond_cap_with_override(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
@@ -684,6 +728,45 @@ class TestEachQuantityOnce:
         save_complex(torus, path)
         run_verify(str(path), max_order=6)
         assert sorted(listed) == ["directed_edges", "pointed_chambers"]
+
+    @pytest.fixture()
+    def tables(self, monkeypatch):
+        """Each chambers-of-edge table built, wrapped to count its lookups."""
+        class CountingTable(dict):
+            reads = 0
+
+            def get(self, *args):
+                self.reads += 1
+                return super().get(*args)
+
+        built = []
+        original = TypedComplex.__init__
+
+        def recording(cx, *args, **kwargs):
+            original(cx, *args, **kwargs)
+            cx._chambers_of_edge = CountingTable(cx._chambers_of_edge)
+            built.append(cx._chambers_of_edge)
+
+        monkeypatch.setattr(TypedComplex, "__init__", recording)
+        return built
+
+    def test_verify_builds_the_chambers_of_edge_table_once(self, tmp_path, torus, tables):
+        path = tmp_path / "t.json"
+        save_complex(torus, path)
+        run_verify(str(path), max_order=6)
+        # one table, for the one complex loaded; both relations read it, one
+        # lookup per node: 27 positive edges and 54 pointed chambers
+        assert len(tables) == 1
+        assert tables[0].reads == 27 + 54
+
+    def test_gallery_successors_read_the_complex_table(self, tables):
+        ball = gen_building_ball(BallSpec(q=2, radius=2))
+        built = len(tables)
+        nodes = operators.pointed_chambers(ball)
+        for pc in nodes:
+            operators.gallery_successors(ball, pc)
+        assert len(tables) == built
+        assert ball._chambers_of_edge.reads == len(nodes)
 
 
 DANGLING_EDGE = {"version": 1, "vertices": [{"id": 0, "type": 0}, {"id": 1, "type": 1}],

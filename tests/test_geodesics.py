@@ -86,12 +86,11 @@ class TestClosedPathCounts:
             torus_trace_counts([[3, 6], [1, 2]], M)
 
     def test_order_cap(self, three_cycle):
-        with pytest.raises(ValueError, match="cap"):
-            count_closed_paths(three_cycle, 21)
-        assert count_closed_paths(three_cycle, 21, allow_large=True)[21] == 3
+        # the cap is the CLI's; the library walks any order
+        assert count_closed_paths(three_cycle, 21)[21] == 3
         # orders beyond Python's recursion limit: the walks keep their own stack
-        assert count_closed_paths(three_cycle, 1200, allow_large=True)[1200] == 3
-        assert closed_paths(three_cycle, 1200, allow_large=True)[0][1200] == 3
+        assert count_closed_paths(three_cycle, 1200)[1200] == 3
+        assert closed_paths(three_cycle, 1200)[0][1200] == 3
 
     def test_boundary_rejected(self, ball_q2):
         with pytest.raises(ValueError, match="closed"):

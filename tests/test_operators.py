@@ -283,16 +283,16 @@ class TestGalleryRule:
         assert sorted(cols) == list(range(mat.dim))
 
     def test_ball_gallery_out_degree_q(self, ball_q2_r2):
-        from btzeta.operators import _chambers_of_edge
-
         q = 2
         interior = {v for v, _ in ball_q2_r2.vertices} - ball_q2_r2.boundary
-        table = _chambers_of_edge(ball_q2_r2)
         degrees = set()
         for pc in pointed_chambers(ball_q2_r2):
             if pc.pointer.tail in interior or pc.pointer.head in interior:
-                degrees.add(len(gallery_successors(ball_q2_r2, pc, table)))
+                degrees.add(len(gallery_successors(ball_q2_r2, pc)))
         assert degrees == {q}
+        # the complex's chambers-of-edge table: an interior edge lies on q + 1 chambers
+        table = ball_q2_r2._chambers_of_edge
+        assert {len(table[e]) for e in ball_q2_r2.edges if set(e) <= interior} == {q + 1}
 
     def test_gallery_trace_matches_geometry(self, torus, torus_spec):
         from btzeta import torus_trace_counts
@@ -326,7 +326,7 @@ class TestTransitions:
     def test_ladder_relation_is_the_per_node_rules(self, name):
         c = ladder_complex(name)
         if name == "branching":
-            assert max(map(len, operators._chambers_of_edge(c).values())) >= 3
+            assert max(map(len, c._chambers_of_edge.values())) >= 3
         for kind, listed, successors in (("edge", directed_edges, edge_successors),
                                          ("gallery", pointed_chambers, gallery_successors)):
             nodes, out = transitions(c, kind)
