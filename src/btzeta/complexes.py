@@ -75,15 +75,16 @@ class TypedComplex:
     the chambers-of-edge table ``_chambers_of_edge``: each sorted edge
     ``(a, b)`` that has chambers maps to the tuple of them, in sorted order.
     Every transfer rule of :mod:`btzeta.operators` reads that one table.
-    Transition relations (``operators.transitions``) are memoized in a
-    private slot on first use.  None of these slots enters equality, hashing
-    or serialization.  The memo is safe to share across threads: relations
-    are immutable tuples, and ``dict.setdefault`` hands concurrent first uses
-    the same one.
+    Transition relations (``operators.transitions``) and their strongly
+    connected components are memoized in two private slots on first use.
+    None of these slots enters equality, hashing or serialization.  The memos
+    are safe to share across threads: their values are immutable tuples, and
+    ``dict.setdefault`` hands concurrent first uses the same one.
     """
 
     __slots__ = ("vertices", "edges", "chambers", "q", "boundary", "type_of",
-                 "_edge_set", "_neighbors", "_chambers_of_edge", "_relations")
+                 "_edge_set", "_neighbors", "_chambers_of_edge", "_relations",
+                 "_components")
 
     def __init__(
         self,
@@ -115,6 +116,7 @@ class TypedComplex:
                 chambers_of_edge.setdefault(e, []).append(tri)
         self._chambers_of_edge = {e: tuple(ts) for e, ts in chambers_of_edge.items()}
         self._relations: dict[str, tuple] = {}
+        self._components: dict[str, tuple] = {}
 
     # -- queries -------------------------------------------------------------
 

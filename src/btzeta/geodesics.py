@@ -7,28 +7,35 @@ classes with primitive lengths and powers, and assembles the length series
 and the product over primitive classes.  The walks keep an explicit stack of
 successor iterators, so no order is bounded by Python's recursion limit.
 
-One walk finds the rotation classes, each as its lexicographically smallest
-rotation, a necklace.  It roots each class at its smallest node, as in
-Johnson's circuit enumeration (SIAM J. Comput. 4, 1975): the walk from a
-start s visits only nodes >= s.  Every prefix of a necklace is a prenecklace,
-and the FKM necklace generation (Fredricksen and Maiorana, Discrete Math. 23,
-1978; Fredricksen and Kessler, Discrete Math. 61, 1986) decides that one node
-at a time, in the form of Cattell, Ruskey, Sawada, Serra and Miers
-(J. Algorithms 37, 2000): if p is the length of the longest Lyndon prefix of
-a prenecklace a of length t, then a + (w,) is a prenecklace exactly when
-w >= a[t - p], with longest Lyndon prefix p if w == a[t - p] and t + 1 if
-w is larger.  The walk carries p per depth and steps only through
-prenecklaces, so no prefix that no class starts with is extended; a closed
-trail is a necklace exactly when p divides t, and p is then its minimal
-period.  One backward breadth-first search per s gives each node's return
-distance to s through nodes > s; the walk steps into a node only if that
-distance fits in the steps left, which cuts every prefix that cannot close
-in time.  Two consumers read it.  ``closed_paths`` counts N and P during the
-walk (a class of primitive length d has d based rotations) and keeps no
-class.  ``enumerate_primitive_classes`` sorts the classes and builds one
-``GeodesicClass`` per class, with node representatives; only it, and so
-``btz count``, builds class objects.  ``count_closed_paths`` is the unpruned
-count-only walk, kept as the plain oracle.
+A closed path never leaves the strongly connected component of its start,
+so the classes are found component by component, from the components that
+``operators`` memoizes next to the relation.  A component in which every
+node has one successor inside it is a cycle of length l: it is one
+primitive class, and its powers up to the order, read off with no walk.
+Every other component is walked on its own induced subrelation.
+
+The walk finds a component's rotation classes, each as its lexicographically
+smallest rotation, a necklace.  It roots each class at its smallest node, as
+in Johnson's circuit enumeration (SIAM J. Comput. 4, 1975): the walk from
+a start s visits only nodes >= s.  Every prefix of a necklace is a
+prenecklace, and the FKM necklace generation (Fredricksen and Maiorana,
+Discrete Math. 23, 1978; Fredricksen and Kessler, Discrete Math. 61, 1986)
+decides that one node at a time, in the form of Cattell, Ruskey, Sawada,
+Serra and Miers (J. Algorithms 37, 2000): if p is the length of the longest
+Lyndon prefix of a prenecklace a of length t, then a + (w,) is a prenecklace
+exactly when w >= a[t - p], with longest Lyndon prefix p if w == a[t - p]
+and t + 1 if w is larger.  The walk carries p per depth and steps only
+through prenecklaces, so no prefix that no class starts with is extended; a
+closed trail is a necklace exactly when p divides t, and p is then its
+minimal period.  One backward breadth-first search per s gives each node's
+return distance to s through nodes > s; the walk steps into a node only if
+that distance fits in the steps left, which cuts every prefix that cannot
+close in time.  Two consumers read the classes.  ``closed_paths`` counts N
+and P as they come (a class of primitive length d has d based rotations) and
+keeps no class.  ``enumerate_primitive_classes`` sorts the classes and
+builds one ``GeodesicClass`` per class, with node representatives; only it,
+and so ``btz count``, builds class objects.  ``count_closed_paths`` is the
+unpruned count-only walk, kept as the plain oracle.
 
 Enumeration cost grows exponentially with the order (for the rooted walk,
 with the number of prenecklaces that can still close), so the order defaults
@@ -44,7 +51,7 @@ from fractions import Fraction
 
 from .complexes import TypedComplex
 from .generators import POSITIVE_DIRECTIONS, ApartmentSpec
-from .operators import _check_kind, transitions
+from .operators import _check_kind, _relation_components, transitions
 from .polynomials import PowerSeriesPrefix
 
 __all__ = [
@@ -167,23 +174,50 @@ def _closed_walks(out: tuple, max_length: int):
                 lyn.pop()
 
 
+def _component_classes(c: TypedComplex, kind: str, out: tuple, max_length: int):
+    """Yield (names, classes) per strongly connected component with a closed path.
+
+    ``out`` is the successor index lists of ``transitions(c, kind)``.
+    ``classes`` iterates (trail, period) once per rotation class of the
+    component, and the class's smallest rotation is ``tuple(names[i] for i
+    in trail)`` in the relation's node indices.  A cycle component of
+    length l gives its l nodes from the smallest as ``names``, and as
+    classes the trail 0, ..., l - 1 repeated k times with period l for each
+    k * l <= max_length, with no walk.  Every other component is walked by
+    ``_closed_walks`` on its induced subrelation, renumbered in ascending
+    order of its nodes, ``names``, so the smallest local rotation is the
+    smallest global one.
+    """
+    cycles, others = _relation_components(c, kind)
+    for cycle in cycles:
+        period = len(cycle)
+        yield cycle, [(tuple(range(period)) * k, period)
+                      for k in range(1, max_length // period + 1)]
+    for names in others:
+        local = {v: i for i, v in enumerate(names)}
+        sub = tuple(tuple(local[w] for w in out[v] if w in local) for v in names)
+        yield names, _closed_walks(sub, max_length)
+
+
 def closed_paths(c: TypedComplex, max_length: int,
                  kind: str = "edge") -> tuple[list[int], list[int]]:
-    """(N, P) from one depth-first walk, for lengths 1..max_length.
+    """(N, P) for lengths 1..max_length, read off the relation's components.
 
     N[m] is the number of based closed paths of length m, as from
     ``count_closed_paths``; P[m] is the number of primitive classes of length
-    m, as ``primitive_counts`` gives from the classes.  Both are counted
-    during the walk: a class of length m and primitive length d adds d to
-    N[m], and 1 to P[m] when d = m.  No class object is built.
+    m, as ``primitive_counts`` gives from the classes.  Both are counted as
+    the classes come (see ``_component_classes``): a class of length m and
+    primitive length d adds d to N[m], and 1 to P[m] when d = m.  No class
+    object is built.
     """
     _, out = _walk_relation(c, max_length, kind)
     N = [0] * (max_length + 1)
     P = [0] * (max_length + 1)
-    for rep, period in _closed_walks(out, max_length):
-        N[len(rep)] += period
-        if period == len(rep):
-            P[period] += 1
+    for _, classes in _component_classes(c, kind, out, max_length):
+        for trail, period in classes:
+            N[len(trail)] += period
+            if period == len(trail):
+                P[period] += 1
     return N, P
 
 
@@ -197,10 +231,13 @@ def enumerate_primitive_classes(c: TypedComplex, max_length: int,
     of the underlying primitive class.
     """
     nodes, out = _walk_relation(c, max_length, kind)
+    reps = sorted((tuple(names[i] for i in trail), period)
+                  for names, classes in _component_classes(c, kind, out, max_length)
+                  for trail, period in classes)
     return [GeodesicClass(length=len(rep), primitive_length=period,
                           power=len(rep) // period,
                           representative=tuple(nodes[i] for i in rep))
-            for rep, period in sorted(_closed_walks(out, max_length))]
+            for rep, period in reps]
 
 
 def primitive_counts(classes, max_length: int) -> list[int]:

@@ -34,8 +34,19 @@ opposite p1, of type tail(p1) - 1).  Both operators are therefore block
     det(I - u T) = det(I - u^3 X),    X = T^3 restricted to one grade.
 
 X has the same nonzero eigenvalues on every grade, so
-``three_step_operator`` takes the smallest one.  The zeta polynomials are
-computed from it; the full operators stay as the reference.
+``three_step_operator`` takes the smallest one; the full operators stay as
+the reference.
+
+Strongly connected components.  det(I - u T) is the product of
+det(I - u T_C) over the strongly connected components C of the relation,
+and a closed path stays in one component.  A component in which every node
+has exactly one successor inside it is a directed cycle of length l: one
+primitive class, with factor 1 - u^l.  On an apartment torus every
+component of both relations is such a cycle.  The components are found
+once per complex and kind, by the Tarjan pass of ``polynomials``, and
+memoized next to the relation; the zeta polynomials and the closed-path
+walks both read them.  The zetas take X only on the smallest grade of the
+components that are not cycles.
 
 Both rules read one incidence, the chambers of an edge: the table
 ``TypedComplex`` builds once at construction.  ``transitions`` builds each
@@ -59,6 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexes import TypedComplex
+from .polynomials import _strong_components
 
 __all__ = [
     "DirectedEdge",
@@ -259,19 +271,57 @@ def build_chamber_operator(c: TypedComplex) -> SparseIntMatrix:
     return _transfer_matrix(*_closed_transitions(c, "gallery"))
 
 
-def three_step_operator(c: TypedComplex, kind: str) -> SparseIntMatrix:
-    """X = T^3 restricted to the smallest type grade, so det(I - u T) = det(I - u^3 X).
+def _relation_components(c: TypedComplex, kind: str) -> tuple[tuple, tuple]:
+    """(cycles, others): the strongly connected components of ``transitions(c, kind)``.
 
-    ``kind`` is 'edge' or 'gallery'; grades are described in the module
-    docstring, and ties go to the lowest type.  X[w, x] counts the length-3
-    walks x -> y -> z -> w along the index lists of the shared relation
-    ``transitions(c, kind)``, with rows and columns in canonical node order;
-    an empty grade gives the 0x0 matrix.  Raises the same errors as
-    ``build_edge_operator`` resp. ``build_chamber_operator``.
+    A component in which every node has exactly one successor inside it is
+    a cycle; ``cycles`` lists each one along its arcs from its smallest node
+    index.  ``others`` lists every other component that holds an arc, its
+    node indices ascending.  A node on no closed path (a component of one
+    node without a self-loop) is in neither.  Computed once per complex and
+    kind by one Tarjan pass over the relation's successor lists and memoized
+    next to the relation, behind its gate: a refusal memoizes nothing.
+    """
+    if kind in c._components:
+        return c._components[kind]
+    _, out = transitions(c, kind)
+    components = _strong_components(out)
+    label = [0] * len(out)
+    for k, members in enumerate(components):
+        for v in members:
+            label[v] = k
+    cycles, others = [], []
+    for k, members in enumerate(components):
+        # each node of a component with an arc has a successor inside it, so
+        # one arc inside per node makes the component a cycle
+        arcs = sum(label[w] == k for v in members for w in out[v])
+        if arcs == len(members):
+            # Tarjan lists a component in reverse order of discovery, which
+            # on a cycle is the reverse of its arc order
+            trail = members[::-1]
+            start = trail.index(min(trail))
+            cycles.append(tuple(trail[start:] + trail[:start]))
+        elif arcs:
+            others.append(tuple(sorted(members)))
+    return c._components.setdefault(kind, (tuple(cycles), tuple(others)))
+
+
+def _three_step(c: TypedComplex, kind: str, members) -> SparseIntMatrix:
+    """Three-step X on the smallest grade of S = members: det(I - u T_S) = det(I - u^3 X).
+
+    S is a union of strongly connected components of ``transitions(c,
+    kind)``, its node indices ascending, and T_S the relation's matrix on S;
+    ties between grades go to the lowest type.  X[w, x] counts the length-3
+    walks x -> y -> z -> w along the relation between nodes of that grade.
+    Such a walk between two nodes of one component stays inside it, so X
+    differs from T_S^3 on the grade only between different components: off
+    the diagonal blocks of a block-triangular matrix, which leaves the
+    determinant as it is.
     """
     nodes, out = _closed_transitions(c, kind)
     grades: list[list[int]] = [[], [], []]
-    for i, x in enumerate(nodes):
+    for i in members:
+        x = nodes[i]
         tail = x.tail if kind == "edge" else x.pointer.tail
         grades[c.type_of[tail]].append(i)
     grade = min(grades, key=len)
@@ -285,5 +335,18 @@ def three_step_operator(c: TypedComplex, kind: str) -> SparseIntMatrix:
                 for z in out[y]:
                     ahead[z] = ahead.get(z, 0) + k
             walks = ahead
-        entries.extend((row[w], col, k) for w, k in walks.items())
+        entries.extend((row[w], col, k) for w, k in walks.items() if w in row)
     return SparseIntMatrix(len(grade), entries)
+
+
+def three_step_operator(c: TypedComplex, kind: str) -> SparseIntMatrix:
+    """X = T^3 restricted to the smallest type grade, so det(I - u T) = det(I - u^3 X).
+
+    ``kind`` is 'edge' or 'gallery'; grades are described in the module
+    docstring, and ties go to the lowest type.  X[w, x] counts the length-3
+    walks x -> y -> z -> w along the index lists of the shared relation
+    ``transitions(c, kind)``, with rows and columns in canonical node order;
+    an empty grade gives the 0x0 matrix.  Raises the same errors as
+    ``build_edge_operator`` resp. ``build_chamber_operator``.
+    """
+    return _three_step(c, kind, range(len(transitions(c, kind)[0])))

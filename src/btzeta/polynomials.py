@@ -334,17 +334,15 @@ def _triplets(mat) -> tuple[int, Sequence[tuple[int, int, int]]]:
     return len(rows), [(r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v]
 
 
-def _strong_components(n: int, entries) -> list[list[int]]:
-    """Strongly connected components of the digraph with an arc r -> c per triplet.
+def _strong_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components of the digraph with arcs v -> w for w in succ[v].
 
-    Iterative Tarjan (SIAM J. Comput. 1, 1972).  Each component lists its
-    indices in reverse order of discovery: along a cycle v0 -> v1 -> ...
-    every arc but the closing one then lands on the subdiagonal, so a cycle's
-    block is already upper Hessenberg.
+    Iterative Tarjan (SIAM J. Comput. 1, 1972), in reverse topological
+    order.  Each component lists its indices in reverse order of discovery:
+    along a cycle v0 -> v1 -> ... every arc but the closing one then lands
+    on the subdiagonal, so a cycle's block is already upper Hessenberg.
     """
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for r, c, _ in entries:
-        succ[r].append(c)
+    n = len(succ)
     # order[v] is v's visit number while v is on the stack and n once its
     # component is out, where it no longer lowers any low-link
     order, low = [-1] * n, [0] * n
@@ -361,26 +359,30 @@ def _strong_components(n: int, entries) -> list[list[int]]:
         while path:
             v, arcs = path[-1]
             for w in arcs:
-                if order[w] < 0:
+                seen = order[w]
+                if seen < 0:
                     order[w] = low[w] = visited
                     visited += 1
                     stack.append(w)
                     path.append((w, iter(succ[w])))
                     break
-                low[v] = min(low[v], order[w])
+                if seen < low[v]:
+                    low[v] = seen
             else:
                 path.pop()
-                if path:
-                    parent = path[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == order[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
+                lv = low[v]
+                if path and lv < low[path[-1][0]]:
+                    low[path[-1][0]] = lv
+                if lv == order[v]:
+                    # v's component is the top of the stack down to v
+                    i = len(stack) - 1
+                    while stack[i] != v:
+                        i -= 1
+                    component = stack[i:]
+                    del stack[i:]
+                    component.reverse()
+                    for w in component:
                         order[w] = n
-                        component.append(w)
-                        if w == v:
-                            break
                     components.append(component)
     return components
 
@@ -477,7 +479,10 @@ def char_poly_reverse(mat) -> IntPolynomial:
     whose bound is beyond the largest tabulated prime raises ValueError.
     """
     n, entries = _triplets(mat)
-    components = _strong_components(n, entries)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for r, c, _ in entries:
+        succ[r].append(c)
+    components = _strong_components(succ)
     label, local = [0] * n, [0] * n
     for c, members in enumerate(components):
         for i, v in enumerate(members):
@@ -498,13 +503,20 @@ def char_poly_reverse(mat) -> IntPolynomial:
         key = tuple(map(tuple, rows))
         if key not in factors:
             factors[key] = _char_poly_reverse_rows(rows).coeffs
-        step: dict[int, int] = {}
-        for i, a in enumerate(factors[key]):
-            if a:
-                for j, b in product.items():
-                    step[i + j] = step.get(i + j, 0) + a * b
-        product = {k: c for k, c in step.items() if c}
+        product = _sparse_times(product, enumerate(factors[key]))
     return IntPolynomial(product.get(k, 0) for k in range(n + 1))
+
+
+def _sparse_times(terms: dict[int, int], factor) -> dict[int, int]:
+    """{exponent: coefficient} terms times the (exponent, coefficient) pairs of factor.
+
+    Zero coefficients are skipped on input and dropped from the result."""
+    step: dict[int, int] = {}
+    for i, a in factor:
+        if a:
+            for j, b in terms.items():
+                step[i + j] = step.get(i + j, 0) + a * b
+    return {k: c for k, c in step.items() if c}
 
 
 def berkowitz_char_poly_reverse(mat) -> IntPolynomial:

@@ -1,9 +1,11 @@
 """Zeta polynomials of the two transfer operators and their ratio.
 
 ``zeta_edge`` and ``zeta_chamber`` are the reverse characteristic polynomials
-det(I - u T) of the edge and chamber operators, computed as det(I - u^3 X)
-from the three-step operator X on the smallest type grade (see
-``operators``); both are products of
+det(I - u T) of the edge and chamber operators, one factor per strongly
+connected component of the relation (see ``operators``): 1 - u^length for
+each component that is a cycle, and det(I - u^3 X) for the three-step
+operator X on the smallest type grade of all the others, so one
+characteristic polynomial per kind, 0x0 on a torus.  Both are products of
 (1 - u^length) over the primitive closed positive geodesics resp. galleries,
 which is what the duality tests in the suite check coefficient by
 coefficient.  ``ratio_of`` forms the normalized rational function
@@ -13,16 +15,39 @@ polynomials; ``ratio`` computes them from a complex first.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 from .complexes import TypedComplex
-from .operators import three_step_operator
-from .polynomials import IntPolynomial, RationalFn, char_poly_reverse
+from .operators import _relation_components, _three_step
+from .polynomials import IntPolynomial, RationalFn, _sparse_times, char_poly_reverse
 
 __all__ = ["zeta_edge", "zeta_chamber", "ratio", "ratio_of"]
 
 
+def _zeta(c: TypedComplex, kind: str) -> IntPolynomial:
+    """det(I - u T), one factor per cycle component and one for all the others.
+
+    A cycle component of length l gives 1 - u^l, and the m cycles of one
+    length give (1 - u^l)^m, expanded binomially.  The other components
+    give det(I - u^3 X) for their three-step operator X (0x0 when there are
+    none).  The product is kept as {exponent: coefficient}.
+    """
+    cycles, others = _relation_components(c, kind)
+    x = _three_step(c, kind, sorted(v for names in others for v in names))
+    terms = {3 * i: a for i, a in enumerate(char_poly_reverse(x).coeffs) if a}
+    for length, m in Counter(map(len, cycles)).items():
+        terms = _sparse_times(terms, ((k * length, (-1) ** k * math.comb(m, k))
+                                      for k in range(m + 1)))
+    coeffs = [0] * (max(terms) + 1)
+    for e, a in terms.items():
+        coeffs[e] = a
+    return IntPolynomial(coeffs)
+
+
 def zeta_edge(c: TypedComplex) -> IntPolynomial:
     """det(I - u T) for the positive-edge transfer operator T."""
-    return char_poly_reverse(three_step_operator(c, "edge")).subst_u_power(3)
+    return _zeta(c, "edge")
 
 
 def zeta_chamber(c: TypedComplex) -> IntPolynomial:
@@ -30,7 +55,7 @@ def zeta_chamber(c: TypedComplex) -> IntPolynomial:
 
     A closed complex without chambers yields the constant polynomial 1.
     """
-    return char_poly_reverse(three_step_operator(c, "gallery")).subst_u_power(3)
+    return _zeta(c, "gallery")
 
 
 def ratio_of(z1: IntPolynomial, z2: IntPolynomial, negate_u: bool = True) -> RationalFn:

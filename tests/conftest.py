@@ -78,3 +78,15 @@ def closed_typed_complex(rng: random.Random, per_type=(3, 3, 3), p_edge: float =
                 if all(e in edges or e[::-1] in edges for e in ((a, b), (b, c), (a, c)))
                 and rng.random() < p_chamber]
     return TypedComplex(verts, edges, chambers)
+
+
+def disjoint_union(*complexes: TypedComplex) -> TypedComplex:
+    """Disjoint union of k complexes, complex i on the labels k * v + i, so their
+    nodes interleave in the relations' index order."""
+    k = len(complexes)
+    verts, edges, chambers = [], [], []
+    for i, c in enumerate(complexes):
+        verts += [(k * v + i, t) for v, t in c.vertices]
+        edges += [(k * a + i, k * b + i) for a, b in c.edges]
+        chambers += [tuple(k * v + i for v in tri) for tri in c.chambers]
+    return TypedComplex(verts, edges, chambers)

@@ -21,6 +21,10 @@ from btzeta.polynomials import IntPolynomial, log_derivative_series, series_inve
 from conftest import closed_typed_complex
 
 
+# the branching complex of ``BRANCHING_DIGESTS`` and ``OP_DIGESTS``
+B1 = closed_typed_complex(random.Random(1), (4, 4, 4))
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -580,6 +584,32 @@ class TestVerify:
                 out = invoke(runner, [args[0], "b1.json", *args[1:]]).stdout
                 assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
+    # sha256 of ``count`` stdout where every component of the relation is a
+    # cycle; recorded with the walk that started at every node
+    COUNT_DIGESTS = {
+        ("torus.json", "edge"):
+            "377f79b4bc1f4559febbb06a2ade13f679ce3baabc35c85012ff5a51eada44a4",
+        ("torus.json", "gallery"):
+            "be6310206f39427d82e8d21de3c913ed03c1b26cc25ddbe1d103bf21b6f4ca20",
+        ("skew.json", "edge"):
+            "39534595ee035ca2dffde7a8cbde6773ac38c90a4a361580376e3e65cc6d89a1",
+        ("skew.json", "gallery"):
+            "f93f39424b42a0d66233e85f043f4b1caedc97804d946f8e4588bf3e4aa10c97",
+        ("c3.json", "edge"):
+            "2156c75c440c598b936ce6ef18a4c49f546fc439eddb3515331102d14294a376",
+        ("c3.json", "gallery"):
+            "183866bd9e31881fa32a1b6c1a18bd1183a024239a2e0fc6bf85ba101a2deee9",
+    }
+
+    def test_count_outputs_are_byte_identical_to_recorded(self, runner, tmp_path):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            write_torus(runner)
+            invoke(runner, ["gen", "torus", "--basis", "6", "3", "0", "9", "-o", "skew.json"])
+            invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
+            for (name, kind), digest in self.COUNT_DIGESTS.items():
+                out = invoke(runner, ["count", name, "--kind", kind]).stdout
+                assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, kind)
+
     def test_env_var_configuration(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             invoke(runner, ["gen", "cycle", "--n", "3", "-o", "c3.json"])
@@ -687,20 +717,43 @@ class TestEachQuantityOnce:
         monkeypatch.setattr(geodesics, "transitions", counting)
         return kinds
 
-    # the zetas are det(I - u^3 X) on the smallest type grade, so each charpoly
-    # runs on a third of the 27 positive edges and 54 pointed chambers
+    # the zetas are det(I - u^3 X) on the smallest type grade of the relation's
+    # components that are not cycles, times 1 - u^length per cycle; every
+    # component of a torus relation is a cycle, so each charpoly is 0x0, and
+    # on b1 one edge grade of 15 nodes remains and no closed gallery
     def test_verify_charpoly_once_per_operator(self, tmp_path, torus, charpoly_dims):
-        path = tmp_path / "t.json"
-        save_complex(torus, path)
-        run_verify(str(path), max_order=6)
-        assert charpoly_dims == [9, 18]
+        for name, c, dims in (("t.json", torus, [0, 0]), ("b1.json", B1, [15, 0])):
+            path = tmp_path / name
+            save_complex(c, path)
+            charpoly_dims.clear()
+            run_verify(str(path), max_order=6)
+            assert charpoly_dims == dims, name
 
     def test_zeta_command_charpoly_once_per_operator(self, runner, tmp_path,
                                                      charpoly_dims):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             write_torus(runner)
             invoke(runner, ["zeta", "torus.json"])
-        assert charpoly_dims == [9, 18]
+            assert charpoly_dims == [0, 0]
+            save_complex(B1, "b1.json")
+            charpoly_dims.clear()
+            invoke(runner, ["zeta", "b1.json"])
+            assert charpoly_dims == [15, 0]
+
+    def test_verify_finds_relation_components_once(self, tmp_path, torus, monkeypatch):
+        # one Tarjan pass per kind, shared by the zeta and the walk
+        sizes = []
+        original = operators._strong_components
+
+        def counting(succ):
+            sizes.append(len(succ))
+            return original(succ)
+
+        monkeypatch.setattr(operators, "_strong_components", counting)
+        path = tmp_path / "t.json"
+        save_complex(torus, path)
+        run_verify(str(path), max_order=6)
+        assert sizes == [27, 54]
 
     def test_verify_walks_once_per_kind(self, tmp_path, torus, walk_kinds):
         path = tmp_path / "t.json"

@@ -8,23 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btzeta import (
+    ApartmentSpec,
     GeodesicClass,
     IntPolynomial,
     assemble_S_series,
     build_chamber_operator,
     build_edge_operator,
+    char_poly_reverse,
     closed_paths,
     count_closed_paths,
     enumerate_primitive_classes,
     primitive_counts,
     primitive_product,
+    three_step_operator,
     torus_primitive_counts,
     torus_trace_counts,
     transitions,
+    zeta_chamber,
+    zeta_edge,
 )
+from btzeta import geodesics
+from btzeta.generators import gen_apartment_torus
 from btzeta.geodesics import _closed_walks
+from btzeta.operators import _relation_components
 from btzeta.polynomials import log_derivative_series, series_exp_neg_integral
-from conftest import closed_typed_complex
+from conftest import closed_typed_complex, disjoint_union
 
 M = 12
 
@@ -199,6 +207,53 @@ class TestPrimitiveClasses:
             rep = g.representative
             for cur, nxt in zip(rep, rep[1:] + rep[:1]):
                 assert nxt in edge_successors(torus, cur)
+
+
+# the ladder tori k*id and the skew torus 6 3 0 9, and the 27x27 torus
+HIGH_ORDER_TORI = [((k, 0), (0, k)) for k in (6, 9, 12, 15, 27)] + [((6, 3), (0, 9))]
+
+
+class TestComponentSplit:
+    """Cycle components read off with no walk, every other component walked on its
+    own, against the unsplit routes."""
+
+    # seed 0's gallery relation has a cycle and a larger component of its own;
+    # seed 2's edge relation is the cheapest of the first seeds for the unpruned
+    # oracle at order 12 (1 s against 3 s)
+    @pytest.mark.parametrize("seed, kind", [(0, "gallery"), (2, "edge"), (2, "gallery")])
+    def test_split_matches_unsplit_routes_on_mixed_unions(self, torus, three_cycle, seed,
+                                                          kind):
+        branching = closed_typed_complex(random.Random(seed), (4, 4, 4))
+        c = disjoint_union(torus, three_cycle, branching)
+        cycles, others = _relation_components(c, kind)
+        assert cycles and others  # both routes run
+        zeta = zeta_edge if kind == "edge" else zeta_chamber
+        assert zeta(c) == char_poly_reverse(three_step_operator(c, kind)).subst_u_power(3)
+        nodes, out = transitions(c, kind)
+        # the plain oracle's count at an order is the prefix of a longer one
+        N = count_closed_paths(c, 12, kind)
+        # the orders below the shortest cycle (3 for edges, 6 for galleries) see
+        # no cycle, which still gave Z its factor
+        assert min(map(len, cycles)) == (3 if kind == "edge" else 6)
+        for order in range(1, 13):
+            classes = enumerate_primitive_classes(c, order, kind)
+            assert closed_paths(c, order, kind) == (N[:order + 1],
+                                                     primitive_counts(classes, order))
+            assert [(g.representative, g.primitive_length) for g in classes] == \
+                [(tuple(nodes[i] for i in rep), period)
+                 for rep, period in sorted(_closed_walks(out, order))]
+
+    @pytest.mark.parametrize("kind", ["edge", "gallery"])
+    @pytest.mark.parametrize("basis", HIGH_ORDER_TORI, ids=str)
+    def test_tori_match_geometry_at_order_60_without_a_walk(self, basis, kind,
+                                                            monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("a torus relation has only cycle components")
+
+        monkeypatch.setattr(geodesics, "_closed_walks", no_walk)
+        c = gen_apartment_torus(ApartmentSpec(basis))
+        assert closed_paths(c, 60, kind) == (torus_trace_counts(basis, 60, kind),
+                                             torus_primitive_counts(basis, 60, kind))
 
 
 class TestSeriesAssembly:

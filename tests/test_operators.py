@@ -466,4 +466,4 @@ class TestGate:
         for route in self.KIND_ROUTES:
             with pytest.raises(ValueError):
                 route(fresh, "chamber")
-        assert fresh._relations == {}
+        assert fresh._relations == fresh._components == {}

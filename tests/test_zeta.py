@@ -31,7 +31,7 @@ from btzeta.polynomials import (
     _int_rows,
     berkowitz_char_poly_reverse,
 )
-from conftest import closed_typed_complex
+from conftest import closed_typed_complex, disjoint_union
 
 M = 12
 # Berkowitz is quartic in the dimension: about 2 s at dimension 108
@@ -209,18 +209,6 @@ def _cycle_product(x) -> IntPolynomial:
     return out
 
 
-def _relabel(c: TypedComplex, f) -> tuple[list, list, list]:
-    return ([(f(v), t) for v, t in c.vertices], [tuple(map(f, e)) for e in c.edges],
-            [tuple(map(f, tri)) for tri in c.chambers])
-
-
-def _disjoint_union(a: TypedComplex, b: TypedComplex) -> TypedComplex:
-    """a on the even labels, b on the odd ones, so the two complexes' nodes interleave."""
-    va, ea, ca = _relabel(a, lambda v: 2 * v)
-    vb, eb, cb = _relabel(b, lambda v: 2 * v + 1)
-    return TypedComplex(va + vb, ea + eb, ca + cb)
-
-
 class TestSplitAgainstOracles:
     """The SCC split of det(I - u X) against Berkowitz and one unsplit pass."""
 
@@ -244,7 +232,7 @@ class TestSplitAgainstOracles:
     @pytest.mark.parametrize("seed", range(3))
     def test_disjoint_union_of_torus_and_branching(self, seed, torus):
         branching = closed_typed_complex(random.Random(seed))
-        union = _disjoint_union(torus, branching)
+        union = disjoint_union(torus, branching)
         for zeta, kind in ((zeta_edge, "edge"), (zeta_chamber, "gallery")):
             self._check(three_step_operator(union, kind))
             assert zeta(union) == zeta(torus) * zeta(branching)
