@@ -284,14 +284,12 @@ def chambers(file: str, out: str | None) -> None:
               show_default=True, help="truncation order for the log-derivative series")
 @click.option("--which", type=click.Choice(["edge", "chamber", "ratio"]),
               default=None, help="restrict the output to one piece")
-@click.option("--sign", type=click.Choice(["neg", "pos"]), default="neg",
-              show_default=True, help="sign convention: chamber zeta at -u or +u")
-def zeta_cmd(file: str, order: int, which: str | None, sign: str) -> None:
+def zeta_cmd(file: str, order: int, which: str | None) -> None:
     """Zeta polynomials, their ratio, and the log-derivative series."""
     cx = _load(file)
     z1 = zeta_edge(cx)
     z2 = zeta_chamber(cx)
-    rat = ratio_of(z1, z2, negate_u=(sign == "neg"))
+    rat = ratio_of(z1, z2)
     doc: dict = {"schema_version": SCHEMA_VERSION}
     if which in (None, "edge"):
         doc["Z1"] = _poly_strings(z1)
@@ -439,9 +437,7 @@ def _ratio_from_json(doc) -> tuple[IntPolynomial, IntPolynomial]:
 @click.option("--chi", type=int, default=None,
               help="Euler characteristic (derived from a complex file if absent)")
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
-@click.option("--sign", type=click.Choice(["neg", "pos"]), default="neg",
-              show_default=True)
-def rh(file: str, q_flag: int | None, chi: int | None, tol: float, sign: str) -> None:
+def rh(file: str, q_flag: int | None, chi: int | None, tol: float) -> None:
     """Classify a complex file or a ratio JSON against the critical modulus."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"--tol must be positive and finite, got {tol}")
@@ -449,7 +445,7 @@ def rh(file: str, q_flag: int | None, chi: int | None, tol: float, sign: str) ->
     counts = None
     if isinstance(doc, dict) and "vertices" in doc:
         cx = _complex_from(file, doc)
-        rat = zeta_ratio(cx, negate_u=(sign == "neg"))
+        rat = zeta_ratio(cx)
         f = (rat.num, rat.den)
         q = q_flag if q_flag is not None else cx.q
         chi = chi if chi is not None else euler_characteristic(cx)

@@ -83,8 +83,7 @@ class TypedComplex:
     """
 
     __slots__ = ("vertices", "edges", "chambers", "q", "boundary", "type_of",
-                 "_edge_set", "_neighbors", "_chambers_of_edge", "_relations",
-                 "_components")
+                 "_neighbors", "_chambers_of_edge", "_relations", "_components")
 
     def __init__(
         self,
@@ -103,7 +102,6 @@ class TypedComplex:
         self.q = None if q is None else int(q)
         self.boundary = frozenset(int(v) for v in boundary)
         self.type_of = {v: t for v, t in vs}
-        self._edge_set = frozenset(es)
         neighbors: dict[int, list[int]] = {}
         for a, b in es:
             neighbors.setdefault(a, []).append(b)
@@ -121,7 +119,7 @@ class TypedComplex:
     # -- queries -------------------------------------------------------------
 
     def has_edge(self, a: int, b: int) -> bool:
-        return tuple(sorted((a, b))) in self._edge_set
+        return b in self._neighbors.get(a, ())
 
     def neighbors(self, v: int) -> list[int]:
         """Vertices joined to v, in the order of the sorted edge list."""
@@ -148,11 +146,11 @@ def validate_complex(c: TypedComplex) -> ValidationReport:
     never raised.
     """
     violations: list[str] = []
-    ids = [v for v, _ in c.vertices]
-    if len(set(ids)) != len(ids):
+    if len(c.type_of) != len(c.vertices):
+        ids = [v for v, _ in c.vertices]
         dupes = sorted({v for v in ids if ids.count(v) > 1})
         violations.append(f"duplicate vertex ids {dupes}")
-    known = set(ids)
+    known = c.type_of
     for v, t in c.vertices:
         if t not in (0, 1, 2):
             violations.append(f"vertex {v} has type {t} outside {{0,1,2}}")
@@ -258,29 +256,28 @@ def complex_from_json(doc) -> TypedComplex:
         _require(_is_int(entry["id"]) and _is_int(entry["type"]),
                  "vertex id and type must be integers", f"vertices[{i}]")
         vertices.append((entry["id"], entry["type"]))
-    ids = [v for v, _ in vertices]
-    _require(len(set(ids)) == len(ids), "duplicate vertex ids", "vertices")
     edges = []
     for i, e in enumerate(_array(doc, "edges")):
         _require(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)),
                  "edges must be pairs of integers", f"edges[{i}]")
-        edges.append(tuple(e))
-    _require(len({tuple(sorted(e)) for e in edges}) == len(edges),
-             "duplicate edges", "edges")
+        edges.append(e)
     chambers = []
     for i, t in enumerate(_array(doc, "chambers")):
         _require(isinstance(t, list) and len(t) == 3 and all(map(_is_int, t)),
                  "chambers must be triples of integers", f"chambers[{i}]")
-        chambers.append(tuple(t))
-    _require(len({tuple(sorted(t)) for t in chambers}) == len(chambers),
-             "duplicate chambers", "chambers")
+        chambers.append(t)
     q = doc.get("q")
     _require(q is None or (_is_int(q) and q >= 1),
              "q must be a positive integer", "q")
     boundary = _array(doc, "boundary")
     _require(all(map(_is_int, boundary)),
              "boundary must be a list of vertex ids", "boundary")
-    return TypedComplex(vertices, edges, chambers, q=q, boundary=boundary)
+    c = TypedComplex(vertices, edges, chambers, q=q, boundary=boundary)
+    # the constructor keys vertices by id and keeps each edge and chamber once
+    _require(len(c.type_of) == len(vertices), "duplicate vertex ids", "vertices")
+    _require(len(c.edges) == len(edges), "duplicate edges", "edges")
+    _require(len(c.chambers) == len(chambers), "duplicate chambers", "chambers")
+    return c
 
 
 def load_complex(path) -> TypedComplex:

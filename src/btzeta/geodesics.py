@@ -8,11 +8,13 @@ and the product over primitive classes.  The walks keep an explicit stack of
 successor iterators, so no order is bounded by Python's recursion limit.
 
 A closed path never leaves the strongly connected component of its start,
-so the classes are found component by component, from the components that
-``operators`` memoizes next to the relation.  A component in which every
-node has one successor inside it is a cycle of length l: it is one
-primitive class, and its powers up to the order, read off with no walk.
-Every other component is walked on its own induced subrelation.
+so the classes are found from the components that ``operators`` memoizes
+next to the relation, in the relation's own node indices.  A component in
+which every node has one successor inside it is a cycle of length l: it is
+one primitive class, and its powers up to the order, read off with no walk.
+The walk starts only at the nodes of the other components: from such a
+start it never leaves the start's component, since the return-distance
+prune below refuses every node that cannot get back to the start.
 
 The walk finds a component's rotation classes, each as its lexicographically
 smallest rotation, a necklace.  It roots each class at its smallest node, as
@@ -133,19 +135,21 @@ def _return_distances(pred: list[list[int]], s: int, max_length: int) -> dict[in
     return dist
 
 
-def _closed_walks(out: tuple, max_length: int):
+def _closed_walks(out: tuple, max_length: int, starts=None):
     """Yield (index trail, minimal period) once per rotation class, in walk order.
 
     ``out`` is the successor index lists of ``transitions(c, kind)``.  The
     trail is the class's lexicographically smallest rotation, a necklace; the
     walk steps only through prenecklaces, carrying the length of each
-    prefix's longest Lyndon prefix (see the module docstring).
+    prefix's longest Lyndon prefix (see the module docstring).  Only the
+    classes whose smallest node is in ``starts`` (default: every node) are
+    walked.
     """
     pred: list[list[int]] = [[] for _ in out]
     for i, ys in enumerate(out):
         for j in ys:
             pred[j].append(i)
-    for s in range(len(out)):
+    for s in range(len(out)) if starts is None else starts:
         dist = _return_distances(pred, s, max_length)
         trail = [s]
         lyn = [1]  # longest Lyndon prefix of the trail, one entry per depth
@@ -174,29 +178,21 @@ def _closed_walks(out: tuple, max_length: int):
                 lyn.pop()
 
 
-def _component_classes(c: TypedComplex, kind: str, out: tuple, max_length: int):
-    """Yield (names, classes) per strongly connected component with a closed path.
+def _classes(c: TypedComplex, kind: str, out: tuple, max_length: int):
+    """Yield (index trail, minimal period) once per rotation class of length <= max_length.
 
-    ``out`` is the successor index lists of ``transitions(c, kind)``.
-    ``classes`` iterates (trail, period) once per rotation class of the
-    component, and the class's smallest rotation is ``tuple(names[i] for i
-    in trail)`` in the relation's node indices.  A cycle component of
-    length l gives its l nodes from the smallest as ``names``, and as
-    classes the trail 0, ..., l - 1 repeated k times with period l for each
-    k * l <= max_length, with no walk.  Every other component is walked by
-    ``_closed_walks`` on its induced subrelation, renumbered in ascending
-    order of its nodes, ``names``, so the smallest local rotation is the
-    smallest global one.
+    ``out`` is the successor index lists of ``transitions(c, kind)``, and
+    the trail is the class's smallest rotation in its node indices.  A cycle
+    component of length l gives its trail from its smallest node repeated k
+    times, with period l, for each k * l <= max_length, with no walk.  Then
+    ``_closed_walks`` runs from the nodes of the other components, ``rest``.
     """
-    cycles, others = _relation_components(c, kind)
+    cycles, rest = _relation_components(c, kind)
     for cycle in cycles:
-        period = len(cycle)
-        yield cycle, [(tuple(range(period)) * k, period)
-                      for k in range(1, max_length // period + 1)]
-    for names in others:
-        local = {v: i for i, v in enumerate(names)}
-        sub = tuple(tuple(local[w] for w in out[v] if w in local) for v in names)
-        yield names, _closed_walks(sub, max_length)
+        for k in range(1, max_length // len(cycle) + 1):
+            yield cycle * k, len(cycle)
+    if rest:  # none on a torus: no walk, not even its predecessor lists
+        yield from _closed_walks(out, max_length, rest)
 
 
 def closed_paths(c: TypedComplex, max_length: int,
@@ -206,18 +202,17 @@ def closed_paths(c: TypedComplex, max_length: int,
     N[m] is the number of based closed paths of length m, as from
     ``count_closed_paths``; P[m] is the number of primitive classes of length
     m, as ``primitive_counts`` gives from the classes.  Both are counted as
-    the classes come (see ``_component_classes``): a class of length m and
-    primitive length d adds d to N[m], and 1 to P[m] when d = m.  No class
-    object is built.
+    the classes come (see ``_classes``): a class of length m and primitive
+    length d adds d to N[m], and 1 to P[m] when d = m.  No class object is
+    built.
     """
     _, out = _walk_relation(c, max_length, kind)
     N = [0] * (max_length + 1)
     P = [0] * (max_length + 1)
-    for _, classes in _component_classes(c, kind, out, max_length):
-        for trail, period in classes:
-            N[len(trail)] += period
-            if period == len(trail):
-                P[period] += 1
+    for trail, period in _classes(c, kind, out, max_length):
+        N[len(trail)] += period
+        if period == len(trail):
+            P[period] += 1
     return N, P
 
 
@@ -231,9 +226,7 @@ def enumerate_primitive_classes(c: TypedComplex, max_length: int,
     of the underlying primitive class.
     """
     nodes, out = _walk_relation(c, max_length, kind)
-    reps = sorted((tuple(names[i] for i in trail), period)
-                  for names, classes in _component_classes(c, kind, out, max_length)
-                  for trail, period in classes)
+    reps = sorted(_classes(c, kind, out, max_length))
     return [GeodesicClass(length=len(rep), primitive_length=period,
                           power=len(rep) // period,
                           representative=tuple(nodes[i] for i in rep))

@@ -59,7 +59,9 @@ relation is tested against.
 
 The relation refuses complexes with a marked boundary, so both operators and
 both walks do: their determinant identities concern closed complexes only,
-and silently truncating at the boundary would corrupt the counts.
+and silently truncating at the boundary would corrupt the counts.  It is the
+only gate: a closed complex without edges or chambers has an empty relation,
+a 0x0 operator and the zeta polynomial 1.
 """
 
 from __future__ import annotations
@@ -241,14 +243,6 @@ def transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple[tuple[int, ...
     return c._relations.setdefault(kind, (nodes, tuple(out)))
 
 
-def _closed_transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple]:
-    """``transitions(c, kind)``, plus the edge operator's nonempty-edge rule."""
-    nodes, out = transitions(c, kind)
-    if kind == "edge" and not nodes:
-        raise ValueError("edge operator needs a nonempty edge set")
-    return nodes, out
-
-
 def _transfer_matrix(nodes: tuple, out: tuple) -> SparseIntMatrix:
     return SparseIntMatrix(len(nodes), ((j, i, 1) for i, js in enumerate(out) for j in js))
 
@@ -257,9 +251,10 @@ def build_edge_operator(c: TypedComplex) -> SparseIntMatrix:
     """0/1 transfer matrix T with T[e2, e] = 1 iff e2 positively continues e.
 
     Index set: positive directed edges sorted by (tail, head).  Requires a
-    closed complex with a nonempty edge set.
+    closed complex; an empty edge set gives the 0x0 matrix (its zeta
+    polynomial is 1).
     """
-    return _transfer_matrix(*_closed_transitions(c, "edge"))
+    return _transfer_matrix(*transitions(c, "edge"))
 
 
 def build_chamber_operator(c: TypedComplex) -> SparseIntMatrix:
@@ -268,19 +263,20 @@ def build_chamber_operator(c: TypedComplex) -> SparseIntMatrix:
     Index set: pointed chambers sorted by (chamber, pointer).  An empty
     chamber set gives the 0x0 matrix (its zeta polynomial is 1).
     """
-    return _transfer_matrix(*_closed_transitions(c, "gallery"))
+    return _transfer_matrix(*transitions(c, "gallery"))
 
 
 def _relation_components(c: TypedComplex, kind: str) -> tuple[tuple, tuple]:
-    """(cycles, others): the strongly connected components of ``transitions(c, kind)``.
+    """(cycles, rest): the strongly connected components of ``transitions(c, kind)``.
 
     A component in which every node has exactly one successor inside it is
     a cycle; ``cycles`` lists each one along its arcs from its smallest node
-    index.  ``others`` lists every other component that holds an arc, its
-    node indices ascending.  A node on no closed path (a component of one
-    node without a self-loop) is in neither.  Computed once per complex and
-    kind by one Tarjan pass over the relation's successor lists and memoized
-    next to the relation, behind its gate: a refusal memoizes nothing.
+    index.  ``rest`` is the sorted tuple of the nodes of every other
+    component that holds an arc.  A node on no closed path (a component of
+    one node without a self-loop) is in neither.  All indices are the
+    relation's own.  Computed once per complex and kind by one Tarjan pass
+    over the relation's successor lists and memoized next to the relation,
+    behind its gate: a refusal memoizes nothing.
     """
     if kind in c._components:
         return c._components[kind]
@@ -290,7 +286,7 @@ def _relation_components(c: TypedComplex, kind: str) -> tuple[tuple, tuple]:
     for k, members in enumerate(components):
         for v in members:
             label[v] = k
-    cycles, others = [], []
+    cycles, rest = [], []
     for k, members in enumerate(components):
         # each node of a component with an arc has a successor inside it, so
         # one arc inside per node makes the component a cycle
@@ -302,8 +298,8 @@ def _relation_components(c: TypedComplex, kind: str) -> tuple[tuple, tuple]:
             start = trail.index(min(trail))
             cycles.append(tuple(trail[start:] + trail[:start]))
         elif arcs:
-            others.append(tuple(sorted(members)))
-    return c._components.setdefault(kind, (tuple(cycles), tuple(others)))
+            rest.extend(members)
+    return c._components.setdefault(kind, (tuple(cycles), tuple(sorted(rest))))
 
 
 def _three_step(c: TypedComplex, kind: str, members) -> SparseIntMatrix:
@@ -318,7 +314,7 @@ def _three_step(c: TypedComplex, kind: str, members) -> SparseIntMatrix:
     the diagonal blocks of a block-triangular matrix, which leaves the
     determinant as it is.
     """
-    nodes, out = _closed_transitions(c, kind)
+    nodes, out = transitions(c, kind)
     grades: list[list[int]] = [[], [], []]
     for i in members:
         x = nodes[i]

@@ -475,8 +475,8 @@ def char_poly_reverse(mat) -> IntPolynomial:
     M_C.  A component of one index without a self-loop contributes 1; every
     other block gets its own Hadamard bound, the smallest tabulated Mersenne
     prime above twice it, one Hessenberg pass and the balanced lift
-    (``_char_poly_reverse_rows``); equal blocks are reduced once.  A block
-    whose bound is beyond the largest tabulated prime raises ValueError.
+    (``_char_poly_reverse_rows``).  A block whose bound is beyond the largest
+    tabulated prime raises ValueError.
     """
     n, entries = _triplets(mat)
     succ: list[list[int]] = [[] for _ in range(n)]
@@ -491,19 +491,12 @@ def char_poly_reverse(mat) -> IntPolynomial:
     for r, c, v in entries:
         if label[r] == label[c]:
             blocks[label[r]][local[r]][local[c]] += v
-    # the product is kept as {exponent: nonzero coefficient}: on tori the
-    # blocks are sparse cycle factors such as 1 - u^18, and so is the product;
-    # a torus's cycles are translates of one another, and with each component
-    # in reverse order of discovery their blocks are equal, so reduced once
+    # the product is kept as {exponent: nonzero coefficient}: cycle blocks
+    # give sparse factors such as 1 - u^18, and so may the product
     product = {0: 1}
-    factors: dict[tuple, tuple[int, ...]] = {}
     for rows in blocks:
-        if rows == [[0]]:  # one index without a self-loop: a factor 1
-            continue
-        key = tuple(map(tuple, rows))
-        if key not in factors:
-            factors[key] = _char_poly_reverse_rows(rows).coeffs
-        product = _sparse_times(product, enumerate(factors[key]))
+        if rows != [[0]]:  # one index without a self-loop gives a factor 1
+            product = _sparse_times(product, enumerate(_char_poly_reverse_rows(rows).coeffs))
     return IntPolynomial(product.get(k, 0) for k in range(n + 1))
 
 

@@ -30,11 +30,11 @@ def _zeta(c: TypedComplex, kind: str) -> IntPolynomial:
 
     A cycle component of length l gives 1 - u^l, and the m cycles of one
     length give (1 - u^l)^m, expanded binomially.  The other components
-    give det(I - u^3 X) for their three-step operator X (0x0 when there are
-    none).  The product is kept as {exponent: coefficient}.
+    give det(I - u^3 X) for the three-step operator X on their nodes,
+    ``rest`` (0x0 when there are none).  The product is kept as {exponent: coefficient}.
     """
-    cycles, others = _relation_components(c, kind)
-    x = _three_step(c, kind, sorted(v for names in others for v in names))
+    cycles, rest = _relation_components(c, kind)
+    x = _three_step(c, kind, rest)
     terms = {3 * i: a for i, a in enumerate(char_poly_reverse(x).coeffs) if a}
     for length, m in Counter(map(len, cycles)).items():
         terms = _sparse_times(terms, ((k * length, (-1) ** k * math.comb(m, k))
@@ -46,7 +46,10 @@ def _zeta(c: TypedComplex, kind: str) -> IntPolynomial:
 
 
 def zeta_edge(c: TypedComplex) -> IntPolynomial:
-    """det(I - u T) for the positive-edge transfer operator T."""
+    """det(I - u T) for the positive-edge transfer operator T.
+
+    A closed complex without edges yields the constant polynomial 1.
+    """
     return _zeta(c, "edge")
 
 

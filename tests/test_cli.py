@@ -218,6 +218,43 @@ class TestZetaCount:
             assert result.stdout == ""
             assert result.stderr == "error: order 25 beyond cap 20; use --allow-large-order\n"
 
+    def test_edgeless_complex_agrees_on_every_route(self, runner, tmp_path):
+        # the relation is the only gate: no edges give empty relations, 0x0
+        # operators and Z1 = Z2 = 1 on every command, not a refusal on some
+        zeros = [0] * 13
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            Path("e.json").write_text('{"version":1,"vertices":[{"id":0,"type":0}]}')
+            docs = {}
+            for args in (["count", "--kind", "edge"], ["count", "--kind", "gallery"],
+                         ["zeta"], ["rh"], ["op", "edges"], ["op", "chambers"],
+                         ["verify", "--no-timings"]):
+                result = runner.invoke(main, args + ["e.json"])
+                assert result.exit_code == 0, (args, result.stderr)
+                docs[" ".join(args)] = json.loads(result.stdout)
+        for kind in ("edge", "gallery"):
+            count = docs[f"count --kind {kind}"]
+            assert (count["N"], count["P"], count["classes"]) == (zeros, zeros, [])
+            assert docs["verify --no-timings"]["counts"][kind] == {"N": zeros, "P": zeros}
+        zeta_doc = docs["zeta"]
+        assert (zeta_doc["Z1"], zeta_doc["Z2"]) == (["1"], ["1"])
+        assert zeta_doc["ratio"] == {"num": ["1"], "den": ["1"]}
+        assert docs["verify --no-timings"]["zeta"] == {
+            key: zeta_doc[key] for key in ("Z1", "Z2", "ratio")}
+        assert docs["verify --no-timings"]["passed"] is True
+        assert docs["verify --no-timings"]["rh"] == {
+            key: v for key, v in docs["rh"].items() if key != "schema_version"}
+        for op in ("edges", "chambers"):
+            assert docs[f"op {op}"] == {"dim": 0, "schema_version": 1, "triplets": []}
+
+    @pytest.mark.parametrize("command", ["zeta", "rh"])
+    def test_no_sign_option(self, runner, tmp_path, command):
+        # the chamber zeta is taken at -u; the library keeps both conventions
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            write_torus(runner)
+            result = runner.invoke(main, [command, "torus.json", "--sign", "neg"])
+            assert result.exit_code == 2
+            assert "No such option '--sign'" in result.stderr
+
     @pytest.mark.parametrize("kind, operator", [("edge", "edge"), ("gallery", "chamber")])
     def test_count_on_ball_prints_operator_message(self, runner, tmp_path, kind, operator):
         with runner.isolated_filesystem(temp_dir=tmp_path):

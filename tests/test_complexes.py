@@ -186,3 +186,22 @@ class TestBooleansAreNotIntegers:
     def test_non_array_field_rejected(self, field):
         with pytest.raises(ComplexFormatError, match="must be an array"):
             loads_complex(_triangle_doc(**{field: 5}))
+
+
+class TestDuplicates:
+    # the loader counts what the constructor kept: ids, edges and chambers once each
+    @pytest.mark.parametrize("message,changes", [
+        ("duplicate vertex ids (at vertices)",
+         {"vertices": [{"id": 0, "type": 0}, {"id": 1, "type": 1}, {"id": 2, "type": 2},
+                       {"id": 0, "type": 1}]}),
+        ("duplicate edges (at edges)", {"edges": [[0, 1], [0, 2], [1, 2], [2, 1]]}),
+        ("duplicate chambers (at chambers)", {"chambers": [[0, 1, 2], [2, 0, 1]]}),
+    ], ids=["vertices", "edges", "chambers"])
+    def test_single_duplicate_message(self, message, changes):
+        with pytest.raises(ComplexFormatError) as refused:
+            loads_complex(_triangle_doc(**changes))
+        assert str(refused.value) == message
+
+    def test_validation_names_duplicate_ids(self):
+        c = TypedComplex([(0, 0), (1, 1), (0, 0), (1, 2), (2, 2)], [(0, 2)])
+        assert validate_complex(c).violations == ("duplicate vertex ids [0, 1]",)

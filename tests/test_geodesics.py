@@ -256,6 +256,31 @@ class TestComponentSplit:
                                              torus_primitive_counts(basis, 60, kind))
 
 
+class TestWalkStarts:
+    @pytest.mark.parametrize("kind", ["edge", "gallery"])
+    def test_walk_starts_are_rest_in_global_indices(self, torus, three_cycle, kind,
+                                                    monkeypatch):
+        # the walk runs on the whole relation, from the nodes of the non-cycle
+        # components only, with no renumbered subrelation
+        c = disjoint_union(torus, three_cycle,
+                           closed_typed_complex(random.Random(2), (4, 4, 4)))
+        starts = []
+        original = geodesics._return_distances
+
+        def recording(pred, s, max_length):
+            starts.append(s)
+            return original(pred, s, max_length)
+
+        monkeypatch.setattr(geodesics, "_return_distances", recording)
+        _, rest = _relation_components(c, kind)
+        assert rest != tuple(range(len(rest)))  # the nodes interleave
+        closed_paths(c, 6, kind)
+        assert tuple(starts) == rest
+        starts.clear()
+        enumerate_primitive_classes(c, 6, kind)
+        assert tuple(starts) == rest
+
+
 class TestSeriesAssembly:
     def test_primitive_product_three_cycle(self, three_cycle):
         classes = enumerate_primitive_classes(three_cycle, M)

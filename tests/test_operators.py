@@ -14,6 +14,7 @@ from btzeta import (
     ApartmentSpec,
     BallSpec,
     DirectedEdge,
+    IntPolynomial,
     PointedChamber,
     SparseIntMatrix,
     TypedComplex,
@@ -224,9 +225,11 @@ class TestEdgeOperator:
         with pytest.raises(ValueError, match="boundary"):
             build_edge_operator(ball_q2)
 
-    def test_refuses_empty_edge_set(self):
-        with pytest.raises(ValueError, match="edge set"):
-            build_edge_operator(TypedComplex([(0, 0)]))
+    def test_empty_edge_set_gives_0x0(self):
+        # the relation is the only gate: an edgeless closed complex has Z1 = 1
+        edgeless = TypedComplex([(0, 0)])
+        assert build_edge_operator(edgeless) == SparseIntMatrix(0, ())
+        assert zeta_edge(edgeless) == IntPolynomial.one()
 
     def test_canonical_after_reload(self, torus):
         reloaded = loads_complex(dumps_complex(torus))

@@ -174,8 +174,9 @@ class TestGradedReduction:
             three_step_operator(ball_q2, "edge")
         with pytest.raises(ValueError, match="chamber operator is undefined"):
             three_step_operator(ball_q2, "gallery")
-        with pytest.raises(ValueError, match="nonempty edge set"):
-            three_step_operator(TypedComplex([(0, 0)]), "edge")
+        edgeless = TypedComplex([(0, 0)])
+        assert three_step_operator(edgeless, "edge") == build_edge_operator(edgeless)
+        assert three_step_operator(edgeless, "edge").dim == 0
         with pytest.raises(ValueError, match="unknown kind"):
             three_step_operator(ball_q2, "chamber")
 
