@@ -48,6 +48,7 @@ from .generators import (
 )
 from .geodesics import (
     DEFAULT_ORDER,
+    _divisor_sums,
     assemble_S_series,
     closed_paths,
     enumerate_primitive_classes,
@@ -464,30 +465,16 @@ def rh(file: str, q_flag: int | None, chi: int | None, tol: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _sidecar_torus_basis(geom_path: Path) -> list | None:
+def _sidecar_torus_basis(geom_path: Path) -> tuple | None:
     """The nonsingular 2x2 integer basis of a torus sidecar, or None if it has none."""
     try:
         geom = _read_json(geom_path)
-    except ValueError:
+        if not isinstance(geom, dict) or geom.get("kind") != "torus":
+            return None
+        spec = ApartmentSpec(geom.get("basis"))
+    except ValueError:  # GenerationError included
         return None
-    if not isinstance(geom, dict) or geom.get("kind") != "torus":
-        return None
-    basis = geom.get("basis")
-    if not (isinstance(basis, list) and len(basis) == 2 and all(
-            isinstance(row, list) and len(row) == 2 and all(type(x) is int for x in row)
-            for row in basis)):
-        return None
-    (a, b), (c, d) = basis
-    return basis if a * d - b * c else None
-
-
-def _divisor_sums(P: list[int]) -> list[int]:
-    """D[m] = sum_{d | m} d P[d], the coefficients of -u d/du log prod_d (1 - u^d)^P[d]."""
-    D = [0] * len(P)
-    for d in range(1, len(P)):
-        for m in range(d, len(P), d):
-            D[m] += d * P[d]
-    return D
+    return spec.basis if spec.det else None
 
 
 def _product_matches_ratio(D: list[int], L1: list[int], L2: list[int], sign: int) -> bool:
@@ -495,7 +482,9 @@ def _product_matches_ratio(D: list[int], L1: list[int], L2: list[int], sign: int
 
     Z1, Z2 and the product have constant term 1, so they agree up to u^M
     exactly when their log-derivatives L1, L2 and D do: D[m] = [m even]
-    2 L1[m/2] - sign^m L2[m] for 1 <= m <= M.
+    2 L1[m/2] - sign^m L2[m] for 1 <= m <= M.  D is the divisor sums of P
+    (``geodesics._divisor_sums``), the log-derivative of the product, so no
+    polynomial is multiplied.
     """
     return all(D[m] == (0 if m % 2 else 2 * L1[m // 2]) - sign ** m * L2[m]
                for m in range(1, len(D)))
@@ -508,7 +497,8 @@ def run_verify(path: str, max_order: int = DEFAULT_ORDER,
 
     Every identity is an equality of integer sequences computed once per
     kind: the zeta log-derivative L, the counts (N, P) from ``closed_paths``
-    and the divisor sums D of P.  Mandatory exact checks: L = N (duality),
+    and the divisor sums D of P (``geodesics._divisor_sums``, which the
+    torus geometric oracle also reads).  Mandatory exact checks: L = N (duality),
     the primitive power structure N = D, and the primitive product equal to
     exp(-sum_m N_m u^m / m).  Both sides of the last have constant term 1
     and the product has log-derivative D, so it is the same equation N = D,

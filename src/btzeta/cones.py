@@ -44,6 +44,7 @@ outside the lattice is generated.
 
 from __future__ import annotations
 
+import cmath
 import copy
 import json
 import math
@@ -358,6 +359,7 @@ class CharacterData:
         object.__setattr__(self, "multipliers", multipliers)
 
     def value(self, v):
+        """prod m_i ** v_i; a float or complex value that is not finite raises ValueError."""
         _check_rank(self.multipliers, len(v), "the character", "multipliers")
         acc = Fraction(1) if all(isinstance(m, (int, Fraction)) for m in self.multipliers) else 1.0
         for m, e in zip(self.multipliers, v):
@@ -367,6 +369,8 @@ class CharacterData:
                     raise ValueError(f"exact power {m}**{e} exceeds the exponent cap "
                                      f"of {EXACT_POWER_CAP}")
             acc = acc * m ** int(e)
+        if not isinstance(acc, Fraction) and not cmath.isfinite(acc):
+            raise ValueError(f"the character value at {tuple(v)} overflows a float")
         return acc
 
     @staticmethod
@@ -482,8 +486,9 @@ def _character_values(character: CharacterData, points: np.ndarray) -> list:
     With +-1 multipliers the values are the ints 1 and -1.  Otherwise each
     power m_i ** e is taken once per coordinate and distinct exponent, and
     the powers are multiplied in coordinate order, as ``value`` does.  A
-    power that ``value`` refuses or that overflows sends every point through
-    ``value``, so the same error is raised.
+    power that ``value`` refuses or that overflows, or a float value that is
+    not finite, sends every point through ``value``, so the same error is
+    raised.
     """
     mults = character.multipliers
     if all(isinstance(m, (int, Fraction)) and m in (1, -1) for m in mults):
@@ -501,7 +506,8 @@ def _character_values(character: CharacterData, points: np.ndarray) -> list:
             power = {e: m ** e for e in set(row)}
             values = list(map(mul, values, map(power.__getitem__, row)))
         else:
-            return values
+            if exact or all(map(cmath.isfinite, values)):
+                return values
     except OverflowError:
         pass
     return [character.value(v) for v in points.T.tolist()]

@@ -19,6 +19,7 @@ separately and is not part of the complex itself.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -63,19 +64,31 @@ def plane_type(i: int, j: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _integer_entry(x) -> int:
+    """x as an int if it is an integer (``operator.index``) and not a bool, else TypeError."""
+    if isinstance(x, bool):
+        raise TypeError("a bool is not a basis entry")
+    return operator.index(x)
+
+
 @dataclass(frozen=True)
 class ApartmentSpec:
     """2x2 integer matrix whose columns span the quotient translation lattice.
 
     Columns are vectors in the vertex coordinates of the triangular tiling
     and must preserve the type function, i.e. each column (a, b) needs
-    a - b == 0 mod 3.
+    a - b == 0 mod 3.  A basis that is not two rows of two integers (a
+    float, a bool, a string or a non-iterable anywhere) raises
+    ``GenerationError``: no entry is rounded or coerced.
     """
 
     basis: tuple[tuple[int, int], tuple[int, int]]
 
     def __init__(self, basis):  # noqa: D107
-        rows = tuple(tuple(int(x) for x in row) for row in basis)
+        try:
+            rows = tuple(tuple(map(_integer_entry, row)) for row in basis)
+        except TypeError:
+            rows = ()
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise GenerationError("basis must be a 2x2 integer matrix")
         object.__setattr__(self, "basis", rows)

@@ -39,6 +39,14 @@ builds one ``GeodesicClass`` per class, with node representatives; only it,
 and so ``btz count``, builds class objects.  ``count_closed_paths`` is the
 unpruned count-only walk, kept as the plain oracle.
 
+The Euler product over the primitive classes and its log-derivative are
+each written once: ``product_of_primitive_counts`` multiplies the factors
+(1 - u^d)^P[d] with the one polynomial product of ``polynomials``, and
+``_divisor_sums`` turns primitive counts P into closed-path counts
+N[m] = sum_{d | m} d P[d].  The geometric oracle for apartment tori counts
+the primitive classes from plane geometry alone (``torus_primitive_counts``)
+and its closed-path counts are their divisor sums (``torus_trace_counts``).
+
 Enumeration cost grows exponentially with the order (for the rooted walk,
 with the number of prenecklaces that can still close), so the order defaults
 to 12.  The library walks any order >= 1; the cap on what a command may ask
@@ -54,7 +62,7 @@ from fractions import Fraction
 from .complexes import TypedComplex
 from .generators import POSITIVE_DIRECTIONS, ApartmentSpec
 from .operators import _check_kind, _relation_components, transitions
-from .polynomials import PowerSeriesPrefix
+from .polynomials import PowerSeriesPrefix, _cycle_factor, _sparse_product
 
 __all__ = [
     "GeodesicClass",
@@ -248,16 +256,22 @@ def product_of_primitive_counts(P: list[int], max_length: int) -> PowerSeriesPre
     P[d] is the number of primitive classes of length d, for 1 <= d <=
     max_length, as ``closed_paths`` counts it.
     """
-    acc = [1] + [0] * max_length
-    for d in range(1, max_length + 1):
-        if not P[d]:
-            continue
-        # multiply by (1 - u^d)^P[d], the sum of C(P[d], k) (-u^d)^k, in place,
-        # highest coefficient first
-        binomials = [(-1) ** k * math.comb(P[d], k) for k in range(max_length // d + 1)]
-        for m in range(max_length, d - 1, -1):
-            acc[m] += sum(binomials[k] * acc[m - k * d] for k in range(1, m // d + 1))
-    return PowerSeriesPrefix(acc, max_length)
+    return PowerSeriesPrefix(_sparse_product(
+        (_cycle_factor(d, P[d], max_length) for d in range(1, max_length + 1) if P[d]),
+        max_length), max_length)
+
+
+def _divisor_sums(P: list[int]) -> list[int]:
+    """D[m] = sum_{d | m} d P[d], the coefficients of -u d/du log prod_d (1 - u^d)^P[d].
+
+    A primitive class of length d gives d based closed paths at every
+    multiple of d, so D is the closed-path count N of the classes P counts.
+    """
+    D = [0] * len(P)
+    for d in range(1, len(P)):
+        for m in range(d, len(P), d):
+            D[m] += d * P[d]
+    return D
 
 
 def primitive_product(classes, max_length: int) -> PowerSeriesPrefix:
@@ -296,36 +310,28 @@ def _direction_period(spec: ApartmentSpec, det: int, direction: tuple[int, int])
     return math.lcm(Fraction(u, det).denominator, Fraction(v, det).denominator)
 
 
-def _torus_classes(basis, kind: str):
-    """(length, count) of the primitive classes along each positive direction:
-    det/s straight lines of its period s, resp. det/s chamber strips of 2*s crossings."""
+def torus_primitive_counts(basis, max_length: int, kind: str = "edge") -> list[int]:
+    """Primitive class counts for a torus quotient, from plane geometry alone.
+
+    Along a positive direction of period s there are |det|/s primitive
+    classes: straight lines of length s, resp. chamber strips of 2*s
+    crossings.  No transition relation is involved: this is the independent
+    geometric count.
+    """
     _check_kind(kind)
     spec = ApartmentSpec(basis)
     det = spec.det
     if det == 0:
         raise ValueError("degenerate torus basis")
+    P = [0] * (max_length + 1)
     for direction in POSITIVE_DIRECTIONS:
         s = _direction_period(spec, det, direction)
-        yield (s if kind == "edge" else 2 * s), abs(det) // s
+        length = s if kind == "edge" else 2 * s
+        if length <= max_length:
+            P[length] += abs(det) // s
+    return P
 
 
 def torus_trace_counts(basis, max_length: int, kind: str = "edge") -> list[int]:
-    """Based closed path counts for a torus quotient, from plane geometry alone.
-
-    A primitive class of length l gives l based paths at every multiple of l.
-    No transition relation is involved: this is the independent geometric count.
-    """
-    counts = [0] * (max_length + 1)
-    for length, n in _torus_classes(basis, kind):
-        for m in range(length, max_length + 1, length):
-            counts[m] += length * n
-    return counts
-
-
-def torus_primitive_counts(basis, max_length: int, kind: str = "edge") -> list[int]:
-    """Primitive class counts for a torus quotient, from plane geometry alone."""
-    P = [0] * (max_length + 1)
-    for length, n in _torus_classes(basis, kind):
-        if length <= max_length:
-            P[length] += n
-    return P
+    """Based closed path counts for a torus quotient: the divisor sums of its primitive counts."""
+    return _divisor_sums(torus_primitive_counts(basis, max_length, kind))

@@ -11,6 +11,14 @@ strongly connected components of M's nonzero pattern: each block gets one
 Hessenberg reduction modulo a Mersenne prime above twice the block's own
 Hadamard-style coefficient bound, so the balanced lift of the residues is
 provably the exact result.
+
+One routine multiplies: ``_sparse_product`` takes factors as (exponent,
+coefficient) pairs, keeps the product as {exponent: coefficient} and drops
+the terms above an optional order as they arise.  ``IntPolynomial``
+products, ``series_product``, the block product of ``char_poly_reverse``
+and the Euler products over primitive classes in ``zeta`` and
+``geodesics`` all read it; the last take each (1 - u^l)^m from
+``_cycle_factor``, its binomial expansion.
 """
 
 from __future__ import annotations
@@ -90,15 +98,7 @@ class IntPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(_sparse_product((enumerate(self.coeffs), enumerate(other.coeffs))))
 
     def scale(self, c: int) -> "IntPolynomial":
         return IntPolynomial(c * a for a in self.coeffs)
@@ -491,25 +491,38 @@ def char_poly_reverse(mat) -> IntPolynomial:
     for r, c, v in entries:
         if label[r] == label[c]:
             blocks[label[r]][local[r]][local[c]] += v
-    # the product is kept as {exponent: nonzero coefficient}: cycle blocks
-    # give sparse factors such as 1 - u^18, and so may the product
-    product = {0: 1}
-    for rows in blocks:
-        if rows != [[0]]:  # one index without a self-loop gives a factor 1
-            product = _sparse_times(product, enumerate(_char_poly_reverse_rows(rows).coeffs))
-    return IntPolynomial(product.get(k, 0) for k in range(n + 1))
+    # one index without a self-loop gives a factor 1
+    return IntPolynomial(_sparse_product(enumerate(_char_poly_reverse_rows(rows).coeffs)
+                                         for rows in blocks if rows != [[0]]))
 
 
-def _sparse_times(terms: dict[int, int], factor) -> dict[int, int]:
-    """{exponent: coefficient} terms times the (exponent, coefficient) pairs of factor.
+def _sparse_product(factors, order: int | None = None) -> list:
+    """Dense coefficients of the product of factors given as (exponent, coefficient) pairs.
 
-    Zero coefficients are skipped on input and dropped from the result."""
-    step: dict[int, int] = {}
-    for i, a in factor:
-        if a:
-            for j, b in terms.items():
-                step[i + j] = step.get(i + j, 0) + a * b
-    return {k: c for k, c in step.items() if c}
+    The product is kept as {exponent: coefficient}, so sparse factors such
+    as 1 - u^18 stay sparse.  Zero coefficients are skipped on input and
+    dropped as they arise, and so are the terms above ``order`` when it is
+    given.  The result has order + 1 coefficients, or, with no order, runs
+    to the highest exponent left (none for a zero product).
+    """
+    limit = math.inf if order is None else order
+    terms = {0: 1}
+    for factor in factors:
+        step: dict = {}
+        for i, a in factor:
+            if a:
+                for j, b in terms.items():
+                    if i + j <= limit:
+                        step[i + j] = step.get(i + j, 0) + a * b
+        terms = {k: c for k, c in step.items() if c}
+    top = max(terms, default=-1) if order is None else order
+    return [terms.get(k, 0) for k in range(top + 1)]
+
+
+def _cycle_factor(length: int, m: int, order: int | None = None) -> list[tuple[int, int]]:
+    """(exponent, coefficient) pairs of (1 - u^length)^m, expanded binomially up to u^order."""
+    top = m if order is None else min(m, order // length)
+    return [(k * length, (-1) ** k * math.comb(m, k)) for k in range(top + 1)]
 
 
 def berkowitz_char_poly_reverse(mat) -> IntPolynomial:
@@ -601,8 +614,8 @@ def series_inverse(p: IntPolynomial, order: int) -> PowerSeriesPrefix:
 
 def series_product(a: PowerSeriesPrefix, b: PowerSeriesPrefix) -> PowerSeriesPrefix:
     order = min(a.order, b.order)
-    out = [sum((a[j] * b[m - j] for j in range(m + 1)), Fraction(0)) for m in range(order + 1)]
-    return PowerSeriesPrefix(out, order)
+    return PowerSeriesPrefix(
+        _sparse_product((enumerate(a.coeffs), enumerate(b.coeffs)), order), order)
 
 
 def series_exp_neg_integral(counts: Sequence, order: int) -> PowerSeriesPrefix:

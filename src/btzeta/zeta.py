@@ -5,44 +5,41 @@ det(I - u T) of the edge and chamber operators, one factor per strongly
 connected component of the relation (see ``operators``): 1 - u^length for
 each component that is a cycle, and det(I - u^3 X) for the three-step
 operator X on the smallest type grade of all the others, so one
-characteristic polynomial per kind, 0x0 on a torus.  Both are products of
-(1 - u^length) over the primitive closed positive geodesics resp. galleries,
-which is what the duality tests in the suite check coefficient by
-coefficient.  ``ratio_of`` forms the normalized rational function
+characteristic polynomial per kind, 0x0 on a torus.  The m cycles of one
+length l give one binomial factor (1 - u^l)^m (``polynomials._cycle_factor``),
+and ``polynomials._sparse_product`` multiplies the factors.  Both zetas are
+products of (1 - u^length) over the primitive closed positive geodesics
+resp. galleries, which is what the duality tests in the suite check
+coefficient by coefficient.  ``ratio_of`` forms the normalized rational function
 chamber(-u) / edge(u^2) (sign convention switchable) from the two
 polynomials; ``ratio`` computes them from a complex first.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 from .complexes import TypedComplex
 from .operators import _relation_components, _three_step
-from .polynomials import IntPolynomial, RationalFn, _sparse_times, char_poly_reverse
+from .polynomials import (IntPolynomial, RationalFn, _cycle_factor, _sparse_product,
+                          char_poly_reverse)
 
 __all__ = ["zeta_edge", "zeta_chamber", "ratio", "ratio_of"]
 
 
 def _zeta(c: TypedComplex, kind: str) -> IntPolynomial:
-    """det(I - u T), one factor per cycle component and one for all the others.
+    """det(I - u T), one factor per cycle length and one for all the other components.
 
-    A cycle component of length l gives 1 - u^l, and the m cycles of one
-    length give (1 - u^l)^m, expanded binomially.  The other components
-    give det(I - u^3 X) for the three-step operator X on their nodes,
-    ``rest`` (0x0 when there are none).  The product is kept as {exponent: coefficient}.
+    A cycle component of length l gives 1 - u^l, so the m cycles of one
+    length give (1 - u^l)^m (``_cycle_factor``).  The other components give
+    det(I - u^3 X) for the three-step operator X on their nodes, ``rest``
+    (0x0 when there are none).
     """
     cycles, rest = _relation_components(c, kind)
     x = _three_step(c, kind, rest)
-    terms = {3 * i: a for i, a in enumerate(char_poly_reverse(x).coeffs) if a}
-    for length, m in Counter(map(len, cycles)).items():
-        terms = _sparse_times(terms, ((k * length, (-1) ** k * math.comb(m, k))
-                                      for k in range(m + 1)))
-    coeffs = [0] * (max(terms) + 1)
-    for e, a in terms.items():
-        coeffs[e] = a
-    return IntPolynomial(coeffs)
+    return IntPolynomial(_sparse_product([
+        [(3 * i, a) for i, a in enumerate(char_poly_reverse(x).coeffs)],
+        *(_cycle_factor(length, m) for length, m in Counter(map(len, cycles)).items())]))
 
 
 def zeta_edge(c: TypedComplex) -> IntPolynomial:

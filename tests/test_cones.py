@@ -818,6 +818,13 @@ class TestCharacterValues:
         assert got == value_per_point(character, points)
         assert got[0] is ValueError and "exponent cap" in got[1]
 
+    def test_value_beyond_float_range_refused(self):
+        # (0.5+0.5j)**-2 * (-3)**646 is nan-infj in complex arithmetic
+        character = CharacterData([0.5 + 0.5j, -3, 1])
+        points = [(1, 1, 1), (-2, 646, 0)]
+        assert memoized(character, points) == value_per_point(character, points) \
+            == (ValueError, "the character value at (-2, 646, 0) overflows a float")
+
     def test_unit_multipliers_have_no_cap(self):
         huge = 10**18 + 1
         character = CharacterData((Fraction(-1), Fraction(1, 2)))

@@ -79,6 +79,15 @@ class TestApartmentTorus:
         assert (counts.N0, counts.N1, counts.N2) == (12, 36, 24)
         assert euler_characteristic(skew_torus) == 0
 
+    @pytest.mark.parametrize("basis", [
+        ((6, 0), (0, 6.9)), ((6, 0), (0, 6.0)), ((True, 0), (0, 3)), ((3, 0), (0, "3")),
+        "ab", ((3, 0), 3), 3, None, ((3, 0, 0), (0, 3, 0)), ((3, 0),),
+    ], ids=["float", "integral-float", "bool", "string-entry", "string", "int-row",
+            "int", "none", "2x3", "1x2"])
+    def test_basis_entries_must_be_integers(self, basis):
+        with pytest.raises(GenerationError, match="2x2 integer matrix"):
+            ApartmentSpec(basis)
+
     def test_degenerate_basis(self):
         with pytest.raises(GenerationError, match="degenerate"):
             gen_apartment_torus(ApartmentSpec(((1, 2), (2, 4))))

@@ -25,11 +25,15 @@ from btzeta import (
     zeta_edge,
 )
 from btzeta.generators import gen_apartment_torus, gen_cycle_complex
+from btzeta.geodesics import product_of_primitive_counts
 from btzeta.polynomials import (
+    PowerSeriesPrefix,
     _char_poly_reverse_rows,
     _charpoly_mod,
     _int_rows,
+    _sparse_product,
     berkowitz_char_poly_reverse,
+    series_product,
 )
 from conftest import closed_typed_complex, disjoint_union
 
@@ -185,10 +189,8 @@ class TestGradedReduction:
            st.randoms(use_true_random=False))
     def test_zetas_are_polynomials_in_u_cubed(self, per_type, p_edge, p_chamber, rng):
         c = closed_typed_complex(rng, per_type, p_edge, p_chamber)
-        pairs = [(zeta_chamber, build_chamber_operator)]
-        if c.edges:  # the edge operator needs a nonempty edge set
-            pairs.append((zeta_edge, build_edge_operator))
-        for zeta, full in pairs:
+        for zeta, full in ((zeta_chamber, build_chamber_operator),
+                           (zeta_edge, build_edge_operator)):
             z = char_poly_reverse(full(c))
             assert all(a == 0 for k, a in enumerate(z.coeffs) if k % 3)
             assert zeta(c) == z
@@ -258,3 +260,39 @@ class TestSplitAgainstOracles:
         assert x.dim == 1458
         assert char_poly_reverse(x) == _cycle_product(x)
         assert max(dims) == 18
+
+
+def _schoolbook(a, b) -> list:
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestOneProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_product_is_the_sparse_product(self, data):
+        # _sparse_product cut at an order equals the whole product cut there
+        pair = st.tuples(st.integers(0, 12), st.integers(-5, 5))
+        factors = data.draw(st.lists(st.lists(pair, max_size=5), max_size=4))
+        order = data.draw(st.integers(0, 20))
+        whole = _sparse_product(factors)
+        assert _sparse_product(factors, order) == (whole + [0] * (order + 1))[:order + 1]
+        # IntPolynomial.__mul__ against the schoolbook product
+        a, b = (data.draw(st.lists(st.integers(-9, 9), max_size=8)) for _ in range(2))
+        assert IntPolynomial(a) * IntPolynomial(b) == IntPolynomial(_schoolbook(a, b))
+        # series_product keeps Fraction coefficients exact
+        fractions = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+        sa, sb = (data.draw(st.lists(fractions, min_size=order + 1, max_size=order + 1))
+                  for _ in range(2))
+        product = series_product(PowerSeriesPrefix(sa, order), PowerSeriesPrefix(sb, order))
+        assert list(product.coeffs) == _schoolbook(sa, sb)[:order + 1]
+        assert all(isinstance(x, (int, Fraction)) for x in product.coeffs)
+        # the zeta of disjoint cycles is the product over their lengths at full degree
+        lengths = data.draw(st.lists(st.sampled_from([3, 6, 9]), min_size=1, max_size=4))
+        degree = sum(lengths)
+        P = [lengths.count(d) for d in range(degree + 1)]
+        union = disjoint_union(*map(gen_cycle_complex, lengths))
+        assert zeta_edge(union).coeffs == product_of_primitive_counts(P, degree).coeffs
