@@ -32,12 +32,11 @@ from .complexes import (
 )
 from .cones import (
     CharacterData,
-    ConeDecomposition,
     LatticeCone,
+    _closed_form,
+    _fundamental_points,
     cone_generators,
-    cone_series_closed_form,
     evaluate_partial_sum,
-    fundamental_domain,
 )
 from .generators import (
     ApartmentSpec,
@@ -377,15 +376,14 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
     if point is not None and not all(map(math.isfinite, point)):
         raise ValueError(f"--eval coordinates must be finite, got {eval_text!r}")
     gens = cone_generators(lc)
-    fset = fundamental_domain(lc, gens)
-    deco = ConeDecomposition(generators=gens, fundamental_set=fset)
-    closed = cone_series_closed_form(lc, deco, character)
+    points = _fundamental_points(lc, gens)
+    closed = _closed_form(lc, gens, points, character)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "rank": lc.rank,
         "generators": gens,
-        "fundamental_set": fset,
-        "closed_form": None,  # spliced in as text below
+        "fundamental_set": None,  # both spliced in as text below
+        "closed_form": None,
     }
     if point is not None:
         try:
@@ -406,9 +404,14 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
         else:
             entry["partial_sum"] = "skipped (outside convergence region)"
         doc["evaluation"] = entry
-    head, tail = _canonical(doc).split('"closed_form":null', 1)
-    click.echo(f'{head}"closed_form":{closed.to_json()}{tail}', nl=False)
-    _info(f"rank {lc.rank}: |F| = {len(fset)}")
+    head, rest = _canonical(doc).split('"closed_form":null', 1)
+    middle, tail = rest.split('"fundamental_set":null', 1)
+    fset = json.dumps(points.T.tolist(), separators=(",", ":"))
+    text = f'{head}"closed_form":{closed.to_json()}{middle}"fundamental_set":{fset}{tail}'
+    size = points.shape[1]
+    del points, closed, fset  # freed before click copies the text out
+    click.echo(text, nl=False)
+    _info(f"rank {lc.rank}: |F| = {size}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,17 @@ integers (``dtype=object``) otherwise.  Character values are exact: with
 picked by a parity, and all other multipliers go through
 ``CharacterData.value``.
 
-The closed form is written out in bulk as well: ``ConeClosedForm.to_json``
-encodes each distinct coefficient once and formats the exponent rows into one
-canonical JSON text, with no dict per term, and ``evaluate`` takes each power
-u_j^e once per coordinate and distinct exponent, keeping the order of the
-plain per-term products and sum.
+F stays one (r, |F|) integer array from the lister to the output text:
+``btz cone`` reads ``_fundamental_points`` and ``_closed_form``, and
+``fundamental_domain`` and ``cone_series_closed_form`` are their tuple views.
+``ConeClosedForm`` holds its numerator as a coefficient tuple and an (n, r)
+exponent array, and ``terms`` is read off them.  ``to_json`` encodes each
+distinct coefficient once and the exponent rows as one JSON text of the
+array, with no dict per term.  ``evaluate`` reads the array one coordinate
+row at a time and takes each power u_j^e once per coordinate and distinct
+exponent, then multiplies in coordinate order from the coefficient and sums
+left to right from 0, as the plain per-term loop does, in Python arithmetic:
+float points keep the loop's bits and Fraction points stay exact.
 
 The linear algebra is exact integer elimination: one fraction-free
 Gauss-Jordan routine gives the adjugate and the determinant of a matrix.
@@ -51,8 +57,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
-from operator import add, mod, mul
+from itertools import chain, repeat
+from operator import add, mul
 
 import numpy as np
 
@@ -296,31 +302,37 @@ def _lattice_points_in_box(g, bound: int) -> np.ndarray:
     return np.array(h, dtype=dtype) @ y
 
 
-def fundamental_domain(cone: LatticeCone,
-                       generators: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Lattice points of the half-open parallelepiped spanned by the generators.
+def _fundamental_points(cone: LatticeCone, generators) -> np.ndarray:
+    """F as an (r, |F|) integer array, its columns in lexicographic order.
 
-    These are exactly the coset representatives v0 of Sigma modulo the
-    sublattice generated by a_1..a_r that lie in the open cone while every
-    v0 - a_j falls outside it.  With d = |det A| for the generator matrix A,
-    the half-open condition 0 < t <= 1 on barycentric coordinates t = A^-1 v
-    reads d A^-1 v in (0, d]^r, where d A^-1 = sign(det A) adj A.  So F is
-    the truncated cone of the functionals sign(det A) adj A at bound d on
-    the same lattice, listed by ``truncated_cone_points`` (whose box
-    estimate is exactly |F| here, checked against FUNDAMENTAL_INDEX_CAP)
-    and sorted lexicographically.
+    With d = |det A| for the generator matrix A, the half-open condition
+    0 < t <= 1 on barycentric coordinates t = A^-1 v reads d A^-1 v in
+    (0, d]^r, where d A^-1 = sign(det A) adj A.  So F is the truncated cone
+    of the functionals sign(det A) adj A at bound d on the same lattice,
+    listed by ``truncated_cone_points`` (whose box estimate is exactly |F|
+    here, checked against FUNDAMENTAL_INDEX_CAP).
     """
     r = cone.rank
     adj_a, det_a = _adjugate([[generators[j][i] for j in range(r)] for i in range(r)])
     sign = 1 if det_a > 0 else -1
     parallelepiped = cone._with_functionals(tuple(tuple(sign * x for x in row) for row in adj_a))
     _, v = truncated_cone_points(parallelepiped, abs(det_a))
-    out = tuple(map(tuple, v[:, np.lexsort(v[::-1])].T.tolist()))
     expected = abs(det_a // cone._basis_adjugate[1])
-    if len(out) != expected:
+    if v.shape[1] != expected:
         raise AssertionError(
-            f"fundamental set size {len(out)} != lattice index {expected}")
-    return out
+            f"fundamental set size {v.shape[1]} != lattice index {expected}")
+    return v[:, np.lexsort(v[::-1])]
+
+
+def fundamental_domain(cone: LatticeCone,
+                       generators: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Lattice points of the half-open parallelepiped spanned by the generators.
+
+    These are exactly the coset representatives v0 of Sigma modulo the
+    sublattice generated by a_1..a_r that lie in the open cone while every
+    v0 - a_j falls outside it, sorted lexicographically.
+    """
+    return tuple(map(tuple, _fundamental_points(cone, generators).T.tolist()))
 
 
 def decompose(cone: LatticeCone, decomposition: ConeDecomposition, v):
@@ -390,36 +402,71 @@ def _coefficient_text(x) -> str:
 _COEFFICIENT_KEYS = {("den", "num"): ("num", "den"), ("im", "re"): ("re", "im")}
 
 
-@dataclass(frozen=True)
 class ConeClosedForm:
     """Finite-sum-over-poles closed form of the cone lattice-point series.
 
     ``terms`` lists (coefficient, exponent vector) for the fundamental-set
     numerator, the exponent vectors being tuples of ints of one length;
     ``pole_factors`` lists (coefficient, k_j) for the factors
-    1/(1 - coeff * u_j^k_j), one per cone side.
+    1/(1 - coeff * u_j^k_j), one per cone side.  The numerator is held as
+    a coefficient tuple and an (n, r) exponent array, int64 or exact Python
+    integers (``dtype=object``) as ``_int_dtype`` chooses; ``terms`` is read
+    off them, and two forms are equal when their terms and pole factors are.
     """
 
-    terms: tuple
-    pole_factors: tuple
+    __slots__ = ("_coefficients", "_exponents", "pole_factors")
+
+    def __init__(self, terms=(), pole_factors=()):  # noqa: D107
+        terms = tuple(terms)
+        rows = [tuple(e) for _, e in terms]
+        magnitude = max(map(abs, chain.from_iterable(rows)), default=0)
+        exponents = np.array(rows, dtype=_int_dtype(magnitude)).reshape(
+            len(rows), len(rows[0]) if rows else len(pole_factors))
+        self._set([c for c, _ in terms], exponents, pole_factors)
+
+    @classmethod
+    def _of_arrays(cls, coefficients, exponents: np.ndarray,
+                   pole_factors) -> "ConeClosedForm":
+        """The form of n coefficients and an (n, r) integer exponent array."""
+        form = cls.__new__(cls)
+        form._set(coefficients, exponents, pole_factors)
+        return form
+
+    def _set(self, coefficients, exponents: np.ndarray, pole_factors) -> None:
+        self._coefficients = tuple(coefficients)
+        self._exponents = exponents
+        self.pole_factors = tuple(pole_factors)
+
+    @property
+    def terms(self) -> tuple:
+        return tuple(zip(self._coefficients, map(tuple, self._exponents.tolist())))
+
+    def __eq__(self, other):
+        if not isinstance(other, ConeClosedForm):
+            return NotImplemented
+        return (self.terms, self.pole_factors) == (other.terms, other.pole_factors)
+
+    def __hash__(self):
+        return hash((self.terms, self.pole_factors))
+
+    def __repr__(self):
+        return f"ConeClosedForm(terms={self.terms!r}, pole_factors={self.pole_factors!r})"
 
     def evaluate(self, u):
         """The closed form at u, with the arithmetic of the plain per-term sum.
 
-        Each power u_j^e is taken once per coordinate and distinct exponent;
-        each numerator term is then coeff * u_1^e_1 * u_2^e_2 * ... in that
-        order, and the terms are added left to right from 0, so a float point
-        gives the bits of the plain loop and a Fraction point stays exact.
+        Each power u_j^e is taken once per coordinate and distinct exponent,
+        reading the exponent array one coordinate row at a time; each
+        numerator term is then coeff * u_1^e_1 * u_2^e_2 * ... in that order,
+        and the terms are added left to right from 0, so a float point gives
+        the bits of the plain loop and a Fraction point stays exact.
         """
         _check_rank(u, len(self.pole_factors), "the evaluation point", "coordinates")
-        num = 0
-        if self.terms:
-            coeffs, exps = zip(*self.terms)
-            monos = coeffs
-            for uj, col in zip(u, zip(*exps)):
-                power = {e: uj ** e for e in set(col)}
-                monos = map(mul, monos, map(power.__getitem__, col))
-            num = reduce(add, monos, num)
+        monos = self._coefficients
+        for uj, col in zip(u, self._exponents.T.tolist()):
+            power = {e: uj ** e for e in set(col)}
+            monos = map(mul, monos, map(power.__getitem__, col))
+        num = reduce(add, monos, 0)
         den = 1
         for j, (coeff, k) in enumerate(self.pole_factors):
             factor = 1 - coeff * u[j] ** k
@@ -440,14 +487,16 @@ class ConeClosedForm:
         A term reads {"coeff": c, "exponents": [...]} and a pole factor
         {"coeff": c, "power": k}; an int coefficient encodes like the equal
         Fraction, as {"num": ..., "den": ...}, and a complex one as
-        {"re": ..., "im": ...}.  Each distinct coefficient is encoded once and
-        the exponent rows are written by one format string.
+        {"re": ..., "im": ...}.  Each distinct coefficient is encoded once,
+        the exponent rows are one JSON text of the exponent array, and each
+        term is its coefficient's prefix joined to its row.
         """
         poles = ",".join('{"coeff":%s,"power":%s}' % (_coefficient_text(c), k)
                          for c, k in self.pole_factors)
         terms = ""
-        if self.terms:
-            coeffs, exps = zip(*self.terms)
+        coeffs = self._coefficients
+        if coeffs:
+            rows = json.dumps(self._exponents.tolist(), separators=(",", ":"))[2:-2].split("],[")
             # ints alone, or Fractions alone, encode by value (a Fraction keyed
             # by its (numerator, denominator), which hashes in C); otherwise
             # equal values can encode differently (1, 1.0 and True; 0.0 and -0.0)
@@ -458,11 +507,12 @@ class ConeClosedForm:
                 keys = list(map(Fraction.as_integer_ratio, coeffs))
             else:
                 keys = list(zip(map(type, coeffs), map(repr, coeffs)))
-            row = ",".join(["%s"] * len(exps[0]))
-            template = {key: '{"coeff":%s,"exponents":[%s]}' % (
-                _coefficient_text(c), row)
-                for key, c in dict(zip(keys, coeffs)).items()}
-            terms = ",".join(map(mod, map(template.__getitem__, keys), exps))
+            prefix = {key: '{"coeff":%s,"exponents":[' % _coefficient_text(c)
+                      for key, c in dict(zip(keys, coeffs)).items()}
+            # a term is its prefix, its row and "]}", with "," between terms;
+            # joining the three streams builds no string per term
+            ends = chain(repeat("]},", len(rows) - 1), ("]}",))
+            terms = "".join(chain.from_iterable(zip(map(prefix.__getitem__, keys), rows, ends)))
         return f'{{"pole_factors":[{poles}],"terms":[{terms}]}}'
 
     def to_json_dict(self) -> dict:
@@ -501,7 +551,7 @@ def _character_values(character: CharacterData, points: np.ndarray) -> list:
         for m, row in zip(mults, points.tolist()):
             if isinstance(m, (int, Fraction)):
                 m = Fraction(m)
-                if abs(m) != 1 and max(map(abs, row)) > EXACT_POWER_CAP:
+                if abs(m) != 1 and max(map(abs, row), default=0) > EXACT_POWER_CAP:
                     break
             power = {e: m ** e for e in set(row)}
             values = list(map(mul, values, map(power.__getitem__, row)))
@@ -513,6 +563,25 @@ def _character_values(character: CharacterData, points: np.ndarray) -> list:
     return [character.value(v) for v in points.T.tolist()]
 
 
+def _closed_form(cone: LatticeCone, generators, points: np.ndarray,
+                 character: CharacterData | None) -> ConeClosedForm:
+    """``cone_series_closed_form`` of F given as an (r, |F|) integer array."""
+    if character is None:
+        character = CharacterData.trivial(cone.rank)
+    _check_rank(character.multipliers, cone.rank, "the character", "multipliers")
+    r = cone.rank
+    max_f = max(abs(x) for f in cone.functionals for x in f)
+    # F lies in the parallelepiped of the generators: |v_i| <= sum_j |a_j,i|
+    max_v = max(sum(abs(a[i]) for a in generators) for i in range(r))
+    dtype = _int_dtype(max_f * max_v * r)
+    points = points.astype(dtype, copy=False)
+    alphas = np.array(cone.functionals, dtype=dtype) @ points
+    coefficients = _character_values(character, points)
+    poles = zip(_character_values(character, np.array(generators, dtype=object).T),
+                (cone.alpha(j, a) for j, a in enumerate(generators)))
+    return ConeClosedForm._of_arrays(coefficients, alphas.T, poles)
+
+
 def cone_series_closed_form(cone: LatticeCone, decomposition: ConeDecomposition,
                             character: CharacterData | None = None) -> ConeClosedForm:
     """Exact closed form of sum over cone lattice points of chi(v) u^alpha(v).
@@ -521,22 +590,9 @@ def cone_series_closed_form(cone: LatticeCone, decomposition: ConeDecomposition,
     fundamental point plus generator multiples factors the series into a
     finite numerator and r geometric pole factors.
     """
-    if character is None:
-        character = CharacterData.trivial(cone.rank)
-    _check_rank(character.multipliers, cone.rank, "the character", "multipliers")
-    r, fset = cone.rank, decomposition.fundamental_set
-    max_f = max(abs(x) for f in cone.functionals for x in f)
-    # F lies in the parallelepiped of the generators: |v_i| <= sum_j |a_j,i|
-    max_v = max(sum(abs(a[i]) for a in decomposition.generators) for i in range(r))
-    dtype = _int_dtype(max_f * max_v * r)
-    points = np.fromiter(chain.from_iterable(fset), dtype, len(fset) * r).reshape(-1, r).T
-    alphas = np.array(cone.functionals, dtype=dtype) @ points
-    terms = tuple(zip(_character_values(character, points), zip(*alphas.tolist())))
-    poles = tuple(
-        (character.value(a), cone.alpha(j, a))
-        for j, a in enumerate(decomposition.generators)
-    )
-    return ConeClosedForm(terms=terms, pole_factors=poles)
+    fset = decomposition.fundamental_set
+    points = np.array(fset, dtype=object).reshape(len(fset), cone.rank).T
+    return _closed_form(cone, decomposition.generators, points, character)
 
 
 def truncated_cone_points(cone: LatticeCone, bound: int):

@@ -4,11 +4,12 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 import pytest
 import sympy
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -25,11 +26,14 @@ from btzeta import (
     evaluate_partial_sum,
     fundamental_domain,
 )
+from btzeta.cli import SCHEMA_VERSION, main
 from btzeta.cones import (
     EXACT_POWER_CAP,
     FUNDAMENTAL_INDEX_CAP,
     _adjugate,
     _character_values,
+    _closed_form,
+    _fundamental_points,
     _lower_hermite_form,
     _mat_vec,
     _mat_vec_row,
@@ -765,6 +769,143 @@ class TestBulkEncodeAndEvaluate:
         assert outcome(per_term_value, closed, u) is error
         with pytest.raises(error):
             closed.evaluate(u)
+
+
+# -- btz cone's array path against the public tuple API --
+
+
+# the 2^61-scaled cone of test_closed_form_beyond_int64, whose exponents pass int64
+SCALED = LatticeCone(((2, 1, 0), (-1, 3, 1), (0, -2, 5)),
+                     tuple(tuple(2 ** 61 * x for x in row)
+                           for row in ((1, 1, 0), (0, 1, 0), (0, 1, 2))))
+WIDE_POINTS = LatticeCone(((1, 0), (10**18, 1)))
+
+
+def cone_args(cone, mults, point) -> list[str]:
+    """``btz cone`` arguments for a cone, CLI character multipliers and a point."""
+    args = ["cone", "--functionals", ";".join(",".join(map(str, f)) for f in cone.functionals),
+            "--lattice", ";".join(",".join(map(str, c)) for c in cone.basis_columns),
+            "--eval", ",".join(map(repr, point))]
+    return args + ["--char", ",".join(map(str, mults))] if mults else args
+
+
+def tuple_api_document(cone, mults, point, oracle_bound=60) -> str | None:
+    """``btz cone``'s stdout assembled from the tuple API, or None where it exits 2."""
+    character = CharacterData(Fraction(m) for m in mults) if mults \
+        else CharacterData.trivial(cone.rank)
+    gens = cone_generators(cone)
+    fset = fundamental_domain(cone, gens)
+    closed = cone_series_closed_form(cone, ConeDecomposition(gens, fset), character)
+    closed_doc = per_term_json_dict(closed)
+    assert closed.to_json() == canonical(closed_doc)
+    converges = closed.converges_at(point)
+    try:
+        value = per_term_value(closed, point)
+        value = float(value) if isinstance(value, Fraction) else complex(value).real
+        entry = {"point": list(point), "closed_form_value": value, "converges": converges,
+                 "partial_sum": "skipped (outside convergence region)"}
+        if converges:
+            oracle = evaluate_partial_sum(cone, character, point, oracle_bound)
+            entry["partial_sum"] = oracle
+            entry["relative_error"] = abs(value - oracle) / max(abs(value), 1e-300)
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return None
+    if not math.isfinite(value):
+        return None
+    return canonical({"schema_version": SCHEMA_VERSION, "rank": cone.rank,
+                      "generators": gens, "fundamental_set": fset,
+                      "closed_form": closed_doc, "evaluation": entry}) + "\n"
+
+
+CLI_MULTIPLIERS = st.sampled_from([1, -1, Fraction(1, 2), 2, Fraction(-1, 3), Fraction(3, 2)])
+
+
+class TestCliArrayPath:
+    """``btz cone`` keeps F and the closed form as arrays; its text is the tuple API's."""
+
+    def check(self, cone, mults, point):
+        result = CliRunner().invoke(main, cone_args(cone, mults, point))
+        expected = tuple_api_document(cone, mults, point)
+        if expected is None:
+            assert result.exit_code == 2, result.output
+        else:
+            assert result.exit_code == 0, result.output
+            assert result.stdout == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_stdout_is_the_tuple_api_document(self, data):
+        cone = data.draw(lattice_cones())
+        mults = data.draw(st.none() | st.lists(CLI_MULTIPLIERS, min_size=cone.rank,
+                                               max_size=cone.rank))
+        point = data.draw(st.lists(st.floats(0.05, 0.6), min_size=cone.rank,
+                                   max_size=cone.rank))
+        self.check(cone, mults, point)
+
+    @pytest.mark.parametrize("cone, mults, point", [
+        (SCALED, None, (0.2, 0.3, 0.25)),
+        (SCALED, (-1, 1, -1), (0.2, 0.3, 0.25)),
+        (WIDE_POINTS, (1, -1), (0.3, 0.3)),
+    ], ids=["scaled", "scaled-sign", "wide-points"])
+    def test_object_exponents(self, cone, mults, point):
+        gens = cone_generators(cone)
+        closed = _closed_form(cone, gens, _fundamental_points(cone, gens), None)
+        assert closed._exponents.dtype == object
+        self.check(cone, mults, point)
+
+    def test_outside_convergence_region(self):
+        cone = LatticeCone(((1, 0), (-1, 2)))
+        self.check(cone, (Fraction(1, 2), 2), (1.5, 0.3))
+        assert '"partial_sum":"skipped (outside convergence region)"' in tuple_api_document(
+            cone, (Fraction(1, 2), 2), (1.5, 0.3))
+
+
+class TestOneClosedFormTwoConstructors:
+    """``ConeClosedForm(terms=...)`` and ``_closed_form`` build one form."""
+
+    def check(self, built, data):
+        by_terms = ConeClosedForm(terms=built.terms, pole_factors=built.pole_factors)
+        assert by_terms == built and by_terms.terms == built.terms
+        assert hash(by_terms) == hash(built)
+        assert by_terms.to_json() == built.to_json()
+        rank = len(built.pole_factors)
+        # an exact power u^e with e near 2^61 would not finish
+        exact = max(map(abs, chain.from_iterable(e for _, e in built.terms)), default=0) < 10**4
+        for kind in sorted(POINTS) if exact else ("complex", "float"):
+            u = tuple(data.draw(st.lists(POINTS[kind], min_size=rank, max_size=rank)))
+            assert outcome(ConeClosedForm.evaluate, by_terms, u) \
+                == outcome(ConeClosedForm.evaluate, built, u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_cone_closed_forms(self, data):
+        cone = data.draw(lattice_cones())
+        gens = cone_generators(cone)
+        built = _closed_form(cone, gens, _fundamental_points(cone, gens),
+                             data.draw(characters(cone.rank)))
+        self.check(built, data)
+
+    @pytest.mark.parametrize("cone, character", [
+        (LatticeCone(((3,),)), CharacterData((Fraction(-1, 2),))),
+        (LatticeCone(((-2,),), ((5,),)), None),
+        (SCALED, None),
+        (SCALED, CharacterData((-1, 1, Fraction(-1)))),
+    ], ids=["rank-1", "rank-1-sublattice", "beyond-int64", "beyond-int64-sign"])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_fixed_cones(self, cone, character, data):
+        gens = cone_generators(cone)
+        self.check(_closed_form(cone, gens, _fundamental_points(cone, gens), character), data)
+
+    @pytest.mark.parametrize("character", [None, CharacterData((Fraction(1, 2), 3))],
+                             ids=["trivial", "rational"])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_no_terms(self, character, data):
+        cone = LatticeCone(((1, 0), (-1, 2)))
+        built = _closed_form(cone, cone_generators(cone), np.zeros((2, 0), np.int64), character)
+        assert built.terms == ()
+        self.check(built, data)
 
 
 # -- the closed form's character values against CharacterData.value per point --
