@@ -358,6 +358,14 @@ def decompose(cone: LatticeCone, decomposition: ConeDecomposition, v):
     return v0, ks
 
 
+def _exact_power(m, e) -> Fraction:
+    """Fraction(m) ** e; beyond the exponent cap (for |m| != 1) it raises ValueError."""
+    m = Fraction(m)
+    if abs(e) > EXACT_POWER_CAP and abs(m) != 1:
+        raise ValueError(f"exact power {m}**{e} exceeds the exponent cap of {EXACT_POWER_CAP}")
+    return m ** int(e)
+
+
 @dataclass(frozen=True)
 class CharacterData:
     """Multiplier vector m: the character acts by v -> prod m_i ** v_i."""
@@ -371,19 +379,46 @@ class CharacterData:
         object.__setattr__(self, "multipliers", multipliers)
 
     def value(self, v):
-        """prod m_i ** v_i; a float or complex value that is not finite raises ValueError."""
+        """prod m_i ** v_i; a float or complex value that is not finite raises ValueError.
+
+        The powers multiply in coordinate order.  When that float or complex
+        product overflows on the way, the value is taken again exactly
+        (``_rounded_value``), so only a value beyond float range raises.
+        """
         _check_rank(self.multipliers, len(v), "the character", "multipliers")
         acc = Fraction(1) if all(isinstance(m, (int, Fraction)) for m in self.multipliers) else 1.0
-        for m, e in zip(self.multipliers, v):
-            if isinstance(m, (int, Fraction)):
-                m = Fraction(m)
-                if abs(e) > EXACT_POWER_CAP and abs(m) != 1:
-                    raise ValueError(f"exact power {m}**{e} exceeds the exponent cap "
-                                     f"of {EXACT_POWER_CAP}")
-            acc = acc * m ** int(e)
+        try:
+            for m, e in zip(self.multipliers, v):
+                acc = acc * (_exact_power(m, e) if isinstance(m, (int, Fraction)) else m ** int(e))
+        except OverflowError:
+            return self._rounded_value(v)
         if not isinstance(acc, Fraction) and not cmath.isfinite(acc):
-            raise ValueError(f"the character value at {tuple(v)} overflows a float")
+            return self._rounded_value(v)
         return acc
+
+    def _rounded_value(self, v):
+        """``value`` with the powers of the real multipliers multiplied exactly, then rounded.
+
+        Floats enter as the Fractions they equal, so the real product is
+        exact and is rounded once; complex multipliers' powers stay complex
+        floats, and their product's parts are scaled exactly.  A value that
+        is still not finite raises ValueError, and so does a real power
+        beyond the exponent cap.
+        """
+        real, unit = Fraction(1), None
+        try:
+            for m, e in zip(self.multipliers, v):
+                if isinstance(m, complex):
+                    unit = m ** int(e) if unit is None else unit * m ** int(e)
+                else:
+                    real *= _exact_power(m, e)
+            value = float(real) if unit is None else complex(
+                float(real * Fraction(unit.real)), float(real * Fraction(unit.imag)))
+        except OverflowError:  # a float beyond range, or an infinite multiplier
+            value = math.inf
+        if not cmath.isfinite(value):
+            raise ValueError(f"the character value at {tuple(v)} overflows a float")
+        return value
 
     @staticmethod
     def trivial(rank: int) -> "CharacterData":
@@ -537,8 +572,8 @@ def _character_values(character: CharacterData, points: np.ndarray) -> list:
     power m_i ** e is taken once per coordinate and distinct exponent, and
     the powers are multiplied in coordinate order, as ``value`` does.  A
     power that ``value`` refuses or that overflows, or a float value that is
-    not finite, sends every point through ``value``, so the same error is
-    raised.
+    not finite, sends every point through ``value``, which retakes such a
+    value exactly or raises the same error.
     """
     mults = character.multipliers
     if all(isinstance(m, (int, Fraction)) and m in (1, -1) for m in mults):

@@ -1,16 +1,21 @@
 """Exact integer polynomial and power-series layer.
 
 Everything here is exact: coefficients are Python ints, never floats, and
-divisions of integer polynomials are integer long divisions.  Fractions
-enter only where a result can be non-integral: the log-derivative of a
-polynomial whose constant term is not +-1 (zetas and primitive products
-have constant term 1, so theirs stay in ints), ``series_exp_neg_integral``,
-``series_product`` and the values of a RationalFn.  Reverse characteristic
-polynomials ``det(I - u*M)`` of integer matrices are products over the
-strongly connected components of M's nonzero pattern: each block gets one
-Hessenberg reduction modulo a Mersenne prime above twice the block's own
-Hadamard-style coefficient bound, so the balanced lift of the residues is
-provably the exact result.
+divisions of integer polynomials are integer long divisions.  The one use
+of floats is for residues: the dense charpoly kernel holds integers modulo
+primes below 2^22 in float64, where every sum it forms stays below 2^53 and
+is therefore exact.  Fractions enter only where a result can be
+non-integral: the log-derivative of a polynomial whose constant term is not
++-1 (zetas and primitive products have constant term 1, so theirs stay in
+ints), ``series_exp_neg_integral``, ``series_product`` and the values of a
+RationalFn.  Reverse characteristic polynomials ``det(I - u*M)`` of integer
+matrices are products over the strongly connected components of M's
+nonzero pattern, and each block's coefficients are bounded by a
+Hadamard-style bound.  A block with many nonzeros below its subdiagonal
+gets the traces of its powers modulo a few word-size primes (batched BLAS
+products), Newton's identities and one CRT; any other block gets one
+Hessenberg reduction modulo a Mersenne prime above twice its bound.  Either
+way the balanced lift of the residues is provably the exact result.
 
 One routine multiplies: ``_sparse_product`` takes factors as (exponent,
 coefficient) pairs, keeps the product as {exponent: coefficient} and drops
@@ -28,6 +33,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "IntPolynomial",
@@ -307,6 +314,28 @@ def _normalize_number(c):
 # Lucas-Lehmer in the tests); on Python ints a smaller modulus saves nothing.
 _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
+# The dense kernel's primes: the 202 largest primes below 2^22, 2^22 - d for
+# these d, largest first (checked in the tests).  With n <= _DENSE_MAX_DIM
+# every float64 sum of n products of residues stays below 2^53, hence exact,
+# and p > n lets Newton's identities divide by every m <= n.  Their product
+# exceeds 2^4423, so they cover every bound the Mersenne table covers.
+_WORD_PRIMES = tuple((1 << 22) - d for d in (
+    3, 17, 27, 33, 57, 87, 105, 113, 117, 123, 131, 137, 161, 167, 173, 197, 201, 281,
+    293, 297, 327, 333, 341, 347, 365, 375, 395, 435, 497, 501, 503, 515, 545, 551, 561,
+    603, 641, 671, 731, 735, 753, 755, 773, 791, 797, 845, 857, 861, 887, 893, 911, 915,
+    923, 927, 935, 945, 951, 977, 995, 1001, 1007, 1025, 1035, 1041, 1053, 1055, 1065,
+    1083, 1095, 1113, 1133, 1155, 1163, 1173, 1191, 1215, 1217, 1253, 1263, 1265, 1307,
+    1317, 1341, 1361, 1385, 1431, 1433, 1443, 1463, 1515, 1545, 1547, 1551, 1595, 1607,
+    1637, 1667, 1677, 1691, 1697, 1701, 1733, 1737, 1743, 1751, 1757, 1785, 1793, 1805,
+    1811, 1827, 1875, 1877, 1893, 1901, 1905, 1923, 1943, 1953, 1961, 1965, 2003, 2015,
+    2021, 2027, 2031, 2033, 2037, 2043, 2073, 2075, 2085, 2115, 2135, 2141, 2147, 2175,
+    2183, 2211, 2213, 2217, 2231, 2253, 2265, 2271, 2283, 2297, 2313, 2321, 2331, 2351,
+    2355, 2357, 2373, 2385, 2397, 2411, 2447, 2475, 2507, 2511, 2517, 2541, 2547, 2565,
+    2595, 2603, 2625, 2645, 2663, 2681, 2691, 2705, 2723, 2741, 2775, 2777, 2783, 2813,
+    2817, 2841, 2843, 2861, 2877, 2901, 2913, 2931, 2951, 2955, 2967, 2975, 2993, 3045,
+    3071, 3077, 3087, 3111, 3123, 3125, 3147, 3153, 3167))
+_DENSE_MAX_DIM = 512
+
 
 def _int_rows(mat) -> list[list[int]]:
     """Rows of a square matrix, dense or a ``SparseIntMatrix``'s triplets, in Python ints.
@@ -437,31 +466,135 @@ def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
+def _bound_bits(rows: list[list[int]]) -> int:
+    """bits such that every coefficient of det(xI - M) is below 2^bits in absolute value.
+
+    bits = n + ceil(n * ceil(log2 r) / 2) with r the largest squared row norm
+    (Hadamard: the k-th coefficient is at most C(n, k) * sqrt(r)^k).  A bound
+    that needs a modulus beyond the largest tabulated Mersenne prime raises
+    ValueError; the word primes cover the same range.
+    """
+    n = len(rows)
+    log_norm = (max(max(sum(x * x for x in row) for row in rows), 1) - 1).bit_length()
+    bits = n + (n * log_norm + 1) // 2
+    if bits + 2 > _MERSENNE_EXPONENTS[-1]:
+        raise ValueError(
+            f"coefficient bound 2^{bits} needs a prime above 2^{bits + 1}; the largest "
+            f"tabulated Mersenne prime is 2^{_MERSENNE_EXPONENTS[-1]} - 1")
+    return bits
+
+
+def _balanced_lift(residues: Iterable[int], modulus: int) -> list[int]:
+    """The representatives in (-modulus/2, modulus/2].
+
+    They are the exact values of integers below 2^bits in absolute value
+    when modulus > 2^(bits + 1).
+    """
+    half = modulus // 2
+    return [c - modulus if c > half else c for c in residues]
+
+
 def _char_poly_reverse_rows(rows: list[list[int]]) -> IntPolynomial:
     """Exact det(I - u*M) for dense integer rows by one Hessenberg pass.
 
-    Every coefficient of det(xI - M) is below 2^bits in absolute value, with
-    bits = n + ceil(n * ceil(log2 r) / 2) and r the largest squared row norm
-    (Hadamard: the k-th coefficient is at most C(n, k) * sqrt(r)^k).  One
-    Hessenberg pass modulo the smallest tabulated Mersenne prime above
-    2^(bits + 1) and the balanced lift recover the coefficients exactly.  A
-    bound beyond the largest tabulated prime raises ValueError.
+    One Hessenberg pass modulo the smallest tabulated Mersenne prime above
+    2^(bits + 1), with bits from ``_bound_bits``, and the balanced lift
+    recover the coefficients exactly.
     """
     n = len(rows)
     if n == 0:
         return IntPolynomial.one()
-    log_norm = (max(max(sum(x * x for x in row) for row in rows), 1) - 1).bit_length()
-    bits = n + (n * log_norm + 1) // 2
-    e = next((e for e in _MERSENNE_EXPONENTS if e >= bits + 2), None)
-    if e is None:
-        raise ValueError(
-            f"coefficient bound 2^{bits} needs a prime above 2^{bits + 1}; the largest "
-            f"tabulated Mersenne prime is 2^{_MERSENNE_EXPONENTS[-1]} - 1")
-    p = (1 << e) - 1
-    half = p // 2
-    charpoly = [c - p if c > half else c for c in _charpoly_mod(rows, p)]
+    bits = _bound_bits(rows)
+    p = (1 << next(e for e in _MERSENNE_EXPONENTS if e >= bits + 2)) - 1
     # det(I - uM) = u^n * charpoly_M(1/u): reverse the coefficient order
-    return IntPolynomial(reversed(charpoly))
+    return IntPolynomial(reversed(_balanced_lift(_charpoly_mod(rows, p), p)))
+
+
+def _reduce(x: np.ndarray, q: np.ndarray, qinv: np.ndarray) -> np.ndarray:
+    """x minus its nearest multiple of q, in place, for integral float64 x with |x| < 2^52.
+
+    For q < 2^22, x * qinv is within 2^-22 of x/q, so the rounded quotient f
+    is the integer nearest to x/q or its neighbour across a half:
+    |x - f q| < q/2 + 1.  f q and the difference are integers below 2^53,
+    hence exact.
+    """
+    t = x * qinv
+    np.rint(t, out=t)
+    t *= q
+    x -= t
+    return x
+
+
+def _power_traces(m: np.ndarray, q: np.ndarray, s: int) -> np.ndarray:
+    """tr(M^j) mod q for j = 0..n, one row per (n, n) residue matrix of the (g, n, n) stack m.
+
+    Baby steps M^0..M^(s-1) and giant steps G^j with G = M^s, for some
+    2 <= s about sqrt(n), take about 2 sqrt(n) batched products, and
+    tr(M^(js+i)) pairs G^j with M^i in O(n^2).  Every matrix is kept in
+    balanced residues, |x| < q/2 + 1, so each float64 sum of n <= 512
+    products stays below 2^52 and is exact.
+    """
+    g, n = len(m), m.shape[1]
+    qq = q[:, None, None]
+    qinv = 1 / qq
+    babies = np.empty((g, s, n, n))
+    babies[:, 0] = np.eye(n)
+    babies[:, 1] = m = _reduce(m, qq, qinv)
+    for i in range(2, s):
+        _reduce(np.matmul(babies[:, i - 1], m, out=babies[:, i]), qq, qinv)
+    step = _reduce(babies[:, s - 1] @ m, qq, qinv)
+    giant, product = babies[:, 0], np.empty((g, n, n))
+    traces = []
+    for j in range(n // s + 1):
+        if j:
+            giant = _reduce(np.matmul(giant, step, out=product), qq, qinv) if j > 1 else step
+        # tr(G^j M^i) = sum_a sum_b G^j[a, b] M^i[b, a]: each inner sum of n
+        # products is below 2^52, and their sum over a below 2^61 in int64
+        traces.append(np.einsum("gab,gsba->gsa", giant, babies).astype(np.int64).sum(axis=2))
+    return np.concatenate(traces, axis=1)[:, :n + 1] % q.astype(np.int64)[:, None]
+
+
+def _char_poly_reverse_dense(rows: list[list[int]]) -> IntPolynomial:
+    """Exact det(I - u*M) for dense integer rows from tr(M^m) modulo word primes.
+
+    The first k word primes whose product Q exceeds 2^(bits + 1), bits from
+    ``_bound_bits``, reduce M exactly (on int64, or on Python ints beyond
+    it).  For each prime the traces p_m = tr(M^m), m = 1..n, come from
+    batched float64 products (``_power_traces``); one CRT takes them modulo
+    Q, where Newton's identities m c_m = -(p_1 c_(m-1) + ... + p_m c_0) give
+    the coefficients c_m of det(I - uM) = sum c_m u^m (every prime exceeds
+    n, so m is invertible), and the balanced lift makes them exact.  The
+    primes go through in groups of max(1, k // s), s = isqrt(n) + 1, so the
+    stacks of s baby steps hold at most max(k, s) matrices at a time.  Needs
+    n <= _DENSE_MAX_DIM.
+    """
+    n = len(rows)
+    if n == 0:
+        return IntPolynomial.one()
+    bits = _bound_bits(rows)
+    modulus, k = 1, 0
+    while modulus >> (bits + 1) == 0:
+        modulus *= _WORD_PRIMES[k]
+        k += 1
+    primes = _WORD_PRIMES[:k]
+    try:
+        exact = np.array(rows, dtype=np.int64)
+    except OverflowError:  # entries beyond int64 stay Python ints
+        exact = np.array(rows, dtype=object)
+    s = math.isqrt(n) + 1
+    group = max(1, k // s)
+    traces = np.concatenate([
+        _power_traces(np.array([exact % p for p in primes[lo:lo + group]], dtype=np.float64),
+                      np.array(primes[lo:lo + group], dtype=np.float64), s)
+        for lo in range(0, k, group)]).T
+    # one CRT: each trace modulo Q
+    weights = [modulus // p * pow(modulus // p % p, -1, p) for p in primes]
+    power_sums = [sum(map(operator.mul, row, weights)) % modulus for row in traces.tolist()]
+    coeffs = [1]
+    for m in range(1, n + 1):
+        acc = sum(map(operator.mul, power_sums[1:m + 1], reversed(coeffs)))
+        coeffs.append(-acc * pow(m, -1, modulus) % modulus)
+    return IntPolynomial(_balanced_lift(coeffs, modulus))
 
 
 def char_poly_reverse(mat) -> IntPolynomial:
@@ -473,10 +606,16 @@ def char_poly_reverse(mat) -> IntPolynomial:
     nonzero pattern, in topological order, makes M block triangular, so
     det(I - u*M) is the product of det(I - u*M_C) over the diagonal blocks
     M_C.  A component of one index without a self-loop contributes 1; every
-    other block gets its own Hadamard bound, the smallest tabulated Mersenne
-    prime above twice it, one Hessenberg pass and the balanced lift
-    (``_char_poly_reverse_rows``).  A block whose bound is beyond the largest
-    tabulated prime raises ValueError.
+    other block gets its own Hadamard bound and one of two exact kernels,
+    which share that bound and the balanced lift.  A block of dimension
+    n <= _DENSE_MAX_DIM with more than max(4, n/32) nonzeros below the
+    subdiagonal, in the component's own (Tarjan) order, goes to the
+    word-prime trace kernel (``_char_poly_reverse_dense``).  Every other
+    block goes to one Hessenberg pass modulo the smallest tabulated Mersenne
+    prime above twice its bound (``_char_poly_reverse_rows``): near-cycles,
+    whose Hessenberg form is almost there, and small blocks (one of
+    dimension 4 has at most three nonzeros below the subdiagonal).  A block
+    whose bound is beyond the largest tabulated prime raises ValueError.
     """
     n, entries = _triplets(mat)
     succ: list[list[int]] = [[] for _ in range(n)]
@@ -488,12 +627,19 @@ def char_poly_reverse(mat) -> IntPolynomial:
         for i, v in enumerate(members):
             label[v], local[v] = c, i
     blocks = [[[0] * len(members) for _ in members] for members in components]
+    below = [0] * len(components)
     for r, c, v in entries:
         if label[r] == label[c]:
             blocks[label[r]][local[r]][local[c]] += v
-    # one index without a self-loop gives a factor 1
-    return IntPolynomial(_sparse_product(enumerate(_char_poly_reverse_rows(rows).coeffs)
-                                         for rows in blocks if rows != [[0]]))
+            below[label[r]] += local[r] > local[c] + 1
+    factors = []
+    for rows, low in zip(blocks, below):
+        if rows == [[0]]:  # one index without a self-loop gives a factor 1
+            continue
+        dense = low > max(4, len(rows) / 32) and len(rows) <= _DENSE_MAX_DIM
+        kernel = _char_poly_reverse_dense if dense else _char_poly_reverse_rows
+        factors.append(enumerate(kernel(rows).coeffs))
+    return IntPolynomial(_sparse_product(factors))
 
 
 def _sparse_product(factors, order: int | None = None) -> list:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import sympy
 from click.testing import CliRunner
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from btzeta import (
@@ -745,12 +745,19 @@ class TestBulkEncodeAndEvaluate:
 
     @pytest.mark.parametrize("kind", sorted(POINTS))
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_value_is_the_per_term_loop(self, kind, data):
-        cone = data.draw(lattice_cones())
-        closed = cone_series_closed_form(cone, make_decomposition(cone),
-                                         data.draw(characters(cone.rank)))
-        u = tuple(data.draw(st.lists(POINTS[kind], min_size=cone.rank, max_size=cone.rank)))
+    @given(case=lattice_cones().flatmap(lambda c: st.tuples(st.just(c), characters(c.rank))),
+           points=st.fixed_dictionaries({name: st.lists(values, min_size=3, max_size=3)
+                                         for name, values in POINTS.items()}))
+    # a float times an exact power beyond float range, on the way to finite values
+    @example(case=(LatticeCone(((1, 0, 0), (-3, 1, 3), (-3, -3, -4)),
+                               ((3, 0, 0), (0, 3, -1), (0, 1, 3))),
+                   CharacterData((1, Fraction(-1, 3), 0.5))),
+             points={"float": [0.5, -0.25, 0.75], "fraction": [Fraction(1, 2)] * 3,
+                     "complex": [0.5j, 0.25, -0.5]})
+    def test_value_is_the_per_term_loop(self, kind, case, points):
+        cone, character = case
+        closed = cone_series_closed_form(cone, make_decomposition(cone), character)
+        u = tuple(points[kind][:cone.rank])
         expected = outcome(per_term_value, closed, u)
         assert outcome(ConeClosedForm.evaluate, closed, u) == expected
         if kind == "fraction" and all(isinstance(c, (int, Fraction)) for c, _ in closed.terms) \
@@ -965,6 +972,21 @@ class TestCharacterValues:
         points = [(1, 1, 1), (-2, 646, 0)]
         assert memoized(character, points) == value_per_point(character, points) \
             == (ValueError, "the character value at (-2, 646, 0) overflows a float")
+
+    def test_overflow_on_the_way_is_retaken_exactly(self):
+        # 1.0 * 3^700 overflows a float, but 3^700 / 2^1000 is about 1e33
+        exact = Fraction(3) ** 700 / 2 ** 1000
+        character = CharacterData((Fraction(3), 0.5))
+        points = [(700, 1000), (2, 1)]
+        assert memoized(character, points) == value_per_point(character, points) \
+            == [float(exact), 4.5]
+        assert value_per_point(character, [(700, 0)]) \
+            == (ValueError, "the character value at (700, 0) overflows a float")
+        # a complex multiplier's power scales the exact real part: (0.5j)^2 = -0.25
+        character = CharacterData((Fraction(3), 0.5, 0.5j))
+        points = [(700, 1000, 2)]
+        assert memoized(character, points) == value_per_point(character, points) \
+            == [complex(float(-exact / 4), 0.0)]
 
     def test_unit_multipliers_have_no_cap(self):
         huge = 10**18 + 1

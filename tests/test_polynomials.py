@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,11 +25,17 @@ from btzeta.polynomials import (
     series_product,
 )
 from btzeta.polynomials import (
+    _DENSE_MAX_DIM,
     _MERSENNE_EXPONENTS,
+    _WORD_PRIMES,
+    _bound_bits,
+    _char_poly_reverse_dense,
     _char_poly_reverse_rows,
     _charpoly_mod,
     _int_rows,
 )
+from btzeta.zeta import zeta_chamber, zeta_edge
+from conftest import closed_typed_complex
 
 
 def unsplit(mat) -> IntPolynomial:
@@ -318,6 +326,125 @@ def _lucas_lehmer(e: int) -> bool:
 @pytest.mark.parametrize("e", _MERSENNE_EXPONENTS)
 def test_tabulated_moduli_are_mersenne_primes(e):
     assert sympy.isprime(e) and _lucas_lehmer(e)
+
+
+def test_word_primes_serve_every_dense_block():
+    # prime, above every n the dense kernel takes, n (p - 1)^2 < 2^53, and
+    # together above the largest Mersenne prime, so they cover every bound
+    assert list(_WORD_PRIMES) == sorted(set(_WORD_PRIMES), reverse=True)
+    assert all(sympy.isprime(p) for p in _WORD_PRIMES)
+    assert min(_WORD_PRIMES) > _DENSE_MAX_DIM
+    assert _DENSE_MAX_DIM * (max(_WORD_PRIMES) - 1) ** 2 < 2 ** 53
+    assert math.prod(_WORD_PRIMES) >> _MERSENNE_EXPONENTS[-1]
+
+
+def random_block(rng, dim: int, bound: int, density: float = 1.0) -> list[list[int]]:
+    return [[rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(dim)]
+            for _ in range(dim)]
+
+
+class TestDenseKernel:
+    """``_char_poly_reverse_dense`` called directly, whatever block it is given."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from([0.3, 1.0]), st.sampled_from([1, 2, 10 ** 6]),
+           st.randoms(use_true_random=False))
+    def test_matches_berkowitz(self, dim, density, bound, rng):
+        mat = random_block(rng, dim, bound, density)
+        assert _char_poly_reverse_dense(mat) == berkowitz_char_poly_reverse(mat)
+
+    def test_dim_120_matches_hessenberg(self):
+        # the full-bound Hessenberg pass needs 2^3217 - 1 here and takes about a
+        # minute, so both kernels are compared modulo 2^61 - 1, a modulus the
+        # dense kernel does not use
+        mat = random_block(random.Random(120), 120, 10 ** 6)
+        p = (1 << 61) - 1
+        dense = _char_poly_reverse_dense(mat)
+        assert dense.degree == 120
+        assert [c % p for c in dense.coeffs] == _charpoly_mod(mat, p)[::-1]
+
+    def test_entries_beyond_float_range(self):
+        assert _char_poly_reverse_dense([[2 ** 1100]]) == IntPolynomial([1, -2 ** 1100])
+        mat = [[2 ** 600, 3], [5, -2 ** 600]]
+        assert _char_poly_reverse_dense(mat) == IntPolynomial([1, 0, -2 ** 1200 - 15])
+        mat = [[2 ** 70, 1, -2 ** 65], [-1, 3, 2 ** 80], [7, -2 ** 90, 0]]
+        assert _char_poly_reverse_dense(mat) == berkowitz_char_poly_reverse(mat)
+        assert _char_poly_reverse_dense([[2 ** 4400]]) == IntPolynomial([1, -2 ** 4400])
+        with pytest.raises(ValueError, match=r"bound 2\^4501"):
+            _char_poly_reverse_dense([[2 ** 4500]])
+
+    def test_empty_and_nilpotent(self):
+        assert _char_poly_reverse_dense([]) == IntPolynomial.one()
+        assert _char_poly_reverse_dense([[0, 1], [0, 0]]) == IntPolynomial.one()
+
+    def test_live_arrays_are_k_matrices(self):
+        # n = 35 with entries up to 10^6 takes k = 37 primes and s = 6 baby
+        # steps: a stack of every prime's baby steps alone would hold 6k matrices
+        n = 35
+        mat = random_block(random.Random(35), n, 10 ** 6)
+        bits = _bound_bits(mat)
+        k = next(i for i in range(len(_WORD_PRIMES)) if math.prod(_WORD_PRIMES[:i]) >> (bits + 1))
+        assert k == 37
+        tracemalloc.start()
+        try:
+            _char_poly_reverse_dense(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * k * n * n * 8
+
+
+def _recording_kernels(monkeypatch) -> list[tuple[str, int]]:
+    """Patch both block kernels to record (kernel, block dimension) per call."""
+    calls = []
+    for name, kernel in (("hessenberg", _char_poly_reverse_rows),
+                         ("dense", _char_poly_reverse_dense)):
+        def recording(rows, name=name, kernel=kernel):
+            calls.append((name, len(rows)))
+            return kernel(rows)
+        monkeypatch.setattr(f"btzeta.polynomials.{kernel.__name__}", recording)
+    return calls
+
+
+class TestKernelChoice:
+    def test_near_cycles_take_hessenberg(self, monkeypatch):
+        # in Tarjan order a cycle's block is upper Hessenberg, so only chords
+        # land below the subdiagonal: at most 4 in the random ones
+        calls = _recording_kernels(monkeypatch)
+        rng = random.Random(4)
+        for n, chords in ((200, 1), (60, 3), (17, 0)):
+            perm = rng.sample(range(n), n)
+            arcs = [(perm[(i + 1) % n], perm[i], 1) for i in range(n)]
+            arcs += [(perm[rng.randrange(n)], perm[rng.randrange(n)], 2) for _ in range(chords)]
+            char_poly_reverse(SparseIntMatrix(n, arcs))
+        # ten chords i + 2 -> i put 9 nonzeros below it, not more than 320/32
+        n = 320
+        arcs = [((i + 1) % n, i, 1) for i in range(n)] + [(i + 2, i, 1) for i in range(0, 20, 2)]
+        char_poly_reverse(SparseIntMatrix(n, arcs))
+        assert calls == [("hessenberg", 200), ("hessenberg", 60), ("hessenberg", 17),
+                         ("hessenberg", 320)]
+
+    def test_branching_x_takes_dense(self, monkeypatch):
+        # a random closed complex with four vertices per type: the non-cycle
+        # components of each relation are one block of X with many arcs below
+        # its subdiagonal
+        calls = _recording_kernels(monkeypatch)
+        c = closed_typed_complex(random.Random(1), (4, 4, 4), p_chamber=0.625)
+        zeta_edge(c)
+        zeta_chamber(c)
+        assert [name for name, dim in calls if dim > 1] == ["dense", "dense"]
+
+    def test_small_and_huge_blocks_take_hessenberg(self, monkeypatch):
+        calls = _recording_kernels(monkeypatch)
+        rng = random.Random(6)
+        # 39 nonzeros below the subdiagonal, more than 513/32, but a dimension
+        # beyond the dense kernel's 2^53 bound
+        n = _DENSE_MAX_DIM + 1
+        arcs = [((i + 1) % n, i, 1) for i in range(n)] + [(i + 2, i, 1) for i in range(0, 80, 2)]
+        char_poly_reverse(SparseIntMatrix(n, arcs))
+        # 1x1 blocks, 2x2 blocks and a dense 3x3 block have at most one
+        char_poly_reverse(random_block(rng, 3, 9))
+        assert {name for name, _ in calls} == {"hessenberg"}
 
 
 def _strip_trailing(desc_coeffs):
