@@ -54,6 +54,7 @@ import cmath
 import copy
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -88,6 +89,8 @@ FUNDAMENTAL_INDEX_CAP = 10**6
 EXACT_POWER_CAP = 10**6
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# the least positive normal float: a product below it has lost bits
+_FLOAT_TINY = sys.float_info.min
 
 
 def _int_dtype(magnitude: int):
@@ -382,17 +385,21 @@ class CharacterData:
         """prod m_i ** v_i; a float or complex value that is not finite raises ValueError.
 
         The powers multiply in coordinate order.  When that float or complex
-        product overflows on the way, the value is taken again exactly
+        product overflows on the way, or underflows below the normal floats
+        (no multiplier is 0), the value is taken again exactly
         (``_rounded_value``), so only a value beyond float range raises.
         """
         _check_rank(self.multipliers, len(v), "the character", "multipliers")
-        acc = Fraction(1) if all(isinstance(m, (int, Fraction)) for m in self.multipliers) else 1.0
+        exact = all(isinstance(m, (int, Fraction)) for m in self.multipliers)
+        acc = Fraction(1) if exact else 1.0
         try:
             for m, e in zip(self.multipliers, v):
                 acc = acc * (_exact_power(m, e) if isinstance(m, (int, Fraction)) else m ** int(e))
+                if not exact and abs(acc) < _FLOAT_TINY:
+                    return self._rounded_value(v)
         except OverflowError:
             return self._rounded_value(v)
-        if not isinstance(acc, Fraction) and not cmath.isfinite(acc):
+        if not exact and not cmath.isfinite(acc):
             return self._rounded_value(v)
         return acc
 
@@ -571,9 +578,10 @@ def _character_values(character: CharacterData, points: np.ndarray) -> list:
     With +-1 multipliers the values are the ints 1 and -1.  Otherwise each
     power m_i ** e is taken once per coordinate and distinct exponent, and
     the powers are multiplied in coordinate order, as ``value`` does.  A
-    power that ``value`` refuses or that overflows, or a float value that is
-    not finite, sends every point through ``value``, which retakes such a
-    value exactly or raises the same error.
+    power that ``value`` refuses or that overflows, a float product that
+    underflows below the normal floats, or a float value that is not finite,
+    sends every point through ``value``, which retakes such a value exactly
+    or raises the same error.
     """
     mults = character.multipliers
     if all(isinstance(m, (int, Fraction)) and m in (1, -1) for m in mults):
@@ -590,6 +598,8 @@ def _character_values(character: CharacterData, points: np.ndarray) -> list:
                     break
             power = {e: m ** e for e in set(row)}
             values = list(map(mul, values, map(power.__getitem__, row)))
+            if not exact and min(map(abs, values), default=1.0) < _FLOAT_TINY:
+                break
         else:
             if exact or all(map(cmath.isfinite, values)):
                 return values

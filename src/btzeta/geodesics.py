@@ -1,7 +1,7 @@
 """Brute-force enumeration of closed positive geodesics and galleries.
 
 This module is the independent oracle for the linear-algebra layer: it walks
-the index lists of ``operators.transitions`` directly (depth-first, no
+the successor lists of ``operators.transitions`` directly (depth-first, no
 matrices) to count based closed paths, decomposes them into rotation
 classes with primitive lengths and powers, and assembles the length series
 and the product over primitive classes.  The walks keep an explicit stack of
@@ -61,7 +61,8 @@ from fractions import Fraction
 
 from .complexes import TypedComplex
 from .generators import POSITIVE_DIRECTIONS, ApartmentSpec
-from .operators import _check_kind, _relation_components, transitions
+from .operators import (_check_kind, _relation_components, _successor_lists, directed_edges,
+                        pointed_chambers, transitions)
 from .polynomials import PowerSeriesPrefix, _cycle_factor, _sparse_product
 
 __all__ = [
@@ -95,11 +96,11 @@ class GeodesicClass:
             raise ValueError("length must equal power * primitive_length")
 
 
-def _walk_relation(c: TypedComplex, max_length: int, kind: str) -> tuple[tuple, tuple]:
-    """``transitions(c, kind)``, which checks the kind and closedness, behind the order check."""
+def _walk_relation(c: TypedComplex, max_length: int, kind: str) -> None:
+    """The order check, then ``transitions(c, kind)``, which checks the kind and closedness."""
     if max_length < 1:
         raise ValueError("max length must be >= 1")
-    return transitions(c, kind)
+    transitions(c, kind)
 
 
 def count_closed_paths(c: TypedComplex, max_length: int, kind: str = "edge") -> list[int]:
@@ -108,9 +109,10 @@ def count_closed_paths(c: TypedComplex, max_length: int, kind: str = "edge") -> 
     Pure depth-first enumeration over the transition relation; the result
     list is indexed by length (entry 0 is unused and zero).
     """
-    nodes, out = _walk_relation(c, max_length, kind)
+    _walk_relation(c, max_length, kind)
+    out = _successor_lists(c, kind)
     counts = [0] * (max_length + 1)
-    for s in range(len(nodes)):
+    for s in range(len(out)):
         stack = [iter(out[s])]  # the continuations still to try at each depth
         while stack:
             for w in stack[-1]:
@@ -186,21 +188,21 @@ def _closed_walks(out: tuple, max_length: int, starts=None):
                 lyn.pop()
 
 
-def _classes(c: TypedComplex, kind: str, out: tuple, max_length: int):
+def _classes(c: TypedComplex, kind: str, max_length: int):
     """Yield (index trail, minimal period) once per rotation class of length <= max_length.
 
-    ``out`` is the successor index lists of ``transitions(c, kind)``, and
-    the trail is the class's smallest rotation in its node indices.  A cycle
-    component of length l gives its trail from its smallest node repeated k
-    times, with period l, for each k * l <= max_length, with no walk.  Then
-    ``_closed_walks`` runs from the nodes of the other components, ``rest``.
+    The trail is the class's smallest rotation in the node indices of
+    ``transitions(c, kind)``.  A cycle component of length l gives its trail
+    from its smallest node repeated k times, with period l, for each k * l
+    <= max_length, with no walk.  Then ``_closed_walks`` runs on the
+    successor lists from the nodes of the other components, ``rest``.
     """
     cycles, rest = _relation_components(c, kind)
     for cycle in cycles:
         for k in range(1, max_length // len(cycle) + 1):
             yield cycle * k, len(cycle)
-    if rest:  # none on a torus: no walk, not even its predecessor lists
-        yield from _closed_walks(out, max_length, rest)
+    if rest:  # none on a torus: no walk, not even its successor lists
+        yield from _closed_walks(_successor_lists(c, kind), max_length, rest)
 
 
 def closed_paths(c: TypedComplex, max_length: int,
@@ -214,10 +216,10 @@ def closed_paths(c: TypedComplex, max_length: int,
     length d adds d to N[m], and 1 to P[m] when d = m.  No class object is
     built.
     """
-    _, out = _walk_relation(c, max_length, kind)
+    _walk_relation(c, max_length, kind)
     N = [0] * (max_length + 1)
     P = [0] * (max_length + 1)
-    for trail, period in _classes(c, kind, out, max_length):
+    for trail, period in _classes(c, kind, max_length):
         N[len(trail)] += period
         if period == len(trail):
             P[period] += 1
@@ -229,12 +231,14 @@ def enumerate_primitive_classes(c: TypedComplex, max_length: int,
     """One class per rotation class of closed paths of length <= max_length, sorted.
 
     Each class holds its lexicographically smallest rotation as representative
-    (nodes of ``transitions(c, kind)``, which compare like their indices),
-    annotated with its minimal period (primitive length) and the power it is
-    of the underlying primitive class.
+    (nodes of ``directed_edges`` resp. ``pointed_chambers``, which compare
+    like their indices in ``transitions(c, kind)``), annotated with its
+    minimal period (primitive length) and the power it is of the underlying
+    primitive class.
     """
-    nodes, out = _walk_relation(c, max_length, kind)
-    reps = sorted(_classes(c, kind, out, max_length))
+    _walk_relation(c, max_length, kind)
+    reps = sorted(_classes(c, kind, max_length))
+    nodes = directed_edges(c) if kind == "edge" else pointed_chambers(c)
     return [GeodesicClass(length=len(rep), primitive_length=period,
                           power=len(rep) // period,
                           representative=tuple(nodes[i] for i in rep))

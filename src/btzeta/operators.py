@@ -42,20 +42,31 @@ det(I - u T_C) over the strongly connected components C of the relation,
 and a closed path stays in one component.  A component in which every node
 has exactly one successor inside it is a directed cycle of length l: one
 primitive class, with factor 1 - u^l.  On an apartment torus every
-component of both relations is such a cycle.  The components are found
-once per complex and kind, by the Tarjan pass of ``polynomials``, and
-memoized next to the relation; the zeta polynomials and the closed-path
-walks both read them.  The zetas take X only on the smallest grade of the
-components that are not cycles.
+component of both relations is such a cycle, and every node has one
+successor and one predecessor: the relation is a permutation.  Its cycles
+are then found by pointer doubling on the successor array, in about
+log2(n) whole-array rounds.  Any other relation goes through the Tarjan
+pass of ``polynomials``.  The components are found once per complex and
+kind and memoized next to the relation; the zeta polynomials and the
+closed-path walks both read them.  The zetas take X only on the smallest
+grade of the components that are not cycles.
 
-Both rules read one incidence, the chambers of an edge: the table
-``TypedComplex`` builds once at construction.  ``transitions`` builds each
-relation in one pass over it: an edge's continuations are the run of
-positive edges leaving its head, less those closing a chamber on it, and a
-pointed chamber's are looked up by (chamber, pointer tail).
-``edge_successors`` and ``gallery_successors`` state the same rules for one
-node; they serve local complexes such as balls and are the reference the
-relation is tested against.
+Both rules read the cell incidences of ``TypedComplex``'s arrays: the edges
+of each chamber and the chambers on each edge (CSR).  ``transitions``
+builds each relation as one join over them and returns it in CSR form with
+a grade per node; nodes are indices.  A positive edge continues along the
+run of positive edges leaving its head (a ``searchsorted`` on the sorted
+tails), less each one that bounds a chamber together with it.  A pointed
+chamber continues into each other chamber on its pointer's edge, and the
+successor's index is 3 * chamber + the position of its pointer's tail,
+the vertex opposite that edge.  On a simplicial complex these are the
+rules above.  Python successor lists are taken from the CSR in one pass,
+and only Tarjan's pass, the walks and the three-step operator read them.
+``DirectedEdge`` and ``PointedChamber`` tuples are built only where nodes
+are printed or compared: ``directed_edges`` and ``pointed_chambers`` list
+them in index order, and ``edge_successors`` and ``gallery_successors``
+state the rules for one node.  Those two serve local complexes such as
+balls and are the reference the relation is tested against.
 
 The relation refuses complexes with a marked boundary, so both operators and
 both walks do: their determinant identities concern closed complexes only,
@@ -67,11 +78,12 @@ a 0x0 operator and the zeta polynomial 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .complexes import TypedComplex
+from .complexes import TypedComplex, _all_types
 from .polynomials import _strong_components
 
 __all__ = [
@@ -145,54 +157,126 @@ class SparseIntMatrix:
         return {"dim": self.dim, "triplets": [list(t) for t in self.entries]}
 
 
+class _Relation(NamedTuple):
+    """A relation in CSR form: node i's successors are indices[indptr[i]:indptr[i + 1]].
+
+    Successors ascend, which is their canonical order; grade[i] is node i's
+    type grade (the type of its tail, resp. of its pointer's tail).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    grade: np.ndarray
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges start[i], ..., start[i] + count[i] - 1, concatenated."""
+    ends = np.cumsum(count)
+    return np.repeat(start - ends + count, count) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _relation(src: np.ndarray, dst: np.ndarray, grade: np.ndarray) -> _Relation:
+    """The relation with the arcs src -> dst, listed by ascending src."""
+    indptr = np.zeros(len(grade) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=len(grade)), out=indptr[1:])
+    return _Relation(indptr, dst, grade)
+
+
+def _edge_nodes(cells) -> tuple:
+    """(edge, tail, head): the positive directed edges in node order, by (tail, head).
+
+    ``edge`` is each one's edge index; an edge joining equal types has no
+    positive direction and no node (validation refuses it).
+    """
+    a, b = cells.edges.T
+    ta, tb = cells.type[a], cells.type[b]
+    forward = (ta + 1) % 3 == tb
+    edge = np.flatnonzero(forward | ((tb + 1) % 3 == ta))
+    tail = np.where(forward, a, b)[edge]
+    head = np.where(forward, b, a)[edge]
+    order = np.argsort(tail * len(cells.ids) + head, kind="stable")
+    return edge[order], tail[order], head[order]
+
+
+def _pointers(cells) -> tuple:
+    """(typed, head, pointer) of each chamber position j.
+
+    ``typed`` marks the chambers that carry all three types.  On such a
+    chamber, head[c, j] is the position of the vertex whose type follows the
+    type at j, and pointer[c, j] the edge index of the side joining the two,
+    side j + head[c, j] - 1 (-1 if no edge is there): the pointer whose tail
+    is at j.
+    """
+    t = cells.type[cells.chambers]
+    # the next type sits one or two positions on (mod 3); any choice keeps
+    # the side j + head - 1 in 0..2 on an untyped chamber
+    head = np.where(t[:, [1, 2, 0]] == (t + 1) % 3, (1, 2, 0), (2, 0, 1))
+    pointer = cells.sides[np.arange(len(t))[:, None], np.arange(3) + head - 1]
+    return _all_types(t), head, pointer
+
+
+def _check_typed(cells, typed: np.ndarray) -> None:
+    if not typed.all():
+        tri = tuple(cells.ids[cells.chambers[np.argmin(typed)]].tolist())
+        raise ValueError(f"chamber {tri} is not typed by all three types")
+
+
 def directed_edges(c: TypedComplex) -> list[DirectedEdge]:
-    """All positive directed edges, sorted by (tail, head)."""
-    out = []
-    for a, b in c.edges:
-        ta, tb = c.type_of[a], c.type_of[b]
-        if (ta + 1) % 3 == tb:
-            out.append(DirectedEdge(a, b))
-        elif (tb + 1) % 3 == ta:
-            out.append(DirectedEdge(b, a))
-        # equal types are rejected by validation; skip silently here
-    return sorted(out)
+    """All positive directed edges, sorted by (tail, head): the edge relation's nodes."""
+    cells = c._cells
+    _, tail, head = _edge_nodes(cells)
+    return list(map(DirectedEdge, cells.ids[tail].tolist(), cells.ids[head].tolist()))
 
 
 def pointed_chambers(c: TypedComplex) -> list[PointedChamber]:
     """All pointed chambers (three per chamber), sorted by (chamber, pointer).
 
-    No sort is run: the chamber tuples are sorted and unique, and the three
-    pointers of a chamber have distinct tails, so listing each chamber's
-    pointers in the order of its sorted vertices is already the sorted order.
+    Pointed chamber 3 * i + j is chamber i pointing out of the side that
+    leaves its j-th vertex positively; the chambers are sorted, and their
+    three pointers have distinct tails, so this is the sorted order.
     """
-    out = []
-    for tri in c.chambers:
-        by_type = {c.type_of[v]: v for v in tri}
-        if len(by_type) != 3:
-            raise ValueError(f"chamber {tri} is not typed by all three types")
-        for v in tri:
-            out.append(PointedChamber(tri, DirectedEdge(v, by_type[(c.type_of[v] + 1) % 3])))
-    return out
-
-
-def _chambers_on(c: TypedComplex, x: int, y: int) -> tuple:
-    """The chambers on the edge {x, y}, in sorted order, from the complex's table."""
-    return c._chambers_of_edge.get((x, y) if x < y else (y, x), ())
+    cells = c._cells
+    typed, head, _ = _pointers(cells)
+    _check_typed(cells, typed)
+    rows = cells.ids[cells.chambers].tolist()
+    heads = cells.ids[np.take_along_axis(cells.chambers, head, axis=1)].tolist()
+    return [PointedChamber(tri, DirectedEdge(x, y))
+            for tri, ys in zip(map(tuple, rows), heads) for x, y in zip(tri, ys)]
 
 
 def edge_successors(c: TypedComplex, e: DirectedEdge) -> list[DirectedEdge]:
-    """Positive continuations of e, in canonical order."""
-    want = (c.type_of[e.head] + 1) % 3
-    closing = {v for tri in _chambers_on(c, *e) for v in tri}
-    return [DirectedEdge(e.head, w) for w in sorted(c.neighbors(e.head))
-            if c.type_of[w] == want and w != e.tail and w not in closing]
+    """Positive continuations of e, in canonical order.
+
+    The positive edges leaving e's head, less each one that is a side of a
+    chamber with e.
+    """
+    cells = c._cells
+    edge, tail, head = _edge_nodes(cells)
+    i = cells.edge(*e)
+    on = cells.indices[cells.indptr[i]:cells.indptr[i + 1]] // 3 if i >= 0 else []
+    closing = set(cells.sides[on].ravel().tolist())
+    leaving = tail == cells.index(e.head)
+    return [DirectedEdge(e.head, w)
+            for w, k in zip(cells.ids[head[leaving]].tolist(), edge[leaving].tolist())
+            if k not in closing]
 
 
 def gallery_successors(c: TypedComplex, pc: PointedChamber) -> list[PointedChamber]:
-    """Gallery continuations of pc, in canonical order (the table's chamber order)."""
+    """Gallery continuations of pc, in canonical order.
+
+    Each other chamber on the pointer's edge, in the edge's chamber order,
+    left by the side from its vertex opposite that edge to the pointer's tail.
+    """
+    cells = c._cells
     x, y = pc.pointer
-    return [PointedChamber(tri, DirectedEdge(sum(tri) - x - y, x))
-            for tri in _chambers_on(c, x, y) if tri != pc.chamber]
+    i = cells.edge(x, y)
+    out = []
+    if i >= 0:
+        for side in cells.indices[cells.indptr[i]:cells.indptr[i + 1]].tolist():
+            tri = tuple(cells.ids[cells.chambers[side // 3]].tolist())
+            if tri != pc.chamber:
+                out.append(PointedChamber(tri, DirectedEdge(tri[2 - side % 3], x)))
+    return out
 
 
 def _check_kind(kind: str) -> None:
@@ -200,17 +284,64 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown kind {kind!r}: expected 'edge' or 'gallery'")
 
 
-def transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
-    """(nodes, out) of the positive ``kind`` relation, 'edge' or 'gallery'.
+def _edge_relation(cells) -> _Relation:
+    """The edge relation by one join: each positive edge to the run leaving its head.
 
-    nodes is the sorted tuple of ``DirectedEdge`` resp. ``PointedChamber``
-    tuples, so indices compare like nodes; out[i] holds the indices of the
-    continuations of nodes[i], in canonical order.  Both operators are its 0/1
-    matrices and ``geodesics`` walks it.  Built once per complex and kind, in
-    one pass over the nodes that reads the complex's chambers-of-edge table
-    and calls no per-node rule (see the module docstring); a second call
-    returns the identical object.  The one gate to the relation:
-    an unknown kind, then a marked boundary, raise ValueError, memoizing nothing.
+    A pair (e, e2) is dropped when both are sides of one chamber: at a
+    chamber's tail positions j and h = head[j], the pointers j and h.
+    """
+    edge, tail, head = _edge_nodes(cells)
+    n = len(edge)
+    start = np.searchsorted(tail, head)
+    count = np.searchsorted(tail, head, side="right") - start
+    src = np.repeat(np.arange(n), count)
+    dst = _ranges(start, count)
+    node = np.full(len(cells.edges) + 1, -1)  # the last entry answers the side -1
+    node[edge] = np.arange(n)
+    typed, head_at, pointer = _pointers(cells)
+    first = node[pointer[typed]]
+    then = node[pointer[np.arange(len(pointer))[:, None], head_at][typed]]
+    both = (first >= 0) & (then >= 0)
+    key, drop = src * n + dst, first[both] * n + then[both]
+    keep = np.ones(len(key), dtype=bool)
+    if len(key):
+        at = np.minimum(np.searchsorted(key, drop), len(key) - 1)
+        keep[at[key[at] == drop]] = False
+    return _relation(src[keep], dst[keep], cells.type[tail])
+
+
+def _gallery_relation(cells) -> _Relation:
+    """The gallery relation by one join: each pointed chamber to the sides on its pointer.
+
+    Side k of chamber c2 on the pointer's edge gives the successor 3 * c2 +
+    2 - k, pointing out of the side from the vertex opposite side k; c2 is
+    every chamber on that edge but the node's own.
+    """
+    typed, _, pointer = _pointers(cells)
+    _check_typed(cells, typed)
+    p = pointer.ravel()
+    start = cells.indptr[p]
+    count = np.where(p >= 0, cells.indptr[p + 1] - start, 0)
+    src = np.repeat(np.arange(len(p)), count)
+    side = cells.indices[_ranges(start, count)]
+    other = side // 3 != src // 3
+    side = side[other]
+    return _relation(src[other], side + 2 - 2 * (side % 3),
+                     cells.type[cells.chambers].ravel())
+
+
+def transitions(c: TypedComplex, kind: str) -> _Relation:
+    """(indptr, indices, grade): the positive ``kind`` relation, 'edge' or 'gallery', as CSR.
+
+    Node i is the i-th of ``directed_edges`` resp. ``pointed_chambers``
+    (sorted, so indices compare like nodes); its continuations are
+    indices[indptr[i]:indptr[i + 1]], ascending, and grade[i] is its type
+    grade.  Both operators are its 0/1 matrices and ``geodesics`` walks it.
+    Built once per complex and kind, by one join over the complex's cell
+    incidences that builds no node tuple and calls no per-node rule (see
+    the module docstring); a second call returns the identical object.  The
+    one gate to the relation: an unknown kind, then a marked boundary, raise
+    ValueError, memoizing nothing.
     """
     if kind in c._relations:
         return c._relations[kind]
@@ -220,31 +351,26 @@ def transitions(c: TypedComplex, kind: str) -> tuple[tuple, tuple[tuple[int, ...
         raise ValueError(
             f"{what} is undefined on complexes with marked boundary "
             f"({len(c.boundary)} boundary vertices); operators need closed complexes")
-    nodes = tuple(directed_edges(c) if kind == "edge" else pointed_chambers(c))
-    out = []
-    if kind == "edge":
-        # the positive edges leaving b are one run of the (tail, head) order;
-        # (a, b) continues along those whose head is no vertex of a chamber
-        # on {a, b} (such a head is never a or b: its type is type(b) + 1)
-        run: dict[int, list[int]] = {}
-        for i, (a, _) in enumerate(nodes):
-            run.setdefault(a, []).append(i)
-        for a, b in nodes:
-            closing = {v for tri in _chambers_on(c, a, b) for v in tri}
-            out.append(tuple([j for j in run.get(b, ()) if nodes[j][1] not in closing]))
-    else:
-        # (C, x -> y) crosses into each other chamber C2 on {x, y} and leaves
-        # it by the pointer whose tail is C2's third vertex, sum(C2) - x - y;
-        # the table lists chambers in sorted order, so these indices ascend
-        at = {(tri, p[0]): i for i, (tri, p) in enumerate(nodes)}
-        for tri, (x, y) in nodes:
-            out.append(tuple([at[c2, sum(c2) - x - y]
-                              for c2 in _chambers_on(c, x, y) if c2 != tri]))
-    return c._relations.setdefault(kind, (nodes, tuple(out)))
+    build = _edge_relation if kind == "edge" else _gallery_relation
+    return c._relations.setdefault(kind, build(c._cells))
 
 
-def _transfer_matrix(nodes: tuple, out: tuple) -> SparseIntMatrix:
-    return SparseIntMatrix(len(nodes), ((j, i, 1) for i, js in enumerate(out) for j in js))
+def _successor_lists(c: TypedComplex, kind: str) -> tuple[list[int], ...]:
+    """The successor index lists of ``transitions(c, kind)``, from its CSR in one pass.
+
+    Memoized next to the relation, behind its gate.
+    """
+    if kind in c._successors:
+        return c._successors[kind]
+    indptr, indices, _ = transitions(c, kind)
+    flat, ptr = indices.tolist(), indptr.tolist()
+    return c._successors.setdefault(kind, tuple(flat[a:b] for a, b in zip(ptr, ptr[1:])))
+
+
+def _transfer_matrix(relation: _Relation) -> SparseIntMatrix:
+    indptr, indices, grade = relation
+    src = np.repeat(np.arange(len(grade)), np.diff(indptr))
+    return SparseIntMatrix(len(grade), zip(indices.tolist(), src.tolist(), repeat(1)))
 
 
 def build_edge_operator(c: TypedComplex) -> SparseIntMatrix:
@@ -254,7 +380,7 @@ def build_edge_operator(c: TypedComplex) -> SparseIntMatrix:
     closed complex; an empty edge set gives the 0x0 matrix (its zeta
     polynomial is 1).
     """
-    return _transfer_matrix(*transitions(c, "edge"))
+    return _transfer_matrix(transitions(c, "edge"))
 
 
 def build_chamber_operator(c: TypedComplex) -> SparseIntMatrix:
@@ -263,7 +389,35 @@ def build_chamber_operator(c: TypedComplex) -> SparseIntMatrix:
     Index set: pointed chambers sorted by (chamber, pointer).  An empty
     chamber set gives the 0x0 matrix (its zeta polynomial is 1).
     """
-    return _transfer_matrix(*transitions(c, "gallery"))
+    return _transfer_matrix(transitions(c, "gallery"))
+
+
+def _permutation_cycles(g: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the permutation v -> g[v], by pointer doubling.
+
+    After round r, label[v] is the least of v, g(v), ..., g^(2^r - 1)(v).  A
+    round that changes no label leaves each label its cycle's minimum (the
+    windows of the unchanged labels tile the cycle), so about log2 of the
+    longest cycle rounds run.  Each cycle is then listed along its arcs
+    from its smallest node, a node whose label is itself, in the order of
+    those nodes.
+    """
+    node = np.arange(len(g))
+    label, jump = node, g
+    while True:
+        lower = np.minimum(label, label[jump])
+        if np.array_equal(lower, label):
+            break
+        label, jump = lower, jump[jump]
+    succ = g.tolist()
+    cycles = []
+    for first in np.flatnonzero(label == node).tolist():
+        cycle, v = [first], succ[first]
+        while v != first:
+            cycle.append(v)
+            v = succ[v]
+        cycles.append(tuple(cycle))
+    return tuple(cycles)
 
 
 def _relation_components(c: TypedComplex, kind: str) -> tuple[tuple, tuple]:
@@ -271,18 +425,25 @@ def _relation_components(c: TypedComplex, kind: str) -> tuple[tuple, tuple]:
 
     A component in which every node has exactly one successor inside it is
     a cycle; ``cycles`` lists each one along its arcs from its smallest node
-    index.  ``rest`` is the sorted tuple of the nodes of every other
-    component that holds an arc.  A node on no closed path (a component of
-    one node without a self-loop) is in neither.  All indices are the
-    relation's own.  Computed once per complex and kind by one Tarjan pass
-    over the relation's successor lists and memoized next to the relation,
-    behind its gate: a refusal memoizes nothing.
+    index, in the order of those nodes.  ``rest`` is the sorted tuple of the
+    nodes of every other component that holds an arc.  A node on no closed
+    path (a component of one node without a self-loop) is in neither.  All
+    indices are the relation's own.  A relation in which every node has one
+    successor and one predecessor is a permutation, all cycles, found by
+    ``_permutation_cycles``; any other goes through one Tarjan pass over the
+    successor lists.  Computed once per complex and kind and memoized next
+    to the relation, behind its gate: a refusal memoizes nothing.
     """
     if kind in c._components:
         return c._components[kind]
-    _, out = transitions(c, kind)
+    indptr, indices, grade = transitions(c, kind)
+    n = len(grade)
+    if np.array_equal(indptr, np.arange(n + 1)) and \
+            (np.bincount(indices, minlength=n) == 1).all():
+        return c._components.setdefault(kind, (_permutation_cycles(indices), ()))
+    out = _successor_lists(c, kind)
     components = _strong_components(out)
-    label = [0] * len(out)
+    label = [0] * n
     for k, members in enumerate(components):
         for v in members:
             label[v] = k
@@ -314,14 +475,15 @@ def _three_step(c: TypedComplex, kind: str, members) -> SparseIntMatrix:
     the diagonal blocks of a block-triangular matrix, which leaves the
     determinant as it is.
     """
-    nodes, out = transitions(c, kind)
+    grade_of = transitions(c, kind).grade
+    if not len(members):
+        return SparseIntMatrix(0, ())
     grades: list[list[int]] = [[], [], []]
-    for i in members:
-        x = nodes[i]
-        tail = x.tail if kind == "edge" else x.pointer.tail
-        grades[c.type_of[tail]].append(i)
+    for i, g in zip(members, grade_of[list(members)].tolist()):
+        grades[g].append(i)
     grade = min(grades, key=len)
     row = {i: r for r, i in enumerate(grade)}
+    out = _successor_lists(c, kind)
     entries = []
     for col, i in enumerate(grade):
         walks = {i: 1}
@@ -340,9 +502,9 @@ def three_step_operator(c: TypedComplex, kind: str) -> SparseIntMatrix:
 
     ``kind`` is 'edge' or 'gallery'; grades are described in the module
     docstring, and ties go to the lowest type.  X[w, x] counts the length-3
-    walks x -> y -> z -> w along the index lists of the shared relation
+    walks x -> y -> z -> w along the successor lists of the shared relation
     ``transitions(c, kind)``, with rows and columns in canonical node order;
     an empty grade gives the 0x0 matrix.  Raises the same errors as
     ``build_edge_operator`` resp. ``build_chamber_operator``.
     """
-    return _three_step(c, kind, range(len(transitions(c, kind)[0])))
+    return _three_step(c, kind, range(len(transitions(c, kind).grade)))

@@ -6,16 +6,17 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btzeta import geodesics, operators, zeta
+from btzeta import complexes, geodesics, operators, zeta
 from btzeta.cli import _divisor_sums, _product_matches_ratio, main, run_verify
-from btzeta.complexes import TypedComplex, save_complex
+from btzeta.complexes import save_complex
 from btzeta.cones import ConeClosedForm
-from btzeta.generators import BallSpec, gen_building_ball
+from btzeta.generators import ApartmentSpec, BallSpec, gen_apartment_torus, gen_building_ball
 from btzeta.geodesics import product_of_primitive_counts
 from btzeta.polynomials import IntPolynomial, log_derivative_series, series_inverse
 from conftest import closed_typed_complex
@@ -778,19 +779,36 @@ class TestEachQuantityOnce:
             assert charpoly_dims == [15, 0]
 
     def test_verify_finds_relation_components_once(self, tmp_path, torus, monkeypatch):
-        # one Tarjan pass per kind, shared by the zeta and the walk
-        sizes = []
-        original = operators._strong_components
+        # one components pass per kind, shared by the zeta and the walk: pointer
+        # doubling on the torus's permutation relations, Tarjan on b1's
+        passes = []
+        for name in ("_permutation_cycles", "_strong_components"):
+            def counting(succ, name=name, original=getattr(operators, name)):
+                passes.append((name, len(succ)))
+                return original(succ)
 
-        def counting(succ):
-            sizes.append(len(succ))
-            return original(succ)
+            monkeypatch.setattr(operators, name, counting)
+        for name, c in (("t.json", torus), ("b1.json", B1)):
+            save_complex(c, tmp_path / name)
+            run_verify(str(tmp_path / name), max_order=6)
+        assert passes == [("_permutation_cycles", 27), ("_permutation_cycles", 54),
+                          ("_strong_components", len(operators.directed_edges(B1))),
+                          ("_strong_components", 3 * len(B1.chambers))]
 
-        monkeypatch.setattr(operators, "_strong_components", counting)
-        path = tmp_path / "t.json"
-        save_complex(torus, path)
-        run_verify(str(path), max_order=6)
-        assert sizes == [27, 54]
+    def test_verify_builds_no_node_tuple_and_runs_no_tarjan(self, tmp_path, monkeypatch):
+        path = tmp_path / "t9.json"
+        save_complex(gen_apartment_torus(ApartmentSpec(((9, 0), (0, 9)))), path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built on the verify route")
+
+        for cls in (operators.DirectedEdge, operators.PointedChamber):
+            monkeypatch.setattr(cls, "__new__", refuse)
+        monkeypatch.setattr(operators, "_strong_components", refuse)
+        with pytest.raises(AssertionError, match="verify route"):
+            operators.DirectedEdge(0, 1)
+        report, code = run_verify(str(path))
+        assert code == 0 and report["passed"]
 
     def test_verify_walks_once_per_kind(self, tmp_path, torus, walk_kinds):
         path = tmp_path / "t.json"
@@ -807,56 +825,60 @@ class TestEachQuantityOnce:
 
     def test_verify_builds_each_relation_once(self, tmp_path, torus, monkeypatch):
         # the zeta operators and the walks share one relation per kind
-        listed = []
-        for name in ("directed_edges", "pointed_chambers"):
-            def counting(c, name=name, original=getattr(operators, name)):
-                listed.append(name)
-                return original(c)
+        built = []
+        for name in ("_edge_relation", "_gallery_relation"):
+            def counting(cells, name=name, original=getattr(operators, name)):
+                built.append(name)
+                return original(cells)
 
             monkeypatch.setattr(operators, name, counting)
         path = tmp_path / "t.json"
         save_complex(torus, path)
         run_verify(str(path), max_order=6)
-        assert sorted(listed) == ["directed_edges", "pointed_chambers"]
+        assert sorted(built) == ["_edge_relation", "_gallery_relation"]
 
     @pytest.fixture()
     def tables(self, monkeypatch):
-        """Each chambers-of-edge table built, wrapped to count its lookups."""
-        class CountingTable(dict):
-            reads = 0
-
-            def get(self, *args):
-                self.reads += 1
-                return super().get(*args)
-
+        """Each cell layout built: the arrays whose CSR lists the chambers on each edge."""
         built = []
-        original = TypedComplex.__init__
+        original = complexes._Cells.__init__
 
-        def recording(cx, *args, **kwargs):
-            original(cx, *args, **kwargs)
-            cx._chambers_of_edge = CountingTable(cx._chambers_of_edge)
-            built.append(cx._chambers_of_edge)
+        def recording(cells, *args, **kwargs):
+            original(cells, *args, **kwargs)
+            built.append(cells)
 
-        monkeypatch.setattr(TypedComplex, "__init__", recording)
+        monkeypatch.setattr(complexes._Cells, "__init__", recording)
         return built
 
-    def test_verify_builds_the_chambers_of_edge_table_once(self, tmp_path, torus, tables):
+    def test_verify_builds_the_chambers_of_edge_table_once(self, tmp_path, torus, tables,
+                                                          monkeypatch):
+        read = []
+        for name in ("_edge_relation", "_gallery_relation"):
+            def recording(cells, original=getattr(operators, name)):
+                read.append(cells)
+                return original(cells)
+
+            monkeypatch.setattr(operators, name, recording)
         path = tmp_path / "t.json"
         save_complex(torus, path)
         run_verify(str(path), max_order=6)
-        # one table, for the one complex loaded; both relations read it, one
-        # lookup per node: 27 positive edges and 54 pointed chambers
-        assert len(tables) == 1
-        assert tables[0].reads == 27 + 54
+        # one table, for the one complex loaded, and both relations read it:
+        # every edge of the torus lies on two chambers
+        assert len(tables) == 1 and len(read) == 2
+        assert all(cells is tables[0] for cells in read)
+        assert np.diff(tables[0].indptr).tolist() == [2] * 27
 
     def test_gallery_successors_read_the_complex_table(self, tables):
         ball = gen_building_ball(BallSpec(q=2, radius=2))
-        built = len(tables)
         nodes = operators.pointed_chambers(ball)
+        built = len(tables)
+        cells = ball._cells
         for pc in nodes:
-            operators.gallery_successors(ball, pc)
-        assert len(tables) == built
-        assert ball._chambers_of_edge.reads == len(nodes)
+            # the other chambers on the pointer's edge, from the CSR table
+            i = cells.edge(*pc.pointer)
+            assert len(operators.gallery_successors(ball, pc)) == \
+                cells.indptr[i + 1] - cells.indptr[i] - 1
+        assert len(tables) == built and ball._cells is tables[-1]
 
 
 DANGLING_EDGE = {"version": 1, "vertices": [{"id": 0, "type": 0}, {"id": 1, "type": 1}],

@@ -5,6 +5,7 @@ import random
 import re
 
 import pytest
+from click.testing import CliRunner
 
 from btzeta import (
     ComplexFormatError,
@@ -17,6 +18,7 @@ from btzeta import (
     simplex_counts,
     validate_complex,
 )
+from btzeta.cli import main
 
 
 def relabeled(c: TypedComplex, perm: dict[int, int]) -> TypedComplex:
@@ -205,3 +207,64 @@ class TestDuplicates:
     def test_validation_names_duplicate_ids(self):
         c = TypedComplex([(0, 0), (1, 1), (0, 0), (1, 2), (2, 2)], [(0, 2)])
         assert validate_complex(c).violations == ("duplicate vertex ids [0, 1]",)
+
+
+# where a non-integer goes in the triangle document, and what the loader says
+NON_INTEGER_PLACES = {
+    "vertex-id": ("vertex id and type must be integers", "vertices[1]"),
+    "vertex-type": ("vertex id and type must be integers", "vertices[1]"),
+    "edge": ("edges must be pairs of integers", "edges[1]"),
+    "chamber": ("chambers must be triples of integers", "chambers[0]"),
+    "boundary": ("boundary must be a list of vertex ids", "boundary"),
+}
+
+
+def _with_entry(place: str, value) -> str:
+    doc = json.loads(_triangle_doc())
+    if place.startswith("vertex"):
+        doc["vertices"][1][place[len("vertex-"):]] = value
+    elif place == "edge":
+        doc["edges"][1][1] = value
+    elif place == "chamber":
+        doc["chambers"][0][2] = value
+    else:
+        doc["boundary"] = [0, value]
+    return json.dumps(doc)
+
+
+class TestNonIntegerEntries:
+    """The loader reads whole arrays, yet refuses ``true`` and floats entry-exactly."""
+
+    @pytest.mark.parametrize("value", [True, 1.0, 1e300], ids=["true", "1.0", "1e300"])
+    @pytest.mark.parametrize("place", NON_INTEGER_PLACES)
+    def test_refused_at_its_entry(self, tmp_path, place, value):
+        message, location = NON_INTEGER_PLACES[place]
+        text = _with_entry(place, value)
+        with pytest.raises(ComplexFormatError) as refused:
+            loads_complex(text)
+        assert str(refused.value) == f"{message} (at {location})"
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        result = CliRunner().invoke(main, ["verify", str(path), "--no-timings"])
+        assert result.exit_code == 2
+        assert json.loads(result.stdout)["error"] == {
+            "stage": "load", "message": f"{message} (at {location})"}
+
+
+class TestIdsBeyondInt64:
+    def test_verify_report_is_the_small_ids_report(self, tmp_path, torus):
+        # ids of both signs beyond 2^63 load as exact integers
+        big = relabeled(torus, {v: (-1) ** v * (2 ** 64 + 3 * v) for v, _ in torus.vertices})
+        reports = []
+        for folder, c in (("small", torus), ("big", big)):
+            path = tmp_path / folder / "t.json"
+            path.parent.mkdir()
+            save_complex(c, path)
+            loaded = load_complex(path)
+            assert loaded == c and dumps_complex(loaded) == dumps_complex(c)
+            assert validate_complex(loaded).ok
+            result = CliRunner().invoke(main, ["verify", str(path), "--no-timings"])
+            assert result.exit_code == 0
+            reports.append(result.stdout)
+        assert load_complex(tmp_path / "big" / "t.json")._cells.ids.dtype == object
+        assert reports[0] == reports[1]

@@ -938,15 +938,17 @@ def memoized(character, points):
 
 
 class TestCharacterValues:
+    # exponents beyond +-1000 overflow float powers of 0.5, -1.25 and 3.0
     @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_values_are_value_per_point(self, data):
-        # exponents beyond +-1000 overflow float powers of 0.5, -1.25 and 3.0
-        r = data.draw(st.integers(1, 3))
-        character = CharacterData(data.draw(st.lists(MULTIPLIERS, min_size=r, max_size=r)))
-        points = data.draw(st.lists(st.lists(
-            st.integers(-40, 40) | st.integers(-1100, 1100), min_size=r, max_size=r),
-            min_size=1, max_size=30))
+    @given(case=st.integers(1, 3).flatmap(lambda r: st.tuples(
+        st.lists(MULTIPLIERS, min_size=r, max_size=r),
+        st.lists(st.lists(st.integers(-40, 40) | st.integers(-1100, 1100),
+                          min_size=r, max_size=r), min_size=1, max_size=30))))
+    # a float power underflowing to 0 on the way to a normal float value
+    @example(case=((0.5, Fraction(3)), [(1100, 600)]))
+    def test_values_are_value_per_point(self, case):
+        multipliers, points = case
+        character = CharacterData(multipliers)
         got, expected = memoized(character, points), value_per_point(character, points)
         assert got == expected
         if not all(m in (1, -1) and not isinstance(m, (float, complex))
@@ -987,6 +989,17 @@ class TestCharacterValues:
         points = [(700, 1000, 2)]
         assert memoized(character, points) == value_per_point(character, points) \
             == [complex(float(-exact / 4), 0.0)]
+
+    def test_underflow_on_the_way_is_retaken_exactly(self):
+        # 0.5^1100 is 0.0 as a float, but 3^600 / 2^1100 is about 1.4e-45
+        exact = Fraction(3) ** 600 / 2 ** 1100
+        character = CharacterData((0.5, Fraction(3)))
+        assert character.value((1100, 600)) == float(exact) == 1.379614027261205e-45
+        points = [(1100, 600), (1, 1), (1080, 600)]
+        assert memoized(character, points) == value_per_point(character, points) \
+            == [float(exact), 1.5, float(exact * 2 ** 20)]
+        # a value that is itself below the normal floats rounds once
+        assert character.value((1100, 0)) == 0.0
 
     def test_unit_multipliers_have_no_cap(self):
         huge = 10**18 + 1

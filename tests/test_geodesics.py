@@ -30,17 +30,23 @@ from btzeta import (
 from btzeta import geodesics
 from btzeta.generators import gen_apartment_torus
 from btzeta.geodesics import _closed_walks
-from btzeta.operators import _relation_components
+from btzeta.operators import (_relation_components, _successor_lists, directed_edges,
+                              pointed_chambers)
 from btzeta.polynomials import log_derivative_series, series_exp_neg_integral
 from conftest import closed_typed_complex, disjoint_union
 
 M = 12
 
 
+def node_list(c, kind):
+    return directed_edges(c) if kind == "edge" else pointed_chambers(c)
+
+
 def reference_classes(c, max_length, kind):
     """Unpruned reference for ``enumerate_primitive_classes``: walk from every
     node and keep the smallest of all rotations of each closed walk."""
-    nodes, out = transitions(c, kind)  # nodes are sorted: indices compare alike
+    nodes = node_list(c, kind)  # nodes are sorted: indices compare alike
+    out = _successor_lists(c, kind)
     seen = set()
 
     def walk(start, trail):
@@ -229,7 +235,7 @@ class TestComponentSplit:
         assert cycles and others  # both routes run
         zeta = zeta_edge if kind == "edge" else zeta_chamber
         assert zeta(c) == char_poly_reverse(three_step_operator(c, kind)).subst_u_power(3)
-        nodes, out = transitions(c, kind)
+        nodes, out = node_list(c, kind), _successor_lists(c, kind)
         # the plain oracle's count at an order is the prefix of a longer one
         N = count_closed_paths(c, 12, kind)
         # the orders below the shortest cycle (3 for edges, 6 for galleries) see

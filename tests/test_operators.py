@@ -6,8 +6,9 @@ import threading
 from fractions import Fraction
 from math import floor
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from btzeta import (
@@ -31,6 +32,7 @@ from btzeta import (
     three_step_operator,
     torus_trace_counts,
     transitions,
+    validate_complex,
     zeta_chamber,
     zeta_edge,
 )
@@ -42,6 +44,7 @@ from btzeta.generators import (
     gen_cycle_complex,
     plane_type,
 )
+from btzeta.polynomials import _strong_components
 from conftest import closed_typed_complex
 
 # the ladder tori k*id and the skew torus 6 3 0 9, as (a, b), (c, d) bases
@@ -293,9 +296,10 @@ class TestGalleryRule:
             if pc.pointer.tail in interior or pc.pointer.head in interior:
                 degrees.add(len(gallery_successors(ball_q2_r2, pc)))
         assert degrees == {q}
-        # the complex's chambers-of-edge table: an interior edge lies on q + 1 chambers
-        table = ball_q2_r2._chambers_of_edge
-        assert {len(table[e]) for e in ball_q2_r2.edges if set(e) <= interior} == {q + 1}
+        # the complex's CSR table of the chambers on each edge: an interior
+        # edge lies on q + 1 chambers
+        on_edge = np.diff(ball_q2_r2._cells.indptr).tolist()
+        assert {k for e, k in zip(ball_q2_r2.edges, on_edge) if set(e) <= interior} == {q + 1}
 
     def test_gallery_trace_matches_geometry(self, torus, torus_spec):
         from btzeta import torus_trace_counts
@@ -309,6 +313,26 @@ class TestGalleryRule:
         assert mat.trace_powers(12) == torus_trace_counts(basis, 12, "gallery")[1:]
 
 
+def assert_relation_is_the_per_node_rules(c):
+    """The CSR relation of each kind names, by node index, what the per-node rule lists."""
+    for kind, listed, successors in (("edge", directed_edges, edge_successors),
+                                     ("gallery", pointed_chambers, gallery_successors)):
+        nodes = listed(c)
+        indptr, indices, grade = transitions(c, kind)
+        out = operators._successor_lists(c, kind)
+        assert list(nodes) == sorted(nodes)
+        assert len(out) == len(grade) == len(indptr) - 1 == len(nodes)
+        assert [j for js in out for j in js] == indices.tolist()
+        for i, js in enumerate(out):
+            assert [nodes[j] for j in js] == successors(c, nodes[i])
+            tail = nodes[i].tail if kind == "edge" else nodes[i].pointer.tail
+            assert grade[i] == c.type_of[tail]
+
+
+def as_lists(relation):
+    return tuple(array.tolist() for array in relation)
+
+
 class TestTransitions:
     """The one indexed relation per complex and kind."""
 
@@ -316,27 +340,15 @@ class TestTransitions:
     @given(st.integers(0, 10 ** 6), st.tuples(*[st.integers(1, 4)] * 3),
            st.floats(0.4, 1.0), st.floats(0.0, 1.0))
     def test_indices_name_the_successors(self, seed, per_type, p_edge, p_chamber):
-        c = closed_typed_complex(random.Random(seed), per_type, p_edge, p_chamber)
-        for kind, listed, successors in (("edge", directed_edges, edge_successors),
-                                         ("gallery", pointed_chambers, gallery_successors)):
-            nodes, out = transitions(c, kind)
-            assert nodes == tuple(listed(c)) and list(nodes) == sorted(nodes)
-            assert len(out) == len(nodes)
-            for i, js in enumerate(out):
-                assert [nodes[j] for j in js] == successors(c, nodes[i])
+        assert_relation_is_the_per_node_rules(
+            closed_typed_complex(random.Random(seed), per_type, p_edge, p_chamber))
 
     @pytest.mark.parametrize("name", LADDER_TORI + [3, 9, "branching"], ids=str)
     def test_ladder_relation_is_the_per_node_rules(self, name):
         c = ladder_complex(name)
         if name == "branching":
-            assert max(map(len, c._chambers_of_edge.values())) >= 3
-        for kind, listed, successors in (("edge", directed_edges, edge_successors),
-                                         ("gallery", pointed_chambers, gallery_successors)):
-            nodes, out = transitions(c, kind)
-            assert nodes == tuple(listed(c)) and list(nodes) == sorted(nodes)
-            assert len(out) == len(nodes)
-            for i, js in enumerate(out):
-                assert [nodes[j] for j in js] == successors(c, nodes[i])
+            assert np.diff(c._cells.indptr).max() >= 3
+        assert_relation_is_the_per_node_rules(c)
 
     @pytest.mark.parametrize("basis", LADDER_TORI, ids=str)
     def test_ladder_traces_match_geometry(self, basis):
@@ -347,8 +359,8 @@ class TestTransitions:
 
     def test_relation_calls_no_per_node_rule(self, monkeypatch):
         names = [((9, 0), (0, 9)), "branching"]
-        expected = [{kind: transitions(ladder_complex(n), kind) for kind in ("edge", "gallery")}
-                    for n in names]
+        expected = [{kind: as_lists(transitions(ladder_complex(n), kind))
+                     for kind in ("edge", "gallery")} for n in names]
 
         def refuse(*args):
             raise AssertionError("per-node rule called")
@@ -360,13 +372,15 @@ class TestTransitions:
                 rule(None, None)
         for name, want in zip(names, expected):
             c = ladder_complex(name)
-            assert {kind: transitions(c, kind) for kind in want} == want
+            assert {kind: as_lists(transitions(c, kind)) for kind in want} == want
 
     @pytest.mark.parametrize("kind", ["edge", "gallery"])
     def test_built_once(self, torus, kind):
         first = transitions(torus, kind)
         assert transitions(torus, kind) is first
-        assert isinstance(first[1], tuple) and all(isinstance(js, tuple) for js in first[1])
+        assert all(isinstance(array, np.ndarray) for array in first)
+        lists = operators._successor_lists(torus, kind)
+        assert operators._successor_lists(torus, kind) is lists
 
     def test_memo_is_not_part_of_the_value(self, skew_torus):
         fresh = loads_complex(dumps_complex(skew_torus))
@@ -469,4 +483,56 @@ class TestGate:
         for route in self.KIND_ROUTES:
             with pytest.raises(ValueError):
                 route(fresh, "chamber")
-        assert fresh._relations == fresh._components == {}
+        assert fresh._relations == fresh._successors == fresh._components == {}
+
+
+class TestCells:
+    """A cell complex, built through the array constructor the v1 loader uses.
+
+    The edges a0, a1 and a2 join the vertices 0 and 1, c joins 0 and 2 and b
+    joins 1 and 2; the chambers are (a0, b, c) and (a1, b, c), on one vertex
+    triple, and a2 bounds none.  Edge indices: a0, a1, a2, c, b = 0..4.
+    """
+
+    @pytest.fixture()
+    def cells(self):
+        edges = np.array([[0, 1], [0, 1], [0, 1], [0, 2], [1, 2]])
+        return TypedComplex._from_arrays(np.arange(3), np.arange(3), edges,
+                                         np.array([[0, 4, 3], [4, 1, 3]]))
+
+    def test_validates(self, cells):
+        assert validate_complex(cells).ok
+        assert cells.edges == ((0, 1), (0, 1), (0, 1), (0, 2), (1, 2))
+        assert cells.chambers == ((0, 1, 2), (0, 1, 2))
+        # each chamber's sides, in the order (0, 1), (0, 2), (1, 2)
+        assert cells._cells.sides.tolist() == [[0, 3, 4], [1, 3, 4]]
+
+    def test_edge_pair_refused_when_both_bound_one_chamber(self, cells):
+        # nodes a0, a1, a2 (0 -> 1), b (1 -> 2), c (2 -> 0); a vertex rule would
+        # refuse every pair here, since 0, 1, 2 span a chamber
+        assert operators._successor_lists(cells, "edge") == ([], [], [3], [], [2])
+        assert transitions(cells, "edge").grade.tolist() == [0, 0, 0, 1, 2]
+
+    def test_gallery_step_leaves_by_the_edge_of_the_next_chamber(self, cells):
+        # node 3 * chamber + position of its pointer's tail; pointers a0, b, c
+        # of the first chamber and a1, b, c of the second
+        _, _, pointer = operators._pointers(cells._cells)
+        assert pointer.ravel().tolist() == [0, 4, 3, 1, 4, 3]
+        out = operators._successor_lists(cells, "gallery")
+        assert out == ([], [3], [4], [], [0], [1])
+        # across b into the second chamber, out by its own edge a1, not a0
+        assert [pointer.ravel()[j] for j in out[1]] == [1]
+        assert transitions(cells, "gallery").grade.tolist() == [0, 1, 2, 0, 1, 2]
+
+
+class TestPointerDoubling:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 60).flatmap(lambda n: st.permutations(range(n))))
+    @example(list(range(1, 257)) + [0])
+    def test_cycles_are_tarjans(self, g):
+        expected = []
+        for members in _strong_components([[w] for w in g]):
+            trail = members[::-1]
+            start = trail.index(min(trail))
+            expected.append(tuple(trail[start:] + trail[:start]))
+        assert operators._permutation_cycles(np.array(g, dtype=np.int64)) == tuple(expected)
