@@ -1,11 +1,11 @@
 """Brute-force enumeration of closed positive geodesics and galleries.
 
 This module is the independent oracle for the linear-algebra layer: it walks
-the successor lists of ``operators.transitions`` directly (depth-first, no
-matrices) to count based closed paths, decomposes them into rotation
-classes with primitive lengths and powers, and assembles the length series
-and the product over primitive classes.  The walks keep an explicit stack of
-successor iterators, so no order is bounded by Python's recursion limit.
+the relation of ``operators.transitions`` directly (no matrices) to count
+based closed paths, decomposes them into rotation classes with primitive
+lengths and powers, and assembles the length series and the product over
+primitive classes.  No walk recurses, so no order is bounded by Python's
+recursion limit.
 
 A closed path never leaves the strongly connected component of its start,
 so the classes are found from the components that ``operators`` memoizes
@@ -26,18 +26,30 @@ decides that one node at a time, in the form of Cattell, Ruskey, Sawada,
 Serra and Miers (J. Algorithms 37, 2000): if p is the length of the longest
 Lyndon prefix of a prenecklace a of length t, then a + (w,) is a prenecklace
 exactly when w >= a[t - p], with longest Lyndon prefix p if w == a[t - p]
-and t + 1 if w is larger.  The walk carries p per depth and steps only
+and t + 1 if w is larger.  The walk carries p per trail and steps only
 through prenecklaces, so no prefix that no class starts with is extended; a
 closed trail is a necklace exactly when p divides t, and p is then its
-minimal period.  One backward breadth-first search per s gives each node's
-return distance to s through nodes > s; the walk steps into a node only if
-that distance fits in the steps left, which cuts every prefix that cannot
-close in time.  Two consumers read the classes.  ``closed_paths`` counts N
-and P as they come (a class of primitive length d has d based rotations) and
-keeps no class.  ``enumerate_primitive_classes`` sorts the classes and
+minimal period.  It steps into a node only if the node's return distance to
+s through nodes > s fits in the steps left, which cuts every prefix that
+cannot close in time.
+
+The walk runs level by level in whole-array passes over the relation's CSR
+arrays, for all starts at once.  A frontier row holds a start, its trail
+(a row of an (R, t) integer array) and p; one level gathers the successors
+of every row (``np.repeat`` over the out-degrees), keeps the steps both
+rules allow and counts the closures.  The frontier goes through in chunks
+of ``_CHUNK`` rows, depth first, so its memory grows with the chunk size,
+the order and the out-degree, not with the number of prefixes.  The return
+distances come before the walk, from one backward breadth-first search on
+rows of bits, one bit per start: a (nodes x starts) matrix, taken in blocks
+of starts of at most ``_BLOCK`` entries.  Two consumers read the classes
+chunk by chunk.  ``closed_paths`` sums N and P from the closing periods (a
+class of primitive length d has d based rotations) and keeps no trail.
+``enumerate_primitive_classes`` collects the closing trails, sorts them and
 builds one ``GeodesicClass`` per class, with node representatives; only it,
 and so ``btz count``, builds class objects.  ``count_closed_paths`` is the
-unpruned count-only walk, kept as the plain oracle.
+unpruned count-only walk on the successor lists, one node at a time, kept
+as the plain oracle.
 
 The Euler product over the primitive classes and its log-derivative are
 each written once: ``product_of_primitive_counts`` multiplies the factors
@@ -59,10 +71,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .complexes import TypedComplex
 from .generators import POSITIVE_DIRECTIONS, ApartmentSpec
-from .operators import (_check_kind, _relation_components, _successor_lists, directed_edges,
-                        pointed_chambers, transitions)
+from .operators import (_check_kind, _ranges, _relation_components, _successor_lists,
+                        directed_edges, pointed_chambers, transitions)
 from .polynomials import PowerSeriesPrefix, _cycle_factor, _sparse_product
 
 __all__ = [
@@ -96,11 +110,12 @@ class GeodesicClass:
             raise ValueError("length must equal power * primitive_length")
 
 
-def _walk_relation(c: TypedComplex, max_length: int, kind: str) -> None:
-    """The order check, then ``transitions(c, kind)``, which checks the kind and closedness."""
+def _walk_relation(c: TypedComplex, max_length: int, kind: str):
+    """The order check, then the relation ``transitions(c, kind)``, which checks the kind
+    and closedness."""
     if max_length < 1:
         raise ValueError("max length must be >= 1")
-    transitions(c, kind)
+    return transitions(c, kind)
 
 
 def count_closed_paths(c: TypedComplex, max_length: int, kind: str = "edge") -> list[int]:
@@ -126,83 +141,78 @@ def count_closed_paths(c: TypedComplex, max_length: int, kind: str = "edge") -> 
     return counts
 
 
-def _return_distances(pred: list[list[int]], s: int, max_length: int) -> dict[int, int]:
-    """Fewest steps from each node v > s back to s through nodes > s (s itself: 0).
+_CHUNK = 8192  # frontier rows expanded at once
+_BLOCK = 1 << 20  # return distances (nodes x starts) held at once
 
-    Breadth-first over the predecessors; nodes that cannot reach s within
-    max_length - 1 steps are absent.
+
+def _return_distances(indptr: np.ndarray, indices: np.ndarray, starts: np.ndarray,
+                      max_length: int) -> np.ndarray:
+    """dist[v, i]: the fewest steps from v back to starts[i] through nodes > starts[i].
+
+    One backward breadth-first search for all starts at once, on rows of
+    bits (one bit per start): a level ORs each node's successor rows by one
+    gather and one ``reduceat`` over the CSR.  dist[starts[i], i] is 0; a
+    node that cannot get back within max_length - 1 steps reads max_length,
+    which the dtype holds.
     """
-    dist = {s: 0}
-    frontier = [s]
+    n, k = len(indptr) - 1, len(starts)
+    sources = np.flatnonzero(np.diff(indptr))
+    dist = np.full((n, k), max_length, np.min_scalar_type(max_length))
+    dist[starts, np.arange(k)] = 0
+    frontier = np.packbits(dist == 0, axis=1, bitorder="little")
+    unseen = np.packbits(np.arange(n)[:, None] > starts, axis=1, bitorder="little")
     for d in range(1, max_length):
-        reached = []
-        for w in frontier:
-            for v in pred[w]:
-                if v > s and v not in dist:
-                    dist[v] = d
-                    reached.append(v)
+        reached = np.zeros_like(frontier)
+        reached[sources] = np.bitwise_or.reduceat(frontier[indices], indptr[sources], axis=0)
+        reached &= unseen
+        if not reached.any():
+            break
+        dist[np.unpackbits(reached, axis=1, count=k, bitorder="little").view(bool)] = d
+        unseen ^= reached
         frontier = reached
     return dist
 
 
-def _closed_walks(out: tuple, max_length: int, starts=None):
-    """Yield (index trail, minimal period) once per rotation class, in walk order.
+def _frontier_walk(indptr: np.ndarray, indices: np.ndarray, starts, max_length: int):
+    """Yield (trails, periods) per frontier chunk, each rotation class once.
 
-    ``out`` is the successor index lists of ``transitions(c, kind)``.  The
-    trail is the class's lexicographically smallest rotation, a necklace; the
-    walk steps only through prenecklaces, carrying the length of each
-    prefix's longest Lyndon prefix (see the module docstring).  Only the
-    classes whose smallest node is in ``starts`` (default: every node) are
-    walked.
+    Walks the CSR relation (node i's successors are indices[indptr[i]:
+    indptr[i + 1]], as ``transitions`` gives them) from the nodes
+    ``starts``, level by level and chunk by chunk, depth first (see the
+    module docstring).  ``trails`` holds one row per class of length t
+    that closes in the chunk, each as its lexicographically smallest
+    rotation, and ``periods`` holds their minimal periods.
     """
-    pred: list[list[int]] = [[] for _ in out]
-    for i, ys in enumerate(out):
-        for j in ys:
-            pred[j].append(i)
-    for s in range(len(out)) if starts is None else starts:
-        dist = _return_distances(pred, s, max_length)
-        trail = [s]
-        lyn = [1]  # longest Lyndon prefix of the trail, one entry per depth
-        stack = [iter(out[s])]  # the continuations still to try after each trail node
+    starts = np.asarray(starts, dtype=np.int64)
+    degree = np.diff(indptr)
+    node = np.min_scalar_type(len(indptr) - 2)  # the trails' dtype, the least for a node
+    size = max(1, _BLOCK // len(indptr))
+    for b in range(0, len(starts), size):
+        block = starts[b:b + size]
+        k = len(block)
+        dist = _return_distances(indptr, indices, block, max_length).ravel()  # [v * k + i]
+        # a frontier row: its start's index i in the block, its trail, and p,
+        # the length of the trail's longest Lyndon prefix
+        stack = [(np.arange(k), block[:, None].astype(node), np.ones(k, np.int64))]
         while stack:
-            t, p = len(trail), lyn[-1]
-            low = trail[t - p]  # the least next node that keeps a prenecklace
-            left = max_length - t  # steps left after the next one
-            for w in stack[-1]:
-                if w < low:
-                    continue
-                if w == s:  # then low == s, as in every necklace trail
-                    if not t % p:
-                        yield tuple(trail), p
-                    if not left:
-                        continue
-                elif dist.get(w, max_length) > left:
-                    continue
-                trail.append(w)
-                lyn.append(p if w == low else t + 1)
-                stack.append(iter(out[w]))
-                break
-            else:
-                stack.pop()
-                trail.pop()
-                lyn.pop()
-
-
-def _classes(c: TypedComplex, kind: str, max_length: int):
-    """Yield (index trail, minimal period) once per rotation class of length <= max_length.
-
-    The trail is the class's smallest rotation in the node indices of
-    ``transitions(c, kind)``.  A cycle component of length l gives its trail
-    from its smallest node repeated k times, with period l, for each k * l
-    <= max_length, with no walk.  Then ``_closed_walks`` runs on the
-    successor lists from the nodes of the other components, ``rest``.
-    """
-    cycles, rest = _relation_components(c, kind)
-    for cycle in cycles:
-        for k in range(1, max_length // len(cycle) + 1):
-            yield cycle * k, len(cycle)
-    if rest:  # none on a torus: no walk, not even its successor lists
-        yield from _closed_walks(_successor_lists(c, kind), max_length, rest)
+            row, trail, p = stack.pop()
+            if len(row) > _CHUNK:  # the rest waits on the stack
+                stack.append((row[_CHUNK:], trail[_CHUNK:], p[_CHUNK:]))
+                row, trail, p = row[:_CHUNK], trail[:_CHUNK], p[:_CHUNK]
+            t = trail.shape[1]
+            first, count = indptr[trail[:, -1]], degree[trail[:, -1]]
+            at = np.repeat(np.arange(len(row)), count)  # each successor's frontier row
+            w, p, row = indices[_ranges(first, count)], p[at], row[at]
+            low = trail.ravel()[at * t + t - p]  # the least w that keeps a prenecklace
+            keep = w >= low
+            close = keep & (w == block[row]) & (t % p == 0)
+            if close.any():
+                yield trail[at[close]], p[close]
+            if t < max_length:  # a step's return distance must fit the steps left
+                step = np.flatnonzero(keep & (dist[w * k + row] <= max_length - t))
+                at, w = at[step], w[step]
+                stack.append((row[step], np.column_stack((trail[at], w.astype(node))),
+                              np.where(w == low[step], p[step], t + 1)))
 
 
 def closed_paths(c: TypedComplex, max_length: int,
@@ -211,18 +221,24 @@ def closed_paths(c: TypedComplex, max_length: int,
 
     N[m] is the number of based closed paths of length m, as from
     ``count_closed_paths``; P[m] is the number of primitive classes of length
-    m, as ``primitive_counts`` gives from the classes.  Both are counted as
-    the classes come (see ``_classes``): a class of length m and primitive
-    length d adds d to N[m], and 1 to P[m] when d = m.  No class object is
-    built.
+    m, as ``primitive_counts`` gives from the classes.  A cycle component of
+    length l is one primitive class, whose powers give N its divisor sums;
+    the walk's classes are summed per chunk as they close: a class of length
+    m and primitive length d adds d to N[m], and 1 to P[m] when d = m.  No
+    trail is kept and no class object is built.
     """
-    _walk_relation(c, max_length, kind)
-    N = [0] * (max_length + 1)
+    indptr, indices, _ = _walk_relation(c, max_length, kind)
+    cycles, rest = _relation_components(c, kind)
     P = [0] * (max_length + 1)
-    for trail, period in _classes(c, kind, max_length):
-        N[len(trail)] += period
-        if period == len(trail):
-            P[period] += 1
+    for cycle in cycles:
+        if len(cycle) <= max_length:
+            P[len(cycle)] += 1
+    N = _divisor_sums(P)
+    if rest:  # none on a torus: no walk
+        for trails, periods in _frontier_walk(indptr, indices, rest, max_length):
+            t = trails.shape[1]
+            N[t] += int(periods.sum())
+            P[t] += int(np.count_nonzero(periods == t))
     return N, P
 
 
@@ -234,10 +250,17 @@ def enumerate_primitive_classes(c: TypedComplex, max_length: int,
     (nodes of ``directed_edges`` resp. ``pointed_chambers``, which compare
     like their indices in ``transitions(c, kind)``), annotated with its
     minimal period (primitive length) and the power it is of the underlying
-    primitive class.
+    primitive class.  The cycle components give their powers with no walk;
+    the walk, from the nodes of the other components, gives the rest.
     """
-    _walk_relation(c, max_length, kind)
-    reps = sorted(_classes(c, kind, max_length))
+    indptr, indices, _ = _walk_relation(c, max_length, kind)
+    cycles, rest = _relation_components(c, kind)
+    reps = [(cycle * k, len(cycle)) for cycle in cycles
+            for k in range(1, max_length // len(cycle) + 1)]
+    if rest:
+        for trails, periods in _frontier_walk(indptr, indices, rest, max_length):
+            reps.extend(zip(map(tuple, trails.tolist()), periods.tolist()))
+    reps.sort()
     nodes = directed_edges(c) if kind == "edge" else pointed_chambers(c)
     return [GeodesicClass(length=len(rep), primitive_length=period,
                           power=len(rep) // period,

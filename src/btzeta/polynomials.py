@@ -48,13 +48,6 @@ __all__ = [
 ]
 
 
-def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class IntPolynomial:
     """Polynomial with arbitrary-precision integer coefficients.
@@ -67,7 +60,11 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):  # noqa: D107
-        object.__setattr__(self, "coeffs", _strip(int(c) for c in coeffs))
+        coeffs = tuple(map(int, coeffs))
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:  # trailing zeros, cut by one slice
+            end -= 1
+        object.__setattr__(self, "coeffs", coeffs[:end])
 
     # -- basic structure ---------------------------------------------------
 

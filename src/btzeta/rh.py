@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import mpmath
 import numpy as np
 
 from .polynomials import IntPolynomial, RationalFn
@@ -61,7 +60,13 @@ def _residual_scale(p: IntPolynomial, z: complex) -> float:
 
 
 def _polish(p: IntPolynomial, seeds, tol: float) -> tuple[list[complex], str | None]:
-    """The seeds after Newton steps on p, and why the first one failed, if one did."""
+    """The seeds after Newton steps on p, and why the first one failed, if one did.
+
+    mpmath is imported here, its only use, so that no command that polishes
+    no root pays its import.
+    """
+    import mpmath
+
     exact = list(reversed(p.coeffs))
     exact_deriv = list(reversed(p.derivative().coeffs)) or [0]
     polished = []

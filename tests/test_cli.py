@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -548,6 +551,28 @@ class TestVerify:
             assert doc["zeta"]["ratio"] == {"num": ["1"],
                                             "den": ["1", "0", "0", "0", "0", "0", "-1"]}
             assert doc["recorded"]["torus_geometric_oracle"].startswith("skipped")
+
+    def test_verify_imports_no_heavy_module(self, tmp_path):
+        # mpmath serves only rh._polish, which no torus verify runs, and sympy is
+        # a test-only dependency: a top-level import of either fails here
+        script = "\n".join([
+            "import sys",
+            "from click.testing import CliRunner",
+            "import btzeta.cli",
+            "runner = CliRunner()",
+            "with runner.isolated_filesystem(temp_dir=sys.argv[1]):",
+            "    for args in (['gen', 'torus', '--basis', '3', '0', '0', '3', '-o', 't.json'],",
+            "                 ['verify', 't.json', '--no-timings']):",
+            "        assert runner.invoke(btzeta.cli.main, args).exit_code == 0",
+            "print(sorted({'mpmath', 'sympy'} & set(sys.modules)))",
+        ])
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        result = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
 
     def test_run_verify_api(self, tmp_path, torus):
         path = tmp_path / "t.json"

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,13 +31,26 @@ from btzeta import (
 )
 from btzeta import geodesics
 from btzeta.generators import gen_apartment_torus
-from btzeta.geodesics import _closed_walks
 from btzeta.operators import (_relation_components, _successor_lists, directed_edges,
                               pointed_chambers)
 from btzeta.polynomials import log_derivative_series, series_exp_neg_integral
 from conftest import closed_typed_complex, disjoint_union
 
 M = 12
+
+
+def csr(out):
+    """(indptr, indices) of successor lists, in their own order."""
+    indptr = np.zeros(len(out) + 1, dtype=np.int64)
+    np.cumsum([len(ys) for ys in out], out=indptr[1:])
+    return indptr, np.array([w for ys in out for w in ys], dtype=np.int64)
+
+
+def walk_classes(indptr, indices, starts, max_length):
+    """The frontier walk's (trail, period) pairs, taken out of its chunks."""
+    chunks = geodesics._frontier_walk(indptr, indices, starts, max_length)
+    return [(tuple(trail), period) for trails, periods in chunks
+            for trail, period in zip(trails.tolist(), periods.tolist())]
 
 
 def node_list(c, kind):
@@ -168,8 +183,9 @@ class TestPrimitiveClasses:
            st.integers(1, 9))
     def test_walk_matches_brute_force_on_digraphs(self, out, max_length):
         """On raw successor lists, self-loops and repeated visits to the start
-        included, the walk yields each necklace trail when an unpruned walk
-        from every node closes it, with its minimal period."""
+        included, the walk from every node yields each necklace trail once
+        when an unpruned walk from every node closes it, with its minimal
+        period (in any order: its consumers sort or sum)."""
         found, classes = [], set()
 
         def walk(trail):
@@ -186,8 +202,8 @@ class TestPrimitiveClasses:
 
         for s in range(len(out)):
             walk((s,))
-        walks = list(_closed_walks(tuple(map(tuple, out)), max_length))
-        assert walks == found
+        walks = walk_classes(*csr(out), range(len(out)), max_length)
+        assert sorted(walks) == sorted(found)
         assert sorted(walks) == sorted(classes)
 
     def test_torus_primitive_counts_match_geometry(self, torus, torus_spec):
@@ -235,7 +251,7 @@ class TestComponentSplit:
         assert cycles and others  # both routes run
         zeta = zeta_edge if kind == "edge" else zeta_chamber
         assert zeta(c) == char_poly_reverse(three_step_operator(c, kind)).subst_u_power(3)
-        nodes, out = node_list(c, kind), _successor_lists(c, kind)
+        nodes, (indptr, indices, _) = node_list(c, kind), transitions(c, kind)
         # the plain oracle's count at an order is the prefix of a longer one
         N = count_closed_paths(c, 12, kind)
         # the orders below the shortest cycle (3 for edges, 6 for galleries) see
@@ -247,7 +263,8 @@ class TestComponentSplit:
                                                      primitive_counts(classes, order))
             assert [(g.representative, g.primitive_length) for g in classes] == \
                 [(tuple(nodes[i] for i in rep), period)
-                 for rep, period in sorted(_closed_walks(out, order))]
+                 for rep, period in sorted(walk_classes(indptr, indices, range(len(nodes)),
+                                                        order))]
 
     @pytest.mark.parametrize("kind", ["edge", "gallery"])
     @pytest.mark.parametrize("basis", HIGH_ORDER_TORI, ids=str)
@@ -256,7 +273,7 @@ class TestComponentSplit:
         def no_walk(*args):
             raise AssertionError("a torus relation has only cycle components")
 
-        monkeypatch.setattr(geodesics, "_closed_walks", no_walk)
+        monkeypatch.setattr(geodesics, "_frontier_walk", no_walk)
         c = gen_apartment_torus(ApartmentSpec(basis))
         assert closed_paths(c, 60, kind) == (torus_trace_counts(basis, 60, kind),
                                              torus_primitive_counts(basis, 60, kind))
@@ -271,13 +288,13 @@ class TestWalkStarts:
         c = disjoint_union(torus, three_cycle,
                            closed_typed_complex(random.Random(2), (4, 4, 4)))
         starts = []
-        original = geodesics._return_distances
+        original = geodesics._frontier_walk
 
-        def recording(pred, s, max_length):
-            starts.append(s)
-            return original(pred, s, max_length)
+        def recording(indptr, indices, walked, max_length):
+            starts.extend(walked)
+            return original(indptr, indices, walked, max_length)
 
-        monkeypatch.setattr(geodesics, "_return_distances", recording)
+        monkeypatch.setattr(geodesics, "_frontier_walk", recording)
         _, rest = _relation_components(c, kind)
         assert rest != tuple(range(len(rest)))  # the nodes interleave
         closed_paths(c, 6, kind)
@@ -285,6 +302,42 @@ class TestWalkStarts:
         starts.clear()
         enumerate_primitive_classes(c, 6, kind)
         assert tuple(starts) == rest
+
+
+class TestFrontierWalk:
+    def test_memory_is_bounded_by_the_chunk_size(self):
+        # the complete 4+4+4 tripartite graph with no chamber: 48 positive edges
+        # with 4 continuations each; at order 9 the widest level holds about 11
+        # chunks of rows, and all of it at once peaks near 18 MB
+        c = closed_typed_complex(random.Random(0), (4, 4, 4), p_chamber=0.0)
+        order = 9
+        N = count_closed_paths(c, order)
+        P = [0] * (order + 1)
+        for m in range(1, order + 1):
+            P[m] = (N[m] - sum(d * P[d] for d in range(1, m) if m % d == 0)) // m
+        _relation_components(c, "edge")  # memoized: the peak below is the walk's
+        tracemalloc.start()
+        try:
+            counts = closed_paths(c, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == (N, P)
+        assert peak < 64 * geodesics._CHUNK * order
+
+    @pytest.mark.parametrize("kind", ["edge", "gallery"])
+    def test_blocks_and_chunks_leave_the_classes(self, kind, monkeypatch):
+        # six branching complexes: more than 256 nodes, so the trails take two
+        # bytes a node
+        c = disjoint_union(*(closed_typed_complex(random.Random(seed), (4, 4, 4))
+                             for seed in range(6)))
+        assert len(transitions(c, kind).grade) > 256
+        whole = enumerate_primitive_classes(c, 8, kind), closed_paths(c, 8, kind)
+        assert whole[1][0] == count_closed_paths(c, 8, kind)
+        # five starts a block, seven rows a chunk
+        monkeypatch.setattr(geodesics, "_BLOCK", 5 * len(transitions(c, kind).indptr))
+        monkeypatch.setattr(geodesics, "_CHUNK", 7)
+        assert (enumerate_primitive_classes(c, 8, kind), closed_paths(c, 8, kind)) == whole
 
 
 class TestSeriesAssembly:

@@ -73,6 +73,23 @@ class TestIntPolynomial:
         assert IntPolynomial([0, 0]).coeffs == ()
         assert IntPolynomial().degree == -1
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=8), st.integers(0, 3),
+           st.sampled_from(["list", "int64", "generator"]))
+    def test_constructor_matches_the_per_coefficient_strip(self, coeffs, zeros, form):
+        coeffs = coeffs + [0] * zeros
+        given_as = {"list": lambda: coeffs,
+                    "int64": lambda: np.array(coeffs, dtype=np.int64),
+                    "generator": lambda: (c for c in coeffs)}[form]()
+        # the constructor's former expression: one int() per coefficient through a
+        # generator, then trailing zeros popped one by one
+        old = [int(c) for c in coeffs]
+        while old and old[-1] == 0:
+            old.pop()
+        p = IntPolynomial(given_as)
+        assert p.coeffs == tuple(old)
+        assert all(type(c) is int for c in p.coeffs)
+
     def test_arithmetic(self):
         p = IntPolynomial([1, 1])
         assert (p * p).coeffs == (1, 2, 1)
