@@ -19,6 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from .complexes import (
@@ -35,6 +36,7 @@ from .cones import (
     LatticeCone,
     _closed_form,
     _fundamental_points,
+    _rows_json,
     cone_generators,
     evaluate_partial_sum,
 )
@@ -406,7 +408,7 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
         doc["evaluation"] = entry
     head, rest = _canonical(doc).split('"closed_form":null', 1)
     middle, tail = rest.split('"fundamental_set":null', 1)
-    fset = json.dumps(points.T.tolist(), separators=(",", ":"))
+    fset = "[%s]" % _rows_json(points.T, ["["], np.zeros(points.shape[1], np.intp), "]")
     text = f'{head}"closed_form":{closed.to_json()}{middle}"fundamental_set":{fset}{tail}'
     size = points.shape[1]
     del points, closed, fset  # freed before click copies the text out

@@ -27,12 +27,16 @@ F stays one (r, |F|) integer array from the lister to the output text:
 ``fundamental_domain`` and ``cone_series_closed_form`` are their tuple views.
 ``ConeClosedForm`` holds its numerator as a coefficient tuple and an (n, r)
 exponent array, and ``terms`` is read off them.  ``to_json`` encodes each
-distinct coefficient once and the exponent rows as one JSON text of the
-array, with no dict per term.  ``evaluate`` reads the array one coordinate
-row at a time and takes each power u_j^e once per coordinate and distinct
-exponent, then multiplies in coordinate order from the coefficient and sums
-left to right from 0, as the plain per-term loop does, in Python arithmetic:
-float points keep the loop's bits and Fraction points stay exact.
+distinct coefficient once, with no dict per term.  One encoder,
+``_rows_json``, writes the exponent rows after their coefficients' prefixes
+and F's points as JSON: an int64 array of at least ``_DIGIT_PASS_MIN`` rows
+in whole-array digit passes over a byte table, a smaller one, or one of
+exact integers beyond int64, by json.dumps of ``tolist()``.  ``evaluate``
+reads the array one coordinate row at a time and takes each power u_j^e
+once per coordinate and distinct exponent, then multiplies in coordinate
+order from the coefficient and sums left to right from 0, as the plain
+per-term loop does, in Python arithmetic: float points keep the loop's bits
+and Fraction points stay exact.
 
 The linear algebra is exact integer elimination: one fraction-free
 Gauss-Jordan routine gives the adjugate and the determinant of a matrix.
@@ -443,6 +447,68 @@ def _coefficient_text(x) -> str:
 # key order of the coefficient dicts that to_json_dict rebuilds from the text
 _COEFFICIENT_KEYS = {("den", "num"): ("num", "den"), ("im", "re"): ("re", "im")}
 
+# Arrays of fewer rows are written by json.dumps of tolist(): on a 2-vCPU
+# host the digit passes cost a fixed ~26 us, and json ~0.55 us per row of
+# rank 1-3 with to_json's heads, so the two are equal near 48-56 rows.
+_DIGIT_PASS_MIN = 48
+_TEXT_CHUNK = 4096  # rows written into one byte table at once
+
+
+def _rows_json(rows: np.ndarray, heads, which: np.ndarray, tail: str) -> str:
+    """Row i of the (n, r) integer array as heads[which[i]], its entries and ``tail``.
+
+    The entries of a row are joined by "," and the rows by ",", so with the
+    one head "[" and the tail "]" the text is json.dumps(rows.tolist(),
+    separators=(",", ":")) without its outer brackets.  An int64 array of at
+    least ``_DIGIT_PASS_MIN`` rows is written ``_TEXT_CHUNK`` rows at a
+    time into a byte table of fixed-width fields (a head padded to the
+    longest, then per entry a sign, one digit per place up to the widest
+    entry and a separator), in whole-array passes: one division by 10 per
+    place, in int32 when the entries fit.  Leading zeros, the sign of a
+    nonnegative entry and a head's padding are zero bytes, dropped in one
+    boolean compress before the bytes are decoded.  Smaller arrays, and
+    exact integers beyond int64 (``dtype=object``, whose digits would cost
+    quadratic time per entry), go through json.dumps of ``tolist()``.
+    """
+    n, r = rows.shape
+    if rows.dtype == object or n < _DIGIT_PASS_MIN or not r:
+        texts = json.dumps(rows.tolist(), separators=(",", ":"))[2:-2].split("],[")
+        # joining the three streams builds no string per row
+        ends = chain(repeat(tail + ",", n - 1), (tail,))
+        return "".join(chain.from_iterable(zip(map(heads.__getitem__, which.tolist()),
+                                               texts, ends)))
+    magnitude = max(-int(rows.min()), int(rows.max()))
+    places = len(str(magnitude))
+    # |x| of a signed int, read unsigned so that |-2^63| fits
+    signed, unsigned = (np.int32, np.uint32) if magnitude < 2**31 else (np.int64, np.uint64)
+    head = np.array(heads, dtype="S")
+    width = head.itemsize
+    end = np.frombuffer((tail + ",").encode(), np.uint8)
+    at = width + r * (places + 2) - 1  # the tail replaces the last entry's separator
+    texts = []
+    for start in range(0, n, _TEXT_CHUNK):
+        x = rows[start:start + _TEXT_CHUNK].astype(signed)
+        table = np.zeros((len(x), at + len(end)), np.uint8)
+        table[:, :width] = head[which[start:start + _TEXT_CHUNK]].view(np.uint8).reshape(
+            len(x), width)
+        fields = table[:, width:at + 1].reshape(len(x), r, places + 2)
+        fields[:, :, 0] = (x < 0) * ord("-")
+        fields[:, :, -1] = ord(",")
+        q = np.abs(x).view(unsigned)
+        del x
+        for place in range(places):
+            rest = q // 10  # a scalar floor divide is vectorised, np.divmod is not
+            digit = q - rest * 10 + ord("0")
+            if place:  # the ones digit always shows; a leading zero does not
+                digit *= q != 0
+            fields[:, :, places - place] = digit
+            q = rest
+        table[:, at:] = end
+        if start + _TEXT_CHUNK >= n:
+            table[-1, -1] = 0  # no separator after the last row
+        texts.append(str(table[table != 0].data, "ascii"))
+    return "".join(texts)
+
 
 class ConeClosedForm:
     """Finite-sum-over-poles closed form of the cone lattice-point series.
@@ -529,32 +595,28 @@ class ConeClosedForm:
         A term reads {"coeff": c, "exponents": [...]} and a pole factor
         {"coeff": c, "power": k}; an int coefficient encodes like the equal
         Fraction, as {"num": ..., "den": ...}, and a complex one as
-        {"re": ..., "im": ...}.  Each distinct coefficient is encoded once,
-        the exponent rows are one JSON text of the exponent array, and each
-        term is its coefficient's prefix joined to its row.
+        {"re": ..., "im": ...}.  Each distinct coefficient is encoded once
+        into its term prefix, and ``_rows_json`` writes each exponent row
+        after its coefficient's prefix.
         """
         poles = ",".join('{"coeff":%s,"power":%s}' % (_coefficient_text(c), k)
                          for c, k in self.pole_factors)
-        terms = ""
         coeffs = self._coefficients
-        if coeffs:
-            rows = json.dumps(self._exponents.tolist(), separators=(",", ":"))[2:-2].split("],[")
-            # ints alone, or Fractions alone, encode by value (a Fraction keyed
-            # by its (numerator, denominator), which hashes in C); otherwise
-            # equal values can encode differently (1, 1.0 and True; 0.0 and -0.0)
-            types = set(map(type, coeffs))
-            if types == {int}:
-                keys = coeffs
-            elif types == {Fraction}:
-                keys = list(map(Fraction.as_integer_ratio, coeffs))
-            else:
-                keys = list(zip(map(type, coeffs), map(repr, coeffs)))
-            prefix = {key: '{"coeff":%s,"exponents":[' % _coefficient_text(c)
-                      for key, c in dict(zip(keys, coeffs)).items()}
-            # a term is its prefix, its row and "]}", with "," between terms;
-            # joining the three streams builds no string per term
-            ends = chain(repeat("]},", len(rows) - 1), ("]}",))
-            terms = "".join(chain.from_iterable(zip(map(prefix.__getitem__, keys), rows, ends)))
+        # ints alone, or Fractions alone, encode by value (a Fraction keyed
+        # by its (numerator, denominator), which hashes in C); otherwise
+        # equal values can encode differently (1, 1.0 and True; 0.0 and -0.0)
+        types = set(map(type, coeffs))
+        if types == {int}:
+            keys = coeffs
+        elif types == {Fraction}:
+            keys = list(map(Fraction.as_integer_ratio, coeffs))
+        else:
+            keys = list(zip(map(type, coeffs), map(repr, coeffs)))
+        distinct = dict(zip(keys, coeffs))
+        heads = ['{"coeff":%s,"exponents":[' % _coefficient_text(c) for c in distinct.values()]
+        index = dict(zip(distinct, range(len(distinct))))
+        which = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+        terms = _rows_json(self._exponents, heads, which, "]}")
         return f'{{"pole_factors":[{poles}],"terms":[{terms}]}}'
 
     def to_json_dict(self) -> dict:

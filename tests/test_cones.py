@@ -3,8 +3,10 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import chain, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import sympy
 from click.testing import CliRunner
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from btzeta import (
     CharacterData,
@@ -27,9 +30,11 @@ from btzeta import (
     fundamental_domain,
 )
 from btzeta.cli import SCHEMA_VERSION, main
+from btzeta import cones
 from btzeta.cones import (
     EXACT_POWER_CAP,
     FUNDAMENTAL_INDEX_CAP,
+    _DIGIT_PASS_MIN,
     _adjugate,
     _character_values,
     _closed_form,
@@ -37,6 +42,7 @@ from btzeta.cones import (
     _lower_hermite_form,
     _mat_vec,
     _mat_vec_row,
+    _rows_json,
     truncated_cone_points,
 )
 
@@ -710,12 +716,67 @@ POINTS = {
 }
 
 
+# int64 entries of every width, one digit, zero and +-(2^63 - 1)
+INT64_ENTRIES = (st.integers(-9, 9) | st.integers(-(2**63 - 1), 2**63 - 1)
+                 | st.sampled_from([10, -10, 99, -100, 2**31 - 1, -(2**31), 2**31,
+                                    2**63 - 1, -(2**63 - 1)]))
+# row counts on both sides of the cut between json.dumps and the digit passes
+ROW_COUNTS = st.sampled_from([1, _DIGIT_PASS_MIN - 1, _DIGIT_PASS_MIN]) \
+    | st.integers(1, 3 * _DIGIT_PASS_MIN)
+HEADS = ["[", "", '{"coeff":{"den":"1","num":"-1"},"exponents":[', '{"coeff":0.5,"exponents":[']
+
+
 class TestBulkEncodeAndEvaluate:
     @settings(max_examples=200, deadline=None)
     @given(hand_built_closed_forms())
     def test_text_is_the_per_term_dict(self, closed):
         assert closed.to_json() == canonical(per_term_json_dict(closed))
         assert canonical(closed.to_json_dict()) == closed.to_json()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rows_text_is_json_of_the_rows(self, data):
+        r = data.draw(st.integers(1, 3))
+        entries = INT64_ENTRIES | st.just(-(2**63))
+        rows = data.draw(arrays(np.int64, (data.draw(ROW_COUNTS), r), elements=entries))
+        which = data.draw(arrays(np.intp, len(rows), elements=st.integers(0, len(HEADS) - 1)))
+        chunk = data.draw(st.sampled_from([cones._TEXT_CHUNK, 1, 7, _DIGIT_PASS_MIN]))
+        with mock.patch.object(cones, "_TEXT_CHUNK", chunk):
+            one_head = _rows_json(rows, ["["], np.zeros(len(rows), np.intp), "]")
+            text = _rows_json(rows, HEADS, which, "]}")
+        assert f"[{one_head}]" == json.dumps(rows.tolist(), separators=(",", ":"))
+        assert text == ",".join(HEADS[w] + json.dumps(row, separators=(",", ":"))[1:-1] + "]}"
+                                for w, row in zip(which.tolist(), rows.tolist()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_text_of_many_terms_is_the_per_term_dict(self, data):
+        r = data.draw(st.integers(1, 3))
+        row = st.lists(INT64_ENTRIES, min_size=r, max_size=r).map(tuple)
+        coeff = COEFFICIENTS | st.sampled_from([-0.0, 0.0, -1, Fraction(-1, 3)])
+        terms = data.draw(st.lists(st.tuples(coeff, row), min_size=_DIGIT_PASS_MIN,
+                                   max_size=3 * _DIGIT_PASS_MIN))
+        closed = ConeClosedForm(terms=terms, pole_factors=[(1, 1)] * r)
+        assert closed._exponents.dtype == np.int64
+        assert closed.to_json() == canonical(per_term_json_dict(closed))
+
+    def test_text_of_a_large_form_is_written_in_bounded_memory(self):
+        # the |F| = 23762 form of btz cone's recorded digests; json.dumps of
+        # tolist() peaked at 3.7 times the text (4.96 MB), the digit passes,
+        # _TEXT_CHUNK rows at a time, at 2.4 times, and all rows at once above 4
+        cone = LatticeCone(((-5, 1, 1), (-2, 3, 5), (-1, 2, -5)),
+                           ((1, 0, 0), (1, 2, 0), (0, 0, 1)))
+        gens = cone_generators(cone)
+        closed = _closed_form(cone, gens, _fundamental_points(cone, gens),
+                              CharacterData((-1, 1, -1)))
+        assert closed._exponents.shape == (23762, 3)
+        tracemalloc.start()
+        try:
+            text = closed.to_json()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
