@@ -46,8 +46,8 @@ violations as boolean masks and formats a message only for a flagged row.
 The tuple views ``vertices``, ``edges``, ``chambers`` and ``type_of`` are
 built from the arrays on first read.  A complex built from tuples keeps
 them and builds its arrays on first use.  Private slots hold the views,
-the arrays and the memos of :mod:`btzeta.operators`; only the views enter
-equality, hashing and serialization.
+the arrays and the one memo of :mod:`btzeta.operators`; only the views
+enter equality, hashing and serialization.
 """
 
 from __future__ import annotations
@@ -253,16 +253,16 @@ class TypedComplex:
     (sorted tuples of sorted id tuples) and ``type_of`` (id -> type) are
     tuple views of the integer arrays of the module docstring.  The
     constructor takes them as tuples and keeps them; ``_from_arrays`` takes
-    the arrays.  Transition relations (``operators.transitions``), their
-    successor lists and their strongly connected components are memoized in
-    three private dicts on first use.  The memos are safe to share across
-    threads: their values are immutable, a view or the arrays built twice
-    are equal, and ``dict.setdefault`` hands concurrent first uses of a
-    relation the same one.
+    the arrays.  Each transition relation (``operators.transitions``) is
+    memoized on first use in one private dict, one entry per kind that holds
+    the relation and its strongly connected components.  The memo is safe
+    to share across threads: its values are immutable, a view or the arrays
+    built twice are equal, and ``dict.setdefault`` hands concurrent first
+    uses of a relation the same entry.
     """
 
     __slots__ = ("q", "boundary", "_vertices", "_edges", "_chambers", "_type_of", "_layout",
-                 "_relations", "_successors", "_components")
+                 "_relations")
 
     def __init__(
         self,
@@ -278,7 +278,7 @@ class TypedComplex:
         self._type_of = self._layout = None
         self.q = None if q is None else int(q)
         self.boundary = frozenset(int(v) for v in boundary)
-        self._relations, self._successors, self._components = {}, {}, {}
+        self._relations = {}
 
     @classmethod
     def _from_arrays(cls, ids, types, edges, sides=None, q: int | None = None, boundary=(),
@@ -299,7 +299,7 @@ class TypedComplex:
         c._vertices = c._edges = c._chambers = c._type_of = None
         c.q = None if q is None else int(q)
         c.boundary = frozenset(map(int, boundary))
-        c._relations, c._successors, c._components = {}, {}, {}
+        c._relations = {}
         return c
 
     @property
@@ -343,9 +343,6 @@ class TypedComplex:
         return len(cells.vertex), len(cells.edges), len(cells.chambers)
 
     # -- queries -------------------------------------------------------------
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return b in self.neighbors(a)
 
     def neighbors(self, v: int) -> list[int]:
         """Vertices joined to v, in the order of the sorted edge list."""

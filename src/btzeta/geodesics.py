@@ -9,12 +9,13 @@ recursion limit.
 
 A closed path never leaves the strongly connected component of its start,
 so the classes are found from the components that ``operators`` memoizes
-next to the relation, in the relation's own node indices.  A component in
-which every node has one successor inside it is a cycle of length l: it is
-one primitive class, and its powers up to the order, read off with no walk.
-The walk starts only at the nodes of the other components: from such a
-start it never leaves the start's component, since the return-distance
-prune below refuses every node that cannot get back to the start.
+in one entry with the relation, in the relation's own node indices.  A
+component in which every node has one successor inside it is a cycle of
+length l: it is one primitive class, and its powers up to the order, read
+off with no walk.  The walk starts only at the nodes of the other
+components: from such a start it never leaves the start's component, since
+the return-distance prune below refuses every node that cannot get back to
+the start.
 
 The walk finds a component's rotation classes, each as its lexicographically
 smallest rotation, a necklace.  It roots each class at its smallest node, as
@@ -48,8 +49,8 @@ class of primitive length d has d based rotations) and keeps no trail.
 ``enumerate_primitive_classes`` collects the closing trails, sorts them and
 builds one ``GeodesicClass`` per class, with node representatives; only it,
 and so ``btz count``, builds class objects.  ``count_closed_paths`` is the
-unpruned count-only walk on the successor lists, one node at a time, kept
-as the plain oracle.
+unpruned count-only walk on successor lists taken from the CSR, one node at
+a time, kept as the plain oracle.
 
 The Euler product over the primitive classes and its log-derivative are
 each written once: ``product_of_primitive_counts`` multiplies the factors
@@ -75,8 +76,8 @@ import numpy as np
 
 from .complexes import TypedComplex
 from .generators import POSITIVE_DIRECTIONS, ApartmentSpec
-from .operators import (_check_kind, _ranges, _relation_components, _successor_lists,
-                        directed_edges, pointed_chambers, transitions)
+from .operators import (_check_kind, _ranges, _relation_components, directed_edges,
+                        pointed_chambers, transitions)
 from .polynomials import PowerSeriesPrefix, _cycle_factor, _sparse_product
 
 __all__ = [
@@ -124,8 +125,9 @@ def count_closed_paths(c: TypedComplex, max_length: int, kind: str = "edge") -> 
     Pure depth-first enumeration over the transition relation; the result
     list is indexed by length (entry 0 is unused and zero).
     """
-    _walk_relation(c, max_length, kind)
-    out = _successor_lists(c, kind)
+    indptr, indices, _ = _walk_relation(c, max_length, kind)
+    flat, ptr = indices.tolist(), indptr.tolist()
+    out = [flat[a:b] for a, b in zip(ptr, ptr[1:])]
     counts = [0] * (max_length + 1)
     for s in range(len(out)):
         stack = [iter(out[s])]  # the continuations still to try at each depth

@@ -46,8 +46,9 @@ component of both relations is such a cycle, and every node has one
 successor and one predecessor: the relation is a permutation.  Its cycles
 are then found by pointer doubling on the successor array, in about
 log2(n) whole-array rounds.  Any other relation goes through the Tarjan
-pass of ``polynomials``.  The components are found once per complex and
-kind and memoized next to the relation; the zeta polynomials and the
+pass of ``polynomials``, on successor lists taken from the CSR.  The
+components are found once per complex and kind, together with the
+relation, and memoized in one entry with it; the zeta polynomials and the
 closed-path walks both read them.  The zetas take X only on the smallest
 grade of the components that are not cycles.
 
@@ -60,8 +61,7 @@ tails), less each one that bounds a chamber together with it.  A pointed
 chamber continues into each other chamber on its pointer's edge, and the
 successor's index is 3 * chamber + the position of its pointer's tail,
 the vertex opposite that edge.  On a simplicial complex these are the
-rules above.  Python successor lists are taken from the CSR in one pass,
-and only Tarjan's pass, the walks and the three-step operator read them.
+rules above.  The walks and the three-step operator read the CSR arrays.
 ``DirectedEdge`` and ``PointedChamber`` tuples are built only where nodes
 are printed or compared: ``directed_edges`` and ``pointed_chambers`` list
 them in index order, and ``edge_successors`` and ``gallery_successors``
@@ -77,6 +77,7 @@ a 0x0 operator and the zeta polynomial 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -330,18 +331,11 @@ def _gallery_relation(cells) -> _Relation:
                      cells.type[cells.chambers].ravel())
 
 
-def transitions(c: TypedComplex, kind: str) -> _Relation:
-    """(indptr, indices, grade): the positive ``kind`` relation, 'edge' or 'gallery', as CSR.
+def _entry(c: TypedComplex, kind: str) -> tuple:
+    """(relation, (cycles, rest)): the memo entry of ``c`` for ``kind``, built on first use.
 
-    Node i is the i-th of ``directed_edges`` resp. ``pointed_chambers``
-    (sorted, so indices compare like nodes); its continuations are
-    indices[indptr[i]:indptr[i + 1]], ascending, and grade[i] is its type
-    grade.  Both operators are its 0/1 matrices and ``geodesics`` walks it.
-    Built once per complex and kind, by one join over the complex's cell
-    incidences that builds no node tuple and calls no per-node rule (see
-    the module docstring); a second call returns the identical object.  The
-    one gate to the relation: an unknown kind, then a marked boundary, raise
-    ValueError, memoizing nothing.
+    The one gate to the relation: an unknown kind, then a marked boundary,
+    raise ValueError, memoizing nothing.
     """
     if kind in c._relations:
         return c._relations[kind]
@@ -351,20 +345,24 @@ def transitions(c: TypedComplex, kind: str) -> _Relation:
         raise ValueError(
             f"{what} is undefined on complexes with marked boundary "
             f"({len(c.boundary)} boundary vertices); operators need closed complexes")
-    build = _edge_relation if kind == "edge" else _gallery_relation
-    return c._relations.setdefault(kind, build(c._cells))
+    relation = (_edge_relation if kind == "edge" else _gallery_relation)(c._cells)
+    return c._relations.setdefault(kind, (relation, _components(relation)))
 
 
-def _successor_lists(c: TypedComplex, kind: str) -> tuple[list[int], ...]:
-    """The successor index lists of ``transitions(c, kind)``, from its CSR in one pass.
+def transitions(c: TypedComplex, kind: str) -> _Relation:
+    """(indptr, indices, grade): the positive ``kind`` relation, 'edge' or 'gallery', as CSR.
 
-    Memoized next to the relation, behind its gate.
+    Node i is the i-th of ``directed_edges`` resp. ``pointed_chambers``
+    (sorted, so indices compare like nodes); its continuations are
+    indices[indptr[i]:indptr[i + 1]], ascending, and grade[i] is its type
+    grade.  Both operators are its 0/1 matrices and ``geodesics`` walks it.
+    Built once per complex and kind, together with its strongly connected
+    components, by one join over the complex's cell incidences that builds
+    no node tuple and calls no per-node rule (see the module docstring); a
+    second call returns the identical object.  Raises ValueError for an
+    unknown kind, then for a marked boundary.
     """
-    if kind in c._successors:
-        return c._successors[kind]
-    indptr, indices, _ = transitions(c, kind)
-    flat, ptr = indices.tolist(), indptr.tolist()
-    return c._successors.setdefault(kind, tuple(flat[a:b] for a, b in zip(ptr, ptr[1:])))
+    return _entry(c, kind)[0]
 
 
 def _transfer_matrix(relation: _Relation) -> SparseIntMatrix:
@@ -420,47 +418,48 @@ def _permutation_cycles(g: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def _relation_components(c: TypedComplex, kind: str) -> tuple[tuple, tuple]:
-    """(cycles, rest): the strongly connected components of ``transitions(c, kind)``.
+def _components(relation: _Relation) -> tuple[tuple, tuple]:
+    """(cycles, rest): the strongly connected components of the relation.
 
     A component in which every node has exactly one successor inside it is
     a cycle; ``cycles`` lists each one along its arcs from its smallest node
     index, in the order of those nodes.  ``rest`` is the sorted tuple of the
     nodes of every other component that holds an arc.  A node on no closed
-    path (a component of one node without a self-loop) is in neither.  All
-    indices are the relation's own.  A relation in which every node has one
-    successor and one predecessor is a permutation, all cycles, found by
-    ``_permutation_cycles``; any other goes through one Tarjan pass over the
-    successor lists.  Computed once per complex and kind and memoized next
-    to the relation, behind its gate: a refusal memoizes nothing.
+    path (a component of one node without a self-loop) is in neither.  A
+    relation in which every node has one successor and one predecessor is a
+    permutation, all cycles, found by ``_permutation_cycles``; any other goes
+    through one Tarjan pass over successor lists taken from the CSR.
     """
-    if kind in c._components:
-        return c._components[kind]
-    indptr, indices, grade = transitions(c, kind)
+    indptr, indices, grade = relation
     n = len(grade)
     if np.array_equal(indptr, np.arange(n + 1)) and \
             (np.bincount(indices, minlength=n) == 1).all():
-        return c._components.setdefault(kind, (_permutation_cycles(indices), ()))
-    out = _successor_lists(c, kind)
-    components = _strong_components(out)
-    label = [0] * n
+        return _permutation_cycles(indices), ()
+    flat, ptr = indices.tolist(), indptr.tolist()
+    components = _strong_components([flat[a:b] for a, b in zip(ptr, ptr[1:])])
+    label = np.empty(n, dtype=np.int64)
     for k, members in enumerate(components):
-        for v in members:
-            label[v] = k
+        label[members] = k
+    # each node of a component with an arc has a successor inside it, so one
+    # arc inside per node makes the component a cycle
+    src = label[np.repeat(np.arange(n), np.diff(indptr))]
+    arcs = np.bincount(src[src == label[indices]], minlength=len(components)).tolist()
     cycles, rest = [], []
-    for k, members in enumerate(components):
-        # each node of a component with an arc has a successor inside it, so
-        # one arc inside per node makes the component a cycle
-        arcs = sum(label[w] == k for v in members for w in out[v])
-        if arcs == len(members):
+    for members, inside in zip(components, arcs):
+        if inside == len(members):
             # Tarjan lists a component in reverse order of discovery, which
             # on a cycle is the reverse of its arc order
             trail = members[::-1]
             start = trail.index(min(trail))
             cycles.append(tuple(trail[start:] + trail[:start]))
-        elif arcs:
+        elif inside:
             rest.extend(members)
-    return c._components.setdefault(kind, (tuple(cycles), tuple(sorted(rest))))
+    return tuple(cycles), tuple(sorted(rest))
+
+
+def _relation_components(c: TypedComplex, kind: str) -> tuple[tuple, tuple]:
+    """``_components`` of ``transitions(c, kind)``, read from its memo entry, behind its gate."""
+    return _entry(c, kind)[1]
 
 
 def _three_step(c: TypedComplex, kind: str, members) -> SparseIntMatrix:
@@ -469,32 +468,29 @@ def _three_step(c: TypedComplex, kind: str, members) -> SparseIntMatrix:
     S is a union of strongly connected components of ``transitions(c,
     kind)``, its node indices ascending, and T_S the relation's matrix on S;
     ties between grades go to the lowest type.  X[w, x] counts the length-3
-    walks x -> y -> z -> w along the relation between nodes of that grade.
-    Such a walk between two nodes of one component stays inside it, so X
-    differs from T_S^3 on the grade only between different components: off
-    the diagonal blocks of a block-triangular matrix, which leaves the
-    determinant as it is.
+    walks x -> y -> z -> w along the relation between nodes of that grade,
+    by one join on the CSR: every walk from the grade's nodes at once, then
+    one count of its (w, x) pairs that land back on them.  Such a walk
+    between two nodes of one component stays inside it, so X differs from
+    T_S^3 on the grade only between different components: off the diagonal
+    blocks of a block-triangular matrix, which leaves the determinant as it
+    is.
     """
-    grade_of = transitions(c, kind).grade
-    if not len(members):
+    indptr, indices, grade = transitions(c, kind)
+    if not len(members):  # only cycle components, as on every torus: no array pass
         return SparseIntMatrix(0, ())
-    grades: list[list[int]] = [[], [], []]
-    for i, g in zip(members, grade_of[list(members)].tolist()):
-        grades[g].append(i)
-    grade = min(grades, key=len)
-    row = {i: r for r, i in enumerate(grade)}
-    out = _successor_lists(c, kind)
-    entries = []
-    for col, i in enumerate(grade):
-        walks = {i: 1}
-        for _ in range(3):
-            ahead: dict[int, int] = {}
-            for y, k in walks.items():
-                for z in out[y]:
-                    ahead[z] = ahead.get(z, 0) + k
-            walks = ahead
-        entries.extend((row[w], col, k) for w, k in walks.items() if w in row)
-    return SparseIntMatrix(len(grade), entries)
+    members = np.asarray(members)
+    of = grade[members]
+    sizes = np.bincount(of, minlength=3).tolist()
+    nodes = members[of == sizes.index(min(sizes))]
+    col, w = np.arange(len(nodes)), nodes
+    for _ in range(3):
+        count = indptr[w + 1] - indptr[w]
+        col, w = np.repeat(col, count), indices[_ranges(indptr[w], count)]
+    row = np.minimum(np.searchsorted(nodes, w), len(nodes) - 1)
+    land = nodes[row] == w
+    walks = Counter(zip(row[land].tolist(), col[land].tolist()))
+    return SparseIntMatrix(len(nodes), ((*pair, k) for pair, k in walks.items()))
 
 
 def three_step_operator(c: TypedComplex, kind: str) -> SparseIntMatrix:
@@ -502,9 +498,9 @@ def three_step_operator(c: TypedComplex, kind: str) -> SparseIntMatrix:
 
     ``kind`` is 'edge' or 'gallery'; grades are described in the module
     docstring, and ties go to the lowest type.  X[w, x] counts the length-3
-    walks x -> y -> z -> w along the successor lists of the shared relation
-    ``transitions(c, kind)``, with rows and columns in canonical node order;
-    an empty grade gives the 0x0 matrix.  Raises the same errors as
-    ``build_edge_operator`` resp. ``build_chamber_operator``.
+    walks x -> y -> z -> w along the shared relation ``transitions(c,
+    kind)``, with rows and columns in canonical node order; an empty grade
+    gives the 0x0 matrix.  Raises the same errors as ``build_edge_operator``
+    resp. ``build_chamber_operator``.
     """
-    return _three_step(c, kind, range(len(transitions(c, kind).grade)))
+    return _three_step(c, kind, np.arange(len(transitions(c, kind).grade)))

@@ -31,8 +31,7 @@ from btzeta import (
 )
 from btzeta import geodesics
 from btzeta.generators import gen_apartment_torus
-from btzeta.operators import (_relation_components, _successor_lists, directed_edges,
-                              pointed_chambers)
+from btzeta.operators import _relation_components, directed_edges, pointed_chambers
 from btzeta.polynomials import log_derivative_series, series_exp_neg_integral
 from conftest import closed_typed_complex, disjoint_union
 
@@ -61,7 +60,8 @@ def reference_classes(c, max_length, kind):
     """Unpruned reference for ``enumerate_primitive_classes``: walk from every
     node and keep the smallest of all rotations of each closed walk."""
     nodes = node_list(c, kind)  # nodes are sorted: indices compare alike
-    out = _successor_lists(c, kind)
+    indptr, indices, _ = transitions(c, kind)
+    out = [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
     seen = set()
 
     def walk(start, trail):

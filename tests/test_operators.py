@@ -313,16 +313,22 @@ class TestGalleryRule:
         assert mat.trace_powers(12) == torus_trace_counts(basis, 12, "gallery")[1:]
 
 
+def successor_lists(c, kind):
+    """Each node's successor indices, read off the CSR relation ``transitions(c, kind)``."""
+    indptr, indices, _ = transitions(c, kind)
+    return [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+
+
 def assert_relation_is_the_per_node_rules(c):
     """The CSR relation of each kind names, by node index, what the per-node rule lists."""
     for kind, listed, successors in (("edge", directed_edges, edge_successors),
                                      ("gallery", pointed_chambers, gallery_successors)):
         nodes = listed(c)
         indptr, indices, grade = transitions(c, kind)
-        out = operators._successor_lists(c, kind)
+        out = successor_lists(c, kind)
         assert list(nodes) == sorted(nodes)
         assert len(out) == len(grade) == len(indptr) - 1 == len(nodes)
-        assert [j for js in out for j in js] == indices.tolist()
+        assert indptr[0] == 0 and indptr[-1] == len(indices)
         for i, js in enumerate(out):
             assert [nodes[j] for j in js] == successors(c, nodes[i])
             tail = nodes[i].tail if kind == "edge" else nodes[i].pointer.tail
@@ -379,8 +385,11 @@ class TestTransitions:
         first = transitions(torus, kind)
         assert transitions(torus, kind) is first
         assert all(isinstance(array, np.ndarray) for array in first)
-        lists = operators._successor_lists(torus, kind)
-        assert operators._successor_lists(torus, kind) is lists
+        components = operators._relation_components(torus, kind)
+        assert operators._relation_components(torus, kind) is components
+        # one memo entry per kind holds both
+        relation, pair = torus._relations[kind]
+        assert relation is first and pair is components
 
     def test_memo_is_not_part_of_the_value(self, skew_torus):
         fresh = loads_complex(dumps_complex(skew_torus))
@@ -411,6 +420,30 @@ class TestTransitions:
                     assert all(r is transitions(fresh, kind) for r in results)
         finally:
             sys.setswitchinterval(old_interval)
+
+
+def assert_three_step_is_the_cube(c):
+    """X is T^3 on the smallest grade, ties to the lowest type, entry by entry."""
+    for kind, build in (("edge", build_edge_operator), ("gallery", build_chamber_operator)):
+        grade = transitions(c, kind).grade.tolist()
+        sizes = [grade.count(g) for g in range(3)]
+        nodes = [i for i, g in enumerate(grade) if g == sizes.index(min(sizes))]
+        t = build(c).to_dense().astype(np.int64)
+        cube = (t @ t @ t)[np.ix_(nodes, nodes)]
+        assert three_step_operator(c, kind).to_dense().tolist() == cube.tolist()
+
+
+class TestThreeStep:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.tuples(*[st.integers(1, 4)] * 3),
+           st.floats(0.4, 1.0), st.floats(0.0, 1.0))
+    def test_is_the_cube_on_the_smallest_grade(self, seed, per_type, p_edge, p_chamber):
+        assert_three_step_is_the_cube(
+            closed_typed_complex(random.Random(seed), per_type, p_edge, p_chamber))
+
+    def test_torus_and_b1_are_the_cube(self, torus):
+        for c in (torus, closed_typed_complex(random.Random(1), (4, 4, 4))):
+            assert_three_step_is_the_cube(c)
 
 
 class TestTracePowers:
@@ -483,7 +516,7 @@ class TestGate:
         for route in self.KIND_ROUTES:
             with pytest.raises(ValueError):
                 route(fresh, "chamber")
-        assert fresh._relations == fresh._successors == fresh._components == {}
+        assert fresh._relations == {}
 
 
 class TestCells:
@@ -510,7 +543,7 @@ class TestCells:
     def test_edge_pair_refused_when_both_bound_one_chamber(self, cells):
         # nodes a0, a1, a2 (0 -> 1), b (1 -> 2), c (2 -> 0); a vertex rule would
         # refuse every pair here, since 0, 1, 2 span a chamber
-        assert operators._successor_lists(cells, "edge") == ([], [], [3], [], [2])
+        assert successor_lists(cells, "edge") == [[], [], [3], [], [2]]
         assert transitions(cells, "edge").grade.tolist() == [0, 0, 0, 1, 2]
 
     def test_gallery_step_leaves_by_the_edge_of_the_next_chamber(self, cells):
@@ -518,8 +551,8 @@ class TestCells:
         # of the first chamber and a1, b, c of the second
         _, _, pointer = operators._pointers(cells._cells)
         assert pointer.ravel().tolist() == [0, 4, 3, 1, 4, 3]
-        out = operators._successor_lists(cells, "gallery")
-        assert out == ([], [3], [4], [], [0], [1])
+        out = successor_lists(cells, "gallery")
+        assert out == [[], [3], [4], [], [0], [1]]
         # across b into the second chamber, out by its own edge a1, not a0
         assert [pointer.ravel()[j] for j in out[1]] == [1]
         assert transitions(cells, "gallery").grade.tolist() == [0, 1, 2, 0, 1, 2]
