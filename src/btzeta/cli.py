@@ -430,10 +430,7 @@ def _ratio_from_json(doc) -> tuple[IntPolynomial, IntPolynomial]:
     if not all(type(c) in (int, str) for c in num + den):
         raise ComplexFormatError("ratio coefficients must be integers or integer strings",
                                  "ratio")
-    num, den = IntPolynomial(map(int, num)), IntPolynomial(map(int, den))
-    if num.is_zero() or den.is_zero():
-        raise ComplexFormatError("ratio numerator and denominator must be nonzero", "ratio")
-    return num, den
+    return IntPolynomial(map(int, num)), IntPolynomial(map(int, den))
 
 
 @main.command()

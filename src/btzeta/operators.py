@@ -44,9 +44,9 @@ has exactly one successor inside it is a directed cycle of length l: one
 primitive class, with factor 1 - u^l.  On an apartment torus every
 component of both relations is such a cycle, and every node has one
 successor and one predecessor: the relation is a permutation.  Its cycles
-are then found by pointer doubling on the successor array, in about
-log2(n) whole-array rounds.  Any other relation goes through the Tarjan
-pass of ``polynomials``, on successor lists taken from the CSR.  The
+are then found by one walk along the successor array.  Any other relation
+goes through the Tarjan pass of ``polynomials``, on successor lists taken
+from the CSR, which also labels each node with its component.  The
 components are found once per complex and kind, together with the
 relation, and memoized in one entry with it; the zeta polynomials and the
 closed-path walks both read them.  The zetas take X only on the smallest
@@ -390,31 +390,23 @@ def build_chamber_operator(c: TypedComplex) -> SparseIntMatrix:
     return _transfer_matrix(transitions(c, "gallery"))
 
 
-def _permutation_cycles(g: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """The cycles of the permutation v -> g[v], by pointer doubling.
+def _permutation_cycles(succ: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the permutation v -> succ[v], by one walk from each node not yet seen.
 
-    After round r, label[v] is the least of v, g(v), ..., g^(2^r - 1)(v).  A
-    round that changes no label leaves each label its cycle's minimum (the
-    windows of the unchanged labels tile the cycle), so about log2 of the
-    longest cycle rounds run.  Each cycle is then listed along its arcs
-    from its smallest node, a node whose label is itself, in the order of
-    those nodes.
+    The walks start in ascending order, so each starts at the smallest node
+    of its cycle: every cycle is listed along its arcs from its smallest
+    node, in the order of those nodes.
     """
-    node = np.arange(len(g))
-    label, jump = node, g
-    while True:
-        lower = np.minimum(label, label[jump])
-        if np.array_equal(lower, label):
-            break
-        label, jump = lower, jump[jump]
-    succ = g.tolist()
+    seen = [False] * len(succ)
     cycles = []
-    for first in np.flatnonzero(label == node).tolist():
-        cycle, v = [first], succ[first]
-        while v != first:
-            cycle.append(v)
-            v = succ[v]
-        cycles.append(tuple(cycle))
+    for first in range(len(succ)):
+        if not seen[first]:
+            cycle, v = [], first
+            while not seen[v]:
+                seen[v] = True
+                cycle.append(v)
+                v = succ[v]
+            cycles.append(tuple(cycle))
     return tuple(cycles)
 
 
@@ -432,20 +424,18 @@ def _components(relation: _Relation) -> tuple[tuple, tuple]:
     """
     indptr, indices, grade = relation
     n = len(grade)
+    flat = indices.tolist()
     if np.array_equal(indptr, np.arange(n + 1)) and \
             (np.bincount(indices, minlength=n) == 1).all():
-        return _permutation_cycles(indices), ()
-    flat, ptr = indices.tolist(), indptr.tolist()
-    components = _strong_components([flat[a:b] for a, b in zip(ptr, ptr[1:])])
-    label = np.empty(n, dtype=np.int64)
-    for k, members in enumerate(components):
-        label[members] = k
-    # each node of a component with an arc has a successor inside it, so one
-    # arc inside per node makes the component a cycle
-    src = label[np.repeat(np.arange(n), np.diff(indptr))]
-    arcs = np.bincount(src[src == label[indices]], minlength=len(components)).tolist()
+        return _permutation_cycles(flat), ()
+    ptr = indptr.tolist()
+    succ = [flat[a:b] for a, b in zip(ptr, ptr[1:])]
+    components, label = _strong_components(succ)
     cycles, rest = [], []
-    for members, inside in zip(components, arcs):
+    for k, members in enumerate(components):
+        # each node of a component with an arc has a successor inside it, so
+        # one arc inside per node makes the component a cycle
+        inside = sum(label[w] == k for v in members for w in succ[v])
         if inside == len(members):
             # Tarjan lists a component in reverse order of discovery, which
             # on a cycle is the reverse of its arc order
@@ -454,7 +444,7 @@ def _components(relation: _Relation) -> tuple[tuple, tuple]:
             cycles.append(tuple(trail[start:] + trail[:start]))
         elif inside:
             rest.extend(members)
-    return tuple(cycles), tuple(sorted(rest))
+    return tuple(sorted(cycles)), tuple(sorted(rest))
 
 
 def _relation_components(c: TypedComplex, kind: str) -> tuple[tuple, tuple]:

@@ -360,18 +360,19 @@ def _triplets(mat) -> tuple[int, Sequence[tuple[int, int, int]]]:
     return len(rows), [(r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v]
 
 
-def _strong_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Strongly connected components of the digraph with arcs v -> w for w in succ[v].
+def _strong_components(succ: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """(components, label): the strongly connected components of the digraph v -> w in succ[v].
 
     Iterative Tarjan (SIAM J. Comput. 1, 1972), in reverse topological
-    order.  Each component lists its indices in reverse order of discovery:
-    along a cycle v0 -> v1 -> ... every arc but the closing one then lands
-    on the subdiagonal, so a cycle's block is already upper Hessenberg.
+    order; label[v] is the index of v's component.  Each component lists its
+    indices in reverse order of discovery: along a cycle v0 -> v1 -> ...
+    every arc but the closing one then lands on the subdiagonal, so a
+    cycle's block is already upper Hessenberg.
     """
     n = len(succ)
     # order[v] is v's visit number while v is on the stack and n once its
     # component is out, where it no longer lowers any low-link
-    order, low = [-1] * n, [0] * n
+    order, low, label = [-1] * n, [0] * n, [0] * n
     stack: list[int] = []
     components: list[list[int]] = []
     visited = 0
@@ -408,9 +409,9 @@ def _strong_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
                     del stack[i:]
                     component.reverse()
                     for w in component:
-                        order[w] = n
+                        order[w], label[w] = n, len(components)
                     components.append(component)
-    return components
+    return components, label
 
 
 def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
@@ -618,11 +619,11 @@ def char_poly_reverse(mat) -> IntPolynomial:
     succ: list[list[int]] = [[] for _ in range(n)]
     for r, c, _ in entries:
         succ[r].append(c)
-    components = _strong_components(succ)
-    label, local = [0] * n, [0] * n
-    for c, members in enumerate(components):
+    components, label = _strong_components(succ)
+    local = [0] * n
+    for members in components:
         for i, v in enumerate(members):
-            label[v], local[v] = c, i
+            local[v] = i
     blocks = [[[0] * len(members) for _ in members] for members in components]
     below = [0] * len(components)
     for r, c, v in entries:

@@ -9,8 +9,8 @@ tolerance (equivalently, all inverse roots sit on the circle of radius
 sqrt(q)); a clear violation is a ``non_tempered_witness``; complexes without
 a meaningful q (q absent or q = 1) are ``inconclusive`` by policy.
 
-Factor extraction is exact integer polynomial division; floating point
-enters only in the final root moduli.
+Factor extraction and the square-free split are exact integer polynomial
+arithmetic; floating point enters only in the final root moduli.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .polynomials import IntPolynomial, RationalFn
+from .polynomials import IntPolynomial, RationalFn, poly_gcd
 
 __all__ = ["RHReport", "polynomial_roots", "classify_ramanujan"]
 
@@ -121,36 +121,61 @@ def _newton_polygon_seeds(p: IntPolynomial) -> tuple[list[complex], float]:
     return seeds, scales[-1] - scales[0]
 
 
+def _square_free_factors(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
+    """(factor, multiplicity) pairs of p's square-free decomposition, multiplicities ascending.
+
+    Yun's split (SYMSAC 1976) on exact integer division: with g = gcd(p, p')
+    and w = p / g, each step takes y = gcd(w, g); w / y is the product of
+    the factors of the step's multiplicity, and the next step goes on with
+    w = y and g = g / y.  A square-free p is its own one factor.
+    """
+    g = poly_gcd(p, p.derivative())
+    w, factors, m = p.divmod_exact(g)[0], [], 1
+    while w.degree > 0:
+        y = poly_gcd(w, g)
+        factor = w.divmod_exact(y)[0]
+        if factor.degree > 0:
+            factors.append((factor, m))
+        w, g, m = y, g.divmod_exact(y)[0], m + 1
+    return factors
+
+
 def polynomial_roots(p: IntPolynomial, tol: float = DEFAULT_TOL) -> list[complex]:
     """All complex roots (with multiplicity) of a nonzero integer polynomial.
 
-    Companion-matrix eigenvalues seed the roots; each is then polished by a
-    few Newton steps evaluated on the exact integer coefficients in extended
-    precision, and verified against the scaled residual bound
-    |p(z)| < tol * sum_k |c_k| |z|^k; a failure raises ArithmeticError.
-    The companion matrix resolves roots only to machine epsilon times the
-    largest, so when a root fails and the Newton polygon spans root moduli
-    more than 1 / epsilon apart, the roots are seeded once more, scale by
-    scale, before that.  Deterministic for identical inputs.  A coefficient,
-    or a power of a root, beyond float range raises ValueError.
+    The roots of each factor of p's square-free decomposition are found
+    once and repeated by its multiplicity, so a repeated root is never
+    sought as a cluster; a square-free p is its own one factor.
+    Companion-matrix eigenvalues seed a factor's roots; each is then
+    polished by a few Newton steps evaluated on the factor's exact integer
+    coefficients in extended precision, and verified against the scaled
+    residual bound |f(z)| < tol * sum_k |c_k| |z|^k; a failure raises
+    ArithmeticError.  The companion matrix resolves roots only to machine
+    epsilon times the largest, so when a root fails and the Newton polygon
+    spans root moduli more than 1 / epsilon apart, the roots are seeded once
+    more, scale by scale, before that.  Deterministic for identical inputs.
+    A coefficient, or a power of a root, beyond float range raises
+    ValueError.
     """
     if p.is_zero():
         raise ValueError("root finding needs a nonzero polynomial")
     if p.degree < 1:
         return []
-    try:
-        coeffs_desc = [float(c) for c in reversed(p.coeffs)]
-    except OverflowError:
-        raise ValueError("root finding needs coefficients that fit a float") from None
-    raw = np.roots(coeffs_desc)
-    polished, failure = _polish(p, raw, tol)
-    if failure is not None:
-        seeds, log2_spread = _newton_polygon_seeds(p)
-        if log2_spread > -math.log2(np.finfo(float).eps):
-            polished, failure = _polish(p, seeds, tol)
+    roots = []
+    for factor, m in _square_free_factors(p):
+        try:
+            coeffs_desc = [float(c) for c in reversed(factor.coeffs)]
+        except OverflowError:
+            raise ValueError("root finding needs coefficients that fit a float") from None
+        polished, failure = _polish(factor, np.roots(coeffs_desc), tol)
         if failure is not None:
-            raise ArithmeticError(failure)
-    return polished
+            seeds, log2_spread = _newton_polygon_seeds(factor)
+            if log2_spread > -math.log2(np.finfo(float).eps):
+                polished, failure = _polish(factor, seeds, tol)
+            if failure is not None:
+                raise ArithmeticError(failure)
+        roots += polished * m
+    return roots
 
 
 def _extract_factor(p: IntPolynomial, factor: IntPolynomial) -> tuple[IntPolynomial, int]:

@@ -804,8 +804,8 @@ class TestEachQuantityOnce:
             assert charpoly_dims == [15, 0]
 
     def test_verify_finds_relation_components_once(self, tmp_path, torus, monkeypatch):
-        # one components pass per kind, shared by the zeta and the walk: pointer
-        # doubling on the torus's permutation relations, Tarjan on b1's
+        # one components pass per kind, shared by the zeta and the walk: one walk
+        # along the torus's permutation relations, Tarjan on b1's
         passes = []
         for name in ("_permutation_cycles", "_strong_components"):
             def counting(succ, name=name, original=getattr(operators, name)):

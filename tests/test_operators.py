@@ -558,14 +558,59 @@ class TestCells:
         assert transitions(cells, "gallery").grade.tolist() == [0, 1, 2, 0, 1, 2]
 
 
-class TestPointerDoubling:
+def components_by_reachability(succ):
+    """(cycles, rest) of the digraph v -> succ[v], brute force: each node's reachable set."""
+    n = len(succ)
+    reach = []
+    for v in range(n):
+        seen, todo = set(), list(succ[v])
+        while todo:
+            w = todo.pop()
+            if w not in seen:
+                seen.add(w)
+                todo.extend(succ[w])
+        reach.append(seen)
+    cycles, rest = [], []
+    for v in range(n):
+        members = sorted(w for w in range(n) if w in reach[v] and v in reach[w])
+        if not members or members[0] != v:  # on no closed path, or met before
+            continue
+        if all(sum(w in members for w in succ[x]) == 1 for x in members):
+            cycle = [v]
+            while len(cycle) < len(members):
+                cycle.append(next(w for w in succ[cycle[-1]] if w in members))
+            cycles.append(tuple(cycle))
+        else:
+            rest += members
+    return tuple(cycles), tuple(sorted(rest))
+
+
+def csr_relation(succ):
+    """The relation v -> succ[v] as CSR, successors ascending; every grade 0."""
+    indptr = np.cumsum([0] + [len(ws) for ws in succ])
+    indices = np.array([w for ws in succ for w in sorted(ws)], dtype=np.int64)
+    return operators._Relation(indptr, indices, np.zeros(len(succ), dtype=np.int64))
+
+
+class TestPermutationCycles:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 60).flatmap(lambda n: st.permutations(range(n))))
     @example(list(range(1, 257)) + [0])
     def test_cycles_are_tarjans(self, g):
         expected = []
-        for members in _strong_components([[w] for w in g]):
+        for members in _strong_components([[w] for w in g])[0]:
             trail = members[::-1]
             start = trail.index(min(trail))
             expected.append(tuple(trail[start:] + trail[:start]))
-        assert operators._permutation_cycles(np.array(g, dtype=np.int64)) == tuple(expected)
+        assert operators._permutation_cycles(g) == tuple(expected)
+
+
+class TestComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10).flatmap(lambda n: st.one_of(
+        st.lists(st.sets(st.integers(0, max(n - 1, 0)), max_size=min(3, n)),
+                 min_size=n, max_size=n),
+        st.permutations(range(n)).map(lambda g: [{w} for w in g]))))
+    @example([{0}, {0, 2}, {1}, set()])  # a self-loop, a 2-cycle with a chord, a sink
+    def test_components_are_the_mutual_reachability_classes(self, succ):
+        assert operators._components(csr_relation(succ)) == components_by_reachability(succ)

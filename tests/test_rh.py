@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btzeta import IntPolynomial, RationalFn, classify_ramanujan, polynomial_roots, ratio
 
@@ -49,8 +52,15 @@ class TestPolynomialRoots:
         assert roots == [pytest.approx(z) for z in expected]
 
     def test_root_powers_beyond_float_range_rejected(self):
+        # u^9 - 1e40 u^8 + 1 is square-free, with a root near 1e40 whose 9th
+        # power is beyond float range
         with pytest.raises(ValueError, match="powers fit a float"):
-            polynomial_roots(IntPolynomial([0] * 7 + [-10 ** 40, 1]))
+            polynomial_roots(IntPolynomial([1] + [0] * 7 + [-10 ** 40, 1]))
+
+    def test_repeated_factors_are_found_once(self):
+        # u^7 (u - 1e40): the root 0 is split off as u^7, not sought as a cluster
+        roots = polynomial_roots(IntPolynomial([0] * 7 + [-10 ** 40, 1]))
+        assert roots == [pytest.approx(1e40)] + [0j] * 7
 
     def test_planted_sqrt2_pair(self):
         roots = polynomial_roots(tempered_quadratic(2, 2))
@@ -159,9 +169,28 @@ class TestClassifyRamanujan:
 
 
 class TestPlantedRecovery:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_planted_multiplicities(self, data):
+        # quadratics 1 - a u + b u^2 with roots of modulus b^(-1/2): tempered
+        # for b = q, non-tempered for b = q + 1, each to a power up to 6, in
+        # P1 or P2
+        q = data.draw(st.sampled_from([2, 3, 4, 5]))
+        planted = data.draw(st.lists(st.tuples(st.booleans(), st.booleans(), st.integers(1, 6)),
+                                     min_size=1, max_size=4))
+        sides = [IntPolynomial([1]), IntPolynomial([1])]
+        for wild, side, m in planted:
+            b = q + wild
+            a = data.draw(st.integers(-math.isqrt(4 * b - 1), math.isqrt(4 * b - 1)))
+            sides[side] = sides[side] * IntPolynomial([1, -a, b]).pow(m)
+        p1, p2 = sides
+        report = classify_ramanujan((U3 * p1, IntPolynomial([1, 0, 0, -q ** 3]) * p2), q=q)
+        wild = any(w for w, _, _ in planted)
+        assert report.verdict == ("non_tempered_witness" if wild else "ramanujan")
+
     def test_three_modulus_classes(self):
-        # distinct planted factors: repeated roots are inherently
-        # ill-conditioned and are not part of the recovery contract
+        # distinct planted factors; repeated ones are split off exactly
+        # before any root is sought (see test_planted_multiplicities)
         rng = random.Random(9)
         q = 3
         pools = {
