@@ -3,8 +3,8 @@
 For a closed quotient with residue cardinality q, the zeta ratio factors as
 (1 - u^3)^(chi - 1) P1(u) / ((1 - q^3 u^3) P2(u)); the quotient satisfies
 the spectral temperedness criterion exactly when every root of P1 and P2 has
-modulus q^(-1/2).  Factor extraction is exact integer division; only the
-final root moduli are numeric.
+modulus q^(-1/2).  Factor extraction and the verdict are exact integer
+arithmetic; only the reported root moduli are numeric.
 """
 
 from btzeta import IntPolynomial, classify_ramanujan, gen_cycle_complex, polynomial_roots, ratio
@@ -37,7 +37,11 @@ print("  3-cycle ratio:", ratio(cycle))
 print("  verdict:", classify_ramanujan(ratio(cycle), q=None).verdict)
 
 print()
-print("The underlying root finder is residual-verified:")
-poly = IntPolynomial([1, 0, 0, -1])
-for z in polynomial_roots(poly):
-    print(f"  root {z:+.6f}, |p(root)| = {abs(poly.eval(z)):.2e}")
+print("The verdict reads no root: 10^12 - u + (2*10^12 + 2) u^2 has roots within")
+print("1e-12 of the critical modulus, so no float margin flags them, yet the")
+print("exact test finds them off the circle:")
+near = IntPolynomial([10 ** 12, -1, 2 * 10 ** 12 + 2])
+close = classify_ramanujan((U3.pow(2) * near, den), q=2, chi=3)
+print("  verdict:", close.verdict, "| offending roots reported:", len(close.offending_roots))
+print("  root moduli:", [f"{abs(z):.15f}" for z in polynomial_roots(near)],
+      "target:", f"{2 ** -0.5:.15f}")

@@ -46,8 +46,8 @@ violations as boolean masks and formats a message only for a flagged row.
 The tuple views ``vertices``, ``edges``, ``chambers`` and ``type_of`` are
 built from the arrays on first read.  A complex built from tuples keeps
 them and builds its arrays on first use.  Private slots hold the views,
-the arrays and the one memo of :mod:`btzeta.operators`; only the views
-enter equality, hashing and serialization.
+the arrays and the one memo of :mod:`btzeta.operators`.  Equality and
+hashing read the arrays, serialization the views.
 """
 
 from __future__ import annotations
@@ -353,13 +353,26 @@ class TypedComplex:
         a, b = cells.edges.T
         return cells.ids[(a + b - i)[(a == i) | (b == i)]].tolist()
 
+    def _key(self) -> tuple:
+        """What equality and hashing read: the arrays, chambers in canonical order.
+
+        The ids, vertex entries and their types, the edges, and each chamber's
+        vertices and sides, chambers sorted by both; then q and the boundary.
+        Parallel edges keep their given numbering, so two complexes that
+        number them differently compare unequal: this is not an isomorphism
+        test.
+        """
+        cells = self._cells
+        rows = np.hstack([cells.chambers, cells.sides])
+        return (tuple(cells.ids.tolist()), tuple(cells.vertex.tolist()),
+                tuple(cells.vertex_type.tolist()), tuple(map(tuple, cells.edges.tolist())),
+                tuple(map(tuple, rows[_row_order(rows)].tolist())), self.q, self.boundary)
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, TypedComplex) and (
-            self.vertices, self.edges, self.chambers, self.q, self.boundary,
-        ) == (other.vertices, other.edges, other.chambers, other.q, other.boundary)
+        return isinstance(other, TypedComplex) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges, self.chambers, self.q, self.boundary))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         n0, n1, n2 = self._sizes()
@@ -437,6 +450,17 @@ def euler_characteristic(c: TypedComplex) -> int:
 
 
 def dumps_complex(c: TypedComplex) -> str:
+    """The complex as format-version-1 text, which ``loads_complex`` reads back.
+
+    Version 1 names each edge and chamber by its vertices, so it cannot hold
+    two edges on one vertex pair or two chambers on one vertex triple; a
+    complex with such parallel cells (only the arrays can hold them) raises
+    ValueError.
+    """
+    cells = c._layout
+    if cells is not None and (_repeats(cells.edges) or _repeats(cells.chambers)):
+        raise ValueError("format version 1 cannot hold parallel edges or chambers "
+                         "(two cells on the same vertices)")
     doc: dict = {
         "version": FORMAT_VERSION,
         "vertices": [{"id": v, "type": t} for v, t in c.vertices],

@@ -1,16 +1,17 @@
-"""Numerical root analysis of zeta ratios and Ramanujan classification.
+"""Exact Ramanujan classification of zeta ratios, with root moduli reported.
 
 The classifier extracts the structural factors of a building-quotient zeta
 ratio exactly -- powers of (1 - u^3) from the numerator (expected exponent:
 Euler characteristic minus one) and (1 - q^3 u^3) plus any (1 - u^3) from the
-denominator -- and then root-tests the residual polynomials.  A quotient is
-flagged ``ramanujan`` when every residual root has modulus q^(-1/2) within
-tolerance (equivalently, all inverse roots sit on the circle of radius
-sqrt(q)); a clear violation is a ``non_tempered_witness``; complexes without
-a meaningful q (q absent or q = 1) are ``inconclusive`` by policy.
+denominator -- and then tests the residual polynomials.  A quotient is
+flagged ``ramanujan`` when every residual root has modulus q^(-1/2)
+(equivalently, all inverse roots sit on the circle of radius sqrt(q)), and a
+``non_tempered_witness`` otherwise; complexes without a meaningful q (q
+absent or q = 1) are ``inconclusive`` by policy.
 
-Factor extraction and the square-free split are exact integer polynomial
-arithmetic; floating point enters only in the final root moduli.
+The verdict is exact: one integer test per residual (``_tempered``: a
+reciprocity check and a Sturm count).  Floating point enters only in the
+reported roots and their margins.
 """
 
 from __future__ import annotations
@@ -55,72 +56,6 @@ class RHReport:
         return doc
 
 
-def _residual_scale(p: IntPolynomial, z: complex) -> float:
-    return sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs)) or 1.0
-
-
-def _polish(p: IntPolynomial, seeds, tol: float) -> tuple[list[complex], str | None]:
-    """The seeds after Newton steps on p, and why the first one failed, if one did.
-
-    mpmath is imported here, its only use, so that no command that polishes
-    no root pays its import.
-    """
-    import mpmath
-
-    exact = list(reversed(p.coeffs))
-    exact_deriv = list(reversed(p.derivative().coeffs)) or [0]
-    polished = []
-    with mpmath.workdps(40):
-        for z in sorted(seeds, key=lambda w: (round(w.real, 12), round(w.imag, 12))):
-            x = mpmath.mpc(z)
-            for _ in range(6):
-                pv = mpmath.polyval(exact, x)
-                dv = mpmath.polyval(exact_deriv, x)
-                if dv == 0:
-                    break
-                step = pv / dv
-                x -= step
-                if abs(step) < 1e-30:
-                    break
-            polished.append(complex(x))
-    try:
-        for z in polished:
-            residual = abs(p.eval(complex(z)))
-            if residual > tol * _residual_scale(p, z):
-                return polished, (f"root {z} failed the residual bound ({residual:.3e}); "
-                                  "polynomial may have tightly clustered roots")
-    except OverflowError:
-        raise ValueError("root finding needs roots whose powers fit a float") from None
-    return polished, None
-
-
-def _newton_polygon_seeds(p: IntPolynomial) -> tuple[list[complex], float]:
-    """Root seeds found scale by scale, and log2 of the largest scale over the smallest.
-
-    An edge from k = i to k = j of the upper convex hull of the points
-    (k, log2 |c_k|), the Newton polygon (Bini, Numer. Algorithms 13, 1996),
-    says that p has j - i roots of modulus about s = |c_i / c_j|^(1/(j - i)).
-    Scaled to v = u / s, the terms i..j have coefficients of modulus at most
-    |c_j s^j|, reached at both ends, so their j - i roots v resolve well.
-    """
-    logs = {k: math.log2(abs(c)) for k, c in enumerate(p.coeffs) if c}
-    hull: list[tuple[int, float]] = []
-    for k, y in logs.items():
-        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
-                                  >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):
-            hull.pop()
-        hull.append((k, y))
-    seeds = [0j] * min(logs)
-    scales = []
-    for (i, yi), (j, yj) in zip(hull, hull[1:]):
-        log_s = (yi - yj) / (j - i)
-        scaled = [math.copysign(2.0 ** (logs[k] + log_s * (k - j) - yj), c) if c else 0.0
-                  for k, c in enumerate(p.coeffs[i:j + 1], i)]
-        seeds += [2.0 ** log_s * v for v in np.roots(scaled[::-1])]
-        scales.append(log_s)
-    return seeds, scales[-1] - scales[0]
-
-
 def _square_free_factors(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     """(factor, multiplicity) pairs of p's square-free decomposition, multiplicities ascending.
 
@@ -140,42 +75,91 @@ def _square_free_factors(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     return factors
 
 
-def polynomial_roots(p: IntPolynomial, tol: float = DEFAULT_TOL) -> list[complex]:
+def polynomial_roots(p: IntPolynomial) -> list[complex]:
     """All complex roots (with multiplicity) of a nonzero integer polynomial.
 
-    The roots of each factor of p's square-free decomposition are found
-    once and repeated by its multiplicity, so a repeated root is never
-    sought as a cluster; a square-free p is its own one factor.
-    Companion-matrix eigenvalues seed a factor's roots; each is then
-    polished by a few Newton steps evaluated on the factor's exact integer
-    coefficients in extended precision, and verified against the scaled
-    residual bound |f(z)| < tol * sum_k |c_k| |z|^k; a failure raises
-    ArithmeticError.  The companion matrix resolves roots only to machine
-    epsilon times the largest, so when a root fails and the Newton polygon
-    spans root moduli more than 1 / epsilon apart, the roots are seeded once
-    more, scale by scale, before that.  Deterministic for identical inputs.
-    A coefficient, or a power of a root, beyond float range raises
-    ValueError.
+    The roots of each factor of p's square-free decomposition are the
+    eigenvalues of its companion matrix (``np.roots``), found once and
+    repeated by its multiplicity, so a repeated root is never sought as a
+    cluster; a square-free p is its own one factor.  They serve reports
+    only: no verdict reads them (see ``_tempered``).  Deterministic for
+    identical inputs.  A coefficient, or a power of a root, beyond float
+    range raises ValueError.
     """
     if p.is_zero():
         raise ValueError("root finding needs a nonzero polynomial")
-    if p.degree < 1:
-        return []
     roots = []
     for factor, m in _square_free_factors(p):
         try:
-            coeffs_desc = [float(c) for c in reversed(factor.coeffs)]
+            found = np.roots([float(c) for c in reversed(factor.coeffs)])
         except OverflowError:
             raise ValueError("root finding needs coefficients that fit a float") from None
-        polished, failure = _polish(factor, np.roots(coeffs_desc), tol)
-        if failure is not None:
-            seeds, log2_spread = _newton_polygon_seeds(factor)
-            if log2_spread > -math.log2(np.finfo(float).eps):
-                polished, failure = _polish(factor, seeds, tol)
-            if failure is not None:
-                raise ArithmeticError(failure)
-        roots += polished * m
+        try:
+            math.pow(float(np.abs(found).max()), factor.degree)
+        except OverflowError:
+            raise ValueError("root finding needs roots whose powers fit a float") from None
+        roots += sorted(map(complex, found),
+                        key=lambda z: (round(z.real, 12), round(z.imag, 12))) * m
     return roots
+
+
+def _sturm_count(p: IntPolynomial, a: int, b: int) -> int:
+    """The number of distinct real roots of the square-free p in (a, b] (Sturm).
+
+    The sequence p, p', -rem, ... takes each pseudo-remainder of f by g
+    scaled by |lc(g)|^(deg f - deg g + 1) and divided by its positive
+    content, so every term keeps the sign of Sturm's own.
+    """
+    seq = [p, p.derivative()]
+    while seq[-1].degree > 0:
+        f, g = seq[-2], seq[-1]
+        rem = f.scale(abs(g.coeffs[-1]) ** (f.degree - g.degree + 1)).divmod_exact(g)[1]
+        content = rem.content()
+        seq.append(IntPolynomial(-c // content for c in rem.coeffs))
+
+    def sign_changes(x: int) -> int:
+        signs = [v > 0 for v in (f.eval(x) for f in seq) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return sign_changes(a) - sign_changes(b)
+
+
+def _square_free_part(p: IntPolynomial) -> IntPolynomial:
+    return p.divmod_exact(poly_gcd(p, p.derivative()))[0]
+
+
+def _tempered(p: IntPolynomial, q: int) -> bool:
+    """Whether every root of the nonzero integer polynomial p has modulus q^(-1/2).
+
+    Exact, on integers only (A. Cohn, Math. Z. 14, 1922).  The square-free
+    part S, less its roots +-q^(-1/2) (the factor 1 - q u^2, or 1 -+ sqrt(q) u
+    when q is a square), has its roots on the circle only if u -> 1/(qu)
+    permutes them: its degree is 2k and c_{k+m} = q^m c_{k-m}.  Then
+    u^(-k) S(u) = c_k + sum_{m>=1} c_{k-m} W_m(y) with y = qu + 1/u and
+    W_m = (qu)^m + u^(-m), so W_1 = y and W_m = y W_{m-1} - q W_{m-2}.  A root
+    lies on the circle exactly when its y is real in [-2 sqrt(q), 2 sqrt(q)].
+    With R(y) = E(y^2) + y O(y^2), T(s) = E(s)^2 - s O(s)^2 has the roots y^2,
+    and they all lie in [0, 4q] exactly when T's square-free part has as many
+    distinct roots there as its degree.
+    """
+    s = _square_free_part(p)
+    r = math.isqrt(q)
+    for f in ([(1, -r), (1, r)] if r * r == q else [(1, 0, -q)]):
+        s = s.divide_exact(IntPolynomial(f)) or s
+    c, k = s.coeffs, s.degree // 2
+    if s.degree % 2 or any(c[k + m] != q ** m * c[k - m] for m in range(1, k + 1)):
+        return False
+    poly_r, w_before, w = [c[k]] + [0] * k, [2], [0, 1]
+    for m in range(1, k + 1):
+        for j, a in enumerate(w):
+            poly_r[j] += c[k - m] * a
+        w_next = [0] + w
+        for j, a in enumerate(w_before):
+            w_next[j] -= q * a
+        w_before, w = w, w_next
+    even, odd = IntPolynomial(poly_r[0::2]), IntPolynomial(poly_r[1::2])
+    t = _square_free_part(even * even - IntPolynomial.monomial(1) * odd * odd)
+    return _sturm_count(t, 0, 4 * q) + (t[0] == 0) == t.degree
 
 
 def _extract_factor(p: IntPolynomial, factor: IntPolynomial) -> tuple[IntPolynomial, int]:
@@ -198,11 +182,12 @@ def classify_ramanujan(f, q: int | None, chi: int | None = None,
     IntPolynomials; the pair form is analyzed exactly as given (no
     re-normalization), so a display carrying both (1-u^3)^e upstairs and
     (1-u^3) downstairs reports the numerator exponent e.  Mismatches such as
-    a missing pole factor are recorded in the report, never raised.  Roots
-    within ``tol`` of modulus q^(-1/2) pass; roots within ``10*tol`` are
-    reported as boundary cases (verdict ``inconclusive``); anything farther
-    is a non-tempered witness.  A zero numerator or denominator, or a
-    residual coefficient or root power beyond float range, raises ``ValueError``.
+    a missing pole factor are recorded in the report, never raised.  The
+    verdict is exact (``_tempered``).  The reported roots are float; those
+    farther than ``10*tol`` from modulus q^(-1/2) are listed as offending,
+    and those farther than ``tol`` but within ``10*tol`` as boundary roots.
+    A zero numerator or denominator, or a residual coefficient or root power
+    beyond float range, raises ``ValueError``.
     """
     num, den_in = (f.num, f.den) if isinstance(f, RationalFn) else f
     if num.is_zero() or den_in.is_zero():
@@ -229,8 +214,9 @@ def classify_ramanujan(f, q: int | None, chi: int | None = None,
             notes.append(
                 f"numerator (1-u^3) exponent {e_num} differs from chi-1 = {chi - 1}")
 
-    p1_roots = tuple(polynomial_roots(p1, tol)) if p1.degree >= 1 else ()
-    p2_roots = tuple(polynomial_roots(p2, tol)) if p2.degree >= 1 else ()
+    p1_roots = tuple(polynomial_roots(p1))
+    p2_roots = tuple(polynomial_roots(p2))
+    verdict = "ramanujan" if _tempered(p1, q) and _tempered(p2, q) else "non_tempered_witness"
 
     target = q ** -0.5
     offending = []
@@ -243,13 +229,6 @@ def classify_ramanujan(f, q: int | None, chi: int | None = None,
             boundary.append(z)
         else:
             offending.append(z)
-    if offending:
-        verdict = "non_tempered_witness"
-    elif boundary:
-        verdict = "inconclusive"
-        notes.append("roots within 10*tol of the critical modulus: boundary case")
-    else:
-        verdict = "ramanujan"
 
     expected_deg = None
     if counts is not None:
@@ -266,7 +245,7 @@ def classify_ramanujan(f, q: int | None, chi: int | None = None,
         pole_factor_found=e_pole >= 1,
         exponent_matches_chi=exponent_matches,
         P1_roots=p1_roots, P2_roots=p2_roots,
-        p1_degree=p1.degree if p1.degree >= 0 else 0,
+        p1_degree=p1.degree,
         p1_degree_expected=expected_deg,
         offending_roots=tuple(offending),
         boundary_roots=tuple(boundary),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
 import time
 
 import numpy as np
@@ -44,6 +45,7 @@ from btzeta import (
     zeta_chamber,
     zeta_edge,
 )
+from btzeta import rh
 from btzeta.cli import run_verify
 from btzeta.operators import directed_edges, edge_successors
 
@@ -306,3 +308,23 @@ def test_criterion_6_rh_classifier():
     report(6, "100 synthetic ratios with planted moduli in {sqrt(q), q, 1}: "
               "verdicts and root classes recovered exactly at tol 1e-9",
            started, 30.0)
+
+
+def test_criterion_6_verdicts_read_no_root(monkeypatch, capsys):
+    # criterion 6 runs as it stands; each of its classifications is repeated
+    # with a root finder that finds no root, and must keep its verdict
+    classify = classify_ramanujan
+    blind_verdicts = []
+
+    def classify_twice(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(rh, "polynomial_roots", lambda p: [])
+            blind_verdicts.append(classify(*args, **kwargs).verdict)
+        rep = classify(*args, **kwargs)
+        assert rep.verdict == blind_verdicts[-1]
+        return rep
+
+    monkeypatch.setattr(sys.modules[__name__], "classify_ramanujan", classify_twice)
+    test_criterion_6_rh_classifier()
+    assert len(blind_verdicts) == 100
+    assert set(blind_verdicts) == {"ramanujan", "non_tempered_witness"}

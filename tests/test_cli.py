@@ -553,8 +553,8 @@ class TestVerify:
             assert doc["recorded"]["torus_geometric_oracle"].startswith("skipped")
 
     def test_verify_imports_no_heavy_module(self, tmp_path):
-        # mpmath serves only rh._polish, which no torus verify runs, and sympy is
-        # a test-only dependency: a top-level import of either fails here
+        # btzeta needs neither mpmath nor sympy (a test-only dependency): a
+        # top-level import of either fails here
         script = "\n".join([
             "import sys",
             "from click.testing import CliRunner",
@@ -573,6 +573,31 @@ class TestVerify:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+    def test_rh_and_verify_run_without_mpmath(self, tmp_path):
+        # sympy installs mpmath for the tests; blocking its import shows that
+        # no command needs it
+        script = "\n".join([
+            "import json, sys",
+            "sys.modules['mpmath'] = None",
+            "from click.testing import CliRunner",
+            "import btzeta.cli",
+            "runner = CliRunner()",
+            "with runner.isolated_filesystem(temp_dir=sys.argv[1]):",
+            "    json.dump({'num': [1, -1, 2], 'den': [1, 0, 0, -8]}, open('r.json', 'w'))",
+            "    rh = runner.invoke(btzeta.cli.main, ['rh', 'r.json', '--q', '2'])",
+            "    gen = runner.invoke(btzeta.cli.main,",
+            "                        ['gen', 'torus', '--basis', '3', '0', '0', '3', '-o', 't.json'])",
+            "    verify = runner.invoke(btzeta.cli.main, ['verify', 't.json', '--no-timings'])",
+            "print(rh.exit_code, gen.exit_code, verify.exit_code, json.loads(rh.stdout)['verdict'])",
+        ])
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        result = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "0 0 0 ramanujan\n"
 
     def test_run_verify_api(self, tmp_path, torus):
         path = tmp_path / "t.json"

@@ -3,9 +3,13 @@ from __future__ import annotations
 import json
 import random
 import re
+from itertools import combinations
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btzeta import (
     ComplexFormatError,
@@ -17,6 +21,7 @@ from btzeta import (
     save_complex,
     simplex_counts,
     validate_complex,
+    zeta_edge,
 )
 from btzeta.cli import main
 
@@ -268,3 +273,58 @@ class TestIdsBeyondInt64:
             reports.append(result.stdout)
         assert load_complex(tmp_path / "big" / "t.json")._cells.ids.dtype == object
         assert reports[0] == reports[1]
+
+
+def _parallel_pair() -> tuple[TypedComplex, TypedComplex]:
+    """Two cell complexes on vertices 0, 1, 2 of types 0, 1, 2 with two edges on
+    each vertex pair; only the first side of their second chamber differs."""
+    edges = np.array([[0, 1], [0, 1], [0, 2], [0, 2], [1, 2], [1, 2]])
+    return tuple(TypedComplex._from_arrays(np.arange(3), np.arange(3), edges, np.array(sides))
+                 for sides in ([[0, 2, 4], [1, 3, 5]], [[0, 2, 4], [0, 3, 5]]))
+
+
+SIMPLICIAL_FIELDS = {
+    "types": st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    "edges": st.sets(st.sampled_from(list(combinations(range(4), 2)))),
+    "chambers": st.sets(st.sampled_from(list(combinations(range(4), 3)))),
+    "q": st.sampled_from([None, 2]),
+    "boundary": st.sets(st.integers(0, 3), max_size=1),
+}
+
+
+def _simplicial(spec: dict) -> TypedComplex:
+    return TypedComplex(list(enumerate(spec["types"])), spec["edges"], spec["chambers"],
+                        q=spec["q"], boundary=spec["boundary"])
+
+
+def _views(c: TypedComplex) -> tuple:
+    return c.vertices, c.edges, c.chambers, c.q, c.boundary
+
+
+class TestEquality:
+    def test_parallel_cells_with_different_sides_differ(self):
+        a, b = _parallel_pair()
+        assert _views(a) == _views(b)
+        assert (str(zeta_edge(a)), str(zeta_edge(b))) == ("1 - u^6", "1 - 2*u^3")
+        assert a != b and hash(a) != hash(b)
+        assert a == _parallel_pair()[0] and hash(a) == hash(_parallel_pair()[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.fixed_dictionaries(SIMPLICIAL_FIELDS), st.data())
+    def test_arrays_agree_with_views_on_simplicial_complexes(self, spec, data):
+        # the second complex redraws up to two fields of the first, and is
+        # read back from its file (the array constructor) or built from tuples
+        changed = data.draw(st.sets(st.sampled_from(sorted(SIMPLICIAL_FIELDS)), max_size=2))
+        other = {**spec, **{k: data.draw(SIMPLICIAL_FIELDS[k]) for k in sorted(changed)}}
+        a, b = _simplicial(spec), _simplicial(other)
+        if data.draw(st.booleans()):
+            b = loads_complex(dumps_complex(b))
+        assert (a == b) == (_views(a) == _views(b))
+        if a == b:
+            assert hash(a) == hash(b)
+
+
+class TestVersionOneLimit:
+    def test_parallel_cells_refused_at_write(self):
+        with pytest.raises(ValueError, match="version 1 cannot hold parallel edges"):
+            dumps_complex(_parallel_pair()[0])

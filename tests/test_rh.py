@@ -4,10 +4,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from btzeta import IntPolynomial, RationalFn, classify_ramanujan, polynomial_roots, ratio
+from btzeta.rh import _sturm_count
 
 U3 = IntPolynomial([1, 0, 0, -1])
 
@@ -41,13 +42,8 @@ class TestPolynomialRoots:
 
     @pytest.mark.parametrize("coeffs, expected", [
         ([1, 0, -10 ** 40, 1], [-1e-20, 1e-20, 1e40]),
-        ([-10 ** 40, 0, -10 ** 40, 1], [-1j, 1j, 1e40]),
-        # three scales: +-1e-20, the cube roots of -1, and 1e40
-        ([1, 0, -10 ** 40, 0, 0, -10 ** 40, 1],
-         [-1, -1e-20, 1e-20, 0.5 - 0.75 ** 0.5 * 1j, 0.5 + 0.75 ** 0.5 * 1j, 1e40]),
     ])
     def test_roots_far_below_the_largest(self, coeffs, expected):
-        # the companion matrix rounds the small roots to 0 next to 1e40
         roots = sorted(polynomial_roots(IntPolynomial(coeffs)), key=lambda z: (z.real, z.imag))
         assert roots == [pytest.approx(z) for z in expected]
 
@@ -139,8 +135,9 @@ class TestClassifyRamanujan:
         assert report.euler_factor_exponent == 2
         assert report.verdict == "ramanujan"
 
-    def test_boundary_roots_give_inconclusive(self):
-        # plant an inverse root with modulus sqrt(2)(1 + 3e-9): inside 10*tol
+    def test_boundary_roots_listed_off_the_circle(self):
+        # plant an inverse root with modulus sqrt(2)(1 + 3e-9): inside 10*tol,
+        # so a boundary root, yet off the circle, so a witness
         target = 2 ** 0.5 * (1 + 3e-9)
         # rational approximation with huge denominator keeps the modulus offset
         from fractions import Fraction
@@ -149,7 +146,7 @@ class TestClassifyRamanujan:
         num = IntPolynomial([frac.denominator, -frac.numerator])
         den = IntPolynomial([1])
         report = classify_ramanujan((num, den), q=2, tol=1e-9)
-        assert report.verdict == "inconclusive"
+        assert report.verdict == "non_tempered_witness"
         assert report.boundary_roots
 
     @pytest.mark.parametrize("side", ["num", "den"])
@@ -215,3 +212,69 @@ class TestPlantedRecovery:
             assert len(got) == len(expected)
             for g, e in zip(got, sorted(expected)):
                 assert abs(g - e) < 1e-9
+
+
+def pole(q: int) -> IntPolynomial:
+    return IntPolynomial([1, 0, 0, -q ** 3])
+
+
+class TestExactVerdict:
+    """Inputs whose verdict a float tolerance got wrong, or could get wrong."""
+
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_repeated_tempered_quadratic(self, k):
+        p1 = tempered_quadratic(2, 1).pow(k)
+        assert classify_ramanujan((U3 * p1, pole(2)), q=2).verdict == "ramanujan"
+
+    def test_cube_substitution(self):
+        # (1 + 5x + 8x^2)^3 with x = u^3: every root u has modulus 8^(-1/6)
+        p1 = IntPolynomial([1, 5, 8]).pow(3).subst_u_power(3)
+        assert classify_ramanujan((U3 * p1, pole(2)), q=2).verdict == "ramanujan"
+
+    @pytest.mark.parametrize("wild", [False, True])
+    def test_degree_300_product(self, wild):
+        rng = random.Random(300)
+        p1 = IntPolynomial([1])
+        for _ in range(150):
+            p1 = p1 * tempered_quadratic(5, rng.randint(-4, 4))
+        if wild:
+            p1 = p1 * IntPolynomial([1, -3, 6])  # roots of modulus 6^(-1/2)
+        report = classify_ramanujan((U3 * p1, pole(5)), q=5)
+        assert report.verdict == ("non_tempered_witness" if wild else "ramanujan")
+
+    def test_near_circle_quadratic(self):
+        # roots of modulus 2^(-1/2) (1 + 1e-12)^(-1/2): within any float
+        # tolerance of the circle, yet off it
+        p1 = IntPolynomial([10 ** 12, -1, 2 * 10 ** 12 + 2])
+        report = classify_ramanujan((U3 * p1, pole(2)), q=2)
+        assert report.verdict == "non_tempered_witness"
+        assert not report.offending_roots and not report.boundary_roots
+
+    @pytest.mark.parametrize("p1, q, verdict", [
+        (IntPolynomial([1, 0, -2]), 2, "ramanujan"),              # roots +-2^(-1/2)
+        (IntPolynomial([1, -2]) * IntPolynomial([1, 2]), 4, "ramanujan"),
+        (IntPolynomial([1, -2]), 4, "ramanujan"),                 # one root of 1 - 4u^2
+        (IntPolynomial([1, -2]), 2, "non_tempered_witness"),
+        (IntPolynomial([1, 0, 2]), 2, "ramanujan"),               # y = 0: roots +-i 2^(-1/2)
+        (IntPolynomial([0, 1, -1, 2]), 2, "non_tempered_witness"),  # a root at 0
+    ])
+    def test_fixed_points_and_edges(self, p1, q, verdict):
+        assert classify_ramanujan((U3 * p1, pole(q)), q=q).verdict == verdict
+
+
+class TestSturmCount:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-30, 30), min_size=2, max_size=10).filter(lambda c: c[-1]),
+           st.integers(-12, 12), st.integers(1, 24))
+    # each has a Sturm term of degree 1 with a negative leading coefficient
+    # after one of degree 3: dividing by it, lc^3 would flip a sign |lc|^3 keeps
+    @example(coeffs=[3, -3, 0, 0, -2], a=0, width=4)
+    @example(coeffs=[-1, -3, -3, 4, -2], a=-2, width=3)
+    def test_matches_sympy(self, coeffs, a, width):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        part = sympy.Poly(list(reversed(coeffs)), x).sqf_part()
+        p = IntPolynomial(reversed([int(c) for c in part.all_coeffs()]))
+        b = a + width
+        # count_roots counts [a, b]; the Sturm count, (a, b]
+        assert _sturm_count(p, a, b) + (p.eval(a) == 0) == part.count_roots(a, b)
