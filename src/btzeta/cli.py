@@ -378,8 +378,8 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
     if point is not None and not all(map(math.isfinite, point)):
         raise ValueError(f"--eval coordinates must be finite, got {eval_text!r}")
     gens = cone_generators(lc)
-    points = _fundamental_points(lc, gens)
-    closed = _closed_form(lc, gens, points, character)
+    points, exponents = _fundamental_points(lc, gens)
+    closed = _closed_form(lc, gens, points, exponents, character)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "rank": lc.rank,
@@ -411,7 +411,7 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
     fset = "[%s]" % _rows_json(points.T, ["["], np.zeros(points.shape[1], np.intp), "]")
     text = f'{head}"closed_form":{closed.to_json()}{middle}"fundamental_set":{fset}{tail}'
     size = points.shape[1]
-    del points, closed, fset  # freed before click copies the text out
+    del points, exponents, closed, fset  # freed before click copies the text out
     click.echo(text, nl=False)
     _info(f"rank {lc.rank}: |F| = {size}")
 

@@ -455,15 +455,21 @@ def dumps_complex(c: TypedComplex) -> str:
     Version 1 names each edge and chamber by its vertices, so it cannot hold
     two edges on one vertex pair or two chambers on one vertex triple; a
     complex with such parallel cells (only the arrays can hold them) raises
-    ValueError.
+    ValueError.  So does a complex that lists one vertex id twice, which
+    ``loads_complex`` would refuse; the sorted tuple view shows it as a
+    neighbouring pair.
     """
     cells = c._layout
     if cells is not None and (_repeats(cells.edges) or _repeats(cells.chambers)):
         raise ValueError("format version 1 cannot hold parallel edges or chambers "
                          "(two cells on the same vertices)")
+    vertices = c.vertices
+    for (v, _), (w, _) in zip(vertices, vertices[1:]):
+        if v == w:
+            raise ValueError(f"format version 1 cannot hold the vertex id {v} twice")
     doc: dict = {
         "version": FORMAT_VERSION,
-        "vertices": [{"id": v, "type": t} for v, t in c.vertices],
+        "vertices": [{"id": v, "type": t} for v, t in vertices],
         "edges": [list(e) for e in c.edges],
         "chambers": [list(t) for t in c.chambers],
     }

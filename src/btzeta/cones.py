@@ -14,13 +14,15 @@ series with closed form
 which this module constructs exactly and cross-checks against direct partial
 sums.
 
-The numerator is built in whole-array integer passes: the exponent vectors
-alpha(F) are one matrix product of the functionals with the points of F, in
-int64 when the bound max|alpha_j| * max|v_i| * r fits and in exact Python
-integers (``dtype=object``) otherwise.  Character values are exact: with
-+-1 multipliers (the trivial character included) they are the ints 1 and -1,
-picked by a parity, and all other multipliers go through
-``CharacterData.value``.
+The numerator is built in whole-array integer passes.  Since
+alpha_i(a_j) = 0 for i != j, a point v = sum t_j a_j has
+alpha_j(v) = t_j alpha_j(a_j), so F is the box
+0 < alpha_j(v) <= alpha_j(a_j) of the cone's own functionals: the lister
+that gives F gives its exponent vectors alpha(F) with it, in int64 when
+they fit and in exact Python integers (``dtype=object``) otherwise.
+Character values are exact: with +-1 multipliers (the trivial character
+included) they are the ints 1 and -1, picked by a parity, and all other
+multipliers go through ``CharacterData.value``.
 
 F stays one (r, |F|) integer array from the lister to the output text:
 ``btz cone`` reads ``_fundamental_points`` and ``_closed_form``, and
@@ -39,23 +41,24 @@ per-term loop does, in Python arithmetic: float points keep the loop's bits
 and Fraction points stay exact.
 
 The linear algebra is exact integer elimination: one fraction-free
-Gauss-Jordan routine gives the adjugate and the determinant of a matrix.
-The edge generators are adjugate columns of the functionals in lattice
-coordinates, divided by their gcd, and barycentric coordinates, lattice
-membership and the oracle's points are adjugate products divided exactly by
-the determinant.
+Gauss-Jordan routine gives the adjugate and the determinant of a matrix,
+and a cone runs it twice, on its lattice basis B and on its functional
+matrix alpha, and keeps both.  Everything else reads them: the functionals
+in lattice coordinates are G = alpha B, and adj G = adj B adj alpha gives
+the edge generators; lattice membership is adj B v divided exactly by
+det B; the listed points are adj(alpha) w divided exactly by det alpha;
+and the decomposition reads k_j off alpha_j(v).
 
-The partial-sum oracle sums over a truncated cone, and F is one too.  One
-lister gives both as lattice points of a box, from the lower-triangular
-Hermite normal form of the lattice's image (Cohen, *A Course in Computational
-Algebraic Number Theory*, 2.4.2), one coordinate at a time, so no point
-outside the lattice is generated.
+The partial-sum oracle sums over a truncated cone, and F is a box too.  One
+lister gives both as lattice points of a box with one bound per side, from
+the lower-triangular Hermite normal form of the lattice's image (Cohen, *A
+Course in Computational Algebraic Number Theory*, 2.4.2), one coordinate at
+a time, so no point outside the lattice is generated.
 """
 
 from __future__ import annotations
 
 import cmath
-import copy
 import json
 import math
 import sys
@@ -170,23 +173,14 @@ class LatticeCone:
         basis_adj = _adjugate(basis)
         if basis_adj[1] == 0:
             raise ValueError("lattice basis is singular")
-        object.__setattr__(self, "rank", r)
-        object.__setattr__(self, "lattice_basis", basis)
-        object.__setattr__(self, "_basis_adjugate", basis_adj)
-        self._set_functionals(funcs)
-
-    def _set_functionals(self, funcs: tuple[tuple[int, ...], ...]) -> None:
         functional_adj = _adjugate(funcs)
         if functional_adj[1] == 0:
             raise ValueError("functionals are linearly dependent (cone is not sharp)")
+        object.__setattr__(self, "rank", r)
+        object.__setattr__(self, "lattice_basis", basis)
         object.__setattr__(self, "functionals", funcs)
+        object.__setattr__(self, "_basis_adjugate", basis_adj)
         object.__setattr__(self, "_functional_adjugate", functional_adj)
-
-    def _with_functionals(self, funcs: tuple[tuple[int, ...], ...]) -> "LatticeCone":
-        """The cone of other r functionals on this lattice, keeping its basis adjugate."""
-        cone = copy.copy(self)
-        cone._set_functionals(funcs)
-        return cone
 
     @property
     def basis_columns(self) -> tuple[tuple[int, ...], ...]:
@@ -222,19 +216,22 @@ def cone_generators(cone: LatticeCone) -> tuple[tuple[int, ...], ...]:
 
     a_j spans the line where all functionals except alpha_j vanish, lies in
     the lattice, is primitive there, and has alpha_j(a_j) > 0 minimal.  With
-    G the functionals in lattice coordinates, G adj(G) = det(G) I, so column
-    j of adj(G) is such a line in lattice coordinates; divided by its gcd and
-    multiplied by sign(det G) it is a_j, which the lattice basis maps back to
-    ambient coordinates.
+    G = alpha B the functionals in lattice coordinates, G adj(G) = det(G) I,
+    so column j of adj(G) = adj(B) adj(alpha) is such a line in lattice
+    coordinates; divided by its gcd g_j and multiplied by sign(det G) it is
+    a_j, which B maps back to ambient coordinates.  Since B adj(B) = det(B) I,
+    that is a_j = sign(det alpha) |det B| adj(alpha) e_j / g_j, read off the
+    two adjugates the cone holds.
     """
     r = cone.rank
-    adj, det = _adjugate([_mat_vec_row(f, cone.basis_columns) for f in cone.functionals])
-    sign = 1 if det > 0 else -1
+    adj_b, det_b = cone._basis_adjugate
+    adj_f, det_f = cone._functional_adjugate
+    scale = abs(det_b) if det_f > 0 else -abs(det_b)
     gens = []
     for j in range(r):
-        col = [adj[i][j] for i in range(r)]
-        g = math.gcd(*col)
-        gens.append(_mat_vec(cone.lattice_basis, [sign * x // g for x in col]))
+        col = [adj_f[i][j] for i in range(r)]
+        g = math.gcd(*_mat_vec(adj_b, col))
+        gens.append(tuple(scale * x // g for x in col))
     return tuple(gens)
 
 
@@ -278,57 +275,67 @@ def _lower_hermite_form(m) -> list[list[int]]:
     return [[cols[j][i] for j in range(r)] for i in range(r)]
 
 
-def _lattice_points_in_box(g, bound: int) -> np.ndarray:
-    """Points of the lattice g Z^r in the box (0, bound]^r, in lexicographic order.
+def _lattice_points_in_box(g, bounds) -> np.ndarray:
+    """Points w of the lattice g Z^r with 0 < w_k <= bounds[k], in lexicographic order.
 
     With h the Hermite form of g, a point is w = h y.  Once y_1..y_{k-1} are
     fixed, w_k = s + h_kk y_k with s = sum_{j<k} h_kj y_j, so the y_k that keep
-    w_k in (0, bound] form one interval.  Each coordinate expands every
+    w_k in (0, bounds[k]] form one interval.  Each coordinate expands every
     partial point by its interval, in order, so only lattice points are
-    generated.  Returns an (r, n) array; since 0 <= h_kj < h_kk, every
-    |y_k| <= 2^(k-1) bound and every partial sum stays below
-    max_k h_kk * bound * 2^r, which picks int64 or exact integers.  The k-th
-    interval holds at most ceil(bound / h_kk) values; raises ValueError when
-    their product exceeds FUNDAMENTAL_INDEX_CAP, before listing any point.
+    generated.  Returns an (r, n) array; with b = max(bounds), since
+    0 <= h_kj < h_kk, every |y_k| <= 2^(k-1) b and every partial sum stays
+    below max_k h_kk * b * 2^r, which picks int64 or exact integers.  The
+    k-th interval holds at most ceil(bounds[k] / h_kk) values; raises
+    ValueError when their product exceeds FUNDAMENTAL_INDEX_CAP, before
+    listing any point.
     """
     h = _lower_hermite_form(g)
     r = len(h)
-    most = math.prod(-(-bound // h[k][k]) for k in range(r))
+    most = math.prod(-(-b // h[k][k]) for k, b in enumerate(bounds))
     if most > FUNDAMENTAL_INDEX_CAP:
-        raise ValueError(f"the box (0, {bound}]^{r} holds up to {most} lattice points, "
+        box = " x ".join(f"(0, {b}]" for b in bounds)
+        raise ValueError(f"the box {box} holds up to {most} lattice points, "
                          f"more than the cap of {FUNDAMENTAL_INDEX_CAP}")
-    dtype = _int_dtype(max(h[k][k] for k in range(r)) * bound << r)
+    dtype = _int_dtype(max(h[k][k] for k in range(r)) * max(bounds) << r)
     y = np.zeros((0, 1), dtype=dtype)
-    for k, row in enumerate(h):
+    for k, (row, b) in enumerate(zip(h, bounds)):
         s = np.array(row[:k], dtype=dtype) @ y
         lo = -((s - 1) // row[k])                   # ceil((1 - s) / h_kk)
-        counts = np.maximum((bound - s) // row[k] - lo + 1, 0).astype(np.int64)
+        counts = np.maximum((b - s) // row[k] - lo + 1, 0).astype(np.int64)
         prefix = np.repeat(np.arange(len(counts)), counts)
         offsets = np.arange(len(prefix)) - (np.cumsum(counts) - counts)[prefix]
         y = np.vstack([y[:, prefix], lo[prefix] + offsets])
     return np.array(h, dtype=dtype) @ y
 
 
-def _fundamental_points(cone: LatticeCone, generators) -> np.ndarray:
-    """F as an (r, |F|) integer array, its columns in lexicographic order.
+def _fundamental_points(cone: LatticeCone, generators) -> tuple[np.ndarray, np.ndarray]:
+    """F and its exponent vectors alpha(F), two (r, |F|) integer arrays.
 
-    With d = |det A| for the generator matrix A, the half-open condition
-    0 < t <= 1 on barycentric coordinates t = A^-1 v reads d A^-1 v in
-    (0, d]^r, where d A^-1 = sign(det A) adj A.  So F is the truncated cone
-    of the functionals sign(det A) adj A at bound d on the same lattice,
-    listed by ``truncated_cone_points`` (whose box estimate is exactly |F|
-    here, checked against FUNDAMENTAL_INDEX_CAP).
+    The columns are in lexicographic order of the points.  A point
+    v = sum t_j a_j has alpha_j(v) = t_j b_j with b_j = alpha_j(a_j), so the
+    half-open condition 0 < t_j <= 1 is 0 < alpha_j(v) <= b_j: F is the box
+    of the cone's own functionals with one bound b_j per side, which
+    ``_box_points`` lists.  Since b_j e_j lies in the image lattice, the
+    box's estimate is exactly |F| = prod b_j / |det alpha det B|, checked
+    against FUNDAMENTAL_INDEX_CAP before listing and against the count
+    after.  Raises ValueError unless there are r generators and every a_j
+    lies on the j-th edge ray (alpha_i(a_j) = 0 for i != j and
+    alpha_j(a_j) > 0).
     """
     r = cone.rank
-    adj_a, det_a = _adjugate([[generators[j][i] for j in range(r)] for i in range(r)])
-    sign = 1 if det_a > 0 else -1
-    parallelepiped = cone._with_functionals(tuple(tuple(sign * x for x in row) for row in adj_a))
-    _, v = truncated_cone_points(parallelepiped, abs(det_a))
-    expected = abs(det_a // cone._basis_adjugate[1])
+    alphas = [cone.alphas(a) for a in generators]
+    if len(alphas) != r or any(alphas[j][i] for j in range(r) for i in range(r) if i != j) \
+            or any(alphas[j][j] <= 0 for j in range(r)):
+        raise ValueError(f"the generators {tuple(map(tuple, generators))} do not lie "
+                         "on the edge rays of the cone")
+    bounds = [alphas[j][j] for j in range(r)]
+    w, v = _box_points(cone, bounds)
+    expected = math.prod(bounds) // abs(cone._functional_adjugate[1] * cone._basis_adjugate[1])
     if v.shape[1] != expected:
         raise AssertionError(
             f"fundamental set size {v.shape[1]} != lattice index {expected}")
-    return v[:, np.lexsort(v[::-1])]
+    order = np.lexsort(v[::-1])
+    return v[:, order], w[:, order]
 
 
 def fundamental_domain(cone: LatticeCone,
@@ -337,9 +344,10 @@ def fundamental_domain(cone: LatticeCone,
 
     These are exactly the coset representatives v0 of Sigma modulo the
     sublattice generated by a_1..a_r that lie in the open cone while every
-    v0 - a_j falls outside it, sorted lexicographically.
+    v0 - a_j falls outside it, sorted lexicographically.  Raises ValueError
+    unless the generators lie on the cone's edge rays, one per side.
     """
-    return tuple(map(tuple, _fundamental_points(cone, generators).T.tolist()))
+    return tuple(map(tuple, _fundamental_points(cone, generators)[0].T.tolist()))
 
 
 def decompose(cone: LatticeCone, decomposition: ConeDecomposition, v):
@@ -352,10 +360,9 @@ def decompose(cone: LatticeCone, decomposition: ConeDecomposition, v):
         raise ValueError(f"{v} is not in the lattice")
     if not cone.contains(v):
         return None
-    a_cols = tuple(tuple(g[i] for g in decomposition.generators) for i in range(cone.rank))
-    adj, det = _adjugate(a_cols)
-    # k_j = ceil(t_j) - 1 for the barycentric coordinates t = adj(A) v / det A
-    ks = tuple(-(-x // det) - 1 for x in _mat_vec(adj, v))
+    # k_j = ceil(t_j) - 1 for the barycentric coordinates t_j = alpha_j(v) / alpha_j(a_j)
+    ks = tuple((cone.alpha(j, v) - 1) // cone.alpha(j, a)
+               for j, a in enumerate(decomposition.generators))
     v0 = tuple(
         v[i] - sum(k * g[i] for k, g in zip(ks, decomposition.generators))
         for i in range(cone.rank)
@@ -670,23 +677,16 @@ def _character_values(character: CharacterData, points: np.ndarray) -> list:
     return [character.value(v) for v in points.T.tolist()]
 
 
-def _closed_form(cone: LatticeCone, generators, points: np.ndarray,
+def _closed_form(cone: LatticeCone, generators, points: np.ndarray, exponents: np.ndarray,
                  character: CharacterData | None) -> ConeClosedForm:
-    """``cone_series_closed_form`` of F given as an (r, |F|) integer array."""
+    """``cone_series_closed_form`` of F and alpha(F) given as (r, |F|) integer arrays."""
     if character is None:
         character = CharacterData.trivial(cone.rank)
     _check_rank(character.multipliers, cone.rank, "the character", "multipliers")
-    r = cone.rank
-    max_f = max(abs(x) for f in cone.functionals for x in f)
-    # F lies in the parallelepiped of the generators: |v_i| <= sum_j |a_j,i|
-    max_v = max(sum(abs(a[i]) for a in generators) for i in range(r))
-    dtype = _int_dtype(max_f * max_v * r)
-    points = points.astype(dtype, copy=False)
-    alphas = np.array(cone.functionals, dtype=dtype) @ points
     coefficients = _character_values(character, points)
     poles = zip(_character_values(character, np.array(generators, dtype=object).T),
                 (cone.alpha(j, a) for j, a in enumerate(generators)))
-    return ConeClosedForm._of_arrays(coefficients, alphas.T, poles)
+    return ConeClosedForm._of_arrays(coefficients, exponents.T, poles)
 
 
 def cone_series_closed_form(cone: LatticeCone, decomposition: ConeDecomposition,
@@ -699,7 +699,8 @@ def cone_series_closed_form(cone: LatticeCone, decomposition: ConeDecomposition,
     """
     fset = decomposition.fundamental_set
     points = np.array(fset, dtype=object).reshape(len(fset), cone.rank).T
-    return _closed_form(cone, decomposition.generators, points, character)
+    exponents = np.array(cone.functionals, dtype=object) @ points
+    return _closed_form(cone, decomposition.generators, points, exponents, character)
 
 
 def truncated_cone_points(cone: LatticeCone, bound: int):
@@ -709,19 +710,30 @@ def truncated_cone_points(cone: LatticeCone, bound: int):
     w = (alpha_1(v), ..., alpha_r(v)); the truncation alpha_j(v) <= bound is
     exactly the image-lattice part of the box (0, bound]^r, listed in
     lexicographic order of w from the Hermite form of the functionals in
-    lattice coordinates.  The points are v = adj(alpha) w / det(alpha), in
-    int64 when max|adj(alpha)| * bound * r and |det(alpha)| fit and in exact
-    Python integers otherwise.  Returns a pair of integer arrays of shape
-    (r, n): the exponent vectors and the points.  Raises ValueError when the
-    box may hold more than FUNDAMENTAL_INDEX_CAP points.
+    lattice coordinates (``_box_points`` with the bound on every side).
+    Returns a pair of integer arrays of shape (r, n): the exponent vectors
+    and the points.  Raises ValueError when the box may hold more than
+    FUNDAMENTAL_INDEX_CAP points.
+    """
+    return _box_points(cone, (bound,) * cone.rank)
+
+
+def _box_points(cone: LatticeCone, bounds):
+    """Exponent vectors w = alpha(v) and lattice points v with 0 < w_j <= bounds[j].
+
+    w is listed by ``_lattice_points_in_box`` from the functionals in
+    lattice coordinates, and v = adj(alpha) w / det(alpha) from the
+    adjugate the cone holds, in int64 when max|adj(alpha)| * max(bounds) * r
+    and |det(alpha)| fit and in exact Python integers otherwise.
     """
     r = cone.rank
-    if bound < 1:
+    if any(b < 1 for b in bounds):
         return (np.zeros((r, 0), dtype=np.int64),) * 2
-    g = [_mat_vec_row(cone.functionals[j], cone.basis_columns) for j in range(r)]
-    w = _lattice_points_in_box(g, bound)
+    g = [_mat_vec_row(f, cone.basis_columns) for f in cone.functionals]
+    w = _lattice_points_in_box(g, bounds)
     adj, det_f = cone._functional_adjugate
-    dtype = _int_dtype(max(max(abs(x) for row in adj for x in row) * bound * r, abs(det_f)))
+    dtype = _int_dtype(max(max(abs(x) for row in adj for x in row) * max(bounds) * r,
+                           abs(det_f)))
     return w, np.array(adj, dtype=dtype) @ w.astype(dtype) // det_f
 
 

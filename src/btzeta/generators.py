@@ -241,23 +241,10 @@ class _GF:
         ]
         for tail in product(range(p), repeat=k):
             cand = tail + (1,)
-            if all(not self._poly_divides(g, cand) for g in lower):
+            # every g is monic, so _polmod gives the remainder of cand by g
+            if all(any(self._polmod(list(cand), g)) for g in lower):
                 return cand
         raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-    def _poly_divides(self, g: tuple[int, ...], f: tuple[int, ...]) -> bool:
-        p = self.p
-        rem = list(f)
-        ginv = pow(g[-1], p - 2, p)
-        while len(rem) >= len(g) and any(rem):
-            lead = rem[-1]
-            if lead:
-                factor = (lead * ginv) % p
-                shift = len(rem) - len(g)
-                for i, c in enumerate(g):
-                    rem[shift + i] = (rem[shift + i] - factor * c) % p
-            rem.pop()
-        return not any(rem)
 
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))

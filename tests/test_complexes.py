@@ -328,3 +328,16 @@ class TestVersionOneLimit:
     def test_parallel_cells_refused_at_write(self):
         with pytest.raises(ValueError, match="version 1 cannot hold parallel edges"):
             dumps_complex(_parallel_pair()[0])
+
+    @pytest.mark.parametrize("vertices, repeated", [
+        ([(0, 0), (0, 0), (1, 1)], 0),
+        ([(5, 0), (7, 1), (7, 2), (9, 2)], 7),
+    ], ids=["same-type", "two-types"])
+    def test_repeated_vertex_id_refused_at_write(self, vertices, repeated):
+        # the text held two entries of one id, which loads_complex refuses
+        edge = (vertices[0][0], vertices[-1][0])
+        c = TypedComplex(vertices, [edge])
+        with pytest.raises(ValueError, match=f"cannot hold the vertex id {repeated} twice"):
+            dumps_complex(c)
+        once = TypedComplex(vertices[:1] + vertices[2:], [edge])
+        assert loads_complex(dumps_complex(once)) == once

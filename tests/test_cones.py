@@ -540,11 +540,9 @@ class TestWholeArrayPasses:
         (((1, 0), (-1, 2)), None),
         (((2, 1, 0), (0, 1, 3), (1, 0, 1)), ((2, 0, 0), (1, 3, 0), (0, 1, 1))),
     ], ids=["rank-2", "rank-3-sublattice"])
-    def test_fundamental_domain_reuses_basis_adjugate(self, monkeypatch, functionals, basis):
-        # one elimination for the generator matrix, one for the parallelepiped's
-        # functionals; the lattice basis keeps the adjugate the cone holds
+    def test_built_cone_runs_no_elimination(self, monkeypatch, functionals, basis):
+        # the two adjugates the constructor computes serve every later step
         cone = LatticeCone(functionals, basis)
-        gens = cone_generators(cone)
         calls = []
 
         def counting(m):
@@ -552,9 +550,46 @@ class TestWholeArrayPasses:
             return _adjugate(m)
 
         monkeypatch.setattr("btzeta.cones._adjugate", counting)
+        gens = cone_generators(cone)
         domain = fundamental_domain(cone, gens)
-        assert len(calls) == 2
+        deco = ConeDecomposition(gens, domain)
+        points, exponents = _fundamental_points(cone, gens)
+        _closed_form(cone, gens, points, exponents, CharacterData((-1,) * cone.rank))
+        v = tuple(map(sum, zip(*gens, domain[-1])))
+        assert decompose(cone, deco, v) == (domain[-1], (1,) * cone.rank)
+        assert calls == []
         assert domain == scan_fundamental_domain(cone, gens)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_cones(max_entry=5), st.sampled_from([1, 2**40, 2**61, 2**70]))
+    def test_exponents_are_the_functionals_of_the_points(self, cone, scale):
+        # a scaled basis keeps F's shape and pushes the points and the
+        # exponents past int64 at the larger scales
+        cone = LatticeCone(cone.functionals,
+                           tuple(tuple(scale * x for x in row) for row in cone.lattice_basis))
+        points, exponents = _fundamental_points(cone, cone_generators(cone))
+        exact = np.array(cone.functionals, dtype=object) @ points.astype(object)
+        assert exponents.shape == exact.shape
+        assert exponents.tolist() == exact.tolist()
+
+    @pytest.mark.parametrize("generators", [
+        ((2, 1), (1, 1)),     # a_2 off its ray: alpha_1(a_2) = 1
+        ((-2, -1), (0, 1)),   # a_1 on the opposite ray: alpha_1(a_1) = -2
+        ((0, 0), (0, 1)),     # a_1 = 0
+        ((2, 1), (0, 1), (1, 1)),
+    ], ids=["off-ray", "opposite-ray", "zero", "too-many"])
+    def test_generators_off_the_edge_rays_refused(self, generators):
+        cone = LatticeCone(((1, 0), (-1, 2)))
+        assert cone_generators(cone) == ((2, 1), (0, 1))
+        for lister in (fundamental_domain, _fundamental_points):
+            with pytest.raises(ValueError, match="edge rays"):
+                lister(cone, generators)
+
+    def test_multiples_of_the_generators_give_their_parallelepiped(self):
+        # the box identity holds for any lattice points on the edge rays
+        cone = LatticeCone(((1, 0), (-1, 2)))
+        gens = ((4, 2), (0, 3))
+        assert fundamental_domain(cone, gens) == scan_fundamental_domain(cone, gens)
 
     def test_fundamental_index_cap(self):
         cone = LatticeCone(((5_000_000_000, 1), (1, 5_000_000_000)))
@@ -767,7 +802,7 @@ class TestBulkEncodeAndEvaluate:
         cone = LatticeCone(((-5, 1, 1), (-2, 3, 5), (-1, 2, -5)),
                            ((1, 0, 0), (1, 2, 0), (0, 0, 1)))
         gens = cone_generators(cone)
-        closed = _closed_form(cone, gens, _fundamental_points(cone, gens),
+        closed = _closed_form(cone, gens, *_fundamental_points(cone, gens),
                               CharacterData((-1, 1, -1)))
         assert closed._exponents.shape == (23762, 3)
         tracemalloc.start()
@@ -917,8 +952,9 @@ class TestCliArrayPath:
     ], ids=["scaled", "scaled-sign", "wide-points"])
     def test_object_exponents(self, cone, mults, point):
         gens = cone_generators(cone)
-        closed = _closed_form(cone, gens, _fundamental_points(cone, gens), None)
-        assert closed._exponents.dtype == object
+        closed = _closed_form(cone, gens, *_fundamental_points(cone, gens), None)
+        # the scaled cone's exponents pass int64; the wide points' exponents are small
+        assert closed._exponents.dtype == (object if cone is SCALED else np.int64)
         self.check(cone, mults, point)
 
     def test_outside_convergence_region(self):
@@ -949,7 +985,7 @@ class TestOneClosedFormTwoConstructors:
     def test_cone_closed_forms(self, data):
         cone = data.draw(lattice_cones())
         gens = cone_generators(cone)
-        built = _closed_form(cone, gens, _fundamental_points(cone, gens),
+        built = _closed_form(cone, gens, *_fundamental_points(cone, gens),
                              data.draw(characters(cone.rank)))
         self.check(built, data)
 
@@ -963,7 +999,7 @@ class TestOneClosedFormTwoConstructors:
     @given(data=st.data())
     def test_fixed_cones(self, cone, character, data):
         gens = cone_generators(cone)
-        self.check(_closed_form(cone, gens, _fundamental_points(cone, gens), character), data)
+        self.check(_closed_form(cone, gens, *_fundamental_points(cone, gens), character), data)
 
     @pytest.mark.parametrize("character", [None, CharacterData((Fraction(1, 2), 3))],
                              ids=["trivial", "rational"])
@@ -971,7 +1007,8 @@ class TestOneClosedFormTwoConstructors:
     @given(data=st.data())
     def test_no_terms(self, character, data):
         cone = LatticeCone(((1, 0), (-1, 2)))
-        built = _closed_form(cone, cone_generators(cone), np.zeros((2, 0), np.int64), character)
+        empty = np.zeros((2, 0), np.int64)
+        built = _closed_form(cone, cone_generators(cone), empty, empty, character)
         assert built.terms == ()
         self.check(built, data)
 

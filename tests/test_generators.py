@@ -7,6 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import sympy
 
 from btzeta import (
     ApartmentSpec,
@@ -304,6 +305,21 @@ class TestBuildingBall:
         ball = gen_building_ball(BallSpec(q=2, radius=1, center_type=1))
         assert ball.type_of[0] == 1
         assert validate_complex(ball).ok
+
+
+def prime_powers(bound: int, least_exponent: int) -> list[tuple[int, int]]:
+    """(p, k) for every prime power p^k <= bound with k >= least_exponent, by sympy."""
+    factored = (sympy.factorint(q) for q in range(2, bound + 1))
+    return [pk for f in factored if len(f) == 1 for pk in f.items() if pk[1] >= least_exponent]
+
+
+@pytest.mark.parametrize("p, k", prime_powers(Q_BOUND, 2))
+def test_gf_is_a_field(p, k):
+    gf = generators._GF(p, k)
+    assert len(gf.modulus) == k + 1 and gf.modulus[-1] == 1
+    for a in gf.elements:
+        if a != gf.zero:
+            assert any(gf.mul(a, b) == gf.one for b in gf.elements), (p, k, a)
 
 
 class TestCycleComplex:
