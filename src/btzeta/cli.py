@@ -338,8 +338,12 @@ def count(file: str, max_length: int, kind: str, allow_large_order: bool) -> Non
 # ---------------------------------------------------------------------------
 
 
-def _parse_vectors(text: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in part.split(",")) for part in text.split(";"))
+def _parse_vectors(text: str, option: str) -> tuple[tuple[int, ...], ...]:
+    try:
+        return tuple(tuple(int(x) for x in part.split(",")) for part in text.split(";"))
+    except ValueError:
+        raise ValueError(f"{option} takes semicolon-separated integer vectors such as "
+                         f"'1,0;-1,2', got {text!r}") from None
 
 
 def _parse_character(text: str) -> CharacterData:
@@ -363,8 +367,8 @@ def _parse_character(text: str) -> CharacterData:
 def cone(functionals: str, lattice: str | None, char_text: str | None,
          eval_text: str | None, oracle_bound: int) -> None:
     """Sharp-cone lattice decomposition and the closed-form point series."""
-    funcs = _parse_vectors(functionals)
-    basis_vectors = _parse_vectors(lattice) if lattice else None
+    funcs = _parse_vectors(functionals, "--functionals")
+    basis_vectors = _parse_vectors(lattice, "--lattice") if lattice else None
     r = len(funcs)
     basis_matrix = None
     if basis_vectors is not None:

@@ -38,7 +38,9 @@ reads the array one coordinate row at a time and takes each power u_j^e
 once per coordinate and distinct exponent, then multiplies in coordinate
 order from the coefficient and sums left to right from 0, as the plain
 per-term loop does, in Python arithmetic: float points keep the loop's bits
-and Fraction points stay exact.
+and Fraction points stay exact.  A form of at least ``_DIGIT_PASS_MIN``
+int-coefficient terms at a float point does the same in whole-array passes
+over one power table per coordinate.
 
 The linear algebra is exact integer elimination: one fraction-free
 Gauss-Jordan routine gives the adjugate and the determinant of a matrix,
@@ -53,7 +55,9 @@ The partial-sum oracle sums over a truncated cone, and F is a box too.  One
 lister gives both as lattice points of a box with one bound per side, from
 the lower-triangular Hermite normal form of the lattice's image (Cohen, *A
 Course in Computational Algebraic Number Theory*, 2.4.2), one coordinate at
-a time, so no point outside the lattice is generated.
+a time, so no point outside the lattice is generated.  The oracle reads the
+powers u_j^w_j from one table per coordinate, and forms the points only
+under a nontrivial character.
 """
 
 from __future__ import annotations
@@ -165,6 +169,8 @@ class LatticeCone:
     def __init__(self, functionals, lattice_basis=None):  # noqa: D107
         funcs = tuple(tuple(int(x) for x in f) for f in functionals)
         r = len(funcs)
+        if not r:
+            raise ValueError("a cone of rank 0 has no sides: give at least one functional")
         if any(len(f) != r for f in funcs):
             raise ValueError("need exactly r functionals of length r")
         basis = tuple(tuple(int(x) for x in row) for row in (lattice_basis or _identity(r)))
@@ -282,12 +288,15 @@ def _lattice_points_in_box(g, bounds) -> np.ndarray:
     fixed, w_k = s + h_kk y_k with s = sum_{j<k} h_kj y_j, so the y_k that keep
     w_k in (0, bounds[k]] form one interval.  Each coordinate expands every
     partial point by its interval, in order, so only lattice points are
-    generated.  Returns an (r, n) array; with b = max(bounds), since
-    0 <= h_kj < h_kk, every |y_k| <= 2^(k-1) b and every partial sum stays
-    below max_k h_kk * b * 2^r, which picks int64 or exact integers.  The
-    k-th interval holds at most ceil(bounds[k] / h_kk) values; raises
-    ValueError when their product exceeds FUNDAMENTAL_INDEX_CAP, before
-    listing any point.
+    generated.  One (r, n) array holds, per partial point, the rows of w
+    written so far and the partial sums s of the later rows: level k turns
+    row k into w_k and adds h_mk y_k to every later row m, so y itself is
+    never kept.  With b = max(bounds), since 0 <= h_kj < h_kk, every
+    |y_k| <= 2^(k-1) b and every partial sum stays below
+    max_k h_kk * b * 2^r, which picks int64 or exact integers.  The k-th
+    interval holds at most ceil(bounds[k] / h_kk) values; raises ValueError
+    when their product exceeds FUNDAMENTAL_INDEX_CAP, before listing any
+    point.
     """
     h = _lower_hermite_form(g)
     r = len(h)
@@ -297,15 +306,32 @@ def _lattice_points_in_box(g, bounds) -> np.ndarray:
         raise ValueError(f"the box {box} holds up to {most} lattice points, "
                          f"more than the cap of {FUNDAMENTAL_INDEX_CAP}")
     dtype = _int_dtype(max(h[k][k] for k in range(r)) * max(bounds) << r)
-    y = np.zeros((0, 1), dtype=dtype)
-    for k, (row, b) in enumerate(zip(h, bounds)):
-        s = np.array(row[:k], dtype=dtype) @ y
-        lo = -((s - 1) // row[k])                   # ceil((1 - s) / h_kk)
-        counts = np.maximum((b - s) // row[k] - lo + 1, 0).astype(np.int64)
-        prefix = np.repeat(np.arange(len(counts)), counts)
-        offsets = np.arange(len(prefix)) - (np.cumsum(counts) - counts)[prefix]
-        y = np.vstack([y[:, prefix], lo[prefix] + offsets])
-    return np.array(h, dtype=dtype) @ y
+    w = np.zeros((r, 1), dtype=dtype)
+    for k, b in enumerate(bounds):
+        s, step = w[k], h[k][k]
+        lo = -((s - 1) // step)                     # ceil((1 - s) / h_kk)
+        counts = ((b - s) // step - lo + 1).astype(np.int64, copy=False)
+        # y_k runs over lo, lo + 1, ... for each partial point: the i-th new
+        # point has y_k = i - (start - lo) of the partial point it extends
+        y = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        w = np.repeat(w, counts, axis=1)
+        w[k:] += np.array([h[m][k] for m in range(k, r)], dtype=dtype)[:, None] * y
+    return w
+
+
+def _edge_bounds(cone: LatticeCone, generators) -> list[int]:
+    """alpha_j(a_j) for each generator a_j.
+
+    Raises ValueError unless there are r generators and every a_j lies on
+    the j-th edge ray (alpha_i(a_j) = 0 for i != j and alpha_j(a_j) > 0).
+    """
+    r = cone.rank
+    alphas = [cone.alphas(a) for a in generators]
+    if len(alphas) != r or any(alphas[j][i] for j in range(r) for i in range(r) if i != j) \
+            or any(alphas[j][j] <= 0 for j in range(r)):
+        raise ValueError(f"the generators {tuple(map(tuple, generators))} do not lie "
+                         "on the edge rays of the cone")
+    return [alphas[j][j] for j in range(r)]
 
 
 def _fundamental_points(cone: LatticeCone, generators) -> tuple[np.ndarray, np.ndarray]:
@@ -318,24 +344,37 @@ def _fundamental_points(cone: LatticeCone, generators) -> tuple[np.ndarray, np.n
     ``_box_points`` lists.  Since b_j e_j lies in the image lattice, the
     box's estimate is exactly |F| = prod b_j / |det alpha det B|, checked
     against FUNDAMENTAL_INDEX_CAP before listing and against the count
-    after.  Raises ValueError unless there are r generators and every a_j
-    lies on the j-th edge ray (alpha_i(a_j) = 0 for i != j and
-    alpha_j(a_j) > 0).
+    after.  Raises ValueError unless the generators lie on the edge rays,
+    one per side (``_edge_bounds``).
     """
-    r = cone.rank
-    alphas = [cone.alphas(a) for a in generators]
-    if len(alphas) != r or any(alphas[j][i] for j in range(r) for i in range(r) if i != j) \
-            or any(alphas[j][j] <= 0 for j in range(r)):
-        raise ValueError(f"the generators {tuple(map(tuple, generators))} do not lie "
-                         "on the edge rays of the cone")
-    bounds = [alphas[j][j] for j in range(r)]
-    w, v = _box_points(cone, bounds)
+    bounds = _edge_bounds(cone, generators)
+    w = _box_points(cone, bounds)
+    v = _points_of_exponents(cone, w, max(bounds))
     expected = math.prod(bounds) // abs(cone._functional_adjugate[1] * cone._basis_adjugate[1])
     if v.shape[1] != expected:
         raise AssertionError(
             f"fundamental set size {v.shape[1]} != lattice index {expected}")
-    order = np.lexsort(v[::-1])
-    return v[:, order], w[:, order]
+    order = _lex_order(v)
+    return np.take(v, order, axis=1), np.take(w, order, axis=1)
+
+
+def _lex_order(points: np.ndarray) -> np.ndarray:
+    """The permutation that sorts the distinct columns of an (r, n) integer array.
+
+    Read as mixed-radix digits, each column's offsets from the row minima
+    give one int64 key when the product of the rows' spans fits; the keys
+    are distinct and ordered as the columns, so one argsort of them is the
+    lexicographic order.  Otherwise np.lexsort sorts the rows.
+    """
+    if points.dtype == np.int64 and points.shape[1]:
+        lows = points.min(axis=1)
+        spans = [hi - lo + 1 for lo, hi in zip(lows.tolist(), points.max(axis=1).tolist())]
+        if math.prod(spans) <= _INT64_MAX:
+            key = np.zeros(points.shape[1], np.int64)
+            for row, lo, span in zip(points, lows, spans):
+                key = key * span + (row - lo)
+            return np.argsort(key)
+    return np.lexsort(points[::-1])
 
 
 def fundamental_domain(cone: LatticeCone,
@@ -353,16 +392,17 @@ def fundamental_domain(cone: LatticeCone,
 def decompose(cone: LatticeCone, decomposition: ConeDecomposition, v):
     """Unique expression v = v0 + sum k_j a_j, or None when v is outside the cone.
 
-    Raises ValueError when v is not a lattice point at all.
+    Raises ValueError when v is not a lattice point at all, or when the
+    decomposition's generators do not lie on the edge rays, one per side.
     """
+    bounds = _edge_bounds(cone, decomposition.generators)
     v = tuple(int(x) for x in v)
     if not cone.in_lattice(v):
         raise ValueError(f"{v} is not in the lattice")
     if not cone.contains(v):
         return None
     # k_j = ceil(t_j) - 1 for the barycentric coordinates t_j = alpha_j(v) / alpha_j(a_j)
-    ks = tuple((cone.alpha(j, v) - 1) // cone.alpha(j, a)
-               for j, a in enumerate(decomposition.generators))
+    ks = tuple((cone.alpha(j, v) - 1) // b for j, b in enumerate(bounds))
     v0 = tuple(
         v[i] - sum(k * g[i] for k, g in zip(ks, decomposition.generators))
         for i in range(cone.rank)
@@ -574,14 +614,18 @@ class ConeClosedForm:
         reading the exponent array one coordinate row at a time; each
         numerator term is then coeff * u_1^e_1 * u_2^e_2 * ... in that order,
         and the terms are added left to right from 0, so a float point gives
-        the bits of the plain loop and a Fraction point stays exact.
+        the bits of the plain loop and a Fraction point stays exact.  Large
+        int-coefficient forms at a float point do this in whole-array passes
+        (``_table_numerator``).
         """
         _check_rank(u, len(self.pole_factors), "the evaluation point", "coordinates")
-        monos = self._coefficients
-        for uj, col in zip(u, self._exponents.T.tolist()):
-            power = {e: uj ** e for e in set(col)}
-            monos = map(mul, monos, map(power.__getitem__, col))
-        num = reduce(add, monos, 0)
+        num = self._table_numerator(u)
+        if num is None:
+            monos = self._coefficients
+            for uj, col in zip(u, self._exponents.T.tolist()):
+                power = {e: uj ** e for e in set(col)}
+                monos = map(mul, monos, map(power.__getitem__, col))
+            num = reduce(add, monos, 0)
         den = 1
         for j, (coeff, k) in enumerate(self.pole_factors):
             factor = 1 - coeff * u[j] ** k
@@ -590,6 +634,39 @@ class ConeClosedForm:
                     f"u = {tuple(u)} is a pole: the factor 1 - ({coeff}) u_{j + 1}^{k} vanishes")
             den *= factor
         return num / den
+
+    def _table_numerator(self, u) -> float | None:
+        """The numerator at a float point in whole-array passes, or None where they do not apply.
+
+        They apply to at least ``_DIGIT_PASS_MIN`` terms with int
+        coefficients and int64 exponents, at a point of Python floats, when
+        every coordinate's exponents span no more values than there are
+        terms.  Each coordinate's table u_j^lo..u_j^hi is taken with Python
+        ``**``, as the per-term loop takes its powers (numpy's power can
+        differ in the last bit), and raises where the loop would, since the
+        extreme exponents are among the terms'.  The float coefficients are
+        multiplied by the tables in coordinate order and summed sequentially
+        from 0.0, so the loop's bits are kept; a product or a sum beyond
+        float range is inf, as in the loop.
+        """
+        coeffs, exps = self._coefficients, self._exponents
+        n = len(coeffs)
+        if n < _DIGIT_PASS_MIN or exps.dtype != np.int64 or not u \
+                or any(type(x) is not float for x in u) or set(map(type, coeffs)) != {int}:
+            return None
+        cols = exps.T
+        spans = [(int(col.min()), int(col.max())) for col in cols]
+        if any(hi - lo >= n for lo, hi in spans):
+            return None
+        tables = [np.array([uj ** e for e in range(lo, hi + 1)]) for uj, (lo, hi) in zip(u, spans)]
+        try:
+            monos = np.fromiter(coeffs, np.int64, n).astype(float)
+        except OverflowError:  # an int beyond int64
+            return None
+        with np.errstate(all="ignore"):
+            for table, col, (lo, _) in zip(tables, cols, spans):
+                monos *= table[col - lo]
+            return float(0.0 + np.add.accumulate(monos)[-1])
 
     def converges_at(self, u) -> bool:
         _check_rank(u, len(self.pole_factors), "the evaluation point", "coordinates")
@@ -715,26 +792,33 @@ def truncated_cone_points(cone: LatticeCone, bound: int):
     and the points.  Raises ValueError when the box may hold more than
     FUNDAMENTAL_INDEX_CAP points.
     """
-    return _box_points(cone, (bound,) * cone.rank)
+    w = _box_points(cone, (bound,) * cone.rank)
+    return w, (_points_of_exponents(cone, w, bound) if bound >= 1 else w)
 
 
-def _box_points(cone: LatticeCone, bounds):
-    """Exponent vectors w = alpha(v) and lattice points v with 0 < w_j <= bounds[j].
+def _box_points(cone: LatticeCone, bounds) -> np.ndarray:
+    """Exponent vectors w = alpha(v) of the lattice points v with 0 < w_j <= bounds[j].
 
     w is listed by ``_lattice_points_in_box`` from the functionals in
-    lattice coordinates, and v = adj(alpha) w / det(alpha) from the
-    adjugate the cone holds, in int64 when max|adj(alpha)| * max(bounds) * r
-    and |det(alpha)| fit and in exact Python integers otherwise.
+    lattice coordinates; ``_points_of_exponents`` gives the points.
     """
-    r = cone.rank
     if any(b < 1 for b in bounds):
-        return (np.zeros((r, 0), dtype=np.int64),) * 2
+        return np.zeros((cone.rank, 0), dtype=np.int64)
     g = [_mat_vec_row(f, cone.basis_columns) for f in cone.functionals]
-    w = _lattice_points_in_box(g, bounds)
+    return _lattice_points_in_box(g, bounds)
+
+
+def _points_of_exponents(cone: LatticeCone, w: np.ndarray, bound: int) -> np.ndarray:
+    """The points v = adj(alpha) w / det(alpha) of exponent vectors w with entries <= bound.
+
+    Read off the adjugate the cone holds, in int64 when
+    max|adj(alpha)| * bound * r and |det(alpha)| fit and in exact Python
+    integers otherwise.
+    """
     adj, det_f = cone._functional_adjugate
-    dtype = _int_dtype(max(max(abs(x) for row in adj for x in row) * max(bounds) * r,
+    dtype = _int_dtype(max(max(abs(x) for row in adj for x in row) * bound * cone.rank,
                            abs(det_f)))
-    return w, np.array(adj, dtype=dtype) @ w.astype(dtype) // det_f
+    return np.array(adj, dtype=dtype) @ w.astype(dtype) // det_f
 
 
 def evaluate_partial_sum(cone: LatticeCone, character: CharacterData | None,
@@ -742,7 +826,11 @@ def evaluate_partial_sum(cone: LatticeCone, character: CharacterData | None,
     """Direct sum of chi(v) u^alpha(v) over lattice points with alpha_j(v) <= bound.
 
     Enumerates the truncated cone directly (no use of the decomposition);
-    this is the numeric oracle the closed form is checked against.  A term
+    this is the numeric oracle the closed form is checked against.  The
+    powers u_j^w_j are read from a table of u_j^0..u_j^bound when it has no
+    more entries than there are points, and a -1 base from a table of its two
+    powers by the exponent's parity; any other power is taken per point.
+    Under the trivial character the points v are not formed.  A term
     whose plain product is not finite (u^w underflowing to 0 while m^v
     overflows) is taken in log space, a real base's sign from the exact parity
     of its exponent.  A multiplier or an exponent beyond float range, or a sum
@@ -750,27 +838,35 @@ def evaluate_partial_sum(cone: LatticeCone, character: CharacterData | None,
     """
     if character is None:
         character = CharacterData.trivial(cone.rank)
-    _check_rank(character.multipliers, cone.rank, "the character", "multipliers")
-    _check_rank(u, cone.rank, "the evaluation point", "coordinates")
-    w, v = truncated_cone_points(cone, bound)
-    if w.shape[1] == 0:
+    r = cone.rank
+    _check_rank(character.multipliers, r, "the character", "multipliers")
+    _check_rank(u, r, "the evaluation point", "coordinates")
+    w = _box_points(cone, (bound,) * r)
+    n = w.shape[1]
+    if n == 0:
         return 0.0
     is_complex = any(isinstance(m, complex) for m in character.multipliers) \
         or any(isinstance(x, complex) for x in u)
     dtype = complex if is_complex else float
-    terms = np.ones(w.shape[1], dtype=dtype)
+    terms = np.ones(n, dtype=dtype)
     try:
-        powers = [(dtype(float(b)) if isinstance(b, (int, Fraction)) else dtype(b), e)
-                  for b, e in (*zip(u, w), *zip(character.multipliers, v))]
+        bases = [dtype(float(b)) if isinstance(b, (int, Fraction)) else dtype(b)
+                 for b in (*u, *character.multipliers)]
+        powers = [(b, e, bound < n) for b, e in zip(bases[:r], w)]
+        if any(m != 1 for m in bases[r:]):
+            v = _points_of_exponents(cone, w, bound)
+            powers += [(m, e, False) for m, e in zip(bases[r:], v)]
         with np.errstate(all="ignore"):                  # judged by the total below
-            for b, e in powers:
-                if b != 1:
-                    e = e % 2 if b == -1 else e          # exact parity beyond 2^53
-                    terms *= np.power(b, e.astype(float))
+            for b, e, tabled in powers:
+                if b == -1:                              # exact parity beyond 2^53
+                    terms *= np.power(b, np.arange(2.0))[(e & 1).astype(np.intp)]
+                elif b != 1:
+                    terms *= (np.power(b, np.arange(bound + 1.0))[e.astype(np.intp, copy=False)]
+                              if tabled else np.power(b, e.astype(float)))
             spilled = ~np.isfinite(terms)
             if spilled.any():
                 log_abs, phase = 0.0, dtype(1)
-                for b, e in powers:
+                for b, e, _ in powers:
                     e = e[spilled]
                     log_abs = log_abs + e.astype(float) * np.log(abs(b))
                     if b != abs(b):

@@ -299,6 +299,11 @@ class TestCone:
 
     MALFORMED = [
         (["--char", "1/0,1"], "zero denominator"),
+        # int() named neither the option nor the text it refused
+        (["--functionals", ""], "--functionals takes semicolon-separated integer vectors "
+         "such as '1,0;-1,2', got ''"),
+        (["--lattice", "1,0;0,x"], "--lattice takes semicolon-separated integer vectors "
+         "such as '1,0;-1,2', got '1,0;0,x'"),
         (["--eval", "x,y"], "could not convert"),
         (["--functionals", "1,0;1,1", "--char", "1,0"], "zero multiplier"),
         (["--char", "2"], "1 multipliers for a cone of rank 2"),

@@ -83,6 +83,12 @@ class TestGenerators:
         with pytest.raises(ValueError, match="sharp"):
             LatticeCone(((1, 1), (2, 2)))
 
+    def test_rank_zero_refused(self):
+        # the empty determinant is 1, so the cone was built, and its lister then
+        # failed with "max() arg is an empty sequence"
+        with pytest.raises(ValueError, match="rank 0"):
+            LatticeCone(())
+
     def test_generator_minimality(self):
         rng = random.Random(5)
         for _ in range(40):
@@ -214,6 +220,16 @@ class TestDecompose:
         deco = make_decomposition(cone)
         with pytest.raises(ValueError, match="lattice"):
             decompose(cone, deco, (1, 1))
+
+    @pytest.mark.parametrize("generators", [
+        ((0, 0), (0, 1)),     # alpha_1(a_1) = 0 divided k_1 by zero
+        ((2, 1), (1, 1)),     # a_2 off its ray
+        ((2, 1),),            # one generator for two sides
+    ], ids=["zero", "off-ray", "too-few"])
+    def test_generators_off_the_edge_rays_refused(self, generators):
+        cone = LatticeCone(((1, 0), (-1, 2)))
+        with pytest.raises(ValueError, match="edge rays"):
+            decompose(cone, ConeDecomposition(generators, ((1, 1),)), (3, 4))
 
     def test_bijection_on_box(self):
         rng = random.Random(31)
@@ -477,6 +493,62 @@ def box_filter_points(cone, bound):
     return w_all[:, keep], basis @ (x_scaled[:, keep] // det)
 
 
+def per_point_partial_sum(cone, character, u, bound):
+    """The partial-sum oracle with one np.power per point and base, summed by numpy."""
+    if character is None:
+        character = CharacterData.trivial(cone.rank)
+    w, v = truncated_cone_points(cone, bound)
+    if w.shape[1] == 0:
+        return 0.0
+    is_complex = any(isinstance(m, complex) for m in character.multipliers) \
+        or any(isinstance(x, complex) for x in u)
+    dtype = complex if is_complex else float
+    terms = np.ones(w.shape[1], dtype=dtype)
+    try:
+        powers = [(dtype(float(b)) if isinstance(b, (int, Fraction)) else dtype(b), e)
+                  for b, e in (*zip(u, w), *zip(character.multipliers, v))]
+        with np.errstate(all="ignore"):
+            for b, e in powers:
+                if b != 1:
+                    e = e % 2 if b == -1 else e
+                    terms *= np.power(b, e.astype(float))
+            spilled = ~np.isfinite(terms)
+            if spilled.any():
+                log_abs, phase = 0.0, dtype(1)
+                for b, e in powers:
+                    e = e[spilled]
+                    log_abs = log_abs + e.astype(float) * np.log(abs(b))
+                    if b != abs(b):
+                        e = e % 2 if dtype is float else e
+                        phase = phase * np.power(b / abs(b), e.astype(float))
+                terms[spilled] = phase * np.exp(log_abs)
+            total = terms.sum()
+    except OverflowError:
+        raise ValueError("the partial-sum oracle needs multipliers and exponents "
+                         "that fit a float") from None
+    if not np.isfinite(total):
+        raise ValueError(f"the partial-sum oracle overflows a float: its sum is {total}")
+    return float(total) if dtype is float else complex(total)
+
+
+def oracle_outcome(oracle, *args):
+    """repr of the partial sum (its exact bits), or the ValueError's message."""
+    try:
+        return repr(oracle(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+def unit_characters(rank: int):
+    return st.lists(st.sampled_from([1, -1, Fraction(1), Fraction(-1)]),
+                    min_size=rank, max_size=rank).map(CharacterData)
+
+
+# -1 and 1 included, values whose powers underflow or overflow, complex values
+ORACLE_COORDINATES = (st.floats(-1.5, 1.5) | st.sampled_from([-1.0, 1.0, 0.0, 1e-200, -3e150])
+                      | st.complex_numbers(max_magnitude=1.5))
+
+
 class TestWholeArrayPasses:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -637,6 +709,29 @@ class TestWholeArrayPasses:
         cone = LatticeCone(((functional,),))
         assert evaluate_partial_sum(cone, None, (0.3,), bound) == 0.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=lattice_cones(max_entry=5).flatmap(lambda c: st.tuples(
+               st.just(c), st.none() | unit_characters(c.rank),
+               st.lists(ORACLE_COORDINATES, min_size=c.rank, max_size=c.rank))),
+           bound=st.sampled_from([1, 2, 60]) | st.integers(1, 60))
+    def test_oracle_is_the_per_point_loop(self, case, bound):
+        # tables of u^0..u^bound and of (-1)^0, (-1)^1 against one np.power per point
+        cone, character, u = case
+        assert oracle_outcome(evaluate_partial_sum, cone, character, u, bound) \
+            == oracle_outcome(per_point_partial_sum, cone, character, u, bound)
+
+    def test_oracle_reads_no_decomposition(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the oracle read the decomposition")
+
+        for name in ("cone_generators", "_fundamental_points", "decompose"):
+            monkeypatch.setattr(cones, name, refuse)
+        cone = LatticeCone(((1, 1, -1), (2, -3, 2), (2, -1, -1)))
+        for character in (None, CharacterData((1, -1, 1)),
+                          CharacterData((Fraction(1, 2), 1, Fraction(-1, 3)))):
+            value = evaluate_partial_sum(cone, character, (0.3, -0.2, 0.4), 30)
+            assert value == per_point_partial_sum(cone, character, (0.3, -0.2, 0.4), 30)
+
     def test_oracle_multiplier_beyond_float_range(self):
         cone = LatticeCone(((-1,),))
         with pytest.raises(ValueError, match="fit a float"):
@@ -761,6 +856,10 @@ ROW_COUNTS = st.sampled_from([1, _DIGIT_PASS_MIN - 1, _DIGIT_PASS_MIN]) \
 HEADS = ["[", "", '{"coeff":{"den":"1","num":"-1"},"exponents":[', '{"coeff":0.5,"exponents":[']
 
 
+# a cone whose F has 49 points, with exponents 1..7 in every coordinate
+LARGE_FORM_CONE = LatticeCone(((1, 1, -1), (2, -3, 2), (2, -1, -1)))
+
+
 class TestBulkEncodeAndEvaluate:
     @settings(max_examples=200, deadline=None)
     @given(hand_built_closed_forms())
@@ -850,15 +949,57 @@ class TestBulkEncodeAndEvaluate:
                    CharacterData((1, Fraction(-1, 3), 0.5))),
              points={"float": [0.5, -0.25, 0.75], "fraction": [Fraction(1, 2)] * 3,
                      "complex": [0.5j, 0.25, -0.5]})
+    # |F| = 49 with exponents 1..7: the float point takes the tables, at a
+    # negative coordinate, where powers underflow, and where products overflow
+    @example(case=(LARGE_FORM_CONE, CharacterData((1, -1, -1))),
+             points={"float": [-0.75, 0.5, -0.3], "fraction": [Fraction(-3, 4)] * 3,
+                     "complex": [-0.75, 0.5j, -0.3]})
+    @example(case=(LARGE_FORM_CONE, None),
+             points={"float": [1e-60, 0.5, 1e-50], "fraction": [Fraction(1, 7)] * 3,
+                     "complex": [1e-60j, 0.5, 1e-50]})
+    @example(case=(LARGE_FORM_CONE, CharacterData((-1, 1, 1))),
+             points={"float": [1e40, 0.5, -1e40], "fraction": [Fraction(3, 2)] * 3,
+                     "complex": [1e40j, 0.5, -1e40]})
     def test_value_is_the_per_term_loop(self, kind, case, points):
         cone, character = case
         closed = cone_series_closed_form(cone, make_decomposition(cone), character)
         u = tuple(points[kind][:cone.rank])
         expected = outcome(per_term_value, closed, u)
         assert outcome(ConeClosedForm.evaluate, closed, u) == expected
+        # btz cone's form holds int64 exponents, which the array path reads
+        gens = cone_generators(cone)
+        array_form = _closed_form(cone, gens, *_fundamental_points(cone, gens), character)
+        assert outcome(ConeClosedForm.evaluate, array_form, u) == expected
         if kind == "fraction" and all(isinstance(c, (int, Fraction)) for c, _ in closed.terms) \
                 and not isinstance(expected, type):
             assert type(closed.evaluate(u)) is Fraction
+
+    def test_large_unit_forms_take_the_tables(self):
+        gens = cone_generators(LARGE_FORM_CONE)
+        closed = _closed_form(LARGE_FORM_CONE, gens, *_fundamental_points(LARGE_FORM_CONE, gens),
+                              CharacterData((1, -1, -1)))
+        assert len(closed.terms) >= _DIGIT_PASS_MIN
+        u = (-0.75, 0.5, -0.3)
+        numerator = ConeClosedForm(closed.terms, [(0, 1)] * 3)  # every pole factor is 1
+        assert repr(closed._table_numerator(u)) == repr(per_term_value(numerator, u))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_value_of_many_int_terms_is_the_per_term_loop(self, data):
+        # exponent spans below the term count take the tables, wider ones the loop;
+        # coefficients beyond int64, and points whose powers raise
+        r = data.draw(st.integers(1, 3))
+        low = data.draw(st.integers(-40, 40))
+        width = data.draw(st.sampled_from([0, 3, 30, 300]))
+        row = st.lists(st.integers(low, low + width), min_size=r, max_size=r).map(tuple)
+        coeff = st.sampled_from([1, -1]) | st.integers(-2**70, 2**70)
+        terms = data.draw(st.lists(st.tuples(coeff, row), min_size=_DIGIT_PASS_MIN,
+                                   max_size=3 * _DIGIT_PASS_MIN))
+        closed = ConeClosedForm(terms=terms, pole_factors=[(1, 1)] * r)
+        point = st.floats(-2, 2) | st.sampled_from(
+            [0.0, -0.0, 1e-300, 1e300, -1e150, math.inf, -math.inf, math.nan])
+        u = tuple(data.draw(st.lists(point, min_size=r, max_size=r)))
+        assert outcome(ConeClosedForm.evaluate, closed, u) == outcome(per_term_value, closed, u)
 
     @pytest.mark.parametrize("functionals, u, error", [
         (((1,),), (1.0,), ZeroDivisionError),
