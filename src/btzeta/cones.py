@@ -616,16 +616,20 @@ class ConeClosedForm:
         and the terms are added left to right from 0, so a float point gives
         the bits of the plain loop and a Fraction point stays exact.  Large
         int-coefficient forms at a float point do this in whole-array passes
-        (``_table_numerator``).
+        (``_table_numerator``).  Where several terms would raise, the
+        plain loop is run again, so the error is that of its first term.
         """
         _check_rank(u, len(self.pole_factors), "the evaluation point", "coordinates")
-        num = self._table_numerator(u)
-        if num is None:
-            monos = self._coefficients
-            for uj, col in zip(u, self._exponents.T.tolist()):
-                power = {e: uj ** e for e in set(col)}
-                monos = map(mul, monos, map(power.__getitem__, col))
-            num = reduce(add, monos, 0)
+        try:
+            num = self._table_numerator(u)
+            if num is None:
+                monos = self._coefficients
+                for uj, col in zip(u, self._exponents.T.tolist()):
+                    power = {e: uj ** e for e in set(col)}
+                    monos = map(mul, monos, map(power.__getitem__, col))
+                num = reduce(add, monos, 0)
+        except ArithmeticError:
+            num = self._per_term_numerator(u)
         den = 1
         for j, (coeff, k) in enumerate(self.pole_factors):
             factor = 1 - coeff * u[j] ** k
@@ -634,6 +638,15 @@ class ConeClosedForm:
                     f"u = {tuple(u)} is a pole: the factor 1 - ({coeff}) u_{j + 1}^{k} vanishes")
             den *= factor
         return num / den
+
+    def _per_term_numerator(self, u):
+        """The numerator at u, one power per term and coordinate, terms in order."""
+        num = 0
+        for coeff, exps in zip(self._coefficients, self._exponents.tolist()):
+            for uj, e in zip(u, exps):
+                coeff *= uj ** e
+            num += coeff
+        return num
 
     def _table_numerator(self, u) -> float | None:
         """The numerator at a float point in whole-array passes, or None where they do not apply.
@@ -644,10 +657,11 @@ class ConeClosedForm:
         terms.  Each coordinate's table u_j^lo..u_j^hi is taken with Python
         ``**``, as the per-term loop takes its powers (numpy's power can
         differ in the last bit), and raises where the loop would, since the
-        extreme exponents are among the terms'.  The float coefficients are
-        multiplied by the tables in coordinate order and summed sequentially
-        from 0.0, so the loop's bits are kept; a product or a sum beyond
-        float range is inf, as in the loop.
+        extreme exponents are among the terms' (``evaluate`` finds which
+        error by the loop).  The float coefficients are multiplied by the
+        tables in coordinate order and summed sequentially from 0.0, so the
+        loop's bits are kept; a product or a sum beyond float range is inf,
+        as in the loop.
         """
         coeffs, exps = self._coefficients, self._exponents
         n = len(coeffs)

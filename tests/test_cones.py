@@ -1001,6 +1001,16 @@ class TestBulkEncodeAndEvaluate:
         u = tuple(data.draw(st.lists(point, min_size=r, max_size=r)))
         assert outcome(ConeClosedForm.evaluate, closed, u) == outcome(per_term_value, closed, u)
 
+    @pytest.mark.parametrize("filler", [0, _DIGIT_PASS_MIN], ids=["loop", "tables"])
+    def test_error_is_the_first_raising_terms(self, filler):
+        # a later coordinate overflows in an earlier term than a zero's negative power
+        terms = [(1, (0, 0, 0))] * filler + [(1, (0, 0, -2)), (1, (0, -1, 0))]
+        closed = ConeClosedForm(terms=terms, pole_factors=[(1, 1)] * 3)
+        u = (0.0, 0.0, 1e-300)
+        assert outcome(per_term_value, closed, u) is OverflowError
+        with pytest.raises(OverflowError):
+            closed.evaluate(u)
+
     @pytest.mark.parametrize("functionals, u, error", [
         (((1,),), (1.0,), ZeroDivisionError),
         (((1, 0), (0, 1)), (Fraction(1, 2), Fraction(1)), ZeroDivisionError),
