@@ -348,9 +348,21 @@ def _parse_vectors(text: str, option: str) -> tuple[tuple[int, ...], ...]:
 
 def _parse_character(text: str) -> CharacterData:
     try:
-        return CharacterData(Fraction(x) for x in text.split(","))
+        multipliers = [Fraction(x) for x in text.split(",")]
     except ZeroDivisionError:
         raise ValueError(f"--char has a zero denominator: {text!r}") from None
+    except ValueError:
+        raise ValueError("--char takes comma-separated rational multipliers such as "
+                         f"'1/2,1', got {text!r}") from None
+    return CharacterData(multipliers)
+
+
+def _parse_point(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError("--eval takes comma-separated numbers such as '0.3,0.3', "
+                         f"got {text!r}") from None
 
 
 @main.command()
@@ -378,7 +390,7 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
             tuple(basis_vectors[j][i] for j in range(r)) for i in range(r))
     lc = LatticeCone(funcs, basis_matrix)
     character = _parse_character(char_text) if char_text else CharacterData.trivial(r)
-    point = tuple(float(x) for x in eval_text.split(",")) if eval_text else None
+    point = _parse_point(eval_text) if eval_text else None
     if point is not None and not all(map(math.isfinite, point)):
         raise ValueError(f"--eval coordinates must be finite, got {eval_text!r}")
     gens = cone_generators(lc)

@@ -21,15 +21,16 @@ alpha_j(v) = t_j alpha_j(a_j), so F is the box
 that gives F gives its exponent vectors alpha(F) with it, in int64 when
 they fit and in exact Python integers (``dtype=object``) otherwise.
 Character values are exact: with +-1 multipliers (the trivial character
-included) they are the ints 1 and -1, picked by a parity, and all other
-multipliers go through ``CharacterData.value``.
+included) they are one int64 array of 1 and -1, picked by a parity, and all
+other multipliers go through ``CharacterData.value``.
 
 F stays one (r, |F|) integer array from the lister to the output text:
 ``btz cone`` reads ``_fundamental_points`` and ``_closed_form``, and
 ``fundamental_domain`` and ``cone_series_closed_form`` are their tuple views.
-``ConeClosedForm`` holds its numerator as a coefficient tuple and an (n, r)
-exponent array, and ``terms`` is read off them.  ``to_json`` encodes each
-distinct coefficient once, with no dict per term.  One encoder,
+``ConeClosedForm`` holds its numerator as coefficients (an int64 array when
+they are ints that fit, as +-1 character values are, a tuple otherwise) and
+an (n, r) exponent array, and ``terms`` is read off them.  ``to_json``
+encodes each distinct coefficient once, with no dict per term.  One encoder,
 ``_rows_json``, writes the exponent rows after their coefficients' prefixes
 and F's points as JSON: an int64 array of at least ``_DIGIT_PASS_MIN`` rows
 in whole-array digit passes over a byte table, a smaller one, or one of
@@ -56,8 +57,11 @@ lister gives both as lattice points of a box with one bound per side, from
 the lower-triangular Hermite normal form of the lattice's image (Cohen, *A
 Course in Computational Algebraic Number Theory*, 2.4.2), one coordinate at
 a time, so no point outside the lattice is generated.  The oracle reads the
-powers u_j^w_j from one table per coordinate, and forms the points only
-under a nontrivial character.
+powers u_j^w_j from one table per coordinate.  Under a +-1 character at a
+real point it signs each term by one parity, that of the sum of the
+coordinates v_i with m_i = -1, which is (c . w) / det alpha for c the sum
+of those rows of adj(alpha); it forms the points v only under other
+characters, at complex points, or where c . w would not fit int64.
 """
 
 from __future__ import annotations
@@ -557,6 +561,37 @@ def _rows_json(rows: np.ndarray, heads, which: np.ndarray, tail: str) -> str:
     return "".join(texts)
 
 
+def _distinct_coefficients(coeffs) -> tuple:
+    """Distinct coefficients, one per encoding, and each term's index among them.
+
+    At least ``_DIGIT_PASS_MIN`` int64 coefficients that span fewer values
+    than there are terms are indexed by their offsets from the least, in
+    whole-array passes; a value in the span that no term has gets an unused
+    entry.  Fewer terms, where those passes cost more than a dict, and other
+    coefficients are indexed through a dict of the distinct ones.
+    """
+    n = len(coeffs)
+    if isinstance(coeffs, np.ndarray):
+        if n >= _DIGIT_PASS_MIN:
+            lo, hi = int(coeffs.min()), int(coeffs.max())
+            if hi - lo < n:
+                return range(lo, hi + 1), (coeffs - lo).astype(np.intp, copy=False)
+        coeffs = coeffs.tolist()
+    # ints alone, or Fractions alone, encode by value (a Fraction keyed by
+    # its (numerator, denominator), which hashes in C); otherwise equal
+    # values can encode differently (1, 1.0 and True; 0.0 and -0.0)
+    types = set(map(type, coeffs))
+    if types == {int}:
+        keys = coeffs
+    elif types == {Fraction}:
+        keys = list(map(Fraction.as_integer_ratio, coeffs))
+    else:
+        keys = list(zip(map(type, coeffs), map(repr, coeffs)))
+    distinct = dict(zip(keys, coeffs))
+    index = dict(zip(distinct, range(len(distinct))))
+    return distinct.values(), np.fromiter(map(index.__getitem__, keys), np.intp, n)
+
+
 class ConeClosedForm:
     """Finite-sum-over-poles closed form of the cone lattice-point series.
 
@@ -564,9 +599,12 @@ class ConeClosedForm:
     numerator, the exponent vectors being tuples of ints of one length;
     ``pole_factors`` lists (coefficient, k_j) for the factors
     1/(1 - coeff * u_j^k_j), one per cone side.  The numerator is held as
-    a coefficient tuple and an (n, r) exponent array, int64 or exact Python
-    integers (``dtype=object``) as ``_int_dtype`` chooses; ``terms`` is read
-    off them, and two forms are equal when their terms and pole factors are.
+    its coefficients and an (n, r) exponent array, int64 or exact Python
+    integers (``dtype=object``) as ``_int_dtype`` chooses.  The coefficients
+    are an int64 array when every one is a Python int (bool excluded) that
+    fits int64, as +-1 character values are, and a tuple otherwise.
+    ``terms`` is read off them, its coefficients as Python objects, and two
+    forms are equal when their terms and pole factors are.
     """
 
     __slots__ = ("_coefficients", "_exponents", "pole_factors")
@@ -588,13 +626,25 @@ class ConeClosedForm:
         return form
 
     def _set(self, coefficients, exponents: np.ndarray, pole_factors) -> None:
-        self._coefficients = tuple(coefficients)
+        if not (isinstance(coefficients, np.ndarray) and coefficients.dtype == np.int64):
+            coefficients = tuple(coefficients)
+            if all(type(c) is int for c in coefficients):
+                try:
+                    coefficients = np.array(coefficients, dtype=np.int64)
+                except OverflowError:  # an int beyond int64
+                    pass
+        self._coefficients = coefficients
         self._exponents = exponents
         self.pole_factors = tuple(pole_factors)
 
+    def _coefficient_list(self):
+        """The coefficients as Python objects, in term order."""
+        coeffs = self._coefficients
+        return coeffs.tolist() if isinstance(coeffs, np.ndarray) else coeffs
+
     @property
     def terms(self) -> tuple:
-        return tuple(zip(self._coefficients, map(tuple, self._exponents.tolist())))
+        return tuple(zip(self._coefficient_list(), map(tuple, self._exponents.tolist())))
 
     def __eq__(self, other):
         if not isinstance(other, ConeClosedForm):
@@ -623,7 +673,7 @@ class ConeClosedForm:
         try:
             num = self._table_numerator(u)
             if num is None:
-                monos = self._coefficients
+                monos = self._coefficient_list()
                 for uj, col in zip(u, self._exponents.T.tolist()):
                     power = {e: uj ** e for e in set(col)}
                     monos = map(mul, monos, map(power.__getitem__, col))
@@ -642,7 +692,7 @@ class ConeClosedForm:
     def _per_term_numerator(self, u):
         """The numerator at u, one power per term and coordinate, terms in order."""
         num = 0
-        for coeff, exps in zip(self._coefficients, self._exponents.tolist()):
+        for coeff, exps in zip(self._coefficient_list(), self._exponents.tolist()):
             for uj, e in zip(u, exps):
                 coeff *= uj ** e
             num += coeff
@@ -651,8 +701,8 @@ class ConeClosedForm:
     def _table_numerator(self, u) -> float | None:
         """The numerator at a float point in whole-array passes, or None where they do not apply.
 
-        They apply to at least ``_DIGIT_PASS_MIN`` terms with int
-        coefficients and int64 exponents, at a point of Python floats, when
+        They apply to at least ``_DIGIT_PASS_MIN`` terms with int64
+        coefficients and exponents, at a point of Python floats, when
         every coordinate's exponents span no more values than there are
         terms.  Each coordinate's table u_j^lo..u_j^hi is taken with Python
         ``**``, as the per-term loop takes its powers (numpy's power can
@@ -665,18 +715,15 @@ class ConeClosedForm:
         """
         coeffs, exps = self._coefficients, self._exponents
         n = len(coeffs)
-        if n < _DIGIT_PASS_MIN or exps.dtype != np.int64 or not u \
-                or any(type(x) is not float for x in u) or set(map(type, coeffs)) != {int}:
+        if n < _DIGIT_PASS_MIN or not isinstance(coeffs, np.ndarray) \
+                or exps.dtype != np.int64 or not u or any(type(x) is not float for x in u):
             return None
         cols = exps.T
         spans = [(int(col.min()), int(col.max())) for col in cols]
         if any(hi - lo >= n for lo, hi in spans):
             return None
         tables = [np.array([uj ** e for e in range(lo, hi + 1)]) for uj, (lo, hi) in zip(u, spans)]
-        try:
-            monos = np.fromiter(coeffs, np.int64, n).astype(float)
-        except OverflowError:  # an int beyond int64
-            return None
+        monos = coeffs.astype(float)
         with np.errstate(all="ignore"):
             for table, col, (lo, _) in zip(tables, cols, spans):
                 monos *= table[col - lo]
@@ -695,25 +742,12 @@ class ConeClosedForm:
         Fraction, as {"num": ..., "den": ...}, and a complex one as
         {"re": ..., "im": ...}.  Each distinct coefficient is encoded once
         into its term prefix, and ``_rows_json`` writes each exponent row
-        after its coefficient's prefix.
+        after its coefficient's prefix (``_distinct_coefficients``).
         """
         poles = ",".join('{"coeff":%s,"power":%s}' % (_coefficient_text(c), k)
                          for c, k in self.pole_factors)
-        coeffs = self._coefficients
-        # ints alone, or Fractions alone, encode by value (a Fraction keyed
-        # by its (numerator, denominator), which hashes in C); otherwise
-        # equal values can encode differently (1, 1.0 and True; 0.0 and -0.0)
-        types = set(map(type, coeffs))
-        if types == {int}:
-            keys = coeffs
-        elif types == {Fraction}:
-            keys = list(map(Fraction.as_integer_ratio, coeffs))
-        else:
-            keys = list(zip(map(type, coeffs), map(repr, coeffs)))
-        distinct = dict(zip(keys, coeffs))
-        heads = ['{"coeff":%s,"exponents":[' % _coefficient_text(c) for c in distinct.values()]
-        index = dict(zip(distinct, range(len(distinct))))
-        which = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+        distinct, which = _distinct_coefficients(self._coefficients)
+        heads = ['{"coeff":%s,"exponents":[' % _coefficient_text(c) for c in distinct]
         terms = _rows_json(self._exponents, heads, which, "]}")
         return f'{{"pole_factors":[{poles}],"terms":[{terms}]}}'
 
@@ -732,22 +766,24 @@ class ConeClosedForm:
         return json.loads(self.to_json(), object_hook=coefficient)
 
 
-def _character_values(character: CharacterData, points: np.ndarray) -> list:
+def _character_values(character: CharacterData, points: np.ndarray) -> np.ndarray | list:
     """character.value(v) for every column v of the integer array ``points``.
 
-    With +-1 multipliers the values are the ints 1 and -1.  Otherwise each
-    power m_i ** e is taken once per coordinate and distinct exponent, and
-    the powers are multiplied in coordinate order, as ``value`` does.  A
-    power that ``value`` refuses or that overflows, a float product that
-    underflows below the normal floats, or a float value that is not finite,
-    sends every point through ``value``, which retakes such a value exactly
-    or raises the same error.
+    With +-1 multipliers the values are 1 and -1, one int64 array
+    ``1 - 2 * odd`` for ``odd`` the parity of the coordinates whose
+    multiplier is -1.  Otherwise they are a list: each power m_i ** e is
+    taken once per coordinate and distinct exponent, and the powers are
+    multiplied in coordinate order, as ``value`` does.  A power that
+    ``value`` refuses or that overflows, a float product that underflows
+    below the normal floats, or a float value that is not finite, sends
+    every point through ``value``, which retakes such a value exactly or
+    raises the same error.
     """
     mults = character.multipliers
     if all(isinstance(m, (int, Fraction)) and m in (1, -1) for m in mults):
         odd = sum((row & 1 for m, row in zip(mults, points) if m == -1),
                   np.zeros(points.shape[1], dtype=points.dtype)) & 1
-        return (1 - 2 * odd).tolist()
+        return 1 - 2 * odd.astype(np.int64, copy=False)
     exact = all(isinstance(m, (int, Fraction)) for m in mults)
     values = [Fraction(1) if exact else 1.0] * points.shape[1]
     try:
@@ -775,7 +811,8 @@ def _closed_form(cone: LatticeCone, generators, points: np.ndarray, exponents: n
         character = CharacterData.trivial(cone.rank)
     _check_rank(character.multipliers, cone.rank, "the character", "multipliers")
     coefficients = _character_values(character, points)
-    poles = zip(_character_values(character, np.array(generators, dtype=object).T),
+    values = _character_values(character, np.array(generators, dtype=object).T)
+    poles = zip(values.tolist() if isinstance(values, np.ndarray) else values,
                 (cone.alpha(j, a) for j, a in enumerate(generators)))
     return ConeClosedForm._of_arrays(coefficients, exponents.T, poles)
 
@@ -835,6 +872,23 @@ def _points_of_exponents(cone: LatticeCone, w: np.ndarray, bound: int) -> np.nda
     return np.array(adj, dtype=dtype) @ w.astype(dtype) // det_f
 
 
+def _coordinate_sum(cone: LatticeCone, w: np.ndarray, bound: int, rows) -> np.ndarray | None:
+    """sum_{i in rows} v_i at the points v of exponent vectors w with entries <= bound.
+
+    Since v = adj(alpha) w / det(alpha), that sum is (c . w) / det(alpha)
+    with c the sum of those rows of adj(alpha), an exact division: one dot
+    product and one floor division in int64, or None when
+    max|c| * bound * r or |det(alpha)| does not fit.
+    """
+    adj, det_f = cone._functional_adjugate
+    c = [sum(col) for col in zip(*(adj[i] for i in rows))]
+    if _int_dtype(max(max(map(abs, c)) * bound * cone.rank, abs(det_f))) is object:
+        return None
+    total = np.array(c, dtype=np.int64) @ w.astype(np.int64, copy=False)
+    total //= det_f
+    return total
+
+
 def evaluate_partial_sum(cone: LatticeCone, character: CharacterData | None,
                          u, bound: int):
     """Direct sum of chi(v) u^alpha(v) over lattice points with alpha_j(v) <= bound.
@@ -844,7 +898,13 @@ def evaluate_partial_sum(cone: LatticeCone, character: CharacterData | None,
     powers u_j^w_j are read from a table of u_j^0..u_j^bound when it has no
     more entries than there are points, and a -1 base from a table of its two
     powers by the exponent's parity; any other power is taken per point.
-    Under the trivial character the points v are not formed.  A term
+    Under the trivial character the points v are not formed, and under
+    another +-1 character at a real point neither: the multipliers -1 act
+    as one power (-1)^s of the sum s of their coordinates v_i
+    (``_coordinate_sum``), one multiply by +-1.0 per term.  That multiply
+    is exact, so it gives the bits of one flip per multiplier.  Where s
+    would not fit int64 the points are formed, as they are for other
+    multipliers and at complex points.  A term
     whose plain product is not finite (u^w underflowing to 0 while m^v
     overflows) is taken in log space, a real base's sign from the exact parity
     of its exponent.  A multiplier or an exponent beyond float range, or a sum
@@ -868,8 +928,15 @@ def evaluate_partial_sum(cone: LatticeCone, character: CharacterData | None,
                  for b in (*u, *character.multipliers)]
         powers = [(b, e, bound < n) for b, e in zip(bases[:r], w)]
         if any(m != 1 for m in bases[r:]):
-            v = _points_of_exponents(cone, w, bound)
-            powers += [(m, e, False) for m, e in zip(bases[r:], v)]
+            s = None
+            if dtype is float and all(m in (1, -1) for m in bases[r:]):
+                s = _coordinate_sum(cone, w, bound,
+                                    [i for i, m in enumerate(bases[r:]) if m == -1])
+            if s is None:
+                v = _points_of_exponents(cone, w, bound)
+                powers += [(m, e, False) for m, e in zip(bases[r:], v)]
+            else:
+                powers.append((-1.0, s, False))
         with np.errstate(all="ignore"):                  # judged by the total below
             for b, e, tabled in powers:
                 if b == -1:                              # exact parity beyond 2^53

@@ -304,7 +304,13 @@ class TestCone:
          "such as '1,0;-1,2', got ''"),
         (["--lattice", "1,0;0,x"], "--lattice takes semicolon-separated integer vectors "
          "such as '1,0;-1,2', got '1,0;0,x'"),
-        (["--eval", "x,y"], "could not convert"),
+        # Fraction() and float() named neither the option nor the whole text
+        (["--eval", "x,y"], "--eval takes comma-separated numbers such as '0.3,0.3', "
+         "got 'x,y'"),
+        (["--eval", "0.3,x"], "--eval takes comma-separated numbers such as '0.3,0.3', "
+         "got '0.3,x'"),
+        (["--char", "x,1"], "--char takes comma-separated rational multipliers such as "
+         "'1/2,1', got 'x,1'"),
         (["--functionals", "1,0;1,1", "--char", "1,0"], "zero multiplier"),
         (["--char", "2"], "1 multipliers for a cone of rank 2"),
         (["--char", "1,1,1"], "3 multipliers for a cone of rank 2"),
@@ -408,6 +414,18 @@ class TestCone:
         ("--functionals", "-5,1,1;-2,3,5;-1,2,-5", "--lattice", "1,1,0;0,2,0;0,0,1",
          "--char", "-1,1,-1", "--eval", "0.3,0.2,0.25", "--oracle-bound", "30"):
             "876176f995be065bee6fafae33a6f49d23a9ed62a5b0af52b8d590002677e252",
+        # |F| = 578, det alpha = 34 (even), with a +-1 character
+        ("--functionals", "2,-1,1;1,3,-2;-1,1,4", "--char", "-1,-1,1",
+         "--eval", "0.3,0.25,0.2"):
+            "bd30a60cda8de31bde217087b53dbf1c1cfa8b40862339b024cb1eb5e3d3fff8",
+        # |F| = 961, det alpha = -31, with a +-1 character
+        ("--functionals", "3,1,0;1,-2,1;0,1,4", "--char", "1,-1,-1",
+         "--eval", "0.25,0.3,0.2", "--oracle-bound", "40"):
+            "cbada034fbe2e5ce293e091e9df9b7f2f4a6dfd27d1c962d1f67d087b806e18f",
+        # |F| = 1250 with a rational character whose values are Fractions
+        ("--functionals", "4,1,-1;1,-3,2;2,1,3", "--char", "1/2,-1,3/2",
+         "--eval", "0.3,0.2,0.25", "--oracle-bound", "40"):
+            "e96534c6ce421145f2d9783bf0f2429850194db499caf0a8701054e380a18263",
     }
 
     def test_outputs_are_byte_identical_to_recorded(self, runner):

@@ -549,6 +549,21 @@ ORACLE_COORDINATES = (st.floats(-1.5, 1.5) | st.sampled_from([-1.0, 1.0, 0.0, 1e
                       | st.complex_numbers(max_magnitude=1.5))
 
 
+# cones whose det alpha is even (34) and negative (-31), with |F| = 578 and 961
+EVEN_DET_CONE = LatticeCone(((2, -1, 1), (1, 3, -2), (-1, 1, 4)))
+NEGATIVE_DET_CONE = LatticeCone(((3, 1, 0), (1, -2, 1), (0, 1, 4)))
+# |F| = 23762 on an index-2 sublattice
+SUBLATTICE_CONE = LatticeCone(((-5, 1, 1), (-2, 3, 5), (-1, 2, -5)),
+                              ((1, 0, 0), (1, 2, 0), (0, 0, 1)))
+# the 2^61-scaled cone of test_closed_form_beyond_int64: its exponents pass
+# int64, and an oracle box of side below 2^63 holds no point
+SCALED = LatticeCone(((2, 1, 0), (-1, 3, 1), (0, -2, 5)),
+                     tuple(tuple(2 ** 61 * x for x in row)
+                           for row in ((1, 1, 0), (0, 1, 0), (0, 1, 2))))
+# small exponents, points beyond int64
+WIDE_POINTS = LatticeCone(((1, 0), (10**18, 1)))
+
+
 class TestWholeArrayPasses:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -714,6 +729,19 @@ class TestWholeArrayPasses:
                st.just(c), st.none() | unit_characters(c.rank),
                st.lists(ORACLE_COORDINATES, min_size=c.rank, max_size=c.rank))),
            bound=st.sampled_from([1, 2, 60]) | st.integers(1, 60))
+    # a +-1 character signs each term by the parity of (c . w) / det alpha:
+    # det alpha even (34), where c . w itself has another parity, and negative (-31)
+    @example(case=(EVEN_DET_CONE, CharacterData((-1, -1, 1)), (0.3, -0.25, 0.2)), bound=20)
+    @example(case=(EVEN_DET_CONE, CharacterData((1, -1, Fraction(-1))), (-0.5, 0.75, 0.4)),
+             bound=9)
+    @example(case=(NEGATIVE_DET_CONE, CharacterData((1, -1, -1)), (0.25, -0.3, 0.2)),
+             bound=40)
+    # on a sublattice, and with terms beyond float range
+    @example(case=(SUBLATTICE_CONE, CharacterData((-1, 1, -1)), (-0.3, 0.2, 0.25)), bound=30)
+    @example(case=(EVEN_DET_CONE, CharacterData((-1, 1, 1)), (1e300, -1e-300, 0.5)), bound=3)
+    # max|c| * bound * r beyond int64: the points are formed, in exact integers
+    @example(case=(WIDE_POINTS, CharacterData((1, -1)), (0.3, -0.5)), bound=60)
+    @example(case=(SCALED, CharacterData((-1, 1, -1)), (-1.0, 1.0, 0.5)), bound=2**64)
     def test_oracle_is_the_per_point_loop(self, case, bound):
         # tables of u^0..u^bound and of (-1)^0, (-1)^1 against one np.power per point
         cone, character, u = case
@@ -1028,13 +1056,6 @@ class TestBulkEncodeAndEvaluate:
 # -- btz cone's array path against the public tuple API --
 
 
-# the 2^61-scaled cone of test_closed_form_beyond_int64, whose exponents pass int64
-SCALED = LatticeCone(((2, 1, 0), (-1, 3, 1), (0, -2, 5)),
-                     tuple(tuple(2 ** 61 * x for x in row)
-                           for row in ((1, 1, 0), (0, 1, 0), (0, 1, 2))))
-WIDE_POINTS = LatticeCone(((1, 0), (10**18, 1)))
-
-
 def cone_args(cone, mults, point) -> list[str]:
     """``btz cone`` arguments for a cone, CLI character multipliers and a point."""
     args = ["cone", "--functionals", ";".join(",".join(map(str, f)) for f in cone.functionals),
@@ -1140,6 +1161,33 @@ class TestOneClosedFormTwoConstructors:
                              data.draw(characters(cone.rank)))
         self.check(built, data)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_unit_character_values_stay_int64(self, data):
+        # the +-1 values stay one int64 array from _character_values on, and
+        # the public constructor stores the same Python ints the same way
+        cone = data.draw(lattice_cones() | st.sampled_from(
+            [LARGE_FORM_CONE, EVEN_DET_CONE, NEGATIVE_DET_CONE]))
+        gens = cone_generators(cone)
+        built = _closed_form(cone, gens, *_fundamental_points(cone, gens),
+                             data.draw(st.none() | unit_characters(cone.rank)))
+        by_terms = ConeClosedForm(terms=built.terms, pole_factors=built.pole_factors)
+        assert built._coefficients.dtype == by_terms._coefficients.dtype == np.int64
+        assert all(type(c) is int for c, _ in built.terms)
+        self.check(built, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_int64_coefficient_arrays(self, data):
+        # int64 coefficients of every width, spanning fewer values than there
+        # are terms or more, on both sides of _DIGIT_PASS_MIN
+        r = data.draw(st.integers(1, 3))
+        n = data.draw(ROW_COUNTS)
+        coeffs = data.draw(arrays(np.int64, n, elements=st.sampled_from([1, -1])
+                                  | st.integers(-3, 3) | INT64_ENTRIES))
+        exponents = data.draw(arrays(np.int64, (n, r), elements=st.integers(-3, 12)))
+        self.check(ConeClosedForm._of_arrays(coeffs, exponents, [(1, 1)] * r), data)
+
     @pytest.mark.parametrize("cone, character", [
         (LatticeCone(((3,),)), CharacterData((Fraction(-1, 2),))),
         (LatticeCone(((-2,),), ((5,),)), None),
@@ -1180,8 +1228,10 @@ def value_per_point(character, points):
 
 
 def memoized(character, points):
+    """_character_values as a list: +-1 values come as one int64 array."""
     try:
-        return _character_values(character, np.array(points, dtype=np.int64).T)
+        values = _character_values(character, np.array(points, dtype=np.int64).T)
+        return values.tolist() if isinstance(values, np.ndarray) else values
     except (ValueError, OverflowError) as exc:
         return type(exc), str(exc)
 
