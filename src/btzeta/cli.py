@@ -80,7 +80,9 @@ def _canonical(doc) -> str:
 
 
 def _emit(doc: dict) -> None:
-    click.echo(_canonical(doc), nl=False)
+    # color=True: the canonical JSON holds no escape codes, so click need not
+    # scan it for them when stdout is not a terminal
+    click.echo(_canonical(doc), nl=False, color=True)
 
 
 def _info(message: str) -> None:
@@ -428,7 +430,7 @@ def cone(functionals: str, lattice: str | None, char_text: str | None,
     text = f'{head}"closed_form":{closed.to_json()}{middle}"fundamental_set":{fset}{tail}'
     size = points.shape[1]
     del points, exponents, closed, fset  # freed before click copies the text out
-    click.echo(text, nl=False)
+    click.echo(text, nl=False, color=True)  # no escape codes, as in _emit
     _info(f"rank {lc.rank}: |F| = {size}")
 
 

@@ -15,7 +15,10 @@ Hadamard-style bound.  A block with many nonzeros below its subdiagonal
 gets the traces of its powers modulo a few word-size primes (batched BLAS
 products), Newton's identities and one CRT; any other block gets one
 Hessenberg reduction modulo a Mersenne prime above twice its bound.  Either
-way the balanced lift of the residues is provably the exact result.
+way the balanced lift of the residues is provably the exact result.  A gcd
+of two polynomials is heuristic (GCDHEU, one integer gcd of their values
+at a large integer) but proven by exact division of both, which also gives
+the cofactors; the primitive pseudo-remainder sequence is the fallback.
 
 One routine multiplies: ``_sparse_product`` takes factors as (exponent,
 coefficient) pairs, keeps the product as {exponent: coefficient} and drops
@@ -145,14 +148,14 @@ class IntPolynomial:
     # -- exact division and gcd ---------------------------------------------
 
     def content(self) -> int:
-        return math.gcd(*(abs(c) for c in self.coeffs)) if self.coeffs else 0
+        return math.gcd(*self.coeffs)
 
     def primitive_part(self) -> "IntPolynomial":
+        """self over its content, signed so the leading coefficient is positive; 0 stays 0."""
         c = self.content()
-        if c in (0, 1):
-            return self
-        sign = 1 if self.coeffs[-1] > 0 else -1
-        return IntPolynomial(a // (sign * c) for a in self.coeffs)
+        if c and self.coeffs[-1] < 0:
+            c = -c
+        return self if c in (0, 1) else IntPolynomial(a // c for a in self.coeffs)
 
     def divmod_exact(self, d: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Polynomial division over Q, returned as (quotient, remainder).
@@ -166,6 +169,8 @@ class IntPolynomial:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < d.degree:
             return IntPolynomial(), self
+        if d.coeffs == (1,):  # the gcd of coprime polynomials
+            return self, IntPolynomial()
         rem = list(self.coeffs)
         dc = d.coeffs
         lead = dc[-1]
@@ -208,8 +213,85 @@ class IntPolynomial:
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Primitive gcd of two integer polynomials (positive leading coefficient).
 
-    Uses the primitive pseudo-remainder sequence, which keeps intermediate
-    coefficients bounded, and returns the primitive gcd over Z.
+    The heuristic gcd, proven by exact division (``_gcd_cofactors``); the gcd
+    of two zero polynomials is zero.
+    """
+    if a.is_zero() and b.is_zero():
+        return a
+    return _gcd_cofactors(a, b)[0]
+
+
+# GCDHEU tries before the pseudo-remainder fallback
+_HEURISTIC_TRIES = 6
+
+
+def _gcd_cofactors(a: IntPolynomial, b: IntPolynomial,
+                   ) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial]:
+    """(g, a / g, b / g) for g = poly_gcd(a, b); a and b are not both zero.
+
+    The primitive parts p and q go through the heuristic gcd
+    (``_heuristic_gcd``), whose accepting divisions give p / g and q / g;
+    when every try fails, ``_prs_gcd`` finds g and two exact divisions the
+    cofactors.  a / g is p / g times a's signed content.
+    """
+    if a.is_zero() or b.is_zero():
+        g = (a or b).primitive_part()
+        return g, a.divmod_exact(g)[0], b.divmod_exact(g)[0]
+    p, q = a.primitive_part(), b.primitive_part()
+    found = _heuristic_gcd(p, q)
+    if found is None:
+        g = _prs_gcd(p, q)
+        found = g, p.divmod_exact(g)[0], q.divmod_exact(g)[0]
+    g, cp, cq = found
+    unit_a, unit_b = a.coeffs[-1] // p.coeffs[-1], b.coeffs[-1] // q.coeffs[-1]
+    return (g, cp if unit_a == 1 else cp.scale(unit_a),
+            cq if unit_b == 1 else cq.scale(unit_b))
+
+
+def _heuristic_gcd(p: IntPolynomial, q: IntPolynomial,
+                   ) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial] | None:
+    """(g, p / g, q / g) for the gcd g of nonzero primitive p and q, or None.
+
+    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): with
+    xi >= 2 min(|p|_inf, |q|_inf) + 2, the symmetric base-xi digits of
+    gamma = gcd(p(xi), q(xi)) are the coefficients of a polynomial G with
+    G(xi) = gamma, and h = pp(G) is the gcd as soon as it divides p and q.
+    (If g = h k, k(xi) divides cont(G) <= xi/2; every root of k is a root
+    of p and of q, so below 1 + min(|p|, |q|) <= xi/2 in modulus, and
+    |k(xi)| > xi/2 unless k is a constant.)  Each failed try grows xi by
+    73794/27011; None after ``_HEURISTIC_TRIES`` of them.
+    """
+    xi = 2 * min(max(map(abs, p.coeffs)), max(map(abs, q.coeffs))) + 2
+    for _ in range(_HEURISTIC_TRIES):
+        gamma = math.gcd(p.eval(xi), q.eval(xi))
+        digits, half = [], xi // 2
+        while gamma:
+            d = gamma % xi
+            if d > half:  # the digit in (-xi/2, xi/2]
+                d -= xi
+            digits.append(d)
+            gamma = (gamma - d) // xi
+        h = IntPolynomial(digits).primitive_part()
+        found = _exact_cofactors(h, p, q)
+        if found is not None:
+            return (h, *found)
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _exact_cofactors(h: IntPolynomial, p: IntPolynomial, q: IntPolynomial,
+                     ) -> tuple[IntPolynomial, IntPolynomial] | None:
+    """(p / h, q / h) when h divides both exactly over Z, else None."""
+    cp = p.divide_exact(h)
+    cq = None if cp is None else q.divide_exact(h)
+    return None if cq is None else (cp, cq)
+
+
+def _prs_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """``poly_gcd`` by the primitive pseudo-remainder sequence.
+
+    Intermediate coefficients stay bounded; the fallback of
+    ``_gcd_cofactors`` and the oracle of its tests.
     """
     if a.is_zero():
         return b.primitive_part()
@@ -245,11 +327,7 @@ class RationalFn:
         if num == den:  # the gcd is num itself, as for Z2(-u) = Z1(u^2) on tori
             num = den = IntPolynomial.one()
         else:
-            g = poly_gcd(num, den)
-            if g.degree >= 1 or abs(g[0]) != 1:
-                if not num.is_zero():
-                    num = num.divmod_exact(g)[0]
-                den = den.divmod_exact(g)[0]
+            num, den = _gcd_cofactors(num, den)[1:]
         c = math.gcd(num.content(), den.content())
         if c > 1:
             num = IntPolynomial(a // c for a in num.coeffs)

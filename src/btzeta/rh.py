@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .polynomials import IntPolynomial, RationalFn, poly_gcd
+from .polynomials import IntPolynomial, RationalFn, _gcd_cofactors
 
 __all__ = ["RHReport", "polynomial_roots", "classify_ramanujan"]
 
@@ -59,19 +59,19 @@ class RHReport:
 def _square_free_factors(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     """(factor, multiplicity) pairs of p's square-free decomposition, multiplicities ascending.
 
-    Yun's split (SYMSAC 1976) on exact integer division: with g = gcd(p, p')
-    and w = p / g, each step takes y = gcd(w, g); w / y is the product of
-    the factors of the step's multiplicity, and the next step goes on with
-    w = y and g = g / y.  A square-free p is its own one factor.
+    Yun's split (SYMSAC 1976) on exact gcds: with g = gcd(p, p') and
+    w = p / g, each step takes y = gcd(w, g); w / y is the product of the
+    factors of the step's multiplicity, and the next step goes on with
+    w = y and g = g / y.  Every quotient is a cofactor of its gcd
+    (``_gcd_cofactors``).  A square-free p is its own one factor.
     """
-    g = poly_gcd(p, p.derivative())
-    w, factors, m = p.divmod_exact(g)[0], [], 1
+    g, w, _ = _gcd_cofactors(p, p.derivative())
+    factors, m = [], 1
     while w.degree > 0:
-        y = poly_gcd(w, g)
-        factor = w.divmod_exact(y)[0]
+        w, factor, g = _gcd_cofactors(w, g)
         if factor.degree > 0:
             factors.append((factor, m))
-        w, g, m = y, g.divmod_exact(y)[0], m + 1
+        m += 1
     return factors
 
 
@@ -125,7 +125,7 @@ def _sturm_count(p: IntPolynomial, a: int, b: int) -> int:
 
 
 def _square_free_part(p: IntPolynomial) -> IntPolynomial:
-    return p.divmod_exact(poly_gcd(p, p.derivative()))[0]
+    return _gcd_cofactors(p, p.derivative())[1]
 
 
 def _tempered(p: IntPolynomial, q: int) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import random
 import tracemalloc
@@ -8,9 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from btzeta.complexes import TypedComplex
+from btzeta.generators import ApartmentSpec, gen_apartment_torus, gen_cycle_complex
 from btzeta.operators import SparseIntMatrix
 from btzeta.polynomials import (
     IntPolynomial,
@@ -26,14 +29,18 @@ from btzeta.polynomials import (
 )
 from btzeta.polynomials import (
     _DENSE_MAX_DIM,
+    _HEURISTIC_TRIES,
     _MERSENNE_EXPONENTS,
     _WORD_PRIMES,
     _bound_bits,
     _char_poly_reverse_dense,
     _char_poly_reverse_rows,
     _charpoly_mod,
+    _gcd_cofactors,
     _int_rows,
+    _prs_gcd,
 )
+from btzeta.rh import _square_free_factors
 from btzeta.zeta import zeta_chamber, zeta_edge
 from conftest import closed_typed_complex
 
@@ -141,6 +148,125 @@ class TestIntPolynomial:
         else:
             assert p.is_zero() or p.divide_exact(g) is not None
             assert q.is_zero() or q.divide_exact(g) is not None
+
+
+def pool_complex(k: int) -> TypedComplex:
+    """Complete tripartite complex on 4 + 4 + 4 vertices with 40 of its 64 triangles."""
+    rng = random.Random(f"pool-{k}")
+    verts = [(t * 4 + i, t) for t in range(3) for i in range(4)]
+    by_type = [[v for v, t in verts if t == s] for s in range(3)]
+    edges = [(a, b) for s in range(3) for a in by_type[s] for b in by_type[(s + 1) % 3]]
+    triangles = [(a, b, c) for a in by_type[0] for b in by_type[1] for c in by_type[2]]
+    return TypedComplex(verts, edges, rng.sample(triangles, 40))
+
+
+@functools.cache
+def zeta_gcd_pairs() -> dict[str, tuple[IntPolynomial, IntPolynomial]]:
+    """The gcd pairs of ``ratio_of`` and of Yun's first step, on zetas of the ladder and a pool.
+
+    Yun's pair (Z, Z') is taken for every zeta Z that is not a constant.
+
+    The ladder: the tori k*id for k = 6, 9, 12, 15 and 6 3 0 9, the cycles of
+    length 3 and 9 and one branching complex.  The pool (``pool_complex``):
+    ratio pairs of degrees 81 to 99 over 54 to 60 with gcds of degree 0, 3
+    and 6.
+    """
+    complexes = {
+        **{f"torus {a} {b} {c} {d}": gen_apartment_torus(ApartmentSpec(((a, b), (c, d))))
+           for a, b, c, d in ((6, 0, 0, 6), (9, 0, 0, 9), (12, 0, 0, 12), (15, 0, 0, 15),
+                              (6, 3, 0, 9))},
+        **{f"cycle {n}": gen_cycle_complex(n) for n in (3, 9)},
+        "branching": closed_typed_complex(random.Random(0), (4, 4, 4), 1.0, 0.6),
+        **{f"pool {k}": pool_complex(k) for k in range(4)},
+    }
+    pairs = {}
+    for name, c in complexes.items():
+        z1, z2 = zeta_edge(c), zeta_chamber(c)
+        pairs[f"{name} ratio"] = (z2.subst_neg_u(), z1.subst_u_power(2))
+        for label, z in (("Z1", z1), ("Z2", z2)):
+            if z.degree > 0:
+                pairs[f"{name} {label} {label}'"] = (z, z.derivative())
+    return pairs
+
+
+def _sympy_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """sympy's gcd over Z, less its content, with a positive leading coefficient."""
+    u = sympy.Symbol("u")
+    g = sympy.Poly(a.coeffs[::-1], u).gcd(sympy.Poly(b.coeffs[::-1], u)).primitive()[1]
+    sign = -1 if g.LC() < 0 else 1
+    return IntPolynomial(sign * int(c) for c in reversed(g.all_coeffs()))
+
+
+class TestGcd:
+    """GCDHEU against the pseudo-remainder sequence, sympy and planted factors."""
+
+    def test_leading_coefficient_is_positive(self):
+        p = IntPolynomial([1, -1])
+        assert poly_gcd(p, p) == _prs_gcd(p, p) == IntPolynomial([-1, 1])
+        assert p.primitive_part() == IntPolynomial([-1, 1])
+        assert IntPolynomial([3, -6]).primitive_part() == IntPolynomial([-1, 2])
+        assert IntPolynomial([-5]).primitive_part() == IntPolynomial.one()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(COEFFS, min_size=2, max_size=5), st.lists(COEFFS, max_size=7),
+           st.lists(COEFFS, max_size=7))
+    # with xi = min(|p|, |q|) + 2 in place of 2 min(|p|, |q|) + 2, the candidate 1
+    # would pass its divisions on these
+    @example([-2, 1], [-2], [3])
+    @example([0, -3, 1], [2, 1], [-3])
+    def test_planted_factor_is_found(self, f, a, b):
+        f, a, b = map(IntPolynomial, (f, a, b))
+        assume(f.degree >= 1 and not (a.is_zero() and b.is_zero()))
+        fa, fb = f * a, f * b
+        g, ca, cb = _gcd_cofactors(fa, fb)
+        assert g.divide_exact(f.primitive_part()) is not None
+        assert (ca * g, cb * g) == (fa, fb)
+        assert _prs_gcd(ca, cb) == IntPolynomial.one()  # so g is the greatest
+        assert g == poly_gcd(fa, fb) == _prs_gcd(fa, fb)
+        assert g.coeffs[-1] > 0
+
+    @pytest.mark.parametrize("name", list(zeta_gcd_pairs()))
+    def test_zeta_pairs_match_prs_and_sympy(self, name):
+        a, b = zeta_gcd_pairs()[name]
+        g, ca, cb = _gcd_cofactors(a, b)
+        assert g == _prs_gcd(a, b) == _sympy_gcd(a, b)
+        assert (ca * g, cb * g) == (a, b)
+
+    def test_retries_past_a_gcd_larger_than_its_inputs(self, monkeypatch):
+        # u^105 - 1 has norm 1, so the first point is xi = 4, but its factor
+        # Phi_105 has the coefficient -2, a digit base 4 cannot hold
+        import btzeta.polynomials as polynomials
+        u = sympy.Symbol("u")
+        phi = IntPolynomial(int(c) for c in
+                            reversed(sympy.Poly(sympy.cyclotomic_poly(105, u), u).all_coeffs()))
+        p, q = IntPolynomial.monomial(105) - IntPolynomial.one(), phi * IntPolynomial([2, 1])
+        tries = []
+        check = polynomials._exact_cofactors
+        monkeypatch.setattr(polynomials, "_exact_cofactors",
+                            lambda h, a, b: tries.append(h) or check(h, a, b))
+        assert poly_gcd(p, q) == phi == _prs_gcd(p, q)
+        assert 1 < len(tries) < _HEURISTIC_TRIES
+
+    def test_fallback_is_the_prs_gcd(self, monkeypatch):
+        pairs = list(zeta_gcd_pairs().values()) + [
+            (IntPolynomial([1, -1]), IntPolynomial([1, -1])),
+            (IntPolynomial([2, 4]), IntPolynomial([-3])),
+            (IntPolynomial([-6, 0, 6]), IntPolynomial([4, -4, 0, 8])),
+            (IntPolynomial(), IntPolynomial([-4, 2]))]
+        before = [(RationalFn(a, b), _square_free_factors(a if a else b)) for a, b in pairs]
+        tries = []
+
+        def refuse(h, p, q):
+            tries.append(h)
+            return None
+
+        monkeypatch.setattr("btzeta.polynomials._exact_cofactors", refuse)
+        for (a, b), (f, factors) in zip(pairs, before):
+            tries.clear()
+            assert poly_gcd(a, b) == _prs_gcd(a, b)
+            assert len(tries) == (_HEURISTIC_TRIES if a and b else 0)
+            assert RationalFn(a, b) == f
+            assert _square_free_factors(a if a else b) == factors
 
 
 class TestCharPolyReverse:
@@ -560,9 +686,10 @@ class TestRationalFn:
         assert (f.num.coeffs, f.den.coeffs) == ((-1,), (1,))
 
         def refuse(*args):
-            raise AssertionError("poly_gcd called")
+            raise AssertionError("a gcd taken")
 
         monkeypatch.setattr("btzeta.polynomials.poly_gcd", refuse)
+        monkeypatch.setattr("btzeta.polynomials._gcd_cofactors", refuse)
         f = RationalFn(p, IntPolynomial(coeffs))
         assert (f.num.coeffs, f.den.coeffs) == ((1,), (1,))
 
