@@ -34,39 +34,32 @@ opposite p1, of type tail(p1) - 1).  Both operators are therefore block
     det(I - u T) = det(I - u^3 X),    X = T^3 restricted to one grade.
 
 X has the same nonzero eigenvalues on every grade, so
-``three_step_operator`` takes the smallest one; the full operators stay as
-the reference.
+``three_step_operator`` takes the smallest one, as one whole-array product
+of the relation's three grade-to-grade 0/1 blocks; the full operators stay
+as the reference.
 
 Strongly connected components.  det(I - u T) is the product of
 det(I - u T_C) over the strongly connected components C of the relation,
 and a closed path stays in one component.  A component in which every node
 has exactly one successor inside it is a directed cycle of length l: one
-primitive class, with factor 1 - u^l.  On an apartment torus every
-component of both relations is such a cycle, and every node has one
-successor and one predecessor: the relation is a permutation.  Its cycles
-are then found by one walk along the successor array.  Any other relation
-goes through the Tarjan pass of ``polynomials``, on successor lists taken
-from the CSR, which also labels each node with its component.  The
-components are found once per complex and kind, together with the
-relation, and memoized in one entry with it; the zeta polynomials and the
-closed-path walks both read them.  The zetas take X only on the smallest
-grade of the components that are not cycles.
+primitive class, with factor 1 - u^l; on an apartment torus every
+component of both relations is such a cycle.  The components are found
+once per complex and kind (``_components``), memoized in one entry with
+the relation and read by the zeta polynomials and the closed-path walks.
+The zetas take X only on the smallest grade of the components that are
+not cycles.
 
 Both rules read the cell incidences of ``TypedComplex``'s arrays: the edges
 of each chamber and the chambers on each edge (CSR).  ``transitions``
-builds each relation as one join over them and returns it in CSR form with
-a grade per node; nodes are indices.  A positive edge continues along the
-run of positive edges leaving its head (a ``searchsorted`` on the sorted
-tails), less each one that bounds a chamber together with it.  A pointed
-chamber continues into each other chamber on its pointer's edge, and the
-successor's index is 3 * chamber + the position of its pointer's tail,
-the vertex opposite that edge.  On a simplicial complex these are the
-rules above.  The walks and the three-step operator read the CSR arrays.
+builds each relation as one join over them (``_edge_relation``,
+``_gallery_relation``; on a simplicial complex these are the rules above)
+and returns it in CSR form with a grade per node; nodes are indices, and
+the walks and the three-step operator read the CSR arrays.
 ``DirectedEdge`` and ``PointedChamber`` tuples are built only where nodes
 are printed or compared: ``directed_edges`` and ``pointed_chambers`` list
 them in index order, and ``edge_successors`` and ``gallery_successors``
-state the rules for one node.  Those two serve local complexes such as
-balls and are the reference the relation is tested against.
+state the rules for one node, on local complexes such as balls too; they
+are the reference the relation is tested against.
 
 The relation refuses complexes with a marked boundary, so both operators and
 both walks do: their determinant identities concern closed complexes only,
@@ -77,9 +70,8 @@ a 0x0 operator and the zeta polynomial 1.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -368,7 +360,7 @@ def transitions(c: TypedComplex, kind: str) -> _Relation:
 def _transfer_matrix(relation: _Relation) -> SparseIntMatrix:
     indptr, indices, grade = relation
     src = np.repeat(np.arange(len(grade)), np.diff(indptr))
-    return SparseIntMatrix(len(grade), zip(indices.tolist(), src.tolist(), repeat(1)))
+    return SparseIntMatrix(len(grade), zip(indices.tolist(), src.tolist(), [1] * len(src)))
 
 
 def build_edge_operator(c: TypedComplex) -> SparseIntMatrix:
@@ -452,35 +444,41 @@ def _relation_components(c: TypedComplex, kind: str) -> tuple[tuple, tuple]:
     return _entry(c, kind)[1]
 
 
-def _three_step(c: TypedComplex, kind: str, members) -> SparseIntMatrix:
+def _three_step(c: TypedComplex, kind: str, members) -> np.ndarray:
     """Three-step X on the smallest grade of S = members: det(I - u T_S) = det(I - u^3 X).
 
     S is a union of strongly connected components of ``transitions(c,
     kind)``, its node indices ascending, and T_S the relation's matrix on S;
     ties between grades go to the lowest type.  X[w, x] counts the length-3
-    walks x -> y -> z -> w along the relation between nodes of that grade,
-    by one join on the CSR: every walk from the grade's nodes at once, then
-    one count of its (w, x) pairs that land back on them.  Such a walk
-    between two nodes of one component stays inside it, so X differs from
-    T_S^3 on the grade only between different components: off the diagonal
-    blocks of a block-triangular matrix, which leaves the determinant as it
-    is.
+    walks x -> y -> z -> w between nodes of that grade: X = (B_0 B_1 B_2)^T
+    for the 0/1 blocks of the three steps, each from one grade to the next
+    (module docstring), read from the CSR on the nodes the walks reach.
+    Entries are at most the product of the blocks' largest row sums: float64
+    products below 2^53, int64 or object beyond.  A walk between two nodes
+    of one component stays inside it, so X differs from T_S^3 on the grade
+    only off the diagonal blocks of a block-triangular matrix.
     """
     indptr, indices, grade = transitions(c, kind)
     if not len(members):  # only cycle components, as on every torus: no array pass
-        return SparseIntMatrix(0, ())
+        return np.zeros((0, 0), dtype=np.int64)
     members = np.asarray(members)
     of = grade[members]
-    sizes = np.bincount(of, minlength=3).tolist()
-    nodes = members[of == sizes.index(min(sizes))]
-    col, w = np.arange(len(nodes)), nodes
-    for _ in range(3):
-        count = indptr[w + 1] - indptr[w]
-        col, w = np.repeat(col, count), indices[_ranges(indptr[w], count)]
-    row = np.minimum(np.searchsorted(nodes, w), len(nodes) - 1)
-    land = nodes[row] == w
-    walks = Counter(zip(row[land].tolist(), col[land].tolist()))
-    return SparseIntMatrix(len(nodes), ((*pair, k) for pair, k in walks.items()))
+    nodes = rows = members[of == np.bincount(of, minlength=3).argmin()]
+    blocks, bound = [], 1
+    for step in range(3):
+        count = indptr[rows + 1] - indptr[rows]
+        bound *= int(count.max(initial=0))  # at least the block's largest row sum
+        ahead = indices[_ranges(indptr[rows], count)]
+        cols = np.flatnonzero(np.bincount(ahead, minlength=len(grade))) if step < 2 else nodes
+        col = np.minimum(np.searchsorted(cols, ahead), len(cols) - 1)
+        land = cols[col] == ahead
+        row = np.repeat(np.arange(len(rows)), count)[land]
+        blocks.append(np.bincount(row * len(cols) + col[land], minlength=len(rows) * len(cols))
+                      .reshape(len(rows), len(cols)))
+        rows = cols
+    dtype = np.float64 if bound < 1 << 53 else np.int64 if bound < 1 << 63 else object
+    x = blocks[0].astype(dtype) @ blocks[1].astype(dtype) @ blocks[2].astype(dtype)
+    return x.T.astype(object if dtype is object else np.int64)
 
 
 def three_step_operator(c: TypedComplex, kind: str) -> SparseIntMatrix:
@@ -493,4 +491,5 @@ def three_step_operator(c: TypedComplex, kind: str) -> SparseIntMatrix:
     gives the 0x0 matrix.  Raises the same errors as ``build_edge_operator``
     resp. ``build_chamber_operator``.
     """
-    return _three_step(c, kind, np.arange(len(transitions(c, kind).grade)))
+    x = _three_step(c, kind, np.arange(len(transitions(c, kind).grade)))
+    return SparseIntMatrix(len(x), zip(*np.nonzero(x), x[x != 0]))

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -410,6 +411,7 @@ _WORD_PRIMES = tuple((1 << 22) - d for d in (
     2817, 2841, 2843, 2861, 2877, 2901, 2913, 2931, 2951, 2955, 2967, 2975, 2993, 3045,
     3071, 3077, 3087, 3111, 3123, 3125, 3147, 3153, 3167))
 _DENSE_MAX_DIM = 512
+_TRACE_BUDGET = 1 << 16  # floats in one call's stack of baby steps, over all its primes
 
 
 def _int_rows(mat) -> list[list[int]]:
@@ -427,15 +429,39 @@ def _int_rows(mat) -> list[list[int]]:
     return [list(map(operator.index, row)) for row in rows]
 
 
-def _triplets(mat) -> tuple[int, Sequence[tuple[int, int, int]]]:
-    """Dimension and (row, col, value) triplets of the nonzero entries.
+def _exact_array(rows) -> np.ndarray:
+    """Integer rows as an int64 array, or as an object array of Python ints beyond int64."""
+    if isinstance(rows, np.ndarray) and rows.dtype in (np.int64, object):
+        return rows
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
-    A ``SparseIntMatrix``'s own triplets are read as they are (repeated
-    positions add up); dense input goes through ``_int_rows`` first."""
+
+def _entries(mat) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(n, row, col, value): the nonzero entries of a square integer matrix, row by row.
+
+    A signed integer ndarray is read by ``np.nonzero``; a ``SparseIntMatrix``'s
+    repeated positions add up; any other input goes through ``_int_rows``.
+    Values are int64, or Python ints in an object array beyond it.
+    """
     if hasattr(mat, "entries"):
-        return mat.dim, mat.entries
-    rows = _int_rows(mat)
-    return len(rows), [(r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v]
+        merged: dict = {}
+        for r, c, v in mat.entries:  # sorted, so the positions stay row by row
+            merged[r, c] = merged.get((r, c), 0) + v
+        pairs = [pair for pair, v in merged.items() if v]
+        at = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        return mat.dim, at[:, 0], at[:, 1], _exact_array([merged[pair] for pair in pairs])
+    if isinstance(mat, np.ndarray) and mat.dtype.kind == "i":
+        a = mat.astype(np.int64, copy=False)
+        if a.ndim != 2 or len(a) != a.shape[1]:
+            raise ValueError("matrix must be square")
+    else:
+        rows = _int_rows(mat)
+        a = _exact_array(rows).reshape(len(rows), len(rows))
+    row, col = np.nonzero(a)
+    return len(a), row, col, a[row, col]
 
 
 def _strong_components(succ: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
@@ -542,22 +568,26 @@ def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
-def _bound_bits(rows: list[list[int]]) -> int:
+def _bound_bits(rows) -> int:
     """bits such that every coefficient of det(xI - M) is below 2^bits in absolute value.
 
-    bits = n + ceil(n * ceil(log2 r) / 2) with r the largest squared row norm
-    (Hadamard: the k-th coefficient is at most C(n, k) * sqrt(r)^k).  A bound
-    that needs a modulus beyond the largest tabulated Mersenne prime raises
-    ValueError; the word primes cover the same range.
+    The k-th coefficient is a sum of principal k-minors, each at most the
+    product of its rows' norms (Hadamard), so it is at most e_k(a_1, ...,
+    a_n), the elementary symmetric function of the rounded-up row norms
+    a_i = ceil(||row_i||); bits is the bit length of the largest e_k.  The
+    squared norms are read from the array (in int64 while they fit).  The
+    e_k are the base-2^w digits of the product of (1 + a_i 2^w) in one
+    Python int: e_k <= C(n, k) A^k < 2^w for the largest norm A and
+    w = n * (bit length of A + 1), so no digit carries into the next.
     """
-    n = len(rows)
-    log_norm = (max(max(sum(x * x for x in row) for row in rows), 1) - 1).bit_length()
-    bits = n + (n * log_norm + 1) // 2
-    if bits + 2 > _MERSENNE_EXPONENTS[-1]:
-        raise ValueError(
-            f"coefficient bound 2^{bits} needs a prime above 2^{bits + 1}; the largest "
-            f"tabulated Mersenne prime is 2^{_MERSENNE_EXPONENTS[-1]} - 1")
-    return bits
+    a = _exact_array(rows)
+    n, top = len(a), max(int(a.max(initial=0)), -int(a.min(initial=0)))  # |-2^63| too
+    if a.dtype != object and n * top * top >> 63:
+        a = a.astype(object)
+    norms = Counter(math.isqrt(r - 1) + 1 for r in (a * a).sum(axis=1).tolist() if r)
+    w = n * (max(norms, default=0).bit_length() + 1)
+    packed = math.prod(((norm << w) + 1) ** m for norm, m in norms.items())
+    return max(((packed >> (k * w)) & ((1 << w) - 1)).bit_length() for k in range(n + 1))
 
 
 def _balanced_lift(residues: Iterable[int], modulus: int) -> list[int]:
@@ -570,18 +600,25 @@ def _balanced_lift(residues: Iterable[int], modulus: int) -> list[int]:
     return [c - modulus if c > half else c for c in residues]
 
 
-def _char_poly_reverse_rows(rows: list[list[int]]) -> IntPolynomial:
-    """Exact det(I - u*M) for dense integer rows by one Hessenberg pass.
+def _char_poly_reverse_rows(rows) -> IntPolynomial:
+    """Exact det(I - u*M) for dense integer rows (lists or an array) by one Hessenberg pass.
 
     One Hessenberg pass modulo the smallest tabulated Mersenne prime above
     2^(bits + 1), with bits from ``_bound_bits``, and the balanced lift
-    recover the coefficients exactly.
+    recover the coefficients exactly.  A bound beyond the largest tabulated
+    prime raises ValueError.
     """
     n = len(rows)
     if n == 0:
         return IntPolynomial.one()
     bits = _bound_bits(rows)
+    if bits + 2 > _MERSENNE_EXPONENTS[-1]:
+        raise ValueError(
+            f"coefficient bound 2^{bits} needs a prime above 2^{bits + 1}; the largest "
+            f"tabulated Mersenne prime is 2^{_MERSENNE_EXPONENTS[-1]} - 1")
     p = (1 << next(e for e in _MERSENNE_EXPONENTS if e >= bits + 2)) - 1
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
     # det(I - uM) = u^n * charpoly_M(1/u): reverse the coefficient order
     return IntPolynomial(reversed(_balanced_lift(_charpoly_mod(rows, p), p)))
 
@@ -606,59 +643,68 @@ def _power_traces(m: np.ndarray, q: np.ndarray, s: int) -> np.ndarray:
 
     Baby steps M^0..M^(s-1) and giant steps G^j with G = M^s, for some
     2 <= s about sqrt(n), take about 2 sqrt(n) batched products, and
-    tr(M^(js+i)) pairs G^j with M^i in O(n^2).  Every matrix is kept in
-    balanced residues, |x| < q/2 + 1, so each float64 sum of n <= 512
-    products stays below 2^52 and is exact.
+    tr(G^j M^i) = sum_ab G^j[a, b] (M^i)^T[a, b] pairs G^j with the
+    transposed baby steps in O(n^2).  Every matrix is kept in balanced
+    residues, |x| < q/2 + 1 < 2^21 + 1, so each float64 sum of n <= 512
+    products stays below 2^52 and is exact, and so does a whole pairing's
+    sum of n^2 products when n^2 < 2048.
     """
     g, n = len(m), m.shape[1]
     qq = q[:, None, None]
     qinv = 1 / qq
-    babies = np.empty((g, s, n, n))
+    mt = _reduce(m, qq, qinv).transpose(0, 2, 1)
+    babies = np.empty((g, s, n, n))  # babies[:, i] = (M^i)^T = M^T (M^(i-1))^T
     babies[:, 0] = np.eye(n)
-    babies[:, 1] = m = _reduce(m, qq, qinv)
+    babies[:, 1] = mt
     for i in range(2, s):
-        _reduce(np.matmul(babies[:, i - 1], m, out=babies[:, i]), qq, qinv)
-    step = _reduce(babies[:, s - 1] @ m, qq, qinv)
+        _reduce(np.matmul(mt, babies[:, i - 1], out=babies[:, i]), qq, qinv)
+    step = _reduce(mt @ babies[:, s - 1], qq, qinv).transpose(0, 2, 1)
     giant, product = babies[:, 0], np.empty((g, n, n))
     traces = []
     for j in range(n // s + 1):
         if j:
             giant = _reduce(np.matmul(giant, step, out=product), qq, qinv) if j > 1 else step
-        # tr(G^j M^i) = sum_a sum_b G^j[a, b] M^i[b, a]: each inner sum of n
-        # products is below 2^52, and their sum over a below 2^61 in int64
-        traces.append(np.einsum("gab,gsba->gsa", giant, babies).astype(np.int64).sum(axis=2))
+        if n * n < 2048:  # one float64 dot of n^2 products per trace
+            pairs = babies.reshape(g, s, n * n) @ giant.reshape(g, n * n, 1)
+            traces.append(pairs[..., 0].astype(np.int64))
+        else:  # the sums over b, then their sum over a, below 2^61, in int64
+            traces.append(np.einsum("gab,gsab->gsa", giant, babies).astype(np.int64).sum(axis=2))
     return np.concatenate(traces, axis=1)[:, :n + 1] % q.astype(np.int64)[:, None]
 
 
-def _char_poly_reverse_dense(rows: list[list[int]]) -> IntPolynomial:
-    """Exact det(I - u*M) for dense integer rows from tr(M^m) modulo word primes.
+def _char_poly_reverse_dense(rows) -> IntPolynomial:
+    """Exact det(I - u*M) for dense integer rows (lists or an array) from tr(M^m) mod word primes.
 
     The first k word primes whose product Q exceeds 2^(bits + 1), bits from
     ``_bound_bits``, reduce M exactly (on int64, or on Python ints beyond
-    it).  For each prime the traces p_m = tr(M^m), m = 1..n, come from
-    batched float64 products (``_power_traces``); one CRT takes them modulo
-    Q, where Newton's identities m c_m = -(p_1 c_(m-1) + ... + p_m c_0) give
-    the coefficients c_m of det(I - uM) = sum c_m u^m (every prime exceeds
-    n, so m is invertible), and the balanced lift makes them exact.  The
-    primes go through in groups of max(1, k // s), s = isqrt(n) + 1, so the
-    stacks of s baby steps hold at most max(k, s) matrices at a time.  Needs
+    it); a bound that all of them together do not pass raises ValueError.
+    For each prime the traces p_m = tr(M^m), m = 1..n, come from batched
+    float64 products (``_power_traces``); one CRT takes them modulo Q, where
+    Newton's identities m c_m = -(p_1 c_(m-1) + ... + p_m c_0) give the
+    coefficients c_m of det(I - uM) = sum c_m u^m (every prime exceeds n,
+    so m is invertible), and the balanced lift makes them exact.  The
+    primes go through in groups whose stacks of s = isqrt(n) + 1 baby steps
+    hold at most ``_TRACE_BUDGET`` floats, or one prime's s n^2 where that
+    alone is more: a small block takes all its primes in one call.  Needs
     n <= _DENSE_MAX_DIM.
     """
     n = len(rows)
     if n == 0:
         return IntPolynomial.one()
-    bits = _bound_bits(rows)
+    exact = _exact_array(rows)
+    bits = _bound_bits(exact)
     modulus, k = 1, 0
     while modulus >> (bits + 1) == 0:
+        if k == len(_WORD_PRIMES):
+            raise ValueError(
+                f"coefficient bound 2^{bits} needs primes whose product passes 2^{bits + 1}; "
+                f"the {k} tabulated word primes below 2^22 multiply to less than "
+                f"2^{modulus.bit_length()}")
         modulus *= _WORD_PRIMES[k]
         k += 1
     primes = _WORD_PRIMES[:k]
-    try:
-        exact = np.array(rows, dtype=np.int64)
-    except OverflowError:  # entries beyond int64 stay Python ints
-        exact = np.array(rows, dtype=object)
     s = math.isqrt(n) + 1
-    group = max(1, k // s)
+    group = max(1, _TRACE_BUDGET // (s * n * n))
     traces = np.concatenate([
         _power_traces(np.array([exact % p for p in primes[lo:lo + group]], dtype=np.float64),
                       np.array(primes[lo:lo + group], dtype=np.float64), s)
@@ -676,42 +722,48 @@ def _char_poly_reverse_dense(rows: list[list[int]]) -> IntPolynomial:
 def char_poly_reverse(mat) -> IntPolynomial:
     """Exact det(I - u*M) for a square integer matrix, one SCC block at a time.
 
-    Accepts a ``SparseIntMatrix`` or a dense square integer array-like; a
+    Accepts a ``SparseIntMatrix``, an integer ndarray (int64 or an object
+    array of Python ints) or a dense square integer array-like; a
     non-integer entry raises TypeError, a non-square input ValueError.
-    Ordering the indices by the strongly connected components of the
-    nonzero pattern, in topological order, makes M block triangular, so
-    det(I - u*M) is the product of det(I - u*M_C) over the diagonal blocks
-    M_C.  A component of one index without a self-loop contributes 1; every
-    other block gets its own Hadamard bound and one of two exact kernels,
-    which share that bound and the balanced lift.  A block of dimension
-    n <= _DENSE_MAX_DIM with more than max(4, n/32) nonzeros below the
-    subdiagonal, in the component's own (Tarjan) order, goes to the
-    word-prime trace kernel (``_char_poly_reverse_dense``).  Every other
-    block goes to one Hessenberg pass modulo the smallest tabulated Mersenne
-    prime above twice its bound (``_char_poly_reverse_rows``): near-cycles,
-    whose Hessenberg form is almost there, and small blocks (one of
-    dimension 4 has at most three nonzeros below the subdiagonal).  A block
-    whose bound is beyond the largest tabulated prime raises ValueError.
+    Sparse and dense input share one path from their nonzero entries
+    (``_entries``).  Ordering the indices by the strongly connected
+    components of the nonzero pattern, in topological order, makes M block
+    triangular, so det(I - u*M) is the product of det(I - u*M_C) over the
+    diagonal blocks M_C.  A component of one index without a self-loop
+    contributes 1; every other block is cut out as an array, gets its own
+    Hadamard bound and one of two exact kernels, which share that bound and
+    the balanced lift.  A block of dimension n <= _DENSE_MAX_DIM with more
+    than max(4, n/32) nonzeros below the subdiagonal, in the component's
+    own (Tarjan) order, goes to the word-prime trace kernel
+    (``_char_poly_reverse_dense``).  Every other block goes to one
+    Hessenberg pass modulo the smallest tabulated Mersenne prime above
+    twice its bound (``_char_poly_reverse_rows``): near-cycles, whose
+    Hessenberg form is almost there, and small blocks (one of dimension 4
+    has at most three nonzeros below the subdiagonal).  A block whose bound
+    is beyond its kernel's primes raises ValueError.
     """
-    n, entries = _triplets(mat)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for r, c, _ in entries:
-        succ[r].append(c)
-    components, label = _strong_components(succ)
-    local = [0] * n
+    n, row, col, value = _entries(mat)
+    if not len(row):  # the zero matrix, 0x0 on every torus: no component pass
+        return IntPolynomial.one()
+    ptr = np.searchsorted(row, np.arange(n + 1)).tolist()
+    flat = col.tolist()
+    components, label = _strong_components([flat[a:b] for a, b in zip(ptr, ptr[1:])])
+    label = np.array(label, dtype=np.int64)
+    local = np.empty(n, dtype=np.int64)
     for members in components:
-        for i, v in enumerate(members):
-            local[v] = i
-    blocks = [[[0] * len(members) for _ in members] for members in components]
-    below = [0] * len(components)
-    for r, c, v in entries:
-        if label[r] == label[c]:
-            blocks[label[r]][local[r]][local[c]] += v
-            below[label[r]] += local[r] > local[c] + 1
+        local[members] = np.arange(len(members))
+    inside = label[row] == label[col]
+    block, r, c = label[row[inside]], local[row[inside]], local[col[inside]]
+    below = np.bincount(block[r > c + 1], minlength=len(components)).tolist()
+    order = np.argsort(block, kind="stable")  # each block's entries in one run
+    r, c, value = r[order], c[order], value[inside][order]
+    ends = np.cumsum(np.bincount(block, minlength=len(components))).tolist()
     factors = []
-    for rows, low in zip(blocks, below):
-        if rows == [[0]]:  # one index without a self-loop gives a factor 1
+    for members, low, start, end in zip(components, below, [0] + ends, ends):
+        if start == end:  # one index without a self-loop gives a factor 1
             continue
+        rows = np.zeros((len(members), len(members)), dtype=value.dtype)
+        rows[r[start:end], c[start:end]] = value[start:end]
         dense = low > max(4, len(rows) / 32) and len(rows) <= _DENSE_MAX_DIM
         kernel = _char_poly_reverse_dense if dense else _char_poly_reverse_rows
         factors.append(enumerate(kernel(rows).coeffs))

@@ -33,7 +33,8 @@ def _zeta(c: TypedComplex, kind: str) -> IntPolynomial:
     A cycle component of length l gives 1 - u^l, so the m cycles of one
     length give (1 - u^l)^m (``_cycle_factor``).  The other components give
     det(I - u^3 X) for the three-step operator X on their nodes, ``rest``
-    (0x0 when there are none).
+    (0x0 when there are none), an integer array passed to
+    ``char_poly_reverse`` as it is.
     """
     cycles, rest = _relation_components(c, kind)
     x = _three_step(c, kind, rest)

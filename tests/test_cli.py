@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btzeta import complexes, geodesics, operators, zeta
+from btzeta import complexes, geodesics, operators, polynomials, zeta
 from btzeta.cli import _divisor_sums, _product_matches_ratio, main, run_verify
 from btzeta.complexes import save_complex
 from btzeta.cones import ConeClosedForm
@@ -205,6 +205,26 @@ class TestZetaCount:
                                              "--which", "edge"]).stdout)
             assert "Z2" not in doc and "ratio" not in doc
             assert doc["log_deriv"][3] == "27"
+
+    @pytest.mark.parametrize("tables, message", [
+        ({"_WORD_PRIMES": polynomials._WORD_PRIMES[:2]},
+         "the 2 tabulated word primes below 2^22 multiply to less than 2^44"),
+        ({"_DENSE_MAX_DIM": 0, "_MERSENNE_EXPONENTS": (61,)},
+         "the largest tabulated Mersenne prime is 2^61 - 1"),
+    ], ids=["trace-kernel", "hessenberg"])
+    def test_zeta_exits_two_past_a_kernels_primes(self, runner, tmp_path, monkeypatch,
+                                                   tables, message):
+        # the gallery X of this branching complex needs 2^76, past two word
+        # primes and past 2^61 - 1; each kernel refuses it in its own words
+        for name, value in tables.items():
+            monkeypatch.setattr(polynomials, name, value)
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            save_complex(closed_typed_complex(random.Random(1), (4, 4, 4), p_chamber=0.625),
+                         "b.json")
+            result = runner.invoke(main, ["zeta", "b.json"])
+            assert result.exit_code == 2
+            assert result.stdout == ""
+            assert message in result.stderr
 
     def test_count_document(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):
@@ -810,7 +830,7 @@ class TestEachQuantityOnce:
         original = zeta.char_poly_reverse
 
         def counting(matrix):
-            dims.append(matrix.dim)
+            dims.append(len(matrix))  # X reaches the charpoly as an integer array
             return original(matrix)
 
         monkeypatch.setattr(zeta, "char_poly_reverse", counting)

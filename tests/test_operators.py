@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 from math import floor
 
@@ -45,7 +46,7 @@ from btzeta.generators import (
     plane_type,
 )
 from btzeta.polynomials import _strong_components
-from conftest import closed_typed_complex
+from conftest import closed_typed_complex, disjoint_union
 
 # the ladder tori k*id and the skew torus 6 3 0 9, as (a, b), (c, d) bases
 LADDER_TORI = [((k, 0), (0, k)) for k in (6, 9, 12, 15)] + [((6, 3), (0, 9))]
@@ -444,6 +445,68 @@ class TestThreeStep:
     def test_torus_and_b1_are_the_cube(self, torus):
         for c in (torus, closed_typed_complex(random.Random(1), (4, 4, 4))):
             assert_three_step_is_the_cube(c)
+
+
+def walk_join(c, kind, members):
+    """X as it was built before the grade blocks: every length-3 walk from the
+    smallest grade of ``members`` (ties to the lowest type), counted per (w, x)
+    pair in a ``Counter`` where it lands back on that grade."""
+    grade = transitions(c, kind).grade.tolist()
+    of = [grade[v] for v in members]
+    nodes = [v for v, g in zip(members, of) if g == min(range(3), key=of.count)]
+    at = {v: i for i, v in enumerate(nodes)}
+    succ = successor_lists(c, kind)
+    walks = Counter((at[w], at[x]) for x in nodes for y in succ[x] for z in succ[y]
+                    for w in succ[z] if w in at)
+    out = np.zeros((len(nodes), len(nodes)), dtype=np.int64)
+    for pair, k in walks.items():
+        out[pair] = k
+    return out
+
+
+class TestGradeBlocks:
+    """X as the product of the relation's three grade blocks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.tuples(*[st.integers(1, 4)] * 3),
+           st.floats(0.4, 1.0), st.floats(0.0, 1.0), st.booleans())
+    def test_equals_the_walk_join(self, seed, per_type, p_edge, p_chamber, with_torus):
+        c = closed_typed_complex(random.Random(seed), per_type, p_edge, p_chamber)
+        if with_torus:  # cycle components beside the others, nodes interleaved
+            c = disjoint_union(c, ladder_complex(((3, 0), (0, 3))))
+        for kind in ("edge", "gallery"):
+            _, rest = operators._relation_components(c, kind)
+            for members in (rest, range(len(transitions(c, kind).grade))):
+                x = operators._three_step(c, kind, np.array(members, dtype=np.int64))
+                assert x.dtype == np.int64
+                assert x.tolist() == walk_join(c, kind, list(members)).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.tuples(*[st.integers(1, 4)] * 3),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_every_arc_steps_the_grade_by_one(self, seed, per_type, p_edge, p_chamber):
+        assert_arcs_step_the_grade(
+            closed_typed_complex(random.Random(seed), per_type, p_edge, p_chamber))
+
+    @pytest.mark.parametrize("name", LADDER_TORI + [3, 9, "branching"], ids=str)
+    def test_ladder_arcs_step_the_grade_by_one(self, name):
+        assert_arcs_step_the_grade(ladder_complex(name))
+
+    def test_empty_smallest_grade_gives_0x0(self):
+        # one edge 0 -> 1: the edge relation's one node has grade 0, and the
+        # grades 1 and 2 are empty
+        c = TypedComplex([(0, 0), (1, 1)], [(0, 1)])
+        assert operators._three_step(c, "edge", np.arange(1)).shape == (0, 0)
+        assert three_step_operator(c, "edge") == SparseIntMatrix(0, ())
+
+
+def assert_arcs_step_the_grade(c):
+    """Every edge arc raises the grade by 1 and every gallery arc lowers it by 1 (mod 3)."""
+    assert validate_complex(c).ok
+    for kind, step in (("edge", 1), ("gallery", 2)):
+        indptr, indices, grade = transitions(c, kind)
+        src = np.repeat(np.arange(len(grade)), np.diff(indptr))
+        assert ((grade[indices] - grade[src]) % 3 == step).all()
 
 
 class TestTracePowers:

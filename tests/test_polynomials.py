@@ -4,6 +4,7 @@ import functools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,10 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from btzeta import operators, polynomials
 from btzeta.complexes import TypedComplex
 from btzeta.generators import ApartmentSpec, gen_apartment_torus, gen_cycle_complex
-from btzeta.operators import SparseIntMatrix
+from btzeta.operators import SparseIntMatrix, three_step_operator
 from btzeta.polynomials import (
     IntPolynomial,
     PowerSeriesPrefix,
@@ -521,13 +523,13 @@ class TestDenseKernel:
         assert _char_poly_reverse_dense([[0, 1], [0, 0]]) == IntPolynomial.one()
 
     def test_live_arrays_are_k_matrices(self):
-        # n = 35 with entries up to 10^6 takes k = 37 primes and s = 6 baby
+        # n = 35 with entries up to 10^6 takes k = 35 primes and s = 6 baby
         # steps: a stack of every prime's baby steps alone would hold 6k matrices
         n = 35
         mat = random_block(random.Random(35), n, 10 ** 6)
         bits = _bound_bits(mat)
         k = next(i for i in range(len(_WORD_PRIMES)) if math.prod(_WORD_PRIMES[:i]) >> (bits + 1))
-        assert k == 37
+        assert k == 35
         tracemalloc.start()
         try:
             _char_poly_reverse_dense(mat)
@@ -535,6 +537,121 @@ class TestDenseKernel:
         finally:
             tracemalloc.stop()
         assert peak < 3 * k * n * n * 8
+
+
+def old_bound_bits(rows) -> int:
+    """The bound before the per-row one: n + ceil(n * ceil(log2 r) / 2), r the largest squared
+    row norm (the k-th coefficient is at most C(n, k) sqrt(r)^k)."""
+    n = len(rows)
+    log_norm = (max(max(sum(x * x for x in row) for row in rows), 1) - 1).bit_length()
+    return n + (n * log_norm + 1) // 2
+
+
+def assert_bound_holds(mat, coeffs):
+    bits = _bound_bits(mat)
+    assert max(map(abs, coeffs)) < 2 ** bits
+    assert bits <= old_bound_bits(np.asarray(mat).tolist())
+
+
+class TestBound:
+    """``_bound_bits``: the bit length of the largest e_k of the rounded-up row norms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10), st.sampled_from([1, 2, 7, 10 ** 6, 2 ** 40]),
+           st.sampled_from([0.3, 0.7, 1.0]), st.randoms(use_true_random=False))
+    def test_covers_every_coefficient_within_the_old_bound(self, dim, bound, density, rng):
+        mat = random_block(rng, dim, bound, density)
+        for i in rng.sample(range(dim), rng.randint(0, dim // 2)):  # zero rows and columns
+            if rng.random() < 0.5:
+                mat[i] = [0] * dim
+            else:
+                for row in mat:
+                    row[i] = 0
+        assert_bound_holds(mat, berkowitz_char_poly_reverse(mat).coeffs)
+        assert _bound_bits(mat) == _bound_bits(np.array(mat, dtype=object))
+
+    def test_holds_on_hadamard_matrices(self):
+        # Sylvester's Hadamard matrices meet Hadamard's bound: |det| is the
+        # product of the row norms sqrt(n), which are irrational for n = 2, 8
+        h = np.array([[1]])
+        for _ in range(3):
+            h = np.block([[h, h], [h, -h]])
+            assert_bound_holds(h, berkowitz_char_poly_reverse(h).coeffs)
+            assert abs(berkowitz_char_poly_reverse(h).coeffs[-1]) == len(h) ** (len(h) // 2)
+
+    def test_entries_beyond_int64(self):
+        # squared norms past int64 are summed in Python ints, -2^63 included
+        for mat in ([[2 ** 40, -2 ** 40, 0], [3, 2 ** 62, 1], [-2 ** 63, 5, 7]],
+                    [[-2 ** 63, 1], [1, 1]]):
+            assert_bound_holds(mat, berkowitz_char_poly_reverse(mat).coeffs)
+            assert _bound_bits(np.array(mat, dtype=np.int64)) == _bound_bits(mat)
+
+    @pytest.mark.parametrize("kind", ["edge", "gallery"])
+    @pytest.mark.parametrize("basis", [(k, 0, 0, k) for k in (6, 9, 12, 15)] + [(6, 3, 0, 9)],
+                             ids=lambda b: "torus %d %d %d %d" % b)
+    def test_ladder_torus_x(self, basis, kind):
+        a, b, c, d = basis
+        x = three_step_operator(gen_apartment_torus(ApartmentSpec(((a, b), (c, d)))), kind)
+        assert_bound_holds(x.to_dense(), char_poly_reverse(x).coeffs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.tuples(*[st.integers(1, 4)] * 3), st.floats(0.0, 1.0))
+    def test_branching_x(self, seed, per_type, p_chamber):
+        c = closed_typed_complex(random.Random(seed), per_type, 1.0, p_chamber)
+        for kind in ("edge", "gallery"):
+            _, rest = operators._relation_components(c, kind)
+            x = operators._three_step(c, kind, rest)
+            if len(x):
+                assert_bound_holds(x, char_poly_reverse(x).coeffs)
+
+
+class TestPrimeSupply:
+    """Each kernel refuses a bound only past its own table of primes."""
+
+    def test_trace_kernel_reaches_past_the_mersenne_table(self):
+        # bound 2^4431: past 2^4423 - 1, within the word primes' product of about 2^4443
+        assert _char_poly_reverse_dense([[2 ** 4430]]) == IntPolynomial([1, -2 ** 4430])
+        with pytest.raises(ValueError, match=r"bound 2\^4431 .* Mersenne prime is 2\^4423 - 1"):
+            _char_poly_reverse_rows([[2 ** 4430]])
+
+    def test_trace_kernel_names_the_word_primes(self):
+        with pytest.raises(ValueError, match=r"bound 2\^4501 .* the 202 tabulated word primes "
+                                             r"below 2\^22 multiply to less than 2\^4444"):
+            _char_poly_reverse_dense([[2 ** 4500]])
+
+
+class TestArrayInput:
+    """Integer arrays reach the SCC split through ``np.nonzero``."""
+
+    def test_int64_and_object_arrays_match_berkowitz(self):
+        mat = random_block(random.Random(9), 9, 50, 0.6)
+        assert char_poly_reverse(np.array(mat, dtype=np.int64)) == berkowitz_char_poly_reverse(mat)
+        big = [[x * 2 ** 70 + (x > 0) for x in row] for row in mat]
+        assert char_poly_reverse(np.array(big, dtype=object)) == berkowitz_char_poly_reverse(big)
+
+    def test_float_and_non_square_arrays_refused(self):
+        with pytest.raises(TypeError):
+            char_poly_reverse(np.eye(3))
+        with pytest.raises(ValueError, match="matrix must be square"):
+            char_poly_reverse(np.zeros((3, 4), dtype=np.int64))
+        with pytest.raises(ValueError, match="matrix must be square"):
+            char_poly_reverse(np.zeros((2, 2, 2), dtype=np.int32))
+
+    def test_branching_blocks_trace_in_one_call(self, monkeypatch):
+        # X of the branching pool's size (4 vertices per type, 40 of 64
+        # chambers): every prime of a block in one ``_power_traces`` call
+        calls = Counter()
+        for name in ("_char_poly_reverse_dense", "_power_traces"):
+            def recording(*args, name=name, original=getattr(polynomials, name)):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(polynomials, name, recording)
+        for seed in range(6):
+            c = closed_typed_complex(random.Random(seed), (4, 4, 4), p_chamber=0.625)
+            zeta_edge(c)
+            zeta_chamber(c)
+        assert calls["_char_poly_reverse_dense"] >= 12
+        assert calls["_power_traces"] == calls["_char_poly_reverse_dense"]
 
 
 def _recording_kernels(monkeypatch) -> list[tuple[str, int]]:
